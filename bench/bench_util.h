@@ -118,10 +118,6 @@ inline bool InitBench(int argc, char** argv) {
 
 // Environment knobs (read by the bench configs, set by tools/ scripts):
 //   SOLROS_BENCH_QUICK=1   shrink the measurement matrix (CI smoke runs)
-//   SOLROS_BENCH_LEGACY=1  disable the staged-path features (scan-resistant
-//                          eviction, readahead, write-back absorption,
-//                          vectored fs I/O, the I/O scheduler) so output
-//                          matches the pre-overhaul behavior
 //   SOLROS_JOURNAL=metadata|data  format the bench FS with a write-ahead
 //                          journal in that mode (and the volatile-write-
 //                          cache durability model); unset/off = no journal,
@@ -132,7 +128,6 @@ inline bool BenchEnvSet(const char* name) {
 }
 
 inline bool BenchQuickMode() { return BenchEnvSet("SOLROS_BENCH_QUICK"); }
-inline bool BenchLegacyMode() { return BenchEnvSet("SOLROS_BENCH_LEGACY"); }
 
 // "metadata", "data", or "" (no journal).
 inline std::string BenchJournalMode() {
@@ -142,18 +137,6 @@ inline std::string BenchJournalMode() {
     return "";
   }
   return value;
-}
-
-// Turns off every staged-path cache feature introduced by the cache
-// overhaul (templated so this header stays independent of fs_proxy.h).
-template <typename FsOptions>
-inline void DisableStagedPathFeatures(FsOptions& fs) {
-  fs.cache_scan_resistant = false;
-  fs.readahead = false;
-  fs.writeback_cache = false;
-  fs.coalesced_writeback = false;
-  fs.fs_vectored_io = false;
-  fs.iosched = false;
 }
 
 // The process-wide flight recorder created by --flight-recorder=N (null

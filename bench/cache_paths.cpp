@@ -1,20 +1,18 @@
-// E-cache — staged-path cache overhaul, measured head-to-head: every
-// scenario runs the identical workload twice, once with the staged-path
-// features disabled ("legacy": single-LRU cache, no readahead, per-block
-// write-through) and once with the current defaults ("current":
-// scan-resistant segmented LRU + sequential readahead + coalesced
-// write-back). Three scenarios:
+// E-cache — the staged-path cache (scan-resistant segmented LRU +
+// sequential readahead + coalesced write-back) on three scenarios:
 //
 //   seq-read    O_BUFFER sequential 64 KiB reads through one data plane;
 //               readahead turns one NVMe command per request into one per
-//               window (the >=4x command-count drop the overhaul targets).
+//               window (CI gates the command count).
 //   scan-mix    warm a hot set, stream a scan 2x the cache size through
 //               the same cache, then re-read the hot set; the segmented
 //               LRU keeps the hot set in the protected segment so the
-//               re-read stays in cache (legacy LRU loses everything).
+//               re-read stays in cache (zero device commands).
 //   rand-write  fig12-style random O_BUFFER writes + fsync; write-back
 //               absorbs the writes as dirty pages and flushes them as
 //               sorted, coalesced vectors.
+//
+// EXPERIMENTS.md records the seed path's numbers on the same scenarios.
 #include <iostream>
 #include <string>
 
@@ -25,19 +23,14 @@ using namespace solros;
 
 namespace {
 
-MachineConfig CacheMachine(bool legacy, int num_phis) {
+MachineConfig CacheMachine(int num_phis) {
   MachineConfig config;
   config.num_phis = num_phis;
   config.nvme_capacity = GiB(1);
   config.enable_network = false;
   config.fs_options.cache_blocks = 8192;  // 32 MiB shared cache
-  if (legacy) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   return config;
 }
-
-const char* ModeName(bool legacy) { return legacy ? "legacy" : "current"; }
 
 Task<Status> SeqRead(FsStub* stub, uint64_t ino, DeviceId device,
                      uint64_t file_bytes, uint64_t chunk) {
@@ -60,16 +53,16 @@ struct SeqNumbers {
   uint64_t doorbells = 0;
 };
 
-SeqNumbers MeasureSeqRead(bool legacy) {
+SeqNumbers MeasureSeqRead() {
   const uint64_t file_bytes = BenchQuickMode() ? MiB(16) : MiB(64);
   const uint64_t chunk = KiB(64);
-  Machine machine(CacheMachine(legacy, 1));
+  Machine machine(CacheMachine(1));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto ino = RunSim(machine.sim(),
                     PrepareWorkloadFile(&machine.fs(), "/seq", file_bytes));
   CHECK_OK(ino);
   FsStub& stub = machine.fs_stub(0);
-  stub.set_buffered(true);  // O_BUFFER: both modes exercise the staged path
+  stub.set_buffered(true);  // O_BUFFER: exercise the staged path
   uint64_t commands0 = machine.nvme().commands_completed();
   uint64_t doorbells0 = machine.nvme().doorbells_rung();
   SimTime t0 = machine.sim().now();
@@ -104,11 +97,11 @@ struct MixNumbers {
   uint64_t commands = 0;  // NVMe commands during the re-read (0 = all hits)
 };
 
-MixNumbers MeasureScanMix(bool legacy) {
+MixNumbers MeasureScanMix() {
   const uint64_t hot_bytes = BenchQuickMode() ? MiB(8) : MiB(16);
   const uint64_t scan_bytes = BenchQuickMode() ? MiB(64) : MiB(256);
   const int hot_ops = BenchQuickMode() ? 256 : 1024;
-  Machine machine(CacheMachine(legacy, 2));
+  Machine machine(CacheMachine(2));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto hot_ino = RunSim(machine.sim(),
                         PrepareWorkloadFile(&machine.fs(), "/hot", hot_bytes));
@@ -153,9 +146,9 @@ struct WriteNumbers {
   uint64_t commands = 0;
 };
 
-WriteNumbers MeasureRandomWrite(bool legacy) {
+WriteNumbers MeasureRandomWrite() {
   const uint64_t file_bytes = BenchQuickMode() ? MiB(32) : MiB(64);
-  Machine machine(CacheMachine(legacy, 1));
+  Machine machine(CacheMachine(1));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto ino = RunSim(machine.sim(),
                     PrepareWorkloadFile(&machine.fs(), "/rw", file_bytes));
@@ -165,8 +158,8 @@ WriteNumbers MeasureRandomWrite(bool legacy) {
   FsWorkloadConfig config;
   config.file_bytes = file_bytes;
   config.block_size = KiB(64);
-  // One writer: each legacy write waits out the full device round trip,
-  // which is exactly the latency that write-back absorption removes.
+  // One writer: without write-back absorption each write would wait out
+  // the full device round trip.
   config.threads = 1;
   config.ops_per_thread = BenchQuickMode() ? 128 : 512;
   config.is_write = true;
@@ -182,13 +175,6 @@ WriteNumbers MeasureRandomWrite(bool legacy) {
   return out;
 }
 
-std::string Ratio(double current, double legacy) {
-  if (legacy == 0) {
-    return "-";
-  }
-  return TablePrinter::Num(current / legacy, 2) + "x";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,45 +187,26 @@ int main(int argc, char** argv) {
               "write-back classics");
 
   std::cout << "--- sequential O_BUFFER reads (64 KiB) ---\n";
-  SeqNumbers seq_legacy = MeasureSeqRead(/*legacy=*/true);
-  SeqNumbers seq_current = MeasureSeqRead(/*legacy=*/false);
-  TablePrinter seq({"mode", "GB/s", "nvme cmds", "doorbells"});
-  seq.AddRow({ModeName(true), TablePrinter::Num(seq_legacy.gbps, 3),
-              std::to_string(seq_legacy.commands),
-              std::to_string(seq_legacy.doorbells)});
-  seq.AddRow({ModeName(false), TablePrinter::Num(seq_current.gbps, 3),
-              std::to_string(seq_current.commands),
-              std::to_string(seq_current.doorbells)});
+  SeqNumbers seq_numbers = MeasureSeqRead();
+  TablePrinter seq({"GB/s", "nvme cmds", "doorbells"});
+  seq.AddRow({TablePrinter::Num(seq_numbers.gbps, 3),
+              std::to_string(seq_numbers.commands),
+              std::to_string(seq_numbers.doorbells)});
   EmitTable(seq);
-  std::cout << "seq-read command reduction: "
-            << Ratio(static_cast<double>(seq_legacy.commands),
-                     static_cast<double>(seq_current.commands))
-            << " fewer NVMe commands; speedup "
-            << Ratio(seq_current.gbps, seq_legacy.gbps) << "\n";
 
   std::cout << "\n--- hot-set re-read after a 2x-cache streaming scan ---\n";
-  MixNumbers mix_legacy = MeasureScanMix(/*legacy=*/true);
-  MixNumbers mix_current = MeasureScanMix(/*legacy=*/false);
-  TablePrinter mix({"mode", "hot GB/s", "nvme cmds"});
-  mix.AddRow({ModeName(true), TablePrinter::Num(mix_legacy.hot_gbps, 3),
-              std::to_string(mix_legacy.commands)});
-  mix.AddRow({ModeName(false), TablePrinter::Num(mix_current.hot_gbps, 3),
-              std::to_string(mix_current.commands)});
+  MixNumbers mix_numbers = MeasureScanMix();
+  TablePrinter mix({"hot GB/s", "nvme cmds"});
+  mix.AddRow({TablePrinter::Num(mix_numbers.hot_gbps, 3),
+              std::to_string(mix_numbers.commands)});
   EmitTable(mix);
-  std::cout << "scan-mix hot-reader speedup: "
-            << Ratio(mix_current.hot_gbps, mix_legacy.hot_gbps) << "\n";
 
   std::cout << "\n--- random O_BUFFER writes (64 KiB) + fsync ---\n";
-  WriteNumbers wr_legacy = MeasureRandomWrite(/*legacy=*/true);
-  WriteNumbers wr_current = MeasureRandomWrite(/*legacy=*/false);
-  TablePrinter wr({"mode", "GB/s", "nvme cmds"});
-  wr.AddRow({ModeName(true), TablePrinter::Num(wr_legacy.gbps, 3),
-             std::to_string(wr_legacy.commands)});
-  wr.AddRow({ModeName(false), TablePrinter::Num(wr_current.gbps, 3),
-             std::to_string(wr_current.commands)});
+  WriteNumbers wr_numbers = MeasureRandomWrite();
+  TablePrinter wr({"GB/s", "nvme cmds"});
+  wr.AddRow({TablePrinter::Num(wr_numbers.gbps, 3),
+             std::to_string(wr_numbers.commands)});
   EmitTable(wr);
-  std::cout << "rand-write speedup: " << Ratio(wr_current.gbps, wr_legacy.gbps)
-            << "\n";
 
   FinishBench();
   return 0;

@@ -14,19 +14,13 @@
 //            shared file region, scheduler on vs off. Dedup + plugging
 //            must cut doorbells+interrupts >= 2x at equal-or-better
 //            aggregate RPC/s (CI gates on the CSV rows).
-//   skewed   one co-processor floods the scheduler while three victims
-//            trickle sequential reads until a sim-time deadline; the
-//            min/max per-phi completed-ops columns show DRR fairness
-//            keeping the victims alive.
 //   shards   the same storm with the control plane sharded across 1, 2,
 //            and 4 pinned host cores (proxy_shards); RPC/s must scale
 //            >= 1.6x at 2 shards and >= 2.5x at 4 (CI gates the CSV).
-#include <array>
 #include <iostream>
 
 #include "bench/bench_util.h"
 #include "bench/fs_workload.h"
-#include "src/fs/io_scheduler.h"
 
 using namespace solros;
 
@@ -53,7 +47,6 @@ DeviceCost CostSince(const Machine& machine, const DeviceCost& t0) {
 struct RunStats {
   double krpcs = 0;
   DeviceCost cost;
-  std::vector<uint64_t> per_phi_ops;
 };
 
 MachineConfig StormConfig(int phis) {
@@ -61,9 +54,6 @@ MachineConfig StormConfig(int phis) {
   config.num_phis = phis;
   config.nvme_capacity = MiB(256);
   config.enable_network = false;
-  if (BenchLegacyMode()) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   return config;
 }
 
@@ -140,14 +130,13 @@ void PrintMatrix() {
 // --- section 2: shared-region read storm, scheduler on vs off ---
 
 Task<void> SharedReadWorker(FsStub* stub, DeviceId device, uint64_t ino,
-                            int ops, uint64_t* completed, WaitGroup* wg) {
+                            int ops, WaitGroup* wg) {
   DeviceBuffer buffer(device, KiB(4));
   for (int i = 0; i < ops; ++i) {
     auto n = co_await stub->Read(ino, uint64_t{static_cast<uint64_t>(i)} *
                                           KiB(4),
                                  MemRef::Of(buffer));
     CHECK_OK(n);
-    ++*completed;
   }
   wg->Done();
 }
@@ -157,7 +146,7 @@ RunStats RunSharedStorm(bool iosched) {
   constexpr int kWorkers = 8;
   constexpr int kOps = 40;
   MachineConfig config = StormConfig(kPhis);
-  config.fs_options.iosched = iosched && !BenchLegacyMode();
+  config.fs_options.iosched = iosched;
   MaybeEnableTelemetry(config);
   Machine machine(std::move(config));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
@@ -171,7 +160,6 @@ RunStats RunSharedStorm(bool iosched) {
   }
 
   RunStats stats;
-  stats.per_phi_ops.assign(kPhis, 0);
   WaitGroup wg(&machine.sim());
   // Report the storm itself, not the nvme-bound workload-file prep above.
   ResetTelemetry(machine);
@@ -182,7 +170,7 @@ RunStats RunSharedStorm(bool iosched) {
       wg.Add(1);
       Spawn(machine.sim(),
             SharedReadWorker(&machine.fs_stub(p), machine.phi_device(p),
-                             *ino, kOps, &stats.per_phi_ops[p], &wg));
+                             *ino, kOps, &wg));
     }
   }
   machine.sim().RunUntilIdle();
@@ -220,124 +208,16 @@ void PrintStorm() {
             << "x (single-flight dedup + plugged batching)\n";
 }
 
-// --- section 3: skewed storm, DRR fairness on vs off ---
-
-Task<void> SkewWorker(Simulator* sim, FsStub* stub, DeviceId device,
-                      uint64_t ino, uint64_t slice_start_block,
-                      uint64_t slice_blocks, SimTime deadline,
-                      uint64_t* completed, WaitGroup* wg) {
-  DeviceBuffer buffer(device, KiB(4));
-  uint64_t i = 0;
-  while (sim->now() < deadline) {
-    uint64_t block = slice_start_block + (i % slice_blocks);
-    auto n = co_await stub->Read(ino, block * KiB(4), MemRef::Of(buffer));
-    CHECK_OK(n);
-    ++*completed;
-    ++i;
-  }
-  wg->Done();
-}
-
-RunStats RunSkewedStorm(bool fairness) {
-  constexpr int kPhis = 4;
-  // Enough flood concurrency that phi0's backlog always exceeds the
-  // scheduler's dispatch capacity (max_inflight_batches rounds of
-  // plug_max_batch) — the queue never drains, so a victim arrival always
-  // finds flood requests ahead of it and the policy choice is visible.
-  constexpr int kFloodWorkers = 48;
-  constexpr int kVictimWorkers = 2;
-  MachineConfig config = StormConfig(kPhis);
-  config.fs_options.iosched = !BenchLegacyMode();
-  config.fs_options.iosched_fairness = fairness;
-  // Make scheduler rounds scarce so queueing order is visible: no
-  // readahead (every miss is a 1-block demand request) and small batches
-  // (the flood alone overflows a round, so FIFO starves the victims while
-  // DRR interleaves them).
-  config.fs_options.readahead = false;
-  config.fs_options.iosched_plug_max_batch = 4;
-  config.fs_options.iosched_drr_quantum = 8;
-  Machine machine(std::move(config));
-  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
-  auto ino = RunSim(machine.sim(),
-                    PrepareWorkloadFile(&machine.fs(), "/storm", MiB(64)));
-  CHECK_OK(ino);
-  for (int p = 0; p < kPhis; ++p) {
-    machine.fs_stub(p).set_buffered(true);
-  }
-
-  // Disjoint cold sub-slices per *worker* so every read is a distinct
-  // demand miss that must queue at the scheduler. (A shared slice would
-  // collapse the whole flood into one single-flight stream and hide the
-  // fairness question entirely.)
-  constexpr uint64_t kSliceBlocks = MiB(16) / KiB(4);
-  RunStats stats;
-  stats.per_phi_ops.assign(kPhis, 0);
-  WaitGroup wg(&machine.sim());
-  DeviceCost c0 = SnapshotCost(machine);
-  SimTime t0 = machine.sim().now();
-  SimTime deadline =
-      t0 + (BenchQuickMode() ? Milliseconds(10) : Milliseconds(30));
-  for (int p = 0; p < kPhis; ++p) {
-    int workers = (p == 0) ? kFloodWorkers : kVictimWorkers;
-    const uint64_t sub_blocks = kSliceBlocks / workers;
-    for (int w = 0; w < workers; ++w) {
-      wg.Add(1);
-      Spawn(machine.sim(),
-            SkewWorker(&machine.sim(), &machine.fs_stub(p),
-                       machine.phi_device(p), *ino,
-                       uint64_t{static_cast<uint64_t>(p)} * kSliceBlocks +
-                           uint64_t{static_cast<uint64_t>(w)} * sub_blocks,
-                       sub_blocks, deadline, &stats.per_phi_ops[p], &wg));
-    }
-  }
-  machine.sim().RunUntilIdle();
-  CHECK_EQ(wg.outstanding(), 0u);
-  uint64_t rpcs = 0;
-  for (uint64_t ops : stats.per_phi_ops) {
-    rpcs += ops;
-  }
-  stats.krpcs = rpcs / ToSeconds(machine.sim().now() - t0) / 1e3;
-  stats.cost = CostSince(machine, c0);
-  return stats;
-}
-
-void PrintSkewed() {
-  std::cout << "\n--- skewed storm: phi0 floods (48 workers), 3 victims "
-               "trickle until a deadline ---\n";
-  TablePrinter table({"config", "kRPC/s", "total ops", "min phi ops",
-                      "max phi ops"});
-  for (bool fairness : {true, false}) {
-    RunStats s = RunSkewedStorm(fairness);
-    uint64_t total = 0;
-    uint64_t lo = s.per_phi_ops[0];
-    uint64_t hi = s.per_phi_ops[0];
-    for (uint64_t ops : s.per_phi_ops) {
-      total += ops;
-      lo = std::min(lo, ops);
-      hi = std::max(hi, ops);
-    }
-    table.AddRow({fairness ? "fairness-on" : "fairness-off",
-                  TablePrinter::Num(s.krpcs, 1), std::to_string(total),
-                  std::to_string(lo), std::to_string(hi)});
-  }
-  EmitTable(table);
-  std::cout << "shape: with DRR fairness the victims' min per-phi ops "
-               "stays close to their fair share even while phi0 floods "
-               "the demand class.\n";
-}
-
-// --- section 4: proxy-shard scaling storm ---
+// --- section 3: proxy-shard scaling storm ---
 
 Task<void> ShardStormWorker(FsStub* stub, DeviceId device, uint64_t ino,
-                            uint64_t start, int ops, uint64_t* completed,
-                            WaitGroup* wg) {
+                            uint64_t start, int ops, WaitGroup* wg) {
   DeviceBuffer buffer(device, KiB(4));
   for (int i = 0; i < ops; ++i) {
     auto n = co_await stub->Read(
         ino, start + uint64_t{static_cast<uint64_t>(i)} * KiB(4),
         MemRef::Of(buffer));
     CHECK_OK(n);
-    ++*completed;
   }
   wg->Done();
 }
@@ -369,7 +249,6 @@ ShardRun RunShardStorm(int shards) {
   }
 
   ShardRun run;
-  run.stats.per_phi_ops.assign(kPhis, 0);
   // Two passes over distinct 160KB sub-regions per worker (the block-group
   // partition spreads the 32 streams across shards instead of collapsing
   // them onto one stripe). The first pass warms each shard's cache segment
@@ -383,7 +262,7 @@ ShardRun RunShardStorm(int shards) {
         Spawn(machine.sim(),
               ShardStormWorker(&machine.fs_stub(p), machine.phi_device(p),
                                *ino, id * kOps * KiB(4), kOps,
-                               &run.stats.per_phi_ops[p], wg));
+                               wg));
       }
     }
   };
@@ -457,7 +336,6 @@ int main(int argc, char** argv) {
               "EuroSys'18 Solros §6.3");
   PrintMatrix();
   PrintStorm();
-  PrintSkewed();
   PrintShardScaling();
   std::cout << "\nshape: aggregate RPC/s grows with data planes and "
                "per-plane concurrency until host cores or the SSD "

@@ -22,9 +22,6 @@ MachineConfig BenchMachine() {
   config.enable_network = false;
   // Cold-cache runs: a modest cache that cannot hold the working set.
   config.fs_options.cache_blocks = 8192;  // 32 MiB
-  if (BenchLegacyMode()) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   // SOLROS_JOURNAL=metadata|data: measure the crash-consistency ablation.
   std::string journal = BenchJournalMode();
   if (journal == "metadata") {

@@ -12,7 +12,7 @@ namespace solros {
 namespace {
 
 size_t ProtectedCap(const BufferCacheOptions& options, size_t capacity) {
-  if (!options.scan_resistant || capacity < 2) {
+  if (capacity < 2) {
     return 0;
   }
   auto cap = static_cast<size_t>(static_cast<double>(capacity) *
@@ -30,21 +30,12 @@ Task<Status> BufferCache::BackingRead(uint64_t lba, uint32_t nblocks,
   co_return co_await backing_->Read(lba, nblocks, out);
 }
 
-Task<Status> BufferCache::BackingWrite(uint64_t lba, uint32_t nblocks,
-                                       std::span<const uint8_t> in) {
-  if (sched_ != nullptr) {
-    co_return co_await sched_->Write(lba, nblocks, in, IoClass::kWriteback);
-  }
-  co_return co_await backing_->Write(lba, nblocks, in);
-}
-
-Task<Status> BufferCache::BackingWriteV(std::span<const ConstBlockRun> runs,
-                                        bool coalesce) {
+Task<Status> BufferCache::BackingWriteV(std::span<const ConstBlockRun> runs) {
   if (sched_ != nullptr) {
     // The scheduler applies its own coalescing policy for the round.
     co_return co_await sched_->WriteV(runs, IoClass::kWriteback);
   }
-  co_return co_await backing_->WriteV(runs, coalesce);
+  co_return co_await backing_->WriteV(runs, options_.coalesce_nvme);
 }
 
 BufferCache::BufferCache(BlockStore* backing, DeviceId arena_device,
@@ -153,11 +144,6 @@ void BufferCache::Unlink(const Page& page) {
 }
 
 void BufferCache::TouchHit(Page& page, bool promote) {
-  if (!options_.scan_resistant) {
-    probation_.splice(probation_.begin(), probation_, page.lru_it);
-    page.lru_it = probation_.begin();
-    return;
-  }
   if (page.segment == Segment::kProtected) {
     protected_.splice(protected_.begin(), protected_, page.lru_it);
     page.lru_it = protected_.begin();
@@ -209,10 +195,8 @@ BufferCache::WritebackPlan BufferCache::PlanWriteback(
   size_t i = 0;
   while (i < plan.lbas.size()) {
     size_t j = i + 1;
-    if (options_.coalesced_writeback) {
-      while (j < plan.lbas.size() && plan.lbas[j] == plan.lbas[j - 1] + 1) {
-        ++j;
-      }
+    while (j < plan.lbas.size() && plan.lbas[j] == plan.lbas[j - 1] + 1) {
+      ++j;
     }
     plan.runs.push_back(ConstBlockRun{
         plan.lbas[i], static_cast<uint32_t>(j - i),
@@ -228,14 +212,11 @@ Task<Status> BufferCache::WritebackRuns(WritebackPlan plan) {
     co_return OkStatus();
   }
   writeback_runs_->Increment(plan.runs.size());
-  if (options_.coalesced_writeback) {
-    writeback_coalesced_blocks_->Increment(plan.lbas.size());
-  }
+  writeback_coalesced_blocks_->Increment(plan.lbas.size());
   auto inflight = inflight_.insert(
       inflight_.end(),
       InflightWriteback{plan.lbas.front(), plan.lbas.back()});
-  Status status = co_await BackingWriteV(
-      plan.runs, options_.coalesced_writeback && options_.coalesce_nvme);
+  Status status = co_await BackingWriteV(plan.runs);
   inflight_.erase(inflight);
   NotifyInflight();
   if (!status.ok()) {
@@ -265,52 +246,34 @@ Task<Status> BufferCache::EvictOne() {
       co_await AwaitInflight(victim, 1);
       co_return OkStatus();
     }
-    if (options_.coalesced_writeback) {
-      // Gather the LBA-contiguous dirty cluster around the victim so one
-      // eviction absorbs its neighbours' write-back too. Neighbours with an
-      // older snapshot still in flight stay out (same ordering rule as
-      // above).
-      uint64_t lo = victim;
-      uint64_t hi = victim;
-      uint32_t count = 1;
-      while (count < options_.writeback_max_batch && lo > 0) {
-        auto p = map_.find(lo - 1);
-        if (p == map_.end() || !p->second.dirty || OverlapsInflight(lo - 1, 1))
-          break;
-        --lo;
-        ++count;
-      }
-      while (count < options_.writeback_max_batch) {
-        auto p = map_.find(hi + 1);
-        if (p == map_.end() || !p->second.dirty || OverlapsInflight(hi + 1, 1))
-          break;
-        ++hi;
-        ++count;
-      }
-      std::vector<uint64_t> lbas;
-      lbas.reserve(count);
-      for (uint64_t lba = lo; lba <= hi; ++lba) {
-        lbas.push_back(lba);
-      }
-      SOLROS_CO_RETURN_IF_ERROR(
-          co_await WritebackRuns(PlanWriteback(std::move(lbas))));
-    } else {
-      // Clear the dirty bit before suspending so a mid-flight overwrite
-      // re-marks the page and is detected below instead of being dropped.
-      SetDirty(it->second, false);
-      auto inflight = inflight_.insert(inflight_.end(),
-                                       InflightWriteback{victim, victim});
-      Status status = co_await BackingWrite(
-          victim, 1, SlotRef(it->second.slot).span());
-      inflight_.erase(inflight);
-      NotifyInflight();
-      if (!status.ok()) {
-        if (auto retry = map_.find(victim); retry != map_.end()) {
-          SetDirty(retry->second, true);
-        }
-        co_return status;
-      }
+    // Gather the LBA-contiguous dirty cluster around the victim so one
+    // eviction absorbs its neighbours' write-back too. Neighbours with an
+    // older snapshot still in flight stay out (same ordering rule as
+    // above).
+    uint64_t lo = victim;
+    uint64_t hi = victim;
+    uint32_t count = 1;
+    while (count < options_.writeback_max_batch && lo > 0) {
+      auto p = map_.find(lo - 1);
+      if (p == map_.end() || !p->second.dirty || OverlapsInflight(lo - 1, 1))
+        break;
+      --lo;
+      ++count;
     }
+    while (count < options_.writeback_max_batch) {
+      auto p = map_.find(hi + 1);
+      if (p == map_.end() || !p->second.dirty || OverlapsInflight(hi + 1, 1))
+        break;
+      ++hi;
+      ++count;
+    }
+    std::vector<uint64_t> lbas;
+    lbas.reserve(count);
+    for (uint64_t lba = lo; lba <= hi; ++lba) {
+      lbas.push_back(lba);
+    }
+    SOLROS_CO_RETURN_IF_ERROR(
+        co_await WritebackRuns(PlanWriteback(std::move(lbas))));
     // The write-back suspended; re-resolve the victim, which may have been
     // invalidated (slot already freed), touched, or re-dirtied meanwhile.
     it = map_.find(victim);
@@ -450,6 +413,11 @@ Task<Status> BufferCache::InsertDirty(uint64_t lba,
                                   /*readahead=*/false);
 }
 
+void BufferCache::RecordMisses(uint64_t nblocks) {
+  misses_->Increment(nblocks);
+  local_misses_ += nblocks;
+}
+
 void BufferCache::MarkDirty(uint64_t lba) {
   auto it = map_.find(lba);
   CHECK(it != map_.end()) << "MarkDirty on uncached block " << lba;
@@ -506,38 +474,27 @@ bool BufferCache::Contains(uint64_t lba) const {
 }
 
 Task<Status> BufferCache::Flush() {
-  if (options_.coalesced_writeback) {
-    // Loop until nothing is dirty AND nothing is in flight: waiting first
-    // keeps us from racing a concurrent submission for the same LBAs, and
-    // a failed in-flight write re-marks its pages dirty for the next pass.
-    for (;;) {
-      if (!inflight_.empty()) {
-        co_await AwaitAllInflight();
-        continue;
-      }
-      if (dirty_count_ == 0) {
-        break;
-      }
-      std::vector<uint64_t> dirty;
-      dirty.reserve(dirty_count_);
-      for (const auto& [lba, page] : map_) {
-        if (page.dirty) {
-          dirty.push_back(lba);
-        }
-      }
-      std::sort(dirty.begin(), dirty.end());
-      SOLROS_CO_RETURN_IF_ERROR(
-          co_await WritebackRuns(PlanWriteback(std::move(dirty))));
+  // Loop until nothing is dirty AND nothing is in flight: waiting first
+  // keeps us from racing a concurrent submission for the same LBAs, and a
+  // failed in-flight write re-marks its pages dirty for the next pass.
+  for (;;) {
+    if (!inflight_.empty()) {
+      co_await AwaitAllInflight();
+      continue;
     }
-    co_return co_await backing_->Flush();
-  }
-  co_await AwaitAllInflight();
-  for (auto& [lba, page] : map_) {
-    if (page.dirty) {
-      SOLROS_CO_RETURN_IF_ERROR(
-          co_await BackingWrite(lba, 1, SlotRef(page.slot).span()));
-      SetDirty(page, false);
+    if (dirty_count_ == 0) {
+      break;
     }
+    std::vector<uint64_t> dirty;
+    dirty.reserve(dirty_count_);
+    for (const auto& [lba, page] : map_) {
+      if (page.dirty) {
+        dirty.push_back(lba);
+      }
+    }
+    std::sort(dirty.begin(), dirty.end());
+    SOLROS_CO_RETURN_IF_ERROR(
+        co_await WritebackRuns(PlanWriteback(std::move(dirty))));
   }
   co_return co_await backing_->Flush();
 }

@@ -10,22 +10,21 @@
 // segment and are promoted to the *protected* segment on their second
 // touch. A streaming scan from one co-processor therefore churns only
 // probation and cannot flush another co-processor's hot (protected) working
-// set. With `scan_resistant=false` the cache degenerates to the single-list
-// LRU of the original implementation.
+// set.
 //
 // Write policy is write-back: dirty pages are flushed on eviction and on
-// Flush(). With `coalesced_writeback`, evictions gather the LBA-contiguous
-// dirty cluster around the victim and Flush() sorts all dirty pages by LBA,
-// so both go to the device as vectored multi-block writes (one command per
-// contiguous run, one doorbell for the batch) instead of one 4 KiB command
-// per page. Write-back snapshots content and clears dirty bits up front;
-// every submission is tracked as an in-flight LBA range until the device
-// confirms it, so (a) Flush/FlushRange wait out overlapping in-flight
-// writes instead of treating snapshot-cleaned pages as durable, (b) no
-// second write is ever submitted for an LBA that overlaps an in-flight one
-// (NVMe gives no ordering across submissions), and (c) a page re-dirtied
-// while its snapshot is in flight keeps its dirty bit and is written again
-// later rather than evicted with the new bytes dropped.
+// Flush(). Evictions gather the LBA-contiguous dirty cluster around the
+// victim and Flush() sorts all dirty pages by LBA, so both go to the device
+// as vectored multi-block writes (one command per contiguous run, one
+// doorbell for the batch). Write-back snapshots content and clears dirty
+// bits up front; every submission is tracked as an in-flight LBA range
+// until the device confirms it, so (a) Flush/FlushRange wait out
+// overlapping in-flight writes instead of treating snapshot-cleaned pages
+// as durable, (b) no second write is ever submitted for an LBA that
+// overlaps an in-flight one (NVMe gives no ordering across submissions),
+// and (c) a page re-dirtied while its snapshot is in flight keeps its dirty
+// bit and is written again later rather than evicted with the new bytes
+// dropped.
 //
 // Counters live in the process MetricRegistry (cache.hits, cache.misses,
 // cache.evictions, cache.readahead_hits, cache.readahead_blocks,
@@ -56,13 +55,8 @@ namespace solros {
 class IoScheduler;
 
 struct BufferCacheOptions {
-  // Segmented-LRU scan resistance. Off => single-list LRU (seed behavior).
-  bool scan_resistant = true;
   // Fraction of capacity reserved for the protected segment.
   double protected_fraction = 0.75;
-  // Gather LBA-contiguous dirty runs into vectored writes on eviction and
-  // Flush(). Off => one write command per dirty page (seed behavior).
-  bool coalesced_writeback = true;
   // Max pages one eviction-triggered write-back cluster may carry.
   uint32_t writeback_max_batch = 256;
   // Batch vectored write-back under a single doorbell/interrupt.
@@ -78,7 +72,7 @@ class BufferCache {
 
   // Routes backing-store traffic through `sched` (demand class for miss
   // fills, write-back class for flushes) instead of hitting the store
-  // directly. Null (the default) preserves the direct legacy path.
+  // directly. Null (the default) submits straight to the backing store.
   void set_io_scheduler(IoScheduler* sched) { sched_ = sched; }
 
   // Attaches USE telemetry (default series "fs.cache"; a sharded proxy
@@ -127,6 +121,12 @@ class BufferCache {
   // the proxy calls this before P2P reads for write-back coherence.
   Task<Status> FlushRange(uint64_t lba, uint64_t nblocks);
 
+  // Counts `nblocks` demand misses that the caller fetched from the device
+  // itself and installed with InsertClean (the proxy's staged read fetches
+  // a whole miss run in one vector instead of faulting it through
+  // GetBlock), so misses() and cache.misses see them.
+  void RecordMisses(uint64_t nblocks);
+
   uint64_t hits() const { return local_hits_; }
   uint64_t misses() const { return local_misses_; }
   uint64_t evictions() const { return local_evictions_; }
@@ -140,7 +140,6 @@ class BufferCache {
   bool writeback_in_flight() const { return !inflight_.empty(); }
   size_t protected_pages() const { return protected_.size(); }
   size_t probation_pages() const { return probation_.size(); }
-  const BufferCacheOptions& options() const { return options_; }
 
  private:
   enum class Segment : uint8_t { kProbation, kProtected };
@@ -177,10 +176,7 @@ class BufferCache {
   // Backing-store I/O, routed through the I/O scheduler when one is set.
   Task<Status> BackingRead(uint64_t lba, uint32_t nblocks,
                            std::span<uint8_t> out);
-  Task<Status> BackingWrite(uint64_t lba, uint32_t nblocks,
-                            std::span<const uint8_t> in);
-  Task<Status> BackingWriteV(std::span<const ConstBlockRun> runs,
-                             bool coalesce);
+  Task<Status> BackingWriteV(std::span<const ConstBlockRun> runs);
   // Writes `plan` to the backing store as one vectored submission tracked
   // as an in-flight range, re-marking still-cached pages dirty if the
   // write fails.
@@ -216,8 +212,7 @@ class BufferCache {
   DeviceBuffer arena_;
   std::vector<size_t> free_slots_;
   std::unordered_map<uint64_t, Page> map_;
-  // front = most recent in both segments. With scan_resistant=false only
-  // probation_ is used and it behaves as the seed's single LRU list.
+  // front = most recent in both segments.
   std::list<uint64_t> probation_;
   std::list<uint64_t> protected_;
   size_t dirty_count_ = 0;

@@ -27,6 +27,16 @@ constexpr int kDmaMaxAttempts = 3;
 // Max per-(coprocessor, file) sequential-stream entries the proxy tracks.
 constexpr size_t kMaxReadStreams = 1024;
 
+// Sequential read-ahead: a detected stream opens at kReadaheadMinBlocks and
+// doubles per sequential hit up to kReadaheadMaxBlocks, faulted as one
+// vectored NVMe read.
+constexpr uint32_t kReadaheadMinBlocks = 8;
+constexpr uint32_t kReadaheadMaxBlocks = 64;
+// Sequential reads at or below this size are steered to the buffered path
+// so the readahead window batches their device I/O; larger sequential reads
+// keep P2P's zero-copy advantage.
+constexpr uint64_t kReadaheadP2pCutover = 128 * 1024;
+
 bool DegradableFault(const Status& status) {
   return status.code() == ErrorCode::kTimedOut ||
          status.code() == ErrorCode::kIoError;
@@ -71,10 +81,6 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
                              : "";
   if (options_.cache_blocks > 0) {
     BufferCacheOptions cache_options;
-    cache_options.scan_resistant = options_.cache_scan_resistant;
-    cache_options.protected_fraction = options_.cache_protected_fraction;
-    cache_options.coalesced_writeback = options_.coalesced_writeback;
-    cache_options.writeback_max_batch = options_.writeback_max_batch;
     cache_options.coalesce_nvme = options_.coalesce_nvme;
     // The arena lives on the shard core's socket, so a hit never crosses
     // QPI to reach its staging pages.
@@ -84,14 +90,6 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
   }
   if (options_.iosched) {
     IoSchedulerOptions sched_options;
-    sched_options.single_flight = options_.iosched_single_flight;
-    sched_options.plug = options_.iosched_plug;
-    sched_options.plug_window = options_.iosched_plug_window;
-    sched_options.plug_max_batch = options_.iosched_plug_max_batch;
-    sched_options.priority = options_.iosched_priority;
-    sched_options.fairness = options_.iosched_fairness;
-    sched_options.drr_quantum_blocks = options_.iosched_drr_quantum;
-    sched_options.max_inflight_batches = options_.iosched_max_inflight;
     sched_options.coalesce_nvme = options_.coalesce_nvme;
     sched_options.telemetry_suffix = suffix;
     iosched_ = std::make_unique<IoScheduler>(sim, store, sched_options);
@@ -312,7 +310,7 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
       break;
     }
     case FsOp::kFsync: {
-      Status status = co_await FsyncBarrier(request.client);
+      Status status = co_await FsyncBarrier();
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }
@@ -357,9 +355,8 @@ uint32_t FsProxy::UpdateReadStream(uint32_t client, uint64_t ino,
   if (offset == stream.next_offset) {
     stream.window_blocks =
         stream.window_blocks == 0
-            ? options_.readahead_min_blocks
-            : std::min(stream.window_blocks * 2,
-                       options_.readahead_max_blocks);
+            ? kReadaheadMinBlocks
+            : std::min(stream.window_blocks * 2, kReadaheadMaxBlocks);
   } else {
     stream.window_blocks = 0;  // non-sequential: close the window
   }
@@ -431,7 +428,7 @@ Task<Status> FsProxy::BroadcastFlushExtents(
   co_return co_await FlushExtents(extents);
 }
 
-Task<Status> FsProxy::FsyncBarrier(uint32_t client) {
+Task<Status> FsProxy::FsyncBarrier() {
   std::vector<FsProxy*> self = {this};
   const std::vector<FsProxy*>& shards =
       shard_.coordinator != nullptr && !shard_.coordinator->shards().empty()
@@ -451,7 +448,7 @@ Task<Status> FsProxy::FsyncBarrier(uint32_t client) {
     }
     for (FsProxy* peer : shards) {
       if (peer->iosched_ != nullptr) {
-        SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_->Flush(client));
+        SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_->Flush());
       }
     }
     // The journal commit runs via the designated barrier shard so
@@ -486,7 +483,7 @@ Task<Result<bool>> FsProxy::ShouldUseP2p(const FsRequest& request,
   }
   // Detected sequential stream under the cutover: go buffered so the
   // readahead window turns its many small reads into few vectored ones.
-  if (readahead_window > 0 && length <= options_.readahead_p2p_cutover) {
+  if (readahead_window > 0 && length <= kReadaheadP2pCutover) {
     static Counter* const steered =
         MetricRegistry::Default().GetCounter("fs.proxy.readahead_steered");
     steered->Increment();
@@ -557,7 +554,7 @@ Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
   // Track the sequential stream regardless of the path taken: the window
   // state both steers the path decision and sizes the staged readahead.
   uint32_t ra_blocks = 0;
-  if (options_.readahead && cache_ != nullptr) {
+  if (cache_ != nullptr) {
     ra_blocks =
         UpdateReadStream(request.client, request.ino, request.offset, length);
   }
@@ -611,8 +608,7 @@ Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
     ScopedSpan data(sim_, "proxy", "fs.data.buffered", ctx);
     Status status = co_await BufferedRead(request.ino, request.offset, length,
                                           request.memory, ra_blocks,
-                                          stat->size, request.client,
-                                          data.context());
+                                          stat->size, data.context());
     if (!status.ok()) {
       co_return ErrorResponse(status);
     }
@@ -706,7 +702,7 @@ Task<Status> FsProxy::DmaCopyWithRetry(MemRef dst, MemRef src,
 Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
                                    uint64_t length, MemRef target,
                                    uint32_t ra_blocks, uint64_t file_size,
-                                   uint32_t client, TraceContext ctx) {
+                                   TraceContext ctx) {
   // Stage the byte range in a host bounce buffer. Cached blocks come from
   // the cache; missing runs are fetched with one coalesced NVMe vector and
   // then populate the cache. A readahead window extends the staged range
@@ -799,7 +795,7 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
         SOLROS_CO_RETURN_IF_ERROR(co_await iosched_->Read(
             lba, static_cast<uint32_t>(run),
             {bounce.data() + bounce_off, run * kFsBlockSize},
-            IoClass::kDemand, client, io_ctx));
+            IoClass::kDemand, io_ctx));
       } else {
         std::vector<FsExtent> miss = {{lba, static_cast<uint32_t>(run), 0}};
         SOLROS_CO_RETURN_IF_ERROR(co_await store_->ReadExtents(
@@ -830,6 +826,7 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
     cursor += extent.len;
   }
   if (cache_span.has_value()) {
+    cache_->RecordMisses(span_misses);
     cache_span->AddArg("hits", span_hits);
     cache_span->AddArg("misses", span_misses);
     cache_span->AddArg("readahead", span_readahead);
@@ -865,8 +862,8 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   // no device I/O at all — eviction and Flush() push them out later as
   // coalesced vectors. PrepareWrite allocates blocks and updates metadata
   // exactly as the P2P write path does.
-  if (cache_ != nullptr && options_.writeback_cache &&
-      offset % kFsBlockSize == 0 && length % kFsBlockSize == 0) {
+  if (cache_ != nullptr && offset % kFsBlockSize == 0 &&
+      length % kFsBlockSize == 0) {
     auto extents = co_await fs_->PrepareWrite(ino, offset, length);
     if (extents.ok()) {
       static Counter* const absorbed =

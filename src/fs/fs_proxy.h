@@ -100,58 +100,10 @@ class FsProxy {
     bool coalesce_nvme = true;
     // Allow P2P at all (ablation: force host-staging).
     bool allow_p2p = true;
-
-    // --- staged-path cache tuning (each independently ablatable; with all
-    // of these disabled the staged path behaves exactly like the original
-    // single-LRU, per-block, write-through-invalidate implementation) ---
-
-    // Segmented-LRU scan resistance in the shared cache (probation +
-    // protected segments; one co-processor's streaming scan cannot evict
-    // another's hot set).
-    bool cache_scan_resistant = true;
-    // Fraction of the cache reserved for the protected segment.
-    double cache_protected_fraction = 0.75;
-    // Sequential read-ahead: per-(coprocessor, file) stream detection with
-    // an adaptive window, faulted as one vectored NVMe read.
-    bool readahead = true;
-    uint32_t readahead_min_blocks = 8;
-    uint32_t readahead_max_blocks = 64;
-    // Sequential reads at or below this size are steered to the buffered
-    // path so the readahead window batches their device I/O; larger
-    // sequential reads keep P2P's zero-copy advantage.
-    uint64_t readahead_p2p_cutover = 128 * 1024;
-    // Absorb aligned buffered writes as dirty cache pages (write-back)
-    // instead of writing through and invalidating.
-    bool writeback_cache = true;
-    // Gather LBA-contiguous dirty runs into vectored write-back on
-    // eviction and flush.
-    bool coalesced_writeback = true;
-    // Max pages one eviction-triggered write-back cluster may carry.
-    uint32_t writeback_max_batch = 256;
-    // SolrosFs::ReadAt/WriteAt batch their full-block runs into one
-    // vectored store submission (applied by Machine at wiring time).
-    bool fs_vectored_io = true;
-
-    // --- host-side I/O scheduler (staged-path submission policy; each
-    // mechanism independently ablatable, `iosched = false` restores the
-    // direct cache->store path) ---
-
-    // Route staged-path device traffic through the I/O scheduler.
+    // Route staged-path device traffic through the host-side I/O
+    // scheduler; off submits cache misses and write-back to the store
+    // directly.
     bool iosched = true;
-    // Concurrent overlapping reads share one in-flight fetch.
-    bool iosched_single_flight = true;
-    // Plug the queue briefly on idle arrivals so batches form.
-    bool iosched_plug = true;
-    Nanos iosched_plug_window = Microseconds(4);
-    uint32_t iosched_plug_max_batch = 32;
-    // Strict demand > write-back > readahead dispatch ordering.
-    bool iosched_priority = true;
-    // Deficit-round-robin across co-processors within a class.
-    bool iosched_fairness = true;
-    uint32_t iosched_drr_quantum = 64;
-    // Pipeline depth: dispatched-but-uncompleted submissions before
-    // arrivals back-pressure at the scheduler (nr_requests analogue).
-    uint32_t iosched_max_inflight = 4;
   };
 
   // `host_cpu` is the processor the proxy's per-request CPU work runs on —
@@ -227,8 +179,7 @@ class FsProxy {
   // with readahead-tagged clean pages.
   Task<Status> BufferedRead(uint64_t ino, uint64_t offset, uint64_t length,
                             MemRef target, uint32_t ra_blocks,
-                            uint64_t file_size, uint32_t client,
-                            TraceContext ctx);
+                            uint64_t file_size, TraceContext ctx);
   Task<Status> BufferedWrite(uint64_t ino, uint64_t offset, uint64_t length,
                              MemRef source, TraceContext ctx);
   // Write-back coherence: pushes dirty cached pages covering `extents` to
@@ -251,7 +202,7 @@ class FsProxy {
   // The fsync path under a volatile write cache, shard-wide: flush every
   // shard's cache, fence every shard's scheduler with an ordered barrier,
   // then run the one journal commit via the designated barrier shard.
-  Task<Status> FsyncBarrier(uint32_t client);
+  Task<Status> FsyncBarrier();
 
   // Host DMA with bounded resubmission while faults are armed (the engine
   // aborts before moving bytes, so a reissue is safe).

@@ -163,7 +163,9 @@ class Checker {
           break;
         }
         DiskInode inode = {};
-        std::memcpy(&inode, table.data() + slot * kInodeSize, kInodeSize);
+        // Only the on-disk prefix; the in-memory cache field stays zero.
+        std::memcpy(static_cast<void*>(&inode),
+                    table.data() + slot * kInodeSize, kInodeSize);
         bool marked = BitGet(inode_bitmap_, ino - 1);
         if (inode.mode == 0) {
           if (marked) {

@@ -55,7 +55,7 @@ IoScheduler::IoScheduler(Simulator* sim, NvmeBlockStore* store,
 
 Task<Status> IoScheduler::Read(uint64_t lba, uint32_t nblocks,
                                std::span<uint8_t> out, IoClass cls,
-                               uint32_t client, TraceContext ctx) {
+                               TraceContext ctx) {
   if (nblocks == 0) {
     co_return OkStatus();
   }
@@ -65,9 +65,7 @@ Task<Status> IoScheduler::Read(uint64_t lba, uint32_t nblocks,
   }
   IoRequest req;
   req.cls = cls;
-  req.client = client;
   req.ctx = ctx;
-  req.blocks = nblocks;
   req.lba = lba;
   req.nblocks = nblocks;
   req.out = out.first(bytes);
@@ -76,7 +74,7 @@ Task<Status> IoScheduler::Read(uint64_t lba, uint32_t nblocks,
 
 Task<Status> IoScheduler::Write(uint64_t lba, uint32_t nblocks,
                                 std::span<const uint8_t> in, IoClass cls,
-                                uint32_t client, TraceContext ctx) {
+                                TraceContext ctx) {
   if (nblocks == 0) {
     co_return OkStatus();
   }
@@ -87,23 +85,19 @@ Task<Status> IoScheduler::Write(uint64_t lba, uint32_t nblocks,
   IoRequest req;
   req.is_write = true;
   req.cls = cls;
-  req.client = client;
   req.ctx = ctx;
-  req.blocks = nblocks;
   req.wruns.push_back(ConstBlockRun{lba, nblocks, in.first(bytes)});
   co_return co_await Submit(&req);
 }
 
 Task<Status> IoScheduler::WriteV(std::span<const ConstBlockRun> runs,
-                                 IoClass cls, uint32_t client,
-                                 TraceContext ctx) {
+                                 IoClass cls, TraceContext ctx) {
   if (runs.empty()) {
     co_return OkStatus();
   }
   IoRequest req;
   req.is_write = true;
   req.cls = cls;
-  req.client = client;
   req.ctx = ctx;
   req.wruns.reserve(runs.size());
   for (const ConstBlockRun& run : runs) {
@@ -111,20 +105,17 @@ Task<Status> IoScheduler::WriteV(std::span<const ConstBlockRun> runs,
     if (run.data.size() < bytes) {
       co_return InvalidArgumentError("iosched writev span too short");
     }
-    req.blocks += run.nblocks;
     req.wruns.push_back(ConstBlockRun{run.lba, run.nblocks,
                                       run.data.first(bytes)});
   }
   co_return co_await Submit(&req);
 }
 
-Task<Status> IoScheduler::Flush(uint32_t client, TraceContext ctx) {
+Task<Status> IoScheduler::Flush(TraceContext ctx) {
   IoRequest req;
   req.is_flush = true;
   req.cls = IoClass::kOrdered;
-  req.client = client;
   req.ctx = ctx;
-  req.blocks = 1;  // DRR accounting: a barrier charges one block
   co_return co_await Submit(&req);
 }
 
@@ -172,13 +163,7 @@ Task<Status> IoScheduler::Submit(IoRequest* req) {
     }
   }
   const int class_idx = options_.priority ? static_cast<int>(req->cls) : 0;
-  const uint32_t key = options_.fairness ? req->client : 0;
-  ClassQueue& cq = classes_[class_idx];
-  auto [it, inserted] = cq.clients.try_emplace(key);
-  if (inserted) {
-    cq.rr.push_back(key);
-  }
-  it->second.fifo.push_back(req);
+  classes_[class_idx].push_back(req);
   ++pending_;
   if (UseSeries* use = use_[static_cast<int>(req->cls)]; use != nullptr) {
     use->QueueDelta(req->enqueued, +1);
@@ -505,48 +490,10 @@ std::vector<IoScheduler::IoRequest*> IoScheduler::SelectBatch() {
   peak_queued_ = std::max(peak_queued_, pending_);
   std::vector<IoRequest*> out;
   const uint32_t cap = std::max<uint32_t>(options_.plug_max_batch, 1);
-  for (int c = 0; c < kIoClassCount; ++c) {
-    ClassQueue& cq = classes_[c];
-    if (cq.rr.empty()) {
-      continue;
-    }
-    if (!options_.fairness) {
-      // One queue (key 0), pure arrival order.
-      ClientQueue& q = cq.clients.begin()->second;
-      while (!q.fifo.empty() && out.size() < cap) {
-        out.push_back(q.fifo.front());
-        q.fifo.pop_front();
-      }
-      if (q.fifo.empty()) {
-        cq.clients.clear();
-        cq.rr.clear();
-      }
-    } else {
-      const uint64_t quantum =
-          std::max<uint32_t>(options_.drr_quantum_blocks, 1);
-      while (!cq.rr.empty() && out.size() < cap) {
-        const uint32_t key = cq.rr.front();
-        cq.rr.pop_front();
-        auto it = cq.clients.find(key);
-        CHECK(it != cq.clients.end());
-        ClientQueue& q = it->second;
-        q.deficit += quantum;
-        while (!q.fifo.empty() && out.size() < cap &&
-               q.fifo.front()->blocks <= q.deficit) {
-          q.deficit -= q.fifo.front()->blocks;
-          out.push_back(q.fifo.front());
-          q.fifo.pop_front();
-        }
-        if (q.fifo.empty()) {
-          // Deficit resets when a client goes idle (standard DRR).
-          cq.clients.erase(it);
-        } else {
-          cq.rr.push_back(key);  // backlogged: rotate, deficit carries
-          if (out.size() >= cap) {
-            break;
-          }
-        }
-      }
+  for (std::deque<IoRequest*>& fifo : classes_) {
+    while (!fifo.empty() && out.size() < cap) {
+      out.push_back(fifo.front());
+      fifo.pop_front();
     }
     if (!out.empty()) {
       // Strict class priority: one class per round. (With priority off

@@ -6,7 +6,7 @@
 // buffer-cache miss submitted on its own, two misses on the same LBA read
 // flash twice, and background readahead/write-back competed head-to-head
 // with demand misses for queue slots. This scheduler sits between the
-// buffer cache / FS proxy and NvmeBlockStore and closes that gap with four
+// buffer cache / FS proxy and NvmeBlockStore and closes that gap with three
 // independently ablatable mechanisms:
 //
 //   single-flight reads   a read whose LBA range is covered by a merged
@@ -31,11 +31,8 @@
 //   priority classes      demand reads > write-back flushes > readahead;
 //                         each round dispatches strictly the best
 //                         non-empty class, so background I/O never queues
-//                         ahead of a foreground miss.
-//   per-client fairness   deficit round robin across originating clients
-//                         (per-co-processor data-plane ids) inside a
-//                         class, quantum counted in blocks, so one
-//                         storming phi cannot starve the others.
+//                         ahead of a foreground miss. Within a class,
+//                         requests dispatch in arrival order.
 //
 // Retries stay *below* the scheduler (NvmeBlockStore::SubmitWithRetry), so
 // a faulted batch is re-submitted whole and its waiters see one coherent
@@ -47,7 +44,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,10 +67,6 @@ enum class IoClass : uint8_t {
 };
 inline constexpr int kIoClassCount = 4;
 
-// Fairness key for host-originated I/O (cache internals, prefetch) as
-// opposed to a data-plane client id.
-inline constexpr uint32_t kIoSchedHostClient = ~0u;
-
 struct IoSchedulerOptions {
   bool single_flight = true;
   bool plug = true;
@@ -84,13 +76,10 @@ struct IoSchedulerOptions {
   // Unplug early at this many queued requests; also the per-round cap.
   uint32_t plug_max_batch = 32;
   bool priority = true;
-  bool fairness = true;
-  // DRR quantum per client visit, in fs blocks.
-  uint32_t drr_quantum_blocks = 64;
   // Bound on dispatched-but-uncompleted device submissions (the
   // block-layer nr_requests analogue). Rounds pipeline up to this depth
   // to keep the device's queue slots fed; past it, arrivals back up at
-  // the scheduler where priority and DRR can still reorder them.
+  // the scheduler where priority can still reorder them.
   uint32_t max_inflight_batches = 4;
   // Submit each round's vector under one doorbell/interrupt.
   bool coalesce_nvme = true;
@@ -111,17 +100,13 @@ class IoScheduler {
   // carries the request completes, and return its Status. Spans/`out`
   // stay alive across the await because the caller owns them.
   Task<Status> Read(uint64_t lba, uint32_t nblocks, std::span<uint8_t> out,
-                    IoClass cls = IoClass::kDemand,
-                    uint32_t client = kIoSchedHostClient,
-                    TraceContext ctx = {});
+                    IoClass cls = IoClass::kDemand, TraceContext ctx = {});
   Task<Status> Write(uint64_t lba, uint32_t nblocks,
                      std::span<const uint8_t> in,
                      IoClass cls = IoClass::kWriteback,
-                     uint32_t client = kIoSchedHostClient,
                      TraceContext ctx = {});
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       IoClass cls = IoClass::kWriteback,
-                      uint32_t client = kIoSchedHostClient,
                       TraceContext ctx = {});
   // Durability barrier (kOrdered class, above demand): waits for every
   // already-dispatched device submission to complete, then issues one
@@ -130,10 +115,7 @@ class IoScheduler {
   // is recorded as its iosched.queue span, so stage attribution still sums
   // exactly. A free no-op flush (write-through store) still pays the
   // ordering fence but no device time.
-  Task<Status> Flush(uint32_t client = kIoSchedHostClient,
-                     TraceContext ctx = {});
-
-  const IoSchedulerOptions& options() const { return options_; }
+  Task<Status> Flush(TraceContext ctx = {});
 
   // Instance-local statistics (the same counts also land in the process
   // MetricRegistry under iosched.*).
@@ -155,11 +137,9 @@ class IoScheduler {
     bool is_write = false;
     bool is_flush = false;
     IoClass cls = IoClass::kDemand;
-    uint32_t client = kIoSchedHostClient;
     TraceContext ctx;
     SimTime enqueued = 0;
     uint64_t seq = 0;      // global arrival order
-    uint32_t blocks = 0;   // total blocks, for DRR accounting
     // Reads: one contiguous range into `out`.
     uint64_t lba = 0;
     uint32_t nblocks = 0;
@@ -169,15 +149,6 @@ class IoScheduler {
     std::vector<ConstBlockRun> wruns;
     bool done = false;
     Status status;
-  };
-
-  struct ClientQueue {
-    std::deque<IoRequest*> fifo;
-    uint64_t deficit = 0;
-  };
-  struct ClassQueue {
-    std::map<uint32_t, ClientQueue> clients;  // keyed => deterministic
-    std::deque<uint32_t> rr;                  // round-robin visit order
   };
 
   // One merged device run within an in-flight read batch.
@@ -203,7 +174,7 @@ class IoScheduler {
   Task<void> PlugWait();
   Task<void> PlugTimer(uint64_t epoch);
   Task<void> DispatchRound();
-  // Pops the next batch honoring class priority and DRR fairness.
+  // Pops the next batch: the best non-empty class, in arrival order.
   std::vector<IoRequest*> SelectBatch();
   Task<void> SubmitReads(std::vector<IoRequest*> reads);
   Task<void> SubmitWrites(std::vector<IoRequest*> writes);
@@ -221,7 +192,7 @@ class IoScheduler {
   IoSchedulerOptions options_;
   uint32_t block_size_;
 
-  ClassQueue classes_[kIoClassCount];
+  std::deque<IoRequest*> classes_[kIoClassCount];  // one FIFO per class
   uint64_t pending_ = 0;   // queued (not yet dispatched) requests
   uint64_t arrivals_ = 0;  // sequence source
   bool dispatcher_started_ = false;

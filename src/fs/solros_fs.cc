@@ -209,7 +209,10 @@ Task<Result<DiskInode*>> SolrosFs::GetInode(uint64_t ino) {
   std::vector<uint8_t> buf(kFsBlockSize);
   SOLROS_CO_RETURN_IF_ERROR(co_await store_->Read(block, 1, buf));
   CachedInode entry;
-  std::memcpy(&entry.inode, buf.data() + slot * kInodeSize, kInodeSize);
+  // Only the on-disk prefix is deserialized; the in-memory allocation
+  // cache past it is recomputed below.
+  std::memcpy(static_cast<void*>(&entry.inode), buf.data() + slot * kInodeSize,
+              kInodeSize);
   // Recompute the allocation cache.
   uint64_t blocks = 0;
   if (entry.inode.extent_count <= kDirectExtents) {
@@ -607,9 +610,9 @@ Task<Result<uint64_t>> SolrosFs::ReadAt(uint64_t ino, uint64_t offset,
                           co_await LoadExtents(*inode));
 
   std::vector<uint8_t> scratch(kFsBlockSize);
-  // Vectored mode defers the full-block runs and reads them all in one
-  // store submission; block ranges within one call never overlap, so the
-  // deferral cannot reorder conflicting I/O.
+  // The full-block runs are deferred and read in one vectored store
+  // submission; block ranges within one call never overlap, so the deferral
+  // cannot reorder conflicting I/O.
   std::vector<BlockRun> runs;
   uint64_t pos = offset;
   uint64_t end = offset + len;
@@ -623,13 +626,8 @@ Task<Result<uint64_t>> SolrosFs::ReadAt(uint64_t ino, uint64_t offset,
     uint64_t chunk = std::min(end - pos, run_bytes);
     if (in_off == 0 && chunk >= kFsBlockSize) {
       chunk = chunk / kFsBlockSize * kFsBlockSize;
-      if (vectored_io_) {
-        runs.push_back(BlockRun{
-            lba, static_cast<uint32_t>(chunk / kFsBlockSize), {dst, chunk}});
-      } else {
-        SOLROS_CO_RETURN_IF_ERROR(co_await store_->Read(
-            lba, static_cast<uint32_t>(chunk / kFsBlockSize), {dst, chunk}));
-      }
+      runs.push_back(BlockRun{
+          lba, static_cast<uint32_t>(chunk / kFsBlockSize), {dst, chunk}});
     } else {
       chunk = std::min<uint64_t>(chunk, kFsBlockSize - in_off);
       SOLROS_CO_RETURN_IF_ERROR(co_await store_->Read(lba, 1, scratch));
@@ -685,7 +683,7 @@ Task<Result<uint64_t>> SolrosFs::WriteAt(uint64_t ino, uint64_t offset,
   // inode/bitmap updates at the FlushMetadata below.
   const bool journal_content = JournalsContent(*inode);
   std::vector<uint8_t> scratch(kFsBlockSize);
-  // Vectored mode defers the full-block runs into one store submission
+  // The full-block runs are deferred into one vectored store submission
   // (disjoint from any partial-block RMW, so ordering is preserved).
   std::vector<ConstBlockRun> runs;
   uint64_t pos = offset;
@@ -703,12 +701,9 @@ Task<Result<uint64_t>> SolrosFs::WriteAt(uint64_t ino, uint64_t offset,
         for (uint64_t b = 0; b < chunk / kFsBlockSize; ++b) {
           StageWrite(lba + b, {src + b * kFsBlockSize, kFsBlockSize});
         }
-      } else if (vectored_io_) {
+      } else {
         runs.push_back(ConstBlockRun{
             lba, static_cast<uint32_t>(chunk / kFsBlockSize), {src, chunk}});
-      } else {
-        SOLROS_CO_RETURN_IF_ERROR(co_await store_->Write(
-            lba, static_cast<uint32_t>(chunk / kFsBlockSize), {src, chunk}));
       }
     } else {
       chunk = std::min<uint64_t>(chunk, kFsBlockSize - in_off);

@@ -100,14 +100,6 @@ class SolrosFs {
   // Flushes dirty metadata and the store.
   Task<Status> Sync();
 
-  // When enabled, ReadAt/WriteAt gather the full-block runs of a call into
-  // one vectored store submission (one command per contiguous run, one
-  // batch) instead of issuing a command per run as they hit it. Partial
-  // blocks still read-modify-write inline. Off by default so the legacy
-  // per-run command stream is preserved for ablation.
-  void set_vectored_io(bool enabled) { vectored_io_ = enabled; }
-  bool vectored_io() const { return vectored_io_; }
-
   // Called with the inode number after every extent-map mutation
   // (StoreExtents, FreeInode). The sharded control plane hangs its
   // cross-shard invalidation protocol off this: the shared extent map
@@ -196,7 +188,6 @@ class SolrosFs {
   static void BitSet(std::vector<uint8_t>& bits, uint64_t index, bool value);
 
   BlockStore* store_;
-  bool vectored_io_ = false;
   std::function<void(uint64_t)> extent_observer_;
   Simulator* sim_;
   bool mounted_ = false;

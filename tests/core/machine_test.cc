@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/metrics.h"
 #include "src/base/prng.h"
 #include "src/base/units.h"
 #include "src/sim/sync.h"
@@ -121,33 +122,68 @@ TEST(MachineFsTest, CrossNumaPhiIsRoutedBuffered) {
 }
 
 TEST(MachineFsTest, CacheHitMakesSecondReadFasterAndBuffered) {
-  MachineConfig config = SmallConfig();
-  // Write-through so the write leaves no resident pages: the first read
-  // must fault from disk and only the second be served from the cache
-  // (with write-back absorption the first read is already hot).
-  config.fs_options.writeback_cache = false;
-  Machine machine(std::move(config));
+  Machine machine(SmallConfig());
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   FsStub& stub = machine.fs_stub(0);
-  stub.set_buffered(true);
   auto ino = RunSim(machine.sim(), stub.Create("/hot.bin"));
   ASSERT_TRUE(ino.ok());
   auto data = RandomBytes(MiB(1), 5);
   DeviceBuffer src(machine.phi_device(0), data.size());
   std::memcpy(src.data(), data.data(), data.size());
+  // P2P write: leaves no resident pages, so the first buffered read must
+  // fault from disk and only the second be served from the cache.
   ASSERT_TRUE(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))).ok());
+  stub.set_buffered(true);
+  const BufferCache& cache = *machine.fs_proxy().cache();
+  const FsProxyStats& stats = machine.fs_proxy().stats();
 
   DeviceBuffer dst(machine.phi_device(0), data.size());
   SimTime t0 = machine.sim().now();
   ASSERT_TRUE(RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst))).ok());
   Nanos cold = machine.sim().now() - t0;
+  EXPECT_GT(cache.misses(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
   std::memset(dst.data(), 0, dst.size());
   t0 = machine.sim().now();
   ASSERT_TRUE(RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst))).ok());
   Nanos hot = machine.sim().now() - t0;
   EXPECT_LT(hot, cold);  // served from host cache, no disk
   EXPECT_EQ(std::memcmp(dst.data(), data.data(), data.size()), 0);
-  EXPECT_GT(machine.fs_proxy().cache()->hits(), 0u);
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(stats.buffered_reads, 2u);
+  EXPECT_EQ(stats.p2p_reads, 0u);
+}
+
+TEST(MachineFsTest, BufferedReadCountsDemandMissesAndHits) {
+  Machine machine(SmallConfig());
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  auto ino = RunSim(machine.sim(), stub.Create("/count.bin"));
+  ASSERT_TRUE(ino.ok());
+  constexpr uint64_t kBlocks = 64;
+  const uint64_t bytes = kBlocks * kFsBlockSize;
+  // Trailing blocks past the read, so the readahead window has room to
+  // stage speculative pages: those must not count as demand misses.
+  auto data = RandomBytes(2 * bytes, 9);
+  DeviceBuffer src(machine.phi_device(0), data.size());
+  std::memcpy(src.data(), data.data(), data.size());
+  ASSERT_TRUE(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))).ok());
+  stub.set_buffered(true);
+  const BufferCache& cache = *machine.fs_proxy().cache();
+  Counter* registry_misses =
+      MetricRegistry::Default().GetCounter("cache.misses");
+  const uint64_t registry0 = registry_misses->value();
+  const uint64_t hits0 = cache.hits();
+
+  DeviceBuffer dst(machine.phi_device(0), bytes);
+  ASSERT_TRUE(RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst))).ok());
+  EXPECT_EQ(cache.misses(), kBlocks);
+  EXPECT_EQ(registry_misses->value() - registry0, kBlocks);
+  EXPECT_EQ(cache.hits(), hits0);
+  ASSERT_TRUE(RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst))).ok());
+  EXPECT_EQ(cache.misses(), kBlocks);
+  EXPECT_EQ(cache.hits(), hits0 + kBlocks);
+  EXPECT_EQ(std::memcmp(dst.data(), data.data(), bytes), 0);
 }
 
 TEST(MachineFsTest, SequentialStreamReadaheadCutsCommandCount) {

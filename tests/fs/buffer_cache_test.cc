@@ -171,11 +171,9 @@ class SegmentedCacheTest : public ::testing::Test {
     }
   }
 
-  BufferCacheOptions Options(bool coalesced = true) {
+  BufferCacheOptions Options() {
     BufferCacheOptions options;
-    options.scan_resistant = true;
     options.protected_fraction = 0.75;  // capacity 8 -> protected cap 6
-    options.coalesced_writeback = coalesced;
     return options;
   }
 
@@ -223,21 +221,6 @@ TEST_F(SegmentedCacheTest, ScanCannotEvictProtectedWorkingSet) {
   for (uint64_t lba = 0; lba < 4; ++lba) {
     EXPECT_TRUE(cache.Contains(lba)) << "hot lba " << lba << " was evicted";
   }
-  // Sanity: the single-list LRU loses the hot set under the same pattern.
-  BufferCacheOptions legacy;
-  legacy.scan_resistant = false;
-  BufferCache flat(&store_, fabric_.HostDevice(0), 8, legacy);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (uint64_t lba = 0; lba < 4; ++lba) {
-      ASSERT_TRUE(RunSim(sim_, flat.GetBlock(lba)).ok());
-    }
-  }
-  for (uint64_t lba = 100; lba < 132; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, flat.GetBlock(lba)).ok());
-  }
-  for (uint64_t lba = 0; lba < 4; ++lba) {
-    EXPECT_FALSE(flat.Contains(lba));
-  }
 }
 
 TEST_F(SegmentedCacheTest, ReadaheadFirstTouchDoesNotPromote) {
@@ -274,18 +257,6 @@ TEST_F(SegmentedCacheTest, FlushCoalescesSortedDirtyRuns) {
   EXPECT_EQ(store_.raw()[11 * 4096], 11);
   EXPECT_EQ(store_.raw()[12 * 4096], 12);
   EXPECT_EQ(store_.raw()[20 * 4096], 20);
-}
-
-TEST_F(SegmentedCacheTest, LegacyFlushWritesOneCommandPerPage) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8,
-                    Options(/*coalesced=*/false));
-  for (uint64_t lba : {10, 11, 12}) {
-    CHECK_OK(RunSim(sim_, cache.InsertDirty(
-                              lba, Block(static_cast<uint8_t>(lba)))));
-  }
-  CHECK_OK(RunSim(sim_, cache.Flush()));
-  EXPECT_EQ(store_.writev_calls, 0);
-  EXPECT_EQ(store_.writes, 3);
 }
 
 TEST_F(SegmentedCacheTest, EvictionWritesBackTheContiguousDirtyCluster) {

@@ -1,6 +1,6 @@
-// Host-side NVMe I/O scheduler: single-flight dedup, plugged batching,
-// class priority, DRR fairness — each mechanism exercised with its flag on
-// and off against the simulated device's doorbell/command accounting.
+// Host-side NVMe I/O scheduler: single-flight dedup, plugged batching and
+// class priority — each mechanism exercised with its flag on and off
+// against the simulated device's doorbell/command accounting.
 #include "src/fs/io_scheduler.h"
 
 #include <gtest/gtest.h>
@@ -52,10 +52,10 @@ struct Rig {
 
 // One scheduled read; records its completion tag and status.
 Task<void> TaggedRead(IoScheduler* sched, uint64_t lba, uint32_t nblocks,
-                      std::span<uint8_t> out, IoClass cls, uint32_t client,
+                      std::span<uint8_t> out, IoClass cls,
                       std::string tag, std::vector<std::string>* order,
                       std::vector<Status>* statuses, WaitGroup* wg) {
-  Status status = co_await sched->Read(lba, nblocks, out, cls, client);
+  Status status = co_await sched->Read(lba, nblocks, out, cls);
   order->push_back(std::move(tag));
   statuses->push_back(status);
   wg->Done();
@@ -102,8 +102,8 @@ TEST(IoSchedulerTest, ConcurrentOverlappingReadsAreSingleFlight) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 42, 1, bufs[i], IoClass::kDemand,
-                              kIoSchedHostClient, "r" + std::to_string(i),
-                              &order, &statuses, &wg));
+                              "r" + std::to_string(i), &order, &statuses,
+                              &wg));
   }
   rig.sim.RunUntilIdle();
   ASSERT_EQ(statuses.size(), static_cast<size_t>(kCallers));
@@ -134,8 +134,8 @@ TEST(IoSchedulerTest, SingleFlightOffFetchesDuplicatesIndependently) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 42, 1, bufs[i], IoClass::kDemand,
-                              kIoSchedHostClient, "r" + std::to_string(i),
-                              &order, &statuses, &wg));
+                              "r" + std::to_string(i), &order, &statuses,
+                              &wg));
   }
   rig.sim.RunUntilIdle();
   for (const Status& s : statuses) {
@@ -181,8 +181,8 @@ TEST(IoSchedulerTest, SharedFetchFailureFailsEveryWaiterCoherently) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 13, 1, bufs[i], IoClass::kDemand,
-                              kIoSchedHostClient, "r" + std::to_string(i),
-                              &order, &statuses, &wg));
+                              "r" + std::to_string(i), &order, &statuses,
+                              &wg));
   }
   rig.sim.RunUntilIdle();
   ASSERT_EQ(statuses.size(), static_cast<size_t>(kCallers));
@@ -228,11 +228,9 @@ TEST(IoSchedulerTest, AdjacentReadsMergeIntoOneCommand) {
   WaitGroup wg(&rig.sim);
   wg.Add(2);
   Spawn(rig.sim, TaggedRead(&sched, 11, 1, b, IoClass::kDemand,
-                            kIoSchedHostClient, "hi", &order, &statuses,
-                            &wg));
+                            "hi", &order, &statuses, &wg));
   Spawn(rig.sim, TaggedRead(&sched, 10, 1, a, IoClass::kDemand,
-                            kIoSchedHostClient, "lo", &order, &statuses,
-                            &wg));
+                            "lo", &order, &statuses, &wg));
   rig.sim.RunUntilIdle();
   for (const Status& s : statuses) {
     EXPECT_TRUE(s.ok());
@@ -276,13 +274,11 @@ TEST(IoSchedulerTest, PriorityDispatchesDemandBeforeBackground) {
   wg.Add(3);
   // Enqueued worst class first; strict priority must invert the order.
   Spawn(rig.sim, TaggedRead(&sched, 300, 1, ra, IoClass::kReadahead,
-                            kIoSchedHostClient, "readahead", &order,
-                            &statuses, &wg));
+                            "readahead", &order, &statuses, &wg));
   Spawn(rig.sim, TaggedWrite(&sched, 200, 1, wb, IoClass::kWriteback,
                              "writeback", &order, &statuses, &wg));
   Spawn(rig.sim, TaggedRead(&sched, 100, 1, demand, IoClass::kDemand,
-                            kIoSchedHostClient, "demand", &order, &statuses,
-                            &wg));
+                            "demand", &order, &statuses, &wg));
   rig.sim.RunUntilIdle();
   ASSERT_EQ(order.size(), 3u);
   // Strict priority inverts arrival order at dispatch: the demand read
@@ -312,60 +308,15 @@ TEST(IoSchedulerTest, PriorityOffDispatchesOneArrivalOrderBatch) {
   WaitGroup wg(&rig.sim);
   wg.Add(3);
   Spawn(rig.sim, TaggedRead(&sched, 300, 1, ra, IoClass::kReadahead,
-                            kIoSchedHostClient, "readahead", &order,
-                            &statuses, &wg));
+                            "readahead", &order, &statuses, &wg));
   Spawn(rig.sim, TaggedWrite(&sched, 200, 1, wb, IoClass::kWriteback,
                              "writeback", &order, &statuses, &wg));
   Spawn(rig.sim, TaggedRead(&sched, 100, 1, demand, IoClass::kDemand,
-                            kIoSchedHostClient, "demand", &order, &statuses,
-                            &wg));
+                            "demand", &order, &statuses, &wg));
   rig.sim.RunUntilIdle();
   ASSERT_EQ(order.size(), 3u);
   // One class-less round carries everything.
   EXPECT_EQ(sched.batches(), 1u);
-}
-
-TEST(IoSchedulerTest, DrrFairnessInterleavesAStormingClient) {
-  auto flood_position_of_victim = [](bool fairness) {
-    Rig rig;
-    IoSchedulerOptions options;
-    options.fairness = fairness;
-    options.drr_quantum_blocks = 1;
-    options.plug_max_batch = 2;  // small rounds so interleaving is visible
-    IoScheduler sched(&rig.sim, &rig.store, options);
-    constexpr int kFlood = 8;
-    std::vector<std::vector<uint8_t>> bufs(kFlood + 1,
-                                           std::vector<uint8_t>(kBs));
-    std::vector<std::string> order;
-    std::vector<Status> statuses;
-    WaitGroup wg(&rig.sim);
-    for (int i = 0; i < kFlood; ++i) {
-      wg.Add(1);
-      Spawn(rig.sim, TaggedRead(&sched, 1000 + 2 * i, 1, bufs[i],
-                                IoClass::kDemand, /*client=*/0,
-                                "flood" + std::to_string(i), &order,
-                                &statuses, &wg));
-    }
-    // The victim enqueues last, behind the whole flood.
-    wg.Add(1);
-    Spawn(rig.sim, TaggedRead(&sched, 9000, 1, bufs[kFlood],
-                              IoClass::kDemand, /*client=*/1, "victim",
-                              &order, &statuses, &wg));
-    rig.sim.RunUntilIdle();
-    for (const Status& s : statuses) {
-      EXPECT_TRUE(s.ok());
-    }
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == "victim") {
-        return i;
-      }
-    }
-    return order.size();
-  };
-  // DRR gives the victim a slot in the first round; FIFO makes it wait out
-  // all eight flood requests.
-  EXPECT_LT(flood_position_of_victim(true), 2u);
-  EXPECT_EQ(flood_position_of_victim(false), 8u);
 }
 
 TEST(IoSchedulerTest, StallFaultDelaysButDrainsEveryRequest) {

@@ -8,10 +8,9 @@
 # Runs the short (SOLROS_BENCH_QUICK) fig11/fig12/fig17 configs plus the
 # cache_paths staged-path bench with --csv, and emits a machine-readable
 # BENCH_baseline.json (one row object per line so `check` can parse it with
-# awk — no JSON tooling required). `record` captures every figure twice:
-# "legacy" = staged-path features disabled (seed-equivalent behavior) and
-# "current" = defaults, so the file documents both the seed numbers and the
-# trajectory CI protects.
+# awk — no JSON tooling required). Every row is the "current" variant, the
+# default configuration CI protects; EXPERIMENTS.md records the seed-path
+# numbers these replaced.
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -26,13 +25,13 @@ if [[ ! -x "$BUILD_DIR/bench/fig11_fs_random_read" ]]; then
   exit 2
 fi
 
-run_bench() { # <binary> <legacy:0|1>
-  local bin="$1" legacy="$2"
-  if [[ "$legacy" == 1 ]]; then
-    SOLROS_BENCH_QUICK=1 SOLROS_BENCH_LEGACY=1 "$BUILD_DIR/bench/$bin" --csv
-  else
-    SOLROS_BENCH_QUICK=1 "$BUILD_DIR/bench/$bin" --csv
-  fi
+# Acceptance gate: readahead + coalescing must keep the quick sequential
+# O_BUFFER read at or below this many NVMe commands (the seed path issued
+# 256, one per 64 KiB request).
+SEQ_READ_MAX_CMDS=64
+
+run_bench() { # <binary>
+  SOLROS_BENCH_QUICK=1 "$BUILD_DIR/bench/$1" --csv
 }
 
 # fig11/fig12 output -> "fig,variant,threads,block,host,solros,buffered,virtio,nfs"
@@ -58,19 +57,16 @@ parse_fig17() { # <variant>
   '
 }
 
-# cache_paths output -> "cache_paths,variant,scenario,mode,gbps,cmds"
-# plus the summary ratios on stderr-free lines "ratio,<name>,<value>".
+# cache_paths output -> "cache_paths,scenario,variant,gbps,cmds"
 parse_cache_paths() {
   awk -F, '
     /^--- sequential/    { scen = "seq_read" }
     /^--- hot-set/       { scen = "scan_mix" }
     /^--- random/        { scen = "rand_write" }
-    /^csv:$/             { incsv = 1; next }
-    incsv && /^mode,/    { next }
-    incsv && NF >= 2     { print "cache_paths," scen "," $1 "," $2 "," $3; next }
+    /^csv:$/             { incsv = 1; header = 1; next }
+    incsv && header      { header = 0; next }
+    incsv && NF >= 2     { print "cache_paths," scen ",current," $1 "," $2; next }
                          { incsv = 0 }
-    /command reduction:/ { sub("x.*", "", $0); sub(".*: *", "", $0)
-                           print "ratio,seq_read_cmd_reduction," $0 }
   '
 }
 
@@ -92,30 +88,24 @@ json_escape_rows() { # stdin: csv rows -> JSON row objects, one per line
 }
 
 record() {
-  local tmp rows ratio
+  local tmp seq_cmds
   tmp="$(mktemp -d)"
   trap "rm -rf '$tmp'" EXIT
 
-  echo ">> fig11 (current + legacy)" >&2
-  run_bench fig11_fs_random_read 0 | parse_fs_fig fig11 current >"$tmp/rows"
-  run_bench fig11_fs_random_read 1 | parse_fs_fig fig11 legacy >>"$tmp/rows"
-  echo ">> fig12 (current + legacy)" >&2
-  run_bench fig12_fs_random_write 0 | parse_fs_fig fig12 current >>"$tmp/rows"
-  run_bench fig12_fs_random_write 1 | parse_fs_fig fig12 legacy >>"$tmp/rows"
-  echo ">> fig17 (current + legacy)" >&2
-  run_bench fig17_applications 0 | parse_fig17 current >>"$tmp/rows"
-  run_bench fig17_applications 1 | parse_fig17 legacy >>"$tmp/rows"
+  echo ">> fig11" >&2
+  run_bench fig11_fs_random_read | parse_fs_fig fig11 current >"$tmp/rows"
+  echo ">> fig12" >&2
+  run_bench fig12_fs_random_write | parse_fs_fig fig12 current >>"$tmp/rows"
+  echo ">> fig17" >&2
+  run_bench fig17_applications | parse_fig17 current >>"$tmp/rows"
   echo ">> cache_paths" >&2
-  run_bench cache_paths 0 | parse_cache_paths >"$tmp/cache"
-  grep -v '^ratio,' "$tmp/cache" >>"$tmp/rows"
+  run_bench cache_paths | parse_cache_paths >>"$tmp/rows"
 
-  ratio="$(awk -F, '$1 == "ratio" && $2 == "seq_read_cmd_reduction" {print $3}' \
-           "$tmp/cache")"
-  ratio="${ratio:-0}"
-  # Acceptance gate: readahead + coalescing must cut sequential-read NVMe
-  # commands by at least 4x versus the seed path.
-  if ! awk -v r="$ratio" 'BEGIN { exit !(r >= 4.0) }'; then
-    echo "error: seq-read command reduction ${ratio}x < 4x" >&2
+  seq_cmds="$(awk -F, '$1 == "cache_paths" && $2 == "seq_read" {print $5}' \
+              "$tmp/rows")"
+  if ! awk -v c="${seq_cmds:-x}" -v max="$SEQ_READ_MAX_CMDS" \
+       'BEGIN { exit !(c ~ /^[0-9]+$/ && c + 0 <= max) }'; then
+    echo "error: seq-read nvme cmds ${seq_cmds:-missing} > $SEQ_READ_MAX_CMDS" >&2
     exit 1
   fi
 
@@ -124,14 +114,13 @@ record() {
     echo "  \"schema\": 1,"
     echo "  \"generator\": \"tools/bench_baseline.sh\","
     echo "  \"bench_mode\": \"quick\","
-    echo "  \"seq_read_cmd_reduction_x\": $ratio,"
     echo "  \"rows\": ["
     json_escape_rows <"$tmp/rows" | sed '$ s/},$/}/'
     echo "  ]"
     echo "}"
   } >"$BASELINE"
   echo "wrote $BASELINE ($(grep -c '"fig"' "$BASELINE") rows," \
-       "seq-read command reduction ${ratio}x)" >&2
+       "seq-read nvme cmds $seq_cmds)" >&2
 }
 
 check() {
@@ -143,9 +132,9 @@ check() {
   tmp="$(mktemp -d)"
   trap "rm -rf '$tmp'" EXIT
 
-  echo ">> fig11/fig12 (current) for regression check" >&2
-  run_bench fig11_fs_random_read 0 | parse_fs_fig fig11 current >"$tmp/rows"
-  run_bench fig12_fs_random_write 0 | parse_fs_fig fig12 current >>"$tmp/rows"
+  echo ">> fig11/fig12 for regression check" >&2
+  run_bench fig11_fs_random_read | parse_fs_fig fig11 current >"$tmp/rows"
+  run_bench fig12_fs_random_write | parse_fs_fig fig12 current >>"$tmp/rows"
 
   # Baseline buffered-path numbers: one row object per line by construction.
   awk -F'[:,]' '
