@@ -65,6 +65,7 @@ Task<Result<uint64_t>> EthernetFabric::ClientConnect(uint32_t client_addr,
   if (it == ports_.end()) {
     co_return Status(ErrorCode::kConnectionReset, "connection refused");
   }
+  ServerPort* handler = it->second;
   // Client-side connect() cost + SYN/ACK handshake across the wire.
   co_await client_cpu->Compute(params_.tcp_segment_cpu);
   co_await WireToServer(64);
@@ -72,12 +73,11 @@ Task<Result<uint64_t>> EthernetFabric::ClientConnect(uint32_t client_addr,
   Conn conn;
   conn.port = port;
   conn.client_addr = client_addr;
-  conn.handler = it->second;
+  conn.handler = handler;
   conn.to_client =
       std::make_unique<Channel<std::vector<uint8_t>>>(sim_, /*capacity=*/0);
   conns_.emplace(conn_id, std::move(conn));
-  Status accepted =
-      co_await it->second->OnConnect(conn_id, port, client_addr);
+  Status accepted = co_await handler->OnConnect(conn_id, port, client_addr);
   if (!accepted.ok()) {
     conns_.erase(conn_id);
     co_return accepted;
@@ -94,6 +94,7 @@ Task<Status> EthernetFabric::ClientSend(uint64_t conn_id,
   if (it == conns_.end() || !it->second.open) {
     co_return Status(ErrorCode::kNotConnected);
   }
+  ServerPort* handler = it->second.handler;
   // Client stack cost per segment, then the wire.
   co_await client_cpu->Compute(TcpSegments(data.size()) *
                                params_.tcp_segment_cpu);
@@ -105,7 +106,7 @@ Task<Status> EthernetFabric::ClientSend(uint64_t conn_id,
     co_await WireToServer(data.size() + 64);
   }
   std::vector<uint8_t> payload = AcquirePayload(data);
-  co_await it->second.handler->OnClientData(conn_id, std::move(payload), ctx);
+  co_await handler->OnClientData(conn_id, std::move(payload), ctx);
   co_return OkStatus();
 }
 
@@ -129,11 +130,12 @@ Task<void> EthernetFabric::ClientClose(uint64_t conn_id,
   if (it == conns_.end()) {
     co_return;
   }
+  Conn& conn = it->second;
   co_await client_cpu->Compute(params_.tcp_segment_cpu);
   co_await WireToServer(64);
-  it->second.open = false;
-  co_await it->second.handler->OnClientClose(conn_id);
-  it->second.to_client->Close();
+  conn.open = false;
+  co_await conn.handler->OnClientClose(conn_id);
+  conn.to_client->Close();
 }
 
 Task<Status> EthernetFabric::DeliverToClient(uint64_t conn_id,
@@ -143,12 +145,13 @@ Task<Status> EthernetFabric::DeliverToClient(uint64_t conn_id,
   if (it == conns_.end() || !it->second.open) {
     co_return Status(ErrorCode::kNotConnected);
   }
+  Conn& conn = it->second;
   {
     ScopedSpan wire(ctx.traced() ? sim_->tracer() : nullptr, "wire",
                     "net.wire.transit", ctx);
     co_await WireToClient(data.size() + 64);
   }
-  co_await it->second.to_client->Send(std::move(data));
+  co_await conn.to_client->Send(std::move(data));
   co_return OkStatus();
 }
 

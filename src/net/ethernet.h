@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/metrics.h"
@@ -117,7 +118,7 @@ class EthernetFabric {
   BandwidthResource wire_up_;    // client -> server
   BandwidthResource wire_down_;  // server -> client
   std::map<uint16_t, ServerPort*> ports_;
-  std::map<uint64_t, Conn> conns_;
+  std::unordered_map<uint64_t, Conn> conns_;  // Conn& survives rehash
   uint64_t next_conn_ = 1;
   // Retired payload buffers, capacity intact (bounded; see AcquirePayload).
   static constexpr size_t kPayloadPoolCap = 64;

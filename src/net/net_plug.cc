@@ -52,6 +52,7 @@ Task<Status> NetPlug::SendData(const NetEvent& header,
     staged_bytes_ += payload.size();
     if (stage.bytes.size() >= options_.net_coalesce_bytes) {
       SealStage(header.sock, &stage);
+      stages_.erase(header.sock);
     }
   } else {
     Enqueue(EncodePodWithPayload(header, payload));
@@ -101,9 +102,8 @@ Task<Status> NetPlug::SendControl(const NetEvent& event) {
   // overtake it; pending_ is FIFO, so per-socket order is preserved even
   // though the control event now rides the plug window like data does
   // (close storms batch instead of ringing one doorbell per FIN).
-  auto it = stages_.find(event.sock);
-  if (it != stages_.end() && !it->second.segs.empty()) {
-    SealStage(event.sock, &it->second);
+  if (auto staged = stages_.extract(event.sock)) {
+    SealStage(event.sock, &staged.mapped());
   }
   Enqueue(EncodePod(event));
   if (pending_.size() >= options_.max_events_per_push ||
@@ -116,17 +116,11 @@ Task<Status> NetPlug::SendControl(const NetEvent& event) {
 }
 
 Task<Status> NetPlug::Flush() {
-  if (!options_.staging_enabled()) {
-    co_return OkStatus();
-  }
   SealAll();
   co_return co_await FlushPending();
 }
 
 void NetPlug::SealStage(int64_t sock, SocketStage* stage) {
-  if (stage->segs.empty()) {
-    return;
-  }
   Tracer* tracer = sim_->tracer();
   if (tracer != nullptr) {
     const Nanos now = sim_->now();
@@ -144,15 +138,14 @@ void NetPlug::SealStage(int64_t sock, SocketStage* stage) {
   c_coalesced_segments_->Increment(stage->segs.size());
   staged_bytes_ -= stage->bytes.size();
   Enqueue(EncodeCoalescedData(sock, stage->segs, stage->bytes));
-  stage->segs.clear();
-  stage->bytes.clear();
-  stage->staged_at.clear();
 }
 
 void NetPlug::SealAll() {
+  // Only staged sockets have entries: a tick is O(staged), not O(all).
   for (auto& [sock, stage] : stages_) {
     SealStage(sock, &stage);
   }
+  stages_.clear();
 }
 
 void NetPlug::Enqueue(std::vector<uint8_t> record) {

@@ -65,6 +65,8 @@ class NetPlug {
   // Staged + pending bytes not yet pushed into the ring (the balancer adds
   // this to the ring's in-flight bytes for post-coalescing backlog).
   uint64_t backlog_bytes() const { return staged_bytes_ + pending_bytes_; }
+  // Sockets holding unsealed segments: what the next plug tick walks.
+  size_t staged_sockets() const { return stages_.size(); }
 
   uint64_t doorbells() const { return doorbells_; }
   uint64_t events_pushed() const { return events_pushed_; }
@@ -94,7 +96,7 @@ class NetPlug {
   SimRing* ring_;
   NetPathOptions options_;
 
-  std::map<int64_t, SocketStage> stages_;  // deterministic iteration order
+  std::map<int64_t, SocketStage> stages_;  // live only, sealed in id order
   uint64_t staged_bytes_ = 0;
   std::deque<std::vector<uint8_t>> pending_;
   uint64_t pending_bytes_ = 0;

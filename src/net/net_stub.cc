@@ -1,6 +1,7 @@
 #include "src/net/net_stub.h"
 
 #include <deque>
+#include <map>
 #include <utility>
 
 #include "src/base/fault.h"

@@ -10,9 +10,9 @@
 #ifndef SOLROS_SRC_NET_NET_STUB_H_
 #define SOLROS_SRC_NET_NET_STUB_H_
 
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -110,7 +110,7 @@ class NetStub : public ServerSocketApi {
   // Send-side staging for the outbound ring (DESIGN.md §5.5); passthrough
   // when both staging mechanisms are off.
   std::unique_ptr<NetPlug> plug_;
-  std::map<int64_t, SocketState> sockets_;
+  std::unordered_map<int64_t, SocketState> sockets_;
   uint64_t events_ = 0;
   uint64_t messages_delivered_ = 0;
   // Process counters, resolved once instead of per event/call (see

@@ -320,7 +320,7 @@ Task<void> TcpProxy::OnClientData(uint64_t conn_id, std::vector<uint8_t> data,
     conn_to_socket_.erase(it);
     co_return;
   }
-  ProxySocket& socket = sock_it->second;
+  const ProxySocket socket = sock_it->second;  // may be erased mid-await
   Shard& shard = shards_[socket.shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
@@ -575,8 +575,9 @@ Task<void> TcpProxy::ProcessOutboundEvent(
   if (it == sockets_.end() || !it->second.open) {
     co_return;  // stale send after close
   }
+  const uint64_t conn_id = it->second.conn_id;  // `it` dies at an await
   // The reply reached the proxy: backend-RTT endpoint for conntrack.
-  conntrack_->OnOutbound(it->second.conn_id, message_bytes);
+  conntrack_->OnOutbound(conn_id, message_bytes);
   Shard& shard = shards_[it->second.shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
@@ -629,15 +630,15 @@ Task<void> TcpProxy::ProcessOutboundEvent(
       train.emplace_back(m_ctx, std::vector<uint8_t>(m.payload.begin(),
                                                      m.payload.end()));
     }
-    Spawn(*sim_, DeliverTrain(this, it->second.conn_id, std::move(train)));
+    Spawn(*sim_, DeliverTrain(this, conn_id, std::move(train)));
   } else {
     for (const NetSegmentView& m : messages) {
       TraceContext m_ctx;
       m_ctx.trace_id = m.trace_id;
       m_ctx.parent_span = m.parent_span;
       Status status = co_await ethernet_->DeliverToClient(
-          it->second.conn_id,
-          std::vector<uint8_t>(m.payload.begin(), m.payload.end()), m_ctx);
+          conn_id, std::vector<uint8_t>(m.payload.begin(), m.payload.end()),
+          m_ctx);
       if (!status.ok() && status.code() != ErrorCode::kNotConnected) {
         LOG(WARNING) << "outbound deliver failed: " << status.ToString();
       }

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -217,8 +218,8 @@ class TcpProxy : public ServerPort {
   std::vector<Shard> shards_;
   std::map<uint32_t, DataPlane> dataplanes_;
   std::map<uint16_t, PortListeners> listeners_;
-  std::map<int64_t, ProxySocket> sockets_;       // by proxy handle
-  std::map<uint64_t, int64_t> conn_to_socket_;   // wire conn -> handle
+  std::unordered_map<int64_t, ProxySocket> sockets_;      // by proxy handle
+  std::unordered_map<uint64_t, int64_t> conn_to_socket_;  // conn -> handle
   int64_t next_handle_ = 1;
   TcpProxyStats stats_;
   std::unique_ptr<ConnTracker> conntrack_;

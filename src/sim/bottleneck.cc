@@ -1,8 +1,10 @@
 #include "src/sim/bottleneck.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <ostream>
+#include <string>
 
 #include "src/base/logging.h"
 
@@ -17,6 +19,21 @@ int64_t UtilPermille(const UseWindowData& w, Nanos window_ns,
   uint64_t busy = w.busy_ns / (capacity == 0 ? 1 : capacity) + w.active_ns;
   int64_t permille = static_cast<int64_t>(busy * 1000 / window_ns);
   return std::min<int64_t>(permille, 1000);
+}
+
+// printf into a string sized for the result, so no row is ever truncated
+// (component names have no length bound).
+[[gnu::format(printf, 1, 2)]] std::string Format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int length = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  std::string out(static_cast<size_t>(std::max(length, 0)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
 }
 
 }  // namespace
@@ -155,7 +172,6 @@ BottleneckReport AnalyzeBottlenecks(const TelemetrySnapshot& snapshot) {
 
 void RenderBottleneckReport(const BottleneckReport& report,
                             std::ostream& os) {
-  char line[160];
   os << "bottleneck report: " << report.windows.size() << " windows of "
      << report.window_ns << " ns\n";
   for (const WindowVerdict& verdict : report.windows) {
@@ -167,14 +183,11 @@ void RenderBottleneckReport(const BottleneckReport& report,
     } else {
       os << "  bottleneck: " << verdict.bottleneck << "\n";
     }
-    std::snprintf(line, sizeof(line),
-                  "  %-20s %6s %6s %8s %8s %6s %8s %5s %12s\n",
-                  "component", "util%", "eff%", "depth", "excl", "peak",
-                  "ops", "err", "est wait ns");
-    os << line;
+    os << Format("  %-20s %6s %6s %8s %8s %6s %8s %5s %12s\n", "component",
+                 "util%", "eff%", "depth", "excl", "peak", "ops", "err",
+                 "est wait ns");
     for (const ComponentWindowStat& stat : verdict.components) {
-      std::snprintf(
-          line, sizeof(line),
+      os << Format(
           "  %-20s %5lld.%1lld %5lld.%1lld %5lld.%03lld %5lld.%03lld %6lld "
           "%8llu %5llu %12llu%s\n",
           stat.name.c_str(),
@@ -191,7 +204,6 @@ void RenderBottleneckReport(const BottleneckReport& report,
           static_cast<unsigned long long>(stat.errors),
           static_cast<unsigned long long>(stat.est_wait_ns),
           stat.name == verdict.bottleneck ? "  <-- bottleneck" : "");
-      os << line;
     }
   }
   if (!report.overall.empty()) {
@@ -238,13 +250,11 @@ void RenderBottleneckReport(const BottleneckReport& report,
       continue;
     }
     uint64_t milli = peak * 1000 * shard_ops.size() / total;
-    std::snprintf(line, sizeof(line),
-                  "shard balance: %s max/mean ops = %llu.%03llu over %zu "
-                  "shards\n",
-                  base.c_str(), static_cast<unsigned long long>(milli / 1000),
-                  static_cast<unsigned long long>(milli % 1000),
-                  shard_ops.size());
-    os << line;
+    os << Format("shard balance: %s max/mean ops = %llu.%03llu over %zu "
+                 "shards\n",
+                 base.c_str(), static_cast<unsigned long long>(milli / 1000),
+                 static_cast<unsigned long long>(milli % 1000),
+                 shard_ops.size());
   }
 }
 

@@ -151,8 +151,9 @@ TEST(PickShardForDepthsTest, MatchesAlwaysScanReferenceOnRandomDepths) {
           d = static_cast<int64_t>(prng.NextInRange(0, 200));
         }
       }
-      const int primary =
-          static_cast<int>(prng.NextInRange(0, static_cast<uint64_t>(count)));
+      // NextInRange is inclusive: the primary is a valid shard index.
+      const int primary = static_cast<int>(
+          prng.NextInRange(0, static_cast<uint64_t>(count - 1)));
       auto depth = [&](int k) { return depths[static_cast<size_t>(k)]; };
       bool fast_handoff = false;
       bool ref_handoff = false;
