@@ -91,7 +91,7 @@ inline constexpr int ShardOfConnection(uint64_t conn_id, int shards) {
 inline std::string ShardLabel(std::string_view service, int k, int shards) {
   std::string label(service);
   if (shards > 1) {
-    label += "[" + std::to_string(k) + "]";
+    label.append("[").append(std::to_string(k)).append("]");
   }
   return label;
 }

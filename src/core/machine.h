@@ -11,10 +11,13 @@
 //     master at the host (§4.4.1), so both sides' DMA engines pull.
 //
 // Scale note: the simulated SSD defaults to 2 GiB of real backing bytes
-// (the paper's testbed had a 1.2 TB device and used 4 GB working files;
-// this repository's benches use 1 GiB files so several rigs fit in RAM —
-// all bandwidth ceilings are identical, so every reported *shape* is
-// unaffected).
+// (the paper's testbed had a 1.2 TB device and used 4 GB working files).
+// The flash image and the cache arena are DeviceBuffers, whose bytes cost
+// host memory only once the simulation writes them (src/hw/memory.h), so
+// capacity is no longer what bounds a rig's RAM: the bytes a workload
+// writes are. The benches keep 512 MB working files on 1–2 GiB devices to
+// bound their run time; bandwidth ceilings are identical at any size, so
+// every reported *shape* is unaffected.
 #ifndef SOLROS_SRC_CORE_MACHINE_H_
 #define SOLROS_SRC_CORE_MACHINE_H_
 

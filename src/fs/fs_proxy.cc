@@ -77,8 +77,7 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
   // Per-shard suffix for the isolated-state components (cache, scheduler
   // classes); empty for a standalone proxy so every legacy name survives.
   const std::string suffix =
-      shard_.shard_count > 1 ? "[" + std::to_string(shard_.shard_id) + "]"
-                             : "";
+      ShardLabel("", shard_.shard_id, shard_.shard_count);
   if (options_.cache_blocks > 0) {
     BufferCacheOptions cache_options;
     cache_options.coalesce_nvme = options_.coalesce_nvme;

@@ -17,9 +17,8 @@ NvmeDevice::NvmeDevice(Simulator* sim, PcieFabric* fabric,
       fabric_(fabric),
       params_(params),
       self_(self),
-      capacity_(capacity_bytes),
       interrupt_cpu_(interrupt_cpu),
-      flash_(capacity_bytes, 0),
+      flash_(self, capacity_bytes),
       queue_slots_(sim, params.nvme_queue_depth) {
   CHECK(fabric->TypeOf(self) == DeviceType::kNvme);
   CHECK_EQ(capacity_bytes % params.nvme_block_size, 0u);
@@ -222,7 +221,7 @@ Task<Status> NvmeDevice::Execute(NvmeCommand command, TraceContext ctx) {
     if (powercut->armed() || tornwrite->armed()) {
       undo_.push_back(UndoEntry{
           flash_off,
-          {flash_.begin() + flash_off, flash_.begin() + flash_off + bytes}});
+          {flash_.data() + flash_off, flash_.data() + flash_off + bytes}});
     }
     if (powercut->ShouldFire()) {
       static Counter* const powercuts =

@@ -55,7 +55,9 @@ class NvmeDevice {
              Processor* interrupt_cpu);
 
   uint32_t block_size() const { return params_.nvme_block_size; }
-  uint64_t block_count() const { return capacity_ / params_.nvme_block_size; }
+  uint64_t block_count() const {
+    return flash_.size() / params_.nvme_block_size;
+  }
   DeviceId device_id() const { return self_; }
 
   // Executes a batch of commands. With `coalesce` set, the batch costs one
@@ -72,7 +74,7 @@ class NvmeDevice {
   Task<Status> SubmitOne(NvmeCommand command, Processor* submitter_cpu);
 
   // Zero-cost flash access for test setup and mkfs bootstrap.
-  std::span<uint8_t> RawFlash() { return {flash_.data(), flash_.size()}; }
+  std::span<uint8_t> RawFlash() { return flash_.Span(0, flash_.size()); }
 
   // Crash model. While the `nvme.powercut` / `nvme.tornwrite` fault points
   // are armed, every write records an undo image of the flash bytes it is
@@ -114,9 +116,10 @@ class NvmeDevice {
   PcieFabric* fabric_;
   HwParams params_;
   DeviceId self_;
-  uint64_t capacity_;
   Processor* interrupt_cpu_;
-  std::vector<uint8_t> flash_;
+  // The flash image, tagged with this device: never-written blocks read as
+  // zeros and cost no host memory (see DeviceBuffer).
+  DeviceBuffer flash_;
 
   Semaphore queue_slots_;
   // USE telemetry ("<device name>", e.g. "nvme0"): depth counts commands

@@ -408,7 +408,7 @@ void Tracer::ExportChromeTrace(std::ostream& os) const {
     for (int l = 0; l < lane_count[t]; ++l) {
       std::string lane_name = JsonEscape(track_names_[t]);
       if (l > 0) {
-        lane_name += "." + std::to_string(l);
+        lane_name.append(".").append(std::to_string(l));
       }
       sep();
       os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid_base[t] + l

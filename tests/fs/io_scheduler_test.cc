@@ -102,8 +102,8 @@ TEST(IoSchedulerTest, ConcurrentOverlappingReadsAreSingleFlight) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 42, 1, bufs[i], IoClass::kDemand,
-                              "r" + std::to_string(i), &order, &statuses,
-                              &wg));
+                              std::string("r").append(std::to_string(i)),
+                              &order, &statuses, &wg));
   }
   rig.sim.RunUntilIdle();
   ASSERT_EQ(statuses.size(), static_cast<size_t>(kCallers));
@@ -134,8 +134,8 @@ TEST(IoSchedulerTest, SingleFlightOffFetchesDuplicatesIndependently) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 42, 1, bufs[i], IoClass::kDemand,
-                              "r" + std::to_string(i), &order, &statuses,
-                              &wg));
+                              std::string("r").append(std::to_string(i)),
+                              &order, &statuses, &wg));
   }
   rig.sim.RunUntilIdle();
   for (const Status& s : statuses) {
@@ -181,8 +181,8 @@ TEST(IoSchedulerTest, SharedFetchFailureFailsEveryWaiterCoherently) {
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
     Spawn(rig.sim, TaggedRead(&sched, 13, 1, bufs[i], IoClass::kDemand,
-                              "r" + std::to_string(i), &order, &statuses,
-                              &wg));
+                              std::string("r").append(std::to_string(i)),
+                              &order, &statuses, &wg));
   }
   rig.sim.RunUntilIdle();
   ASSERT_EQ(statuses.size(), static_cast<size_t>(kCallers));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -27,6 +28,25 @@ struct Rig {
   DmaEngine phi_dma{&sim, &fabric, params, phi};
   WindowCopier copier{&sim, params};
 };
+
+TEST(DeviceBufferTest, StartsZeroedAndZeroSizeIsValid) {
+  Rig rig;
+  DeviceBuffer buf(rig.phi, MiB(8));
+  EXPECT_EQ(buf.size(), MiB(8));
+  EXPECT_EQ(buf.device(), rig.phi);
+  EXPECT_TRUE(std::all_of(buf.data(), buf.data() + buf.size(),
+                          [](uint8_t b) { return b == 0; }));
+
+  // A zero-size buffer has a non-null data() that memcpy may be handed.
+  DeviceBuffer empty(rig.host, 0);
+  DeviceBuffer empty_dst(rig.phi, 0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_NE(empty.data(), nullptr);
+  EXPECT_TRUE(MemRef::Of(empty).span().empty());
+  EXPECT_TRUE(RunSim(rig.sim, rig.host_dma.Copy(MemRef::Of(empty_dst),
+                                                MemRef::Of(empty)))
+                  .ok());
+}
 
 TEST(DmaTest, CopiesRealBytes) {
   Rig rig;

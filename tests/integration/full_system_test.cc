@@ -104,7 +104,7 @@ TEST(FullSystemTest, FsAndKvTrafficCoexistOnFourDataPlanes) {
             co_return;
           }
           for (int i = 0; i < 50; ++i) {
-            std::string key = "k" + std::to_string(i);
+            std::string key = std::string("k").append(std::to_string(i));
             std::vector<uint8_t> value(64, static_cast<uint8_t>(i));
             if (!(co_await c->Put(key, value)).ok()) {
               *ok = false;

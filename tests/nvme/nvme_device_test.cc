@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
+#include "src/base/fault.h"
 #include "src/base/prng.h"
 #include "src/base/units.h"
 #include "src/hw/fabric.h"
@@ -211,6 +213,55 @@ TEST(NvmeDeviceTest, QueueDepthBoundsConcurrency) {
       RunSim(rig.sim, rig.nvme.Submit(batch, true, &rig.host_cpu));
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(rig.nvme.commands_completed(), static_cast<uint64_t>(n));
+}
+
+TEST(NvmeDeviceTest, NeverWrittenBlocksReadAsZerosOnLargeDevice) {
+  // A device larger than any Machine default: its never-written blocks,
+  // including ones a power cut rolled back, read back as zeros.
+  Rig rig;
+  DeviceId big_id = rig.fabric.AddDevice(DeviceType::kNvme, 0, "nvme1");
+  NvmeDevice big(&rig.sim, &rig.fabric, rig.params, big_id, GiB(4),
+                 &rig.host_cpu);
+  uint32_t bs = big.block_size();
+  constexpr uint32_t kBlocks = 16;
+  auto read_is_zero = [&](uint64_t lba) {
+    DeviceBuffer dst(rig.host, kBlocks * bs);
+    std::fill_n(dst.data(), dst.size(), 0xab);
+    Status status = RunSim(
+        rig.sim, big.SubmitOne(MakeRead(lba, kBlocks, MemRef::Of(dst)),
+                               &rig.host_cpu));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return std::all_of(dst.data(), dst.data() + dst.size(),
+                       [](uint8_t b) { return b == 0; });
+  };
+  uint64_t last = big.block_count() - kBlocks;
+  for (uint64_t lba : {uint64_t{0}, big.block_count() / 2, last}) {
+    EXPECT_TRUE(read_is_zero(lba)) << "lba " << lba;
+  }
+
+  // Every 2nd write cuts power: the first write to a never-written range
+  // is acknowledged but still volatile, the second one fires the cut and
+  // the rollback restores both ranges' zeros.
+  Faults().DisarmAll();
+  ASSERT_TRUE(Faults().Arm("nvme.powercut", FaultSpec::EveryNth(2)).ok());
+  DeviceBuffer src(rig.host, kBlocks * bs);
+  std::fill_n(src.data(), src.size(), 0x5a);
+  uint64_t first = big.block_count() / 4;
+  Status acked = RunSim(rig.sim, big.SubmitOne(
+                                     MakeWrite(first, kBlocks,
+                                               MemRef::Of(src)),
+                                     &rig.host_cpu));
+  ASSERT_TRUE(acked.ok()) << acked.ToString();
+  EXPECT_EQ(big.RawFlash()[first * bs], 0x5a);
+  Status cut = RunSim(rig.sim, big.SubmitOne(
+                                   MakeWrite(last, kBlocks, MemRef::Of(src)),
+                                   &rig.host_cpu));
+  Faults().DisarmAll();
+  EXPECT_FALSE(cut.ok());
+  ASSERT_TRUE(big.crashed());
+  big.PowerCycle();
+  EXPECT_TRUE(read_is_zero(first));
+  EXPECT_TRUE(read_is_zero(last));
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ TEST_F(FlightRecorderTest, RingKeepsOnlyTheNewestEntries) {
   FlightRecorder recorder(4);
   EXPECT_EQ(recorder.capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
-    recorder.Note('I', "t", "e" + std::to_string(i), 0, i);
+    recorder.Note('I', "t", std::string("e").append(std::to_string(i)), 0, i);
   }
   recorder.Dump("test");
   ASSERT_EQ(recorder.dumps().size(), 1u);
@@ -86,13 +86,14 @@ TEST_F(FlightRecorderTest, DumpsAreBoundedAtKMaxDumps) {
   FlightRecorder recorder(4);
   recorder.Note('I', "t", "e", 0, 1);
   for (size_t i = 0; i < FlightRecorder::kMaxDumps + 3; ++i) {
-    recorder.Dump("d" + std::to_string(i));
+    recorder.Dump(std::string("d").append(std::to_string(i)));
   }
   EXPECT_EQ(recorder.dumps().size(), FlightRecorder::kMaxDumps);
   EXPECT_EQ(recorder.total_dumps(), FlightRecorder::kMaxDumps + 3);
   // Oldest dumps were discarded; the newest is retained.
   EXPECT_EQ(recorder.dumps().back().trigger,
-            "d" + std::to_string(FlightRecorder::kMaxDumps + 2));
+            std::string("d").append(
+                std::to_string(FlightRecorder::kMaxDumps + 2)));
   // Sequence numbers are stable 1-based ordinals.
   EXPECT_EQ(recorder.dumps().back().seq, FlightRecorder::kMaxDumps + 3);
 }

@@ -68,7 +68,8 @@ bool ParseMicros(std::string_view text, uint64_t* out_ns) {
 // Value of `"key":` inside one event object, as raw text up to the next
 // delimiter. Empty string when the key is absent.
 std::string_view RawField(std::string_view obj, std::string_view key) {
-  std::string pattern = "\"" + std::string(key) + "\":";
+  std::string pattern = "\"";
+  pattern.append(key).append("\":");
   size_t at = obj.find(pattern);
   if (at == std::string_view::npos) {
     return {};
