@@ -127,9 +127,8 @@ inline const char* NetConfigName(NetConfigKind kind) {
 }
 
 // Builds a machine + the chosen server stack, runs `body(api, machine)`.
-// `net_options` turns on the data-path batching mechanisms (DESIGN.md §5.5)
-// for the Solros stub/proxy pair and the direct stacks' send coalescing;
-// defaults keep every configuration on the legacy byte-identical path.
+// `net_options` sets the plug window of the Solros stub/proxy rings
+// (DESIGN.md §5.5); the direct stacks have no plug.
 struct NetRig {
   std::unique_ptr<Machine> machine;
   std::unique_ptr<DirectServer> direct;  // host / phi-linux configs
@@ -153,7 +152,6 @@ struct NetRig {
         DirectServer::Config dc;
         dc.stack_cpu = &machine->host_cpu();
         dc.stack_device = machine->host_device();
-        dc.net_options = net_options;
         direct = std::make_unique<DirectServer>(
             &machine->sim(), &machine->fabric(), machine->params(),
             &machine->ethernet(), dc);
@@ -167,7 +165,6 @@ struct NetRig {
         dc.bridge_cpu = &machine->host_cpu();
         dc.bridge_device = machine->host_device();
         dc.single_rx_queue = true;
-        dc.net_options = net_options;
         direct = std::make_unique<DirectServer>(
             &machine->sim(), &machine->fabric(), machine->params(),
             &machine->ethernet(), dc);
@@ -244,9 +241,8 @@ inline std::vector<StageBreakdown> MeasureNetStages(
 
 // Measures one-way streaming throughput (bytes/sec).
 inline double MeasureNetThroughput(NetConfigKind kind, uint32_t size,
-                                   int connections, int messages,
-                                   const NetPathOptions& net_options = {}) {
-  NetRig rig(kind, /*num_phis=*/1, net_options);
+                                   int connections, int messages) {
+  NetRig rig(kind);
   Machine& machine = *rig.machine;
   Spawn(machine.sim(),
         DrainServer(rig.api, 7000, connections, messages));

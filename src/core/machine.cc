@@ -35,7 +35,6 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
     sim_.set_telemetry(telemetry_.get());
   }
   proxy_shards_ = ResolveProxyShards(config_.proxy_shards);
-  config_.net_options = ResolveNetPathOptions(config_.net_options);
   fabric_ = std::make_unique<PcieFabric>(&sim_, params);
   host_device_ = fabric_->HostDevice(0);
 

@@ -75,10 +75,8 @@ struct MachineConfig {
   // Forwarding policy for shared listening sockets.
   std::unique_ptr<ForwardingPolicy> policy;  // default: round robin
 
-  // Net data-path batching (DESIGN.md §5.5): segment coalescing, vectored
-  // ring push, adaptive payload copy, DRR outbound dispatch. All default
-  // off (legacy byte-identical); the constructor overlays SOLROS_NET_*
-  // environment knobs via ResolveNetPathOptions.
+  // Net data path (DESIGN.md §5.5): the plug window of the stub/proxy
+  // rings. The default, 0, pushes every event on its own.
   NetPathOptions net_options;
 
   // Control-plane shards: each FsProxy/TcpProxy shard runs pinned to its

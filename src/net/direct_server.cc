@@ -107,20 +107,6 @@ Task<Status> DirectServer::Send(int64_t sock, std::span<const uint8_t> data) {
   TraceContext ctx{it->second.reply_trace_id, it->second.reply_parent};
   it->second.reply_trace_id = 0;
   it->second.reply_parent = 0;
-  if (config_.net_options.coalescing) {
-    Socket& socket = it->second;
-    socket.staged.emplace_back(
-        std::vector<uint8_t>(data.begin(), data.end()), ctx, sim_->now());
-    socket.staged_bytes += data.size();
-    if (socket.staged_bytes >= config_.net_options.net_coalesce_bytes) {
-      co_return co_await FlushStagedSends(sock);
-    }
-    if (!socket.plug_armed) {
-      socket.plug_armed = true;
-      Spawn(*sim_, SendPlugTimer(this, sock));
-    }
-    co_return OkStatus();
-  }
   {
     // Outbound TCP transmit processing — the direct stack's service stage.
     ScopedSpan stack(ctx.traced() ? sim_->tracer() : nullptr, "directsrv",
@@ -132,76 +118,7 @@ Task<Status> DirectServer::Send(int64_t sock, std::span<const uint8_t> data) {
       ctx);
 }
 
-Task<Status> DirectServer::FlushStagedSends(int64_t sock) {
-  auto it = sockets_.find(sock);
-  if (it == sockets_.end() || it->second.staged.empty()) {
-    co_return OkStatus();
-  }
-  std::vector<StagedReply> train = std::move(it->second.staged);
-  it->second.staged.clear();
-  it->second.staged_bytes = 0;
-  // The socket entry can be erased while we await below; keep only the
-  // connection id.
-  const uint64_t conn_id = it->second.conn_id;
-  uint64_t total_bytes = 0;
-  for (const StagedReply& reply : train) {
-    total_bytes += reply.data.size();
-  }
-  TraceContext span_ctx;
-  if (Tracer* tracer = sim_->tracer(); tracer != nullptr) {
-    const Nanos now = sim_->now();
-    for (const StagedReply& reply : train) {
-      if (reply.ctx.traced()) {
-        if (!span_ctx.traced()) {
-          span_ctx = reply.ctx;
-        }
-        tracer->RecordSpan("plug", "net.plug.wait", reply.staged_at, now,
-                           reply.ctx);
-      }
-    }
-  }
-  {
-    // One transmit pass for the whole train: tcp_message_cpu is paid once,
-    // segment costs scale with the merged byte count (the GSO analogue).
-    // The span uses the first traced reply's context; the other replies'
-    // share lands in their residual stub bucket, which stays exact.
-    ScopedSpan stack(span_ctx.traced() ? sim_->tracer() : nullptr,
-                     "directsrv", "net.server.stack", span_ctx);
-    co_await OutboundStack(total_bytes);
-  }
-  Status result = OkStatus();
-  for (StagedReply& reply : train) {
-    Status status = co_await ethernet_->DeliverToClient(
-        conn_id, std::move(reply.data), reply.ctx);
-    if (!status.ok()) {
-      result = status;
-    }
-  }
-  co_return result;
-}
-
-Task<void> DirectServer::SendPlugTimer(DirectServer* self, int64_t sock) {
-  // Bounds staging latency: anything staged flushes at most one plug
-  // window after it was staged; exits once the socket goes idle or away.
-  while (true) {
-    co_await Delay(self->config_.net_options.net_plug_window_ns);
-    auto it = self->sockets_.find(sock);
-    if (it == self->sockets_.end()) {
-      co_return;
-    }
-    if (it->second.staged.empty()) {
-      it->second.plug_armed = false;
-      co_return;
-    }
-    (void)co_await self->FlushStagedSends(sock);
-  }
-}
-
 Task<Status> DirectServer::Close(int64_t sock) {
-  if (config_.net_options.coalescing) {
-    // Drain staged replies before the teardown below erases the socket.
-    (void)co_await FlushStagedSends(sock);
-  }
   auto it = sockets_.find(sock);
   if (it == sockets_.end()) {
     co_return InvalidArgumentError("bad socket handle");

@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/hw/fabric.h"
 #include "src/hw/params.h"
 #include "src/hw/processor.h"
 #include "src/net/ethernet.h"
-#include "src/net/net_options.h"
 #include "src/net/server_api.h"
 #include "src/sim/resource.h"
 #include "src/sim/sync.h"
@@ -42,13 +44,6 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     // context; that single queue is where Fig. 1(b)'s long tail comes
     // from. Host stacks use RSS (parallel queues).
     bool single_rx_queue = false;
-    // Send-side segment coalescing (only `coalescing`,
-    // `net_coalesce_bytes` and `net_plug_window_ns` apply here): replies
-    // to the same socket stage until the size or plug-window trigger, then
-    // one OutboundStack charge covers the whole train (tcp_message_cpu
-    // amortized) and each message still reaches the client individually.
-    // Off by default — baseline rows stay byte-identical.
-    NetPathOptions net_options;
   };
 
   DirectServer(Simulator* sim, PcieFabric* fabric, const HwParams& params,
@@ -85,16 +80,8 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     uint64_t trace_id = 0;
     uint64_t parent_span = 0;
   };
-  // One reply staged by send-side coalescing, with the context and stage
-  // time its retroactive "net.plug.wait" span needs at flush.
-  struct StagedReply {
-    StagedReply() = default;
-    StagedReply(std::vector<uint8_t> d, TraceContext c, Nanos at)
-        : data(std::move(d)), ctx(c), staged_at(at) {}
-    std::vector<uint8_t> data;
-    TraceContext ctx;
-    Nanos staged_at = 0;
-  };
+  static_assert(!std::is_aggregate_v<RecvItem>,
+                "GCC 12 miscompiles aggregate coroutine by-value parameters");
   struct Socket {
     uint64_t conn_id = 0;
     std::unique_ptr<Channel<RecvItem>> recv_queue;
@@ -102,20 +89,11 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     // Context of the last message Recv returned; the next Send replies to it.
     uint64_t reply_trace_id = 0;
     uint64_t reply_parent = 0;
-    // Send-side coalescing stage (config.net_options.coalescing).
-    std::vector<StagedReply> staged;
-    uint64_t staged_bytes = 0;
-    bool plug_armed = false;
   };
 
   // Inbound/outbound hop costs for this configuration.
   Task<void> InboundStack(uint64_t bytes);
   Task<void> OutboundStack(uint64_t bytes);
-
-  // Charges one OutboundStack pass for everything staged on `sock` and
-  // delivers each reply to the client in order.
-  Task<Status> FlushStagedSends(int64_t sock);
-  static Task<void> SendPlugTimer(DirectServer* self, int64_t sock);
 
   Simulator* sim_;
   PcieFabric* fabric_;

@@ -19,10 +19,10 @@ struct BalanceTarget {
   uint32_t dataplane = 0;       // data-plane OS id
   uint64_t active_conns = 0;    // currently assigned connections
   uint64_t total_assigned = 0;  // lifetime assignments
-  // Live backlog the proxy refreshes at pick time: inbound events sent to
-  // this data plane but not yet drained from its ring (the same sends that
-  // feed the ring's USE depth gauge). Connection counts age; this is what
-  // the target's service loop actually has queued right now.
+  // Live backlog the proxy refreshes at pick time: inbound bytes sent to
+  // this data plane but not yet drained from its ring, plus the bytes its
+  // plug still holds. Connection counts age; this is what the target's
+  // service loop actually has queued right now.
   uint64_t queue_depth = 0;
 };
 
@@ -66,7 +66,7 @@ class LeastLoadedPolicy : public ForwardingPolicy {
   std::string_view name() const override { return "least-loaded"; }
 };
 
-// Load-aware on the *live* depth signal: least queued inbound events at
+// Load-aware on the *live* depth signal: least queued inbound bytes at
 // pick time, connection count as the tie-break. Unlike LeastLoadedPolicy,
 // a target whose long-lived connections have gone idle is preferred over
 // one with few but hot connections — "load on each co-processor" (§4.4.3)

@@ -1,24 +1,19 @@
-// Multi-segment NetEvent framing for the coalescing/vectored net data path
-// (DESIGN.md §5.5).
+// Ring-record framing for the net data path (DESIGN.md §5.5).
 //
-// Layouts, all starting with a plain NetEvent header (src/rpc/messages.h):
+// Two layouts, both starting with a plain NetEvent header
+// (src/rpc/messages.h):
 //
-//  * legacy kData (segments == 0): header + one message's payload bytes;
-//    the message's trace context is in the header. Bit-identical to the
-//    pre-coalescing wire format.
-//  * coalesced kData (segments == N >= 1): header + N NetSegment
-//    descriptors + the N messages' payload bytes concatenated in order.
-//    header.length covers descriptors + payloads; per-message contexts live
-//    in the descriptors (the header context is zero).
-//  * kBatch (segments == N): header + N [u32 length][encoded record]
-//    entries, each entry itself a legacy or coalesced event record. One
-//    ring push (one doorbell) delivers all of them.
+//  * a single event: the header, then (for kData) one message's payload
+//    bytes; the message's trace context is in the header;
+//  * kBatch (segments == N): the header, then N [u32 length][encoded
+//    event] entries. One ring push (one doorbell) delivers all of them.
 #ifndef SOLROS_SRC_NET_NET_FRAME_H_
 #define SOLROS_SRC_NET_NET_FRAME_H_
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -26,15 +21,7 @@
 
 namespace solros {
 
-// Per-message descriptor inside a coalesced kData event.
-struct NetSegment {
-  uint32_t length = 0;  // payload bytes of this message
-  uint32_t reserved = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
-};
-
-// One encoded event plus enough bookkeeping for plug-wait attribution.
+// One event of a ring record: its header and the bytes that follow it.
 // Deliberately not an aggregate — see NetStub::RecvItem for the GCC 12
 // coroutine-parameter pitfall.
 struct NetFrameView {
@@ -43,12 +30,15 @@ struct NetFrameView {
   NetEvent header;
   std::span<const uint8_t> body;  // bytes following the header
 };
+static_assert(!std::is_aggregate_v<NetFrameView>,
+              "GCC 12 miscompiles aggregate coroutine by-value parameters");
 
-// Splits a record (header already peeled by the caller) into its events:
-// kBatch yields one NetFrameView per sub-record; anything else yields the
-// record itself. Views alias `body`.
-inline std::vector<NetFrameView> SplitBatch(const NetEvent& header,
-                                            std::span<const uint8_t> body) {
+// Splits a ring record into its events: a kBatch record yields one
+// NetFrameView per sub-record; any other record yields itself. Views alias
+// `record`.
+inline std::vector<NetFrameView> SplitRecord(std::span<const uint8_t> record) {
+  const NetEvent header = DecodePod<NetEvent>(record);
+  const std::span<const uint8_t> body = record.subspan(sizeof(NetEvent));
   std::vector<NetFrameView> events;
   if (header.kind != NetEventKind::kBatch) {
     events.emplace_back(header, body);
@@ -63,69 +53,12 @@ inline std::vector<NetFrameView> SplitBatch(const NetEvent& header,
     off += sizeof(len);
     CHECK_LE(off + len, body.size());
     CHECK_GE(len, sizeof(NetEvent));
-    std::span<const uint8_t> record = body.subspan(off, len);
-    events.emplace_back(DecodePod<NetEvent>(record),
-                        record.subspan(sizeof(NetEvent)));
+    const std::span<const uint8_t> sub = body.subspan(off, len);
+    events.emplace_back(DecodePod<NetEvent>(sub),
+                        sub.subspan(sizeof(NetEvent)));
     off += len;
   }
   return events;
-}
-
-// One message sliced out of a (possibly coalesced) kData event body.
-struct NetSegmentView {
-  NetSegmentView() = default;
-  NetSegmentView(std::span<const uint8_t> p, uint64_t trace, uint64_t parent)
-      : payload(p), trace_id(trace), parent_span(parent) {}
-  std::span<const uint8_t> payload;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
-};
-
-// Splits a kData event into its messages (exactly one for the legacy
-// layout). Views alias `body`.
-inline std::vector<NetSegmentView> SplitSegments(
-    const NetEvent& event, std::span<const uint8_t> body) {
-  std::vector<NetSegmentView> messages;
-  if (event.segments == 0) {
-    messages.emplace_back(body, event.trace_id, event.parent_span);
-    return messages;
-  }
-  const size_t table = sizeof(NetSegment) * event.segments;
-  CHECK_LE(table, body.size());
-  messages.reserve(event.segments);
-  size_t off = table;
-  for (uint16_t i = 0; i < event.segments; ++i) {
-    NetSegment seg;
-    std::memcpy(&seg, body.data() + i * sizeof(NetSegment), sizeof(seg));
-    CHECK_LE(off + seg.length, body.size());
-    messages.emplace_back(body.subspan(off, seg.length), seg.trace_id,
-                          seg.parent_span);
-    off += seg.length;
-  }
-  return messages;
-}
-
-// Encodes a coalesced kData record for `sock`: descriptor table + payloads.
-// `segments` and `bytes` are parallel (bytes holds the concatenation).
-inline std::vector<uint8_t> EncodeCoalescedData(
-    int64_t sock, std::span<const NetSegment> segments,
-    std::span<const uint8_t> bytes) {
-  NetEvent header;
-  header.kind = NetEventKind::kData;
-  header.sock = sock;
-  header.segments = static_cast<uint16_t>(segments.size());
-  header.length = static_cast<uint32_t>(sizeof(NetSegment) * segments.size() +
-                                        bytes.size());
-  std::vector<uint8_t> out(sizeof(NetEvent) + header.length);
-  std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(NetEvent), segments.data(),
-              sizeof(NetSegment) * segments.size());
-  if (!bytes.empty()) {
-    std::memcpy(out.data() + sizeof(NetEvent) +
-                    sizeof(NetSegment) * segments.size(),
-                bytes.data(), bytes.size());
-  }
-  return out;
 }
 
 // Wraps already-encoded event records into one kBatch record.

@@ -1,104 +1,31 @@
-// Net data-path tuning knobs (DESIGN.md §5.5).
+// Net data-path options (DESIGN.md §5.5).
 //
-// Four independent mechanisms, all off by default so the legacy
-// one-event-per-push path stays byte-identical:
-//
-//  * coalescing    — GSO/GRO analogue: same-socket payloads accumulate in a
-//    bounded per-socket staging buffer and flush as one multi-segment
-//    NetEvent on a plug-window/size trigger; the receive side splits the
-//    segments back out, so ServerApi semantics are unchanged.
-//  * vectored_push — iosched-style "one doorbell per round": multiple ready
-//    events ride one SimRing push as a kBatch frame.
-//  * adaptive_copy — payload movement is charged through the rings'
-//    memcpy-vs-DMA policy (src/transport/adaptive_copy.h) instead of being
-//    a free host-side vector copy, attributed to the copy_dma stage.
-//  * drr_dispatch  — deficit-round-robin across data planes in the proxy's
-//    outbound pump and across sockets in the stub dispatcher, plus
-//    byte-backlog (not event-count) refresh of BalanceTarget::queue_depth.
+// The net data path is one path: every send rides a NetPlug, the proxy
+// drains each outbound ring with one FIFO pump that hands client delivery
+// to the NIC, and the stub delivers events in ring order. The plug window
+// is the only knob, and it changes timing, never bytes.
 #ifndef SOLROS_SRC_NET_NET_OPTIONS_H_
 #define SOLROS_SRC_NET_NET_OPTIONS_H_
-
-#include <algorithm>
-#include <cstdint>
-#include <cstdlib>
 
 #include "src/base/units.h"
 
 namespace solros {
 
 struct NetPathOptions {
+  // 0: each send is one ring push (one doorbell). Greater than 0: records
+  // queue in the plug and ride one kBatch push per flush, at most one
+  // window after the first of them queued (NetPlug).
+  Nanos net_plug_window_ns = 0;
+
+  // Inert: nothing reads these. They name mechanisms that were deleted and
+  // survive only because perfbench/net_workloads.cc, frozen with the
+  // benchmark, still assigns them. Delete them at the next benchmark
+  // change; no other file may set them.
   bool coalescing = false;
   bool vectored_push = false;
   bool adaptive_copy = false;
   bool drr_dispatch = false;
-
-  // Coalescing: per-socket staging cap (a full stage seals immediately) and
-  // the plug window after which a partial stage flushes anyway.
-  uint32_t net_coalesce_bytes = KiB(64);
-  Nanos net_plug_window_ns = Microseconds(5);
-
-  // Vectored push: events per doorbell and bytes per frame (both bounded so
-  // one frame never approaches the ring capacity).
-  uint32_t max_events_per_push = 32;
-  uint64_t max_push_bytes = KiB(256);
-
-  // Total staged+pending bytes per plug before senders backpressure.
-  uint64_t staging_capacity = MiB(1);
-
-  // DRR byte quantum added to a queue's deficit each round.
-  uint32_t drr_quantum = KiB(16);
-
-  // True when the send path stages at all (either mechanism needs a plug).
-  bool staging_enabled() const { return coalescing || vectored_push; }
 };
-
-// Resolved knobs: explicit config wins, then SOLROS_NET_* environment,
-// then defaults (mirrors ResolveProxyShards). SOLROS_NET_BATCH=1 is the
-// fig19 shorthand for all four mechanisms at once.
-inline NetPathOptions ResolveNetPathOptions(NetPathOptions base) {
-  auto env_flag = [](const char* name, bool* out) {
-    const char* v = std::getenv(name);
-    if (v != nullptr) {
-      *out = std::atoi(v) != 0;
-    }
-  };
-  auto env_u64 = [](const char* name, uint64_t* out) {
-    const char* v = std::getenv(name);
-    if (v != nullptr && std::atoll(v) > 0) {
-      *out = static_cast<uint64_t>(std::atoll(v));
-    }
-  };
-  bool batch = false;
-  env_flag("SOLROS_NET_BATCH", &batch);
-  if (batch) {
-    base.coalescing = true;
-    base.vectored_push = true;
-    base.adaptive_copy = true;
-    base.drr_dispatch = true;
-  }
-  env_flag("SOLROS_NET_COALESCE", &base.coalescing);
-  env_flag("SOLROS_NET_VECTORED", &base.vectored_push);
-  env_flag("SOLROS_NET_ADAPTIVE_COPY", &base.adaptive_copy);
-  env_flag("SOLROS_NET_DRR", &base.drr_dispatch);
-  uint64_t u = 0;
-  u = base.net_coalesce_bytes;
-  env_u64("SOLROS_NET_COALESCE_BYTES", &u);
-  base.net_coalesce_bytes =
-      static_cast<uint32_t>(std::clamp<uint64_t>(u, 1024, MiB(1)));
-  u = static_cast<uint64_t>(base.net_plug_window_ns);
-  env_u64("SOLROS_NET_PLUG_WINDOW_NS", &u);
-  base.net_plug_window_ns =
-      static_cast<Nanos>(std::clamp<uint64_t>(u, 100, Milliseconds(10)));
-  u = base.max_events_per_push;
-  env_u64("SOLROS_NET_PUSH_EVENTS", &u);
-  base.max_events_per_push =
-      static_cast<uint32_t>(std::clamp<uint64_t>(u, 1, 1024));
-  u = base.drr_quantum;
-  env_u64("SOLROS_NET_DRR_QUANTUM", &u);
-  base.drr_quantum =
-      static_cast<uint32_t>(std::clamp<uint64_t>(u, 256, MiB(1)));
-  return base;
-}
 
 }  // namespace solros
 

@@ -1,13 +1,10 @@
 #include "src/net/net_stub.h"
 
-#include <deque>
-#include <map>
 #include <utility>
 
 #include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
-#include "src/net/payload_copy.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -19,12 +16,11 @@ NetStub::NetStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
     : sim_(sim),
       params_(params),
       phi_cpu_(phi_cpu),
-      options_(net_options),
       rpc_(sim, rpc_request, rpc_response),
       inbound_(inbound),
       outbound_(outbound),
-      plug_(std::make_unique<NetPlug>(sim, outbound, net_options,
-                                      "net.stub")),
+      plug_(std::make_unique<NetPlug>(
+          sim, outbound, net_options.net_plug_window_ns, "net.stub")),
       c_events_(MetricRegistry::Default().GetCounter("net.stub.events")),
       c_retries_(MetricRegistry::Default().GetCounter("net.stub.retries")),
       c_recvs_(MetricRegistry::Default().GetCounter("net.stub.recvs")),
@@ -54,170 +50,44 @@ Task<void> NetStub::EventDispatcher(NetStub* self) {
     if (!record.ok()) {
       break;  // ring closed
     }
-    NetEvent event = DecodePod<NetEvent>(*record);
-    if (event.kind == NetEventKind::kBatch ||
-        (event.kind == NetEventKind::kData && event.segments > 0)) {
-      // Coalesced or batched record (only produced when the proxy's plug
-      // mechanisms are on): split it back into per-message deliveries.
-      co_await self->DispatchRecord(*record,
-                                    self->inbound_->last_dequeue_stamp());
-      continue;
-    }
-    ++self->events_;
-    self->c_events_->Increment();
-    TraceContext ctx{event.trace_id, event.parent_span};
-    // Retroactive inbound-ring wait: [event ready, dequeued here] — the
-    // slice of the round trip spent queued behind the single dispatcher
-    // (same idiom as the RPC response ring, rpc.h).
-    if (Tracer* tracer = self->sim_->tracer();
-        tracer != nullptr && ctx.traced()) {
-      auto stamp = self->inbound_->last_dequeue_stamp();
-      if (stamp.has_value()) {
-        tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                           stamp->dequeue_at, ctx);
-      }
-    }
-    ScopedSpan span(self->sim_, "netstub", "net.stub.dispatch", ctx);
-    switch (event.kind) {
-      case NetEventKind::kAccepted: {
-        // Make the connected socket's queues exist before any data event.
-        self->EnsureSocket(event.new_sock);
-        SocketState& listener = self->EnsureSocket(event.sock);
-        co_await listener.accept_queue->Send(event.new_sock);
-        break;
-      }
-      case NetEventKind::kData: {
-        SocketState& socket = self->EnsureSocket(event.sock);
-        std::vector<uint8_t> payload(record->begin() + sizeof(NetEvent),
-                                     record->end());
-        if (self->options_.adaptive_copy) {
-          co_await ChargeAdaptivePayloadCopyUnattributed(
-              self->params_, payload.size(), /*initiator_is_host=*/false);
-        }
-        ++self->messages_delivered_;
-        co_await socket.recv_queue->Send(
-            {std::move(payload), event.trace_id, event.parent_span});
-        break;
-      }
-      case NetEventKind::kPeerClosed: {
-        auto it = self->sockets_.find(event.sock);
-        if (it != self->sockets_.end() &&
-            it->second.recv_queue != nullptr) {
-          it->second.recv_queue->Close();
-        }
-        break;
-      }
-      case NetEventKind::kBatch:
-        break;  // unreachable: routed to DispatchRecord above
+    const auto stamp = self->inbound_->last_dequeue_stamp();
+    // One event, or a kBatch record's events in push order. `record`
+    // outlives the loop body, so the views stay valid.
+    for (const NetFrameView& frame : SplitRecord(*record)) {
+      co_await self->DispatchEvent(frame, stamp);
     }
   }
 }
 
-Task<void> NetStub::DispatchRecord(
-    const std::vector<uint8_t>& record,
-    std::optional<SimRing::DequeueStamp> stamp) {
-  const NetEvent header = DecodePod<NetEvent>(record);
-  const std::span<const uint8_t> body(record.data() + sizeof(NetEvent),
-                                      record.size() - sizeof(NetEvent));
-  Tracer* tracer = sim_->tracer();
-  // Data messages from contiguous kData runs; controls act as barriers so
-  // per-socket event order (data before its kPeerClosed) is preserved even
-  // when DRR reorders deliveries across sockets within a run.
-  std::vector<std::pair<int64_t, NetSegmentView>> run;
-  for (const NetFrameView& frame : SplitBatch(header, body)) {
-    const NetEvent& event = frame.header;
-    ++events_;
-    c_events_->Increment();
-    if (event.kind == NetEventKind::kData) {
-      for (const NetSegmentView& message : SplitSegments(event, frame.body)) {
-        // Retroactive inbound-ring wait, per message: every message in the
-        // record waited out the same [ready, dequeue] interval.
-        if (tracer != nullptr && message.trace_id != 0 &&
-            stamp.has_value()) {
-          tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                             stamp->dequeue_at,
-                             TraceContext{message.trace_id,
-                                          message.parent_span});
-        }
-        run.emplace_back(event.sock, message);
-      }
-      continue;
-    }
-    co_await DeliverRun(&run);
-    if (tracer != nullptr && event.trace_id != 0 && stamp.has_value()) {
-      tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                         stamp->dequeue_at,
-                         TraceContext{event.trace_id, event.parent_span});
-    }
-    co_await HandleControlEvent(event);
-  }
-  co_await DeliverRun(&run);
-}
-
-Task<void> NetStub::DeliverRun(
-    std::vector<std::pair<int64_t, NetSegmentView>>* run) {
-  if (run->empty()) {
-    co_return;
-  }
-  if (!options_.drr_dispatch || run->size() == 1) {
-    for (auto& [sock, message] : *run) {
-      co_await DeliverMessage(sock, message);
-    }
-  } else {
-    // Deficit round robin across the run's sockets: one chatty connection
-    // in a batch cannot monopolize the dispatcher ahead of the others.
-    // Per-socket delivery order is untouched.
-    std::map<int64_t, std::deque<NetSegmentView>> per_sock;
-    for (auto& [sock, message] : *run) {
-      per_sock[sock].push_back(message);
-    }
-    std::map<int64_t, uint64_t> deficit;
-    size_t remaining = run->size();
-    while (remaining > 0) {
-      for (auto& [sock, queue] : per_sock) {
-        if (queue.empty()) {
-          deficit[sock] = 0;
-          continue;
-        }
-        // Credit accumulates across sweeps, so a message larger than one
-        // quantum still drains after finitely many rounds.
-        deficit[sock] += options_.drr_quantum;
-        while (!queue.empty() &&
-               queue.front().payload.size() <= deficit[sock]) {
-          deficit[sock] -= queue.front().payload.size();
-          co_await DeliverMessage(sock, queue.front());
-          queue.pop_front();
-          --remaining;
-        }
-      }
-    }
-  }
-  run->clear();
-}
-
-Task<void> NetStub::DeliverMessage(int64_t sock, NetSegmentView message) {
-  TraceContext ctx{message.trace_id, message.parent_span};
-  ScopedSpan span(sim_, "netstub", "net.stub.dispatch", ctx);
-  SocketState& socket = EnsureSocket(sock);
-  std::vector<uint8_t> payload(message.payload.begin(),
-                               message.payload.end());
-  if (options_.adaptive_copy) {
-    co_await ChargeAdaptivePayloadCopyUnattributed(
-        params_, payload.size(), /*initiator_is_host=*/false);
-  }
-  ++messages_delivered_;
-  co_await socket.recv_queue->Send(
-      {std::move(payload), message.trace_id, message.parent_span});
-}
-
-Task<void> NetStub::HandleControlEvent(NetEvent event) {
+Task<void> NetStub::DispatchEvent(
+    NetFrameView frame, std::optional<SimRing::DequeueStamp> stamp) {
+  const NetEvent& event = frame.header;
+  ++events_;
+  c_events_->Increment();
   TraceContext ctx{event.trace_id, event.parent_span};
+  // Retroactive inbound-ring wait: [event ready, dequeued here] — the
+  // slice of the round trip spent queued behind the single dispatcher
+  // (same idiom as the RPC response ring, rpc.h).
+  if (Tracer* tracer = sim_->tracer();
+      tracer != nullptr && ctx.traced() && stamp.has_value()) {
+    tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
+                       stamp->dequeue_at, ctx);
+  }
   ScopedSpan span(sim_, "netstub", "net.stub.dispatch", ctx);
   switch (event.kind) {
     case NetEventKind::kAccepted: {
+      // Make the connected socket's queues exist before any data event.
       EnsureSocket(event.new_sock);
       SocketState& listener = EnsureSocket(event.sock);
       co_await listener.accept_queue->Send(event.new_sock);
+      break;
+    }
+    case NetEventKind::kData: {
+      SocketState& socket = EnsureSocket(event.sock);
+      ++messages_delivered_;
+      co_await socket.recv_queue->Send(
+          {std::vector<uint8_t>(frame.body.begin(), frame.body.end()),
+           event.trace_id, event.parent_span});
       break;
     }
     case NetEventKind::kPeerClosed: {
@@ -227,9 +97,8 @@ Task<void> NetStub::HandleControlEvent(NetEvent event) {
       }
       break;
     }
-    case NetEventKind::kData:
     case NetEventKind::kBatch:
-      break;  // unreachable: DispatchRecord routes data separately
+      break;  // unreachable: SplitRecord never yields a nested batch
   }
 }
 
@@ -339,10 +208,6 @@ Task<Status> NetStub::Send(int64_t sock, std::span<const uint8_t> data) {
   }
   ScopedSpan span(sim_, "netstub", "net.stub.send", reply_ctx);
   co_await phi_cpu_->Compute(params_.net_stub_cpu);
-  if (options_.adaptive_copy) {
-    co_await ChargeAdaptivePayloadCopyUnattributed(
-        params_, data.size(), /*initiator_is_host=*/false);
-  }
   NetEvent header;
   header.kind = NetEventKind::kData;
   header.sock = sock;
@@ -352,16 +217,14 @@ Task<Status> NetStub::Send(int64_t sock, std::span<const uint8_t> data) {
     header.trace_id = child.trace_id;
     header.parent_span = child.parent_span;
   }
-  // Passthrough (both staging knobs off) is the legacy encode + single
-  // ring push, byte-identical in time; otherwise the plug stages/batches.
-  co_return co_await plug_->SendData(header, data);
+  co_return co_await plug_->Send(header, data);
 }
 
 Task<Status> NetStub::Close(int64_t sock) {
   co_await phi_cpu_->Compute(params_.net_stub_cpu);
-  // Barrier: staged replies must reach the host before the kClose RPC, or
+  // Barrier: queued replies must reach the host before the kClose RPC, or
   // the proxy could tear the connection down ahead of them. No-op (and no
-  // simulated time) when staging is off.
+  // simulated time) when nothing is queued.
   (void)co_await plug_->Flush();
   auto it = sockets_.find(sock);
   if (it != sockets_.end()) {

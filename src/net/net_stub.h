@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,8 +45,8 @@ class NetStub : public ServerSocketApi {
 
   uint64_t events_dispatched() const { return events_; }
   // Messages handed to per-socket recv queues by this stub instance (one
-  // per original client message, however the events were coalesced or
-  // batched on the wire) — the per-phi fairness signal fig19 reports.
+  // per client message, however the events were batched on the ring) —
+  // the per-phi fairness signal fig19 reports.
   uint64_t messages_delivered() const { return messages_delivered_; }
 
   // Retry/timeout policy applied while fault injection is armed. Net RPCs
@@ -71,6 +72,8 @@ class NetStub : public ServerSocketApi {
     uint64_t trace_id = 0;
     uint64_t parent_span = 0;
   };
+  static_assert(!std::is_aggregate_v<RecvItem>,
+                "GCC 12 miscompiles aggregate coroutine by-value parameters");
   struct SocketState {
     std::unique_ptr<Channel<int64_t>> accept_queue;   // listeners
     std::unique_ptr<Channel<RecvItem>> recv_queue;    // conns
@@ -81,19 +84,12 @@ class NetStub : public ServerSocketApi {
   };
 
   static Task<void> EventDispatcher(NetStub* self);
-  // Services a coalesced/batched inbound record (any record with kBatch or
-  // a non-zero segment table): splits it back into per-message deliveries
-  // so ServerApi semantics match the uncoalesced wire exactly. With
-  // drr_dispatch on, contiguous runs of data messages are delivered
-  // deficit-round-robin across sockets (per-socket order preserved).
-  // `record` stays alive in the dispatcher's frame.
-  Task<void> DispatchRecord(const std::vector<uint8_t>& record,
-                            std::optional<SimRing::DequeueStamp> stamp);
-  // Delivers one contiguous run of data messages and clears it. Views in
-  // `run` alias the record held by DispatchRecord's frame.
-  Task<void> DeliverRun(std::vector<std::pair<int64_t, NetSegmentView>>* run);
-  Task<void> DeliverMessage(int64_t sock, NetSegmentView message);
-  Task<void> HandleControlEvent(NetEvent event);
+  // Delivers one inbound event: data to its socket's recv queue, a new
+  // connection to its listener's accept queue, a peer close as end of
+  // stream. `frame` aliases the record the dispatcher holds; every event
+  // of a kBatch record shares the record's dequeue `stamp`.
+  Task<void> DispatchEvent(NetFrameView frame,
+                           std::optional<SimRing::DequeueStamp> stamp);
   SocketState& EnsureSocket(int64_t handle);
 
   // rpc_.Call with the stub's timeout/retry policy (see set_retry_options).
@@ -102,13 +98,12 @@ class NetStub : public ServerSocketApi {
   Simulator* sim_;
   HwParams params_;
   Processor* phi_cpu_;
-  NetPathOptions options_;
   RpcClient<NetRequest, NetResponse> rpc_;
   RpcRetryOptions retry_;
   SimRing* inbound_;
   SimRing* outbound_;
-  // Send-side staging for the outbound ring (DESIGN.md §5.5); passthrough
-  // when both staging mechanisms are off.
+  // Send side of the outbound ring (DESIGN.md §5.5); one ring push per
+  // send when the plug window is zero.
   std::unique_ptr<NetPlug> plug_;
   std::unordered_map<int64_t, SocketState> sockets_;
   uint64_t events_ = 0;

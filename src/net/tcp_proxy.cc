@@ -6,7 +6,6 @@
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/status.h"
-#include "src/net/payload_copy.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/trace.h"
 
@@ -40,12 +39,8 @@ TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
       params_(params),
       host_cpu_(host_cpu),
       ethernet_(ethernet),
-      options_(net_options),
+      plug_window_(net_options.net_plug_window_ns),
       policy_(std::move(policy)),
-      drr_ready_(sim),
-      drr_space_(sim),
-      work_ready_(sim),
-      work_space_(sim),
       c_rpcs_(MetricRegistry::Default().GetCounter("net.proxy.rpcs")),
       c_shard_handoffs_(
           MetricRegistry::Default().GetCounter("net.proxy.shard_handoffs")),
@@ -107,24 +102,15 @@ void TcpProxy::AttachDataPlane(uint32_t dataplane_id, SimRing* rpc_request,
   dataplane.id = dataplane_id;
   dataplane.inbound = inbound;
   dataplane.outbound = outbound;
-  dataplane.plug = std::make_unique<NetPlug>(sim_, inbound, options_,
-                                             "net.proxy");
+  dataplane.plug =
+      std::make_unique<NetPlug>(sim_, inbound, plug_window_, "net.proxy");
   dataplane.rpc = std::make_unique<RpcServer<NetRequest, NetResponse>>(
       sim_, rpc_request, rpc_response,
       [this, dataplane_id](NetRequest request) {
         return HandleRpc(dataplane_id, std::move(request));
       });
   dataplane.rpc->Start();
-  if (options_.drr_dispatch) {
-    Spawn(*sim_, OutboundFeeder(this, &dataplane));
-    Spawn(*sim_, DrrPlaneWorker(this, &dataplane));
-    if (!drr_pump_running_) {
-      drr_pump_running_ = true;
-      Spawn(*sim_, DrrOutboundPump(this));
-    }
-  } else {
-    Spawn(*sim_, OutboundPump(this, &dataplane));
-  }
+  Spawn(*sim_, OutboundPump(this, &dataplane));
 }
 
 Task<Status> TcpProxy::SendEvent(uint32_t dataplane_id, const NetEvent& event,
@@ -133,12 +119,7 @@ Task<Status> TcpProxy::SendEvent(uint32_t dataplane_id, const NetEvent& event,
   if (it == dataplanes_.end()) {
     co_return NotFoundError("no such data plane");
   }
-  // The plug stages/batches when coalescing or vectored push is on; with
-  // both off it is one unmodified ring push per event, as before.
-  if (event.kind == NetEventKind::kData) {
-    co_return co_await it->second.plug->SendData(event, payload);
-  }
-  co_return co_await it->second.plug->SendControl(event);
+  co_return co_await it->second.plug->Send(event, payload);
 }
 
 Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
@@ -254,24 +235,16 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
   co_await shard.core->Compute(params_.tcp_segment_cpu);
 
   PortListeners& group = it->second;
-  // Refresh the live per-target depth signal: the backlog of events the
-  // data plane has not drained from its inbound ring (the same sends that
-  // feed the ring's USE depth gauge). Load-aware policies read it.
+  // Refresh the live per-target depth signal: the bytes the data plane has
+  // not drained from its inbound ring plus whatever its plug still holds.
+  // Bytes, not events: a 32 KiB event and a 64 B event are not the same
+  // load. Load-aware policies read it.
   for (BalanceTarget& target : group.targets) {
     auto dp = dataplanes_.find(target.dataplane);
     if (dp != dataplanes_.end() && dp->second.inbound != nullptr) {
-      if (options_.drr_dispatch) {
-        // Post-coalescing byte backlog: event counts lie once events carry
-        // wildly different byte loads (a 32-segment event is one message by
-        // count), so the live signal is undrained ring bytes plus whatever
-        // the plug still holds staged for this plane.
-        target.queue_depth = dp->second.inbound->bytes_sent() -
-                             dp->second.inbound->bytes_received() +
-                             dp->second.plug->backlog_bytes();
-      } else {
-        target.queue_depth = dp->second.inbound->messages_sent() -
-                             dp->second.inbound->messages_received();
-      }
+      target.queue_depth = dp->second.inbound->bytes_sent() -
+                           dp->second.inbound->bytes_received() +
+                           dp->second.plug->backlog_bytes();
     }
   }
   size_t pick = policy_->Pick(client_addr, port, group.targets);
@@ -352,17 +325,9 @@ Task<void> TcpProxy::OnClientData(uint64_t conn_id, std::vector<uint8_t> data,
       event.trace_id = child.trace_id;
       event.parent_span = child.parent_span;
     }
-    if (options_.adaptive_copy) {
-      // Payload handoff into the staging/ring path, charged through the
-      // adaptive memcpy/DMA policy and attributed to copy_dma. Inside the
-      // inbound service span so proxy = service - copy never clamps.
-      co_await ChargeAdaptivePayloadCopy(sim_, params_, data.size(),
-                                         /*initiator_is_host=*/true,
-                                         span.context());
-    }
     status = co_await SendEvent(socket.dataplane, event, data);
   }
-  // The delivery buffer's payload now lives in the plug stage or the ring
+  // The delivery buffer's payload now lives in the plug queue or the ring
   // record; hand it back to the fabric's pool (satellite of the per-message
   // allocation fix — see EthernetFabric::AcquirePayload).
   ethernet_->ReleasePayload(std::move(data));
@@ -411,165 +376,36 @@ Task<void> TcpProxy::OutboundPump(TcpProxy* self, DataPlane* dataplane) {
     if (!record.ok()) {
       break;  // ring closed
     }
-    co_await self->ProcessOutboundRecord(
-        dataplane, std::move(*record),
-        dataplane->outbound->last_dequeue_stamp());
-  }
-}
-
-Task<void> TcpProxy::OutboundFeeder(TcpProxy* self, DataPlane* dataplane) {
-  ++self->live_feeders_;
-  while (true) {
-    auto record = co_await dataplane->outbound->Receive();
-    if (!record.ok()) {
-      break;  // ring closed
-    }
-    dataplane->drr_queue.emplace_back(
-        std::move(*record), dataplane->outbound->last_dequeue_stamp());
-    ++self->drr_epoch_;
-    self->drr_ready_.NotifyAll();
-    // Bounded claim-ahead: keep ring backpressure meaningful while giving
-    // the pump enough lookahead to round-robin across planes.
-    while (dataplane->drr_queue.size() >= kDrrFeederCredit) {
-      co_await self->drr_space_.Wait();
-    }
-  }
-  --self->live_feeders_;
-  ++self->drr_epoch_;
-  self->drr_ready_.NotifyAll();
-}
-
-Task<void> TcpProxy::DrrOutboundPump(TcpProxy* self) {
-  while (true) {
-    bool progressed = false;
-    bool blocked_on_worker = false;
-    for (auto& [id, dataplane] : self->dataplanes_) {
-      if (dataplane.drr_queue.empty()) {
-        dataplane.drr_deficit = 0;  // classic DRR: idle queues hold no credit
-        continue;
-      }
-      // Credit is capped so a plane stalled behind a full worker queue (or
-      // an oversized head record) cannot bank unbounded deficit and burst
-      // past the others when it unblocks; the cap still admits any record
-      // the plug can emit.
-      const uint64_t cap =
-          self->options_.drr_quantum +
-          std::max<uint64_t>(self->options_.max_push_bytes,
-                             dataplane.drr_queue.front().record.size());
-      dataplane.drr_deficit =
-          std::min(dataplane.drr_deficit + self->options_.drr_quantum, cap);
-      while (!dataplane.drr_queue.empty() &&
-             dataplane.drr_queue.front().record.size() <=
-                 dataplane.drr_deficit) {
-        if (dataplane.work.size() >= kWorkerBacklog) {
-          blocked_on_worker = true;
-          break;
-        }
-        OutboundItem item = std::move(dataplane.drr_queue.front());
-        dataplane.drr_queue.pop_front();
-        dataplane.drr_deficit -= item.record.size();
-        self->drr_space_.NotifyAll();
-        dataplane.work.push_back(std::move(item));
-        self->work_ready_.NotifyAll();
-        progressed = true;
-      }
-      // A record larger than the accumulated deficit waits for the next
-      // round's quantum (its plane keeps the credit).
-    }
-    bool any_queued = false;
-    for (auto& [id, dataplane] : self->dataplanes_) {
-      any_queued |= !dataplane.drr_queue.empty();
-    }
-    if (any_queued) {
-      if (progressed) {
-        continue;
-      }
-      if (blocked_on_worker) {
-        co_await self->work_space_.Wait();
-        continue;
-      }
-      // Only oversized heads remain: iterate so they accumulate credit
-      // (bounded — the cap above admits them within a few rounds).
-      continue;
-    }
-    if (self->live_feeders_ == 0) {
-      break;  // all rings closed and drained
-    }
-    const uint64_t epoch = self->drr_epoch_;
-    while (self->drr_epoch_ == epoch) {
-      co_await self->drr_ready_.Wait();
-    }
-  }
-  self->drr_pump_done_ = true;
-  self->work_ready_.NotifyAll();
-}
-
-Task<void> TcpProxy::DrrPlaneWorker(TcpProxy* self, DataPlane* dataplane) {
-  while (true) {
-    while (dataplane->work.empty() && !self->drr_pump_done_) {
-      co_await self->work_ready_.Wait();
-    }
-    if (dataplane->work.empty()) {
-      break;  // pump done and nothing left admitted for this plane
-    }
-    OutboundItem item = std::move(dataplane->work.front());
-    dataplane->work.pop_front();
-    self->work_space_.NotifyAll();
-    co_await self->ProcessOutboundRecord(dataplane, std::move(item.record),
-                                         item.stamp);
-  }
-}
-
-Task<void> TcpProxy::DeliverTrain(
-    TcpProxy* self, uint64_t conn_id,
-    std::vector<std::pair<TraceContext, std::vector<uint8_t>>> messages) {
-  for (auto& [ctx, payload] : messages) {
-    Status status = co_await self->ethernet_->DeliverToClient(
-        conn_id, std::move(payload), ctx);
-    if (!status.ok() && status.code() != ErrorCode::kNotConnected) {
-      LOG(WARNING) << "outbound deliver failed: " << status.ToString();
+    const auto stamp = dataplane->outbound->last_dequeue_stamp();
+    // One event, or a kBatch record's events in push order. `record`
+    // outlives the loop body, so the views stay valid.
+    for (const NetFrameView& frame : SplitRecord(*record)) {
+      co_await self->ProcessOutboundEvent(frame, stamp);
     }
   }
 }
 
-Task<void> TcpProxy::ProcessOutboundRecord(
-    DataPlane* dataplane, std::vector<uint8_t> record,
-    std::optional<SimRing::DequeueStamp> stamp) {
-  NetEvent header = DecodePod<NetEvent>(record);
-  std::span<const uint8_t> body(record.data() + sizeof(NetEvent),
-                                record.size() - sizeof(NetEvent));
-  // One event for legacy/coalesced records; several for a kBatch frame.
-  // `record` stays alive in this frame, so the views remain valid.
-  for (NetFrameView& frame : SplitBatch(header, body)) {
-    co_await ProcessOutboundEvent(dataplane, frame, stamp);
+Task<void> TcpProxy::HandOffToNic(TcpProxy* self, uint64_t conn_id,
+                                  std::vector<uint8_t> payload,
+                                  TraceContext ctx) {
+  Status status = co_await self->ethernet_->DeliverToClient(
+      conn_id, std::move(payload), ctx);
+  if (!status.ok() && status.code() != ErrorCode::kNotConnected) {
+    LOG(WARNING) << "outbound deliver failed: " << status.ToString();
   }
 }
 
 Task<void> TcpProxy::ProcessOutboundEvent(
-    DataPlane* dataplane, NetFrameView frame,
-    std::optional<SimRing::DequeueStamp> stamp) {
+    NetFrameView frame, std::optional<SimRing::DequeueStamp> stamp) {
   const NetEvent& header = frame.header;
-  // One message for the legacy layout; the staged messages of a coalesced
-  // event otherwise. Per-message contexts ride the segment descriptors.
-  std::vector<NetSegmentView> messages = SplitSegments(header, frame.body);
-  uint64_t message_bytes = 0;
-  for (const NetSegmentView& m : messages) {
-    message_bytes += m.payload.size();
-  }
-  // Retroactive queue-wait span(s): how long the stub's send sat ready in
-  // the outbound ring before the pump claimed it. Every traced message in
-  // the record shared that wait.
+  const TraceContext ctx{header.trace_id, header.parent_span};
+  const uint64_t bytes = frame.body.size();
+  // Retroactive queue-wait span: how long the stub's send sat ready in the
+  // outbound ring before the pump claimed it.
   if (Tracer* tracer = sim_->tracer();
-      tracer != nullptr && stamp.has_value()) {
-    for (const NetSegmentView& m : messages) {
-      if (m.trace_id != 0) {
-        TraceContext seg_ctx;
-        seg_ctx.trace_id = m.trace_id;
-        seg_ctx.parent_span = m.parent_span;
-        tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                           stamp->dequeue_at, seg_ctx);
-      }
-    }
+      tracer != nullptr && ctx.traced() && stamp.has_value()) {
+    tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
+                       stamp->dequeue_at, ctx);
   }
   auto it = sockets_.find(header.sock);
   if (it == sockets_.end() || !it->second.open) {
@@ -577,73 +413,30 @@ Task<void> TcpProxy::ProcessOutboundEvent(
   }
   const uint64_t conn_id = it->second.conn_id;  // `it` dies at an await
   // The reply reached the proxy: backend-RTT endpoint for conntrack.
-  conntrack_->OnOutbound(conn_id, message_bytes);
+  conntrack_->OnOutbound(conn_id, bytes);
   Shard& shard = shards_[it->second.shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
   }
-  // Service-span context: the first traced message (the only one for
-  // legacy records; later segments' service share lands in their traces'
-  // residual stub bucket — attribution stays exact either way).
-  TraceContext ctx;
-  for (const NetSegmentView& m : messages) {
-    if (m.trace_id != 0) {
-      ctx.trace_id = m.trace_id;
-      ctx.parent_span = m.parent_span;
-      break;
-    }
-  }
   {
     // Transmit-side service span. Scoped to the shard compute only — it
-    // must close before DeliverToClient so it never overlaps the
+    // must close before the NIC hand-off so it never overlaps the
     // downlink net.wire.transit span of the same trace.
     ScopedSpan span(sim_, "netproxy", "net.proxy.outbound", ctx);
     // Host TCP transmit processing on the socket's shard, then the wire.
-    // Coalesced events pay the per-message cost once for the whole train
-    // plus per-segment work (the GSO win).
-    co_await shard.core->Compute(
-        params_.tcp_message_cpu +
-        TcpSegments(message_bytes) * params_.tcp_segment_cpu);
-    if (options_.adaptive_copy) {
-      co_await ChargeAdaptivePayloadCopy(sim_, params_, message_bytes,
-                                         /*initiator_is_host=*/true,
-                                         span.context());
-    }
-    stats_.outbound_messages += messages.size();
-    stats_.outbound_bytes += message_bytes;
-    c_outbound_messages_->Increment(messages.size());
-    c_outbound_bytes_->Increment(message_bytes);
+    co_await shard.core->Compute(params_.tcp_message_cpu +
+                                 TcpSegments(bytes) * params_.tcp_segment_cpu);
+    ++stats_.outbound_messages;
+    stats_.outbound_bytes += bytes;
+    c_outbound_messages_->Increment();
+    c_outbound_bytes_->Increment(bytes);
   }
-  // Deliver each original message separately: client framing is preserved
-  // exactly as if the messages had never shared a ring record.
-  if (options_.drr_dispatch) {
-    // The NIC hop is the fabric's job, not the shard's: hand the train off
-    // so this worker's next record overlaps the wire latency. Same-conn
-    // order holds (trains spawn in worker order; the downlink is FIFO with
-    // fixed latency).
-    std::vector<std::pair<TraceContext, std::vector<uint8_t>>> train;
-    train.reserve(messages.size());
-    for (const NetSegmentView& m : messages) {
-      TraceContext m_ctx;
-      m_ctx.trace_id = m.trace_id;
-      m_ctx.parent_span = m.parent_span;
-      train.emplace_back(m_ctx, std::vector<uint8_t>(m.payload.begin(),
-                                                     m.payload.end()));
-    }
-    Spawn(*sim_, DeliverTrain(this, conn_id, std::move(train)));
-  } else {
-    for (const NetSegmentView& m : messages) {
-      TraceContext m_ctx;
-      m_ctx.trace_id = m.trace_id;
-      m_ctx.parent_span = m.parent_span;
-      Status status = co_await ethernet_->DeliverToClient(
-          conn_id, std::vector<uint8_t>(m.payload.begin(), m.payload.end()),
-          m_ctx);
-      if (!status.ok() && status.code() != ErrorCode::kNotConnected) {
-        LOG(WARNING) << "outbound deliver failed: " << status.ToString();
-      }
-    }
-  }
+  // The NIC hop is the fabric's job, not the shard's: hand the message off
+  // so the pump's next event overlaps the wire latency.
+  Spawn(*sim_, HandOffToNic(this, conn_id,
+                            std::vector<uint8_t>(frame.body.begin(),
+                                                 frame.body.end()),
+                            ctx));
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), -1);
     shard.use->CompleteOp(sim_->now(), 0);

@@ -15,7 +15,6 @@
 #ifndef SOLROS_SRC_NET_TCP_PROXY_H_
 #define SOLROS_SRC_NET_TCP_PROXY_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -127,33 +126,14 @@ class TcpProxy : public ServerPort {
   }
 
  private:
-  // One claimed outbound ring record plus its dequeue stamp (captured at
-  // Receive time; the DRR pump processes it later). Deliberately not an
-  // aggregate — see NetStub::RecvItem for the GCC 12 coroutine-parameter
-  // pitfall.
-  struct OutboundItem {
-    OutboundItem() = default;
-    OutboundItem(std::vector<uint8_t> r,
-                 std::optional<SimRing::DequeueStamp> s)
-        : record(std::move(r)), stamp(s) {}
-    std::vector<uint8_t> record;
-    std::optional<SimRing::DequeueStamp> stamp;
-  };
   struct DataPlane {
     uint32_t id = 0;
     SimRing* inbound = nullptr;
     SimRing* outbound = nullptr;
     std::unique_ptr<RpcServer<NetRequest, NetResponse>> rpc;
-    // Send-side staging for the inbound ring (DESIGN.md §5.5); passthrough
-    // when both staging mechanisms are off.
+    // Send side of the inbound ring (DESIGN.md §5.5); one ring push per
+    // event when the plug window is zero.
     std::unique_ptr<NetPlug> plug;
-    // DRR outbound state (options.drr_dispatch): records claimed by this
-    // plane's feeder, admitted fairly by the shared pump into `work`, and
-    // serviced by this plane's worker — planes process concurrently, DRR
-    // only decides admission order.
-    std::deque<OutboundItem> drr_queue;
-    std::deque<OutboundItem> work;
-    uint64_t drr_deficit = 0;
   };
   // One event-loop shard: a dedicated core plus its USE series
   // ("net.proxy[k]"; the unsharded proxy is one shard named "net.proxy").
@@ -176,31 +156,18 @@ class TcpProxy : public ServerPort {
   };
 
   Task<NetResponse> HandleRpc(uint32_t dataplane_id, NetRequest request);
+  // One FIFO pump per data plane drains its outbound ring in order.
   static Task<void> OutboundPump(TcpProxy* self, DataPlane* dataplane);
-  // DRR mode: one feeder per plane claims ring records into drr_queue; the
-  // single shared pump sweeps planes deficit-round-robin so one hot phi
-  // cannot starve the rest.
-  static Task<void> OutboundFeeder(TcpProxy* self, DataPlane* dataplane);
-  static Task<void> DrrOutboundPump(TcpProxy* self);
-  // DRR mode: services one plane's admitted records, concurrently with the
-  // other planes' workers (the pump alone would serialize every plane's
-  // shard compute and wire hops behind one loop).
-  static Task<void> DrrPlaneWorker(TcpProxy* self, DataPlane* dataplane);
-  // DRR mode: client-wire delivery of one record's messages, spawned off
-  // the worker loop so the NIC hop overlaps the next record's shard
-  // compute. Per-connection order is preserved: one worker per plane emits
-  // the trains in order and the downlink wire is FIFO with fixed latency.
-  static Task<void> DeliverTrain(
-      TcpProxy* self, uint64_t conn_id,
-      std::vector<std::pair<TraceContext, std::vector<uint8_t>>> messages);
-  // Services one outbound ring record: a legacy single-message event, a
-  // coalesced multi-segment event, or a kBatch of either.
-  Task<void> ProcessOutboundRecord(DataPlane* dataplane,
-                                   std::vector<uint8_t> record,
-                                   std::optional<SimRing::DequeueStamp> stamp);
-  // `frame` aliases the caller's record, which the caller keeps alive for
-  // the duration of the call.
-  Task<void> ProcessOutboundEvent(DataPlane* dataplane, NetFrameView frame,
+  // Client-wire delivery of one message, spawned off the pump so the NIC
+  // hop overlaps the next event's shard compute. Per-connection order
+  // holds: one pump per plane spawns deliveries in ring order, and the
+  // downlink wire is FIFO with a fixed latency.
+  static Task<void> HandOffToNic(TcpProxy* self, uint64_t conn_id,
+                                 std::vector<uint8_t> payload,
+                                 TraceContext ctx);
+  // Services one outbound event: shard transmit compute, then the NIC
+  // hand-off. `frame` aliases the record the pump holds.
+  Task<void> ProcessOutboundEvent(NetFrameView frame,
                                   std::optional<SimRing::DequeueStamp> stamp);
   Task<Status> SendEvent(uint32_t dataplane_id, const NetEvent& event,
                          std::span<const uint8_t> payload);
@@ -212,7 +179,7 @@ class TcpProxy : public ServerPort {
   HwParams params_;
   Processor* host_cpu_;
   EthernetFabric* ethernet_;
-  NetPathOptions options_;
+  const Nanos plug_window_;
   std::unique_ptr<ForwardingPolicy> policy_;
   // Event-loop shards; size 1 reproduces the historical single proxy loop.
   std::vector<Shard> shards_;
@@ -223,23 +190,6 @@ class TcpProxy : public ServerPort {
   int64_t next_handle_ = 1;
   TcpProxyStats stats_;
   std::unique_ptr<ConnTracker> conntrack_;
-  // DRR pump coordination: feeders bump the epoch and notify on every
-  // claimed record; the pump waits when every plane's queue is empty.
-  Condition drr_ready_;
-  Condition drr_space_;
-  // Worker coordination: the pump notifies work_ready_ on every admission,
-  // workers notify work_space_ on every claim, and drr_pump_done_ releases
-  // idle workers once every feeder has drained.
-  Condition work_ready_;
-  Condition work_space_;
-  uint64_t drr_epoch_ = 0;
-  int live_feeders_ = 0;
-  bool drr_pump_running_ = false;
-  bool drr_pump_done_ = false;
-  static constexpr size_t kDrrFeederCredit = 16;
-  // Per-plane admitted-but-unserviced bound: deep enough to keep a worker
-  // busy, shallow enough that DRR order still decides service order.
-  static constexpr size_t kWorkerBacklog = 4;
   // Process counters, resolved once at construction instead of a registry
   // map lookup per message on the hot paths (FsProxy does the same).
   Counter* const c_rpcs_;

@@ -159,11 +159,8 @@ struct NetEvent {
   int64_t new_sock = -1; // for kAccepted
   uint32_t peer_addr = 0;
   uint16_t peer_port = 0;
-  // Coalescing (GSO/GRO analogue, DESIGN.md §5.5). For kData: 0 means the
-  // payload is one message whose context is in this header (the legacy
-  // layout, bit-identical); N >= 1 means the payload starts with N
-  // NetSegment descriptors (src/net/net_frame.h) followed by their
-  // concatenated message bytes. For kBatch: the number of sub-records.
+  // For kBatch: the number of sub-records (src/net/net_frame.h). Zero for
+  // every other kind.
   uint16_t segments = 0;
   // Causal trace context (see FsRequest): kData events carry the context of
   // the request they belong to, so data-ring queue waits and the stub's

@@ -81,7 +81,7 @@ class SimRing {
   uint64_t messages_sent() const { return sent_; }
   uint64_t messages_received() const { return received_; }
   // Payload bytes moved through the ring; sent-received is the in-flight
-  // byte backlog (the live balancer's post-coalescing depth signal).
+  // byte backlog (the live balancer's depth signal).
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
 

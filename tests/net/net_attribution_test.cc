@@ -3,6 +3,7 @@
 // faults produce clamped (never negative) stages with `exact` cleared.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/base/fault.h"
@@ -89,14 +90,12 @@ TEST(NetAttributionTest, FaultFreeEchoStagesSumExactly) {
   EXPECT_EQ(echo_roots, 20);
 }
 
-// Untraced filler + traced ping sent back-to-back on one socket: with
-// coalescing on and a window wider than the proxy's per-message service
-// time, the pair rides one multi-segment NetEvent each way. The traced
-// round trip must stay exact — its plug wait is the only queue-bucket span
-// of its trace, the train's service span carries the first traced context,
-// and the receive side splits the segments back into two framed messages.
-Task<void> CoalescedPings(EthernetFabric* eth, Processor* cpu, uint16_t port,
-                          int rounds, Simulator* sim, WaitGroup* wg) {
+// Untraced filler + traced ping sent back-to-back on one socket: with a
+// plug window wider than the proxy's per-message service time, the pair
+// rides one kBatch push each way. The traced round trip must stay exact:
+// each plug it crosses records one net.plug.wait span for it at flush.
+Task<void> BatchedPings(EthernetFabric* eth, Processor* cpu, uint16_t port,
+                        int rounds, Simulator* sim, WaitGroup* wg) {
   auto conn = co_await eth->ClientConnect(0x0a000001u, port, cpu);
   CHECK_OK(conn);
   std::vector<uint8_t> filler(64, 0x0f);
@@ -121,43 +120,57 @@ Task<void> CoalescedPings(EthernetFabric* eth, Processor* cpu, uint16_t port,
   wg->Done();
 }
 
-TEST(NetAttributionTest, CoalescedMultiSegmentEchoSumsExactly) {
+uint64_t PlugEventsPushed() {
+  return MetricRegistry::Default()
+             .GetCounter("net.proxy.events_pushed")
+             ->value() +
+         MetricRegistry::Default()
+             .GetCounter("net.stub.events_pushed")
+             ->value();
+}
+
+uint64_t PlugDoorbells() {
+  return MetricRegistry::Default().GetCounter("net.proxy.doorbells")->value() +
+         MetricRegistry::Default().GetCounter("net.stub.doorbells")->value();
+}
+
+TEST(NetAttributionTest, BatchedEchoSumsExactly) {
   ASSERT_FALSE(Faults().any_armed());
   Tracer tracer;
   MachineConfig config;
   config.num_phis = 1;
   config.nvme_capacity = MiB(64);
-  config.net_options.coalescing = true;
-  config.net_options.vectored_push = true;
-  config.net_options.adaptive_copy = true;
-  config.net_options.drr_dispatch = true;
   // Wider than the proxy's ~7us per-message inbound service time so the
-  // back-to-back pair is still staged together when the plug timer fires.
+  // back-to-back pair is still queued together when the plug timer fires.
   config.net_options.net_plug_window_ns = Microseconds(50);
   Machine machine(std::move(config));
   tracer.Bind(&machine.sim());
   Spawn(machine.sim(), EchoServer(&machine.net_stub(0), 6100));
   machine.sim().RunUntilIdle();
 
-  Counter* proxy_coalesced =
-      MetricRegistry::Default().GetCounter("net.proxy.coalesced_segments");
-  Counter* stub_coalesced =
-      MetricRegistry::Default().GetCounter("net.stub.coalesced_segments");
-  const uint64_t coalesced0 =
-      proxy_coalesced->value() + stub_coalesced->value();
+  const uint64_t events0 = PlugEventsPushed();
+  const uint64_t doorbells0 = PlugDoorbells();
 
   Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
   WaitGroup wg(&machine.sim());
   wg.Add(1);
   const int rounds = 10;
-  Spawn(machine.sim(), CoalescedPings(&machine.ethernet(), &client, 6100,
-                                      rounds, &machine.sim(), &wg));
+  Spawn(machine.sim(), BatchedPings(&machine.ethernet(), &client, 6100,
+                                    rounds, &machine.sim(), &wg));
   machine.sim().RunUntilIdle();
   ASSERT_EQ(wg.outstanding(), 0u);
 
-  // Trains actually formed (this is the multi-segment path, not 1-segment
-  // passthrough): every staged segment counts once at seal time.
-  EXPECT_GT(proxy_coalesced->value() + stub_coalesced->value(), coalesced0);
+  // Batches actually formed: some doorbell carried more than one event.
+  EXPECT_GT(PlugEventsPushed() - events0, PlugDoorbells() - doorbells0);
+
+  // Every traced ping waited in two plugs: the proxy's on the way in and
+  // the stub's on the way out.
+  std::map<uint64_t, int> plug_waits;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (span.name == "net.plug.wait") {
+      ++plug_waits[span.trace_id];
+    }
+  }
 
   auto breakdowns = ComputeStageBreakdowns(tracer);
   int echo_roots = 0;
@@ -170,12 +183,13 @@ TEST(NetAttributionTest, CoalescedMultiSegmentEchoSumsExactly) {
         << "trace " << b.trace_id;
     if (b.wire > 0) {
       ++echo_roots;
+      EXPECT_EQ(plug_waits[b.trace_id], 2) << "trace " << b.trace_id;
     }
   }
   EXPECT_EQ(echo_roots, rounds);
 }
 
-// Byte integrity through segment split/reassembly under armed faults: ring
+// Byte integrity through kBatch splitting under armed faults: ring
 // send/recv stalls hit the batched data path directly, and rpc.* response
 // drops (with generous retry) exercise the control plane around it. Every
 // echoed message must come back byte-identical and correctly framed.
@@ -185,8 +199,8 @@ Task<void> PatternedPipelinedPings(EthernetFabric* eth, Processor* cpu,
   auto conn = co_await eth->ClientConnect(0x0a000001u, port, cpu);
   CHECK_OK(conn);
   for (int i = 0; i < rounds; ++i) {
-    // Two per-round distinct patterns so cross-segment byte mixing or a
-    // mis-split length would be caught, not just payload loss.
+    // Two per-round distinct patterns so byte mixing across a batch's
+    // events or a mis-split length would be caught, not just payload loss.
     std::vector<uint8_t> a(static_cast<size_t>(1 + (i * 37) % 700),
                            static_cast<uint8_t>(2 * i + 1));
     std::vector<uint8_t> b(static_cast<size_t>(1 + (i * 53) % 900),
@@ -204,15 +218,11 @@ Task<void> PatternedPipelinedPings(EthernetFabric* eth, Processor* cpu,
   wg->Done();
 }
 
-TEST(NetAttributionTest, SegmentReassemblyPreservesBytesUnderFaults) {
+TEST(NetAttributionTest, BatchSplitPreservesBytesUnderFaults) {
   ASSERT_FALSE(Faults().any_armed());
   MachineConfig config;
   config.num_phis = 1;
   config.nvme_capacity = MiB(64);
-  config.net_options.coalescing = true;
-  config.net_options.vectored_push = true;
-  config.net_options.adaptive_copy = true;
-  config.net_options.drr_dispatch = true;
   config.net_options.net_plug_window_ns = Microseconds(50);
   Machine machine(std::move(config));
   RpcRetryOptions retry;
@@ -229,6 +239,8 @@ TEST(NetAttributionTest, SegmentReassemblyPreservesBytesUnderFaults) {
   CHECK_OK(Faults().Arm("transport.ring.recv_stall", FaultSpec::EveryNth(7)));
   CHECK_OK(Faults().Arm("rpc.drop.response", FaultSpec::EveryNth(3)));
 
+  const uint64_t events0 = PlugEventsPushed();
+  const uint64_t doorbells0 = PlugDoorbells();
   Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
   WaitGroup wg(&machine.sim());
   wg.Add(1);
@@ -237,6 +249,8 @@ TEST(NetAttributionTest, SegmentReassemblyPreservesBytesUnderFaults) {
   machine.sim().RunUntilIdle();
   Faults().DisarmAll();
   ASSERT_EQ(wg.outstanding(), 0u);
+  // The faults hit kBatch records, not only single-event pushes.
+  EXPECT_GT(PlugEventsPushed() - events0, PlugDoorbells() - doorbells0);
 }
 
 TEST(NetAttributionTest, DroppedResponsesClampAndClearExact) {

@@ -1,7 +1,8 @@
-// Per-connection state at scale: the plug's stage table holds only sockets
-// with unsealed data, and connection churn (which grows and rehashes the
+// The send-side plug and per-connection state at scale: the plug batches
+// in send order, and connection churn (which grows and rehashes the
 // per-connection tables while other connections are mid-message) leaves
-// every echo transcript byte-identical to a churn-free run.
+// every echo transcript byte-identical to a churn-free run, under every
+// plug window and shard count.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -41,73 +42,97 @@ struct PlugRig {
   }
 };
 
-// Stages one 16-byte payload per socket, in the given socket order; every
-// SendData completes without suspending (far below staging_capacity).
-Task<void> StageOnePerSocket(NetPlug* plug, std::vector<int64_t> socks) {
-  for (int64_t sock : socks) {
+// Sends `count` 16-byte kData events, socket ids first_sock, first_sock+1,
+// ...; with a window every Send completes without suspending (far below
+// the staging cap).
+Task<void> SendEvents(NetPlug* plug, int64_t first_sock, int count) {
+  for (int64_t sock = first_sock; sock < first_sock + count; ++sock) {
     std::vector<uint8_t> payload(16, static_cast<uint8_t>(sock));
     NetEvent header;
     header.kind = NetEventKind::kData;
     header.sock = sock;
     header.length = static_cast<uint32_t>(payload.size());
-    CHECK_OK(co_await plug->SendData(header, payload));
+    CHECK_OK(co_await plug->Send(header, payload));
   }
 }
 
-// Drains `records` ring records, appending each coalesced event's socket.
-Task<void> DrainSockets(SimRing* ring, int records,
-                        std::vector<int64_t>* socks) {
-  for (int i = 0; i < records; ++i) {
+// Drains ring records until the ring closes, appending each event's socket
+// and each record's event count.
+Task<void> DrainEvents(SimRing* ring, std::vector<int64_t>* socks,
+                       std::vector<size_t>* per_record) {
+  while (true) {
     auto record = co_await ring->Receive();
-    CHECK_OK(record);
-    NetEvent event = DecodePod<NetEvent>(*record);
-    CHECK(event.kind == NetEventKind::kData);
-    CHECK_EQ(event.segments, 1);
-    std::span<const uint8_t> body(record->data() + sizeof(NetEvent),
-                                  record->size() - sizeof(NetEvent));
-    for (const NetSegmentView& m : SplitSegments(event, body)) {
-      CHECK_EQ(m.payload.size(), 16u);
-      CHECK_EQ(m.payload[0], static_cast<uint8_t>(event.sock));
+    if (!record.ok()) {
+      break;
     }
-    socks->push_back(event.sock);
+    const std::vector<NetFrameView> events = SplitRecord(*record);
+    per_record->push_back(events.size());
+    for (const NetFrameView& event : events) {
+      CHECK(event.header.kind == NetEventKind::kData);
+      CHECK_EQ(event.body.size(), 16u);
+      CHECK_EQ(event.body[0], static_cast<uint8_t>(event.header.sock));
+      socks->push_back(event.header.sock);
+    }
   }
 }
 
-// Guards the plug tick's cost: a stage is erased once sealed, so a tick
-// walks only the sockets that hold unsealed data, never every socket the
-// plug has seen.
-TEST(NetPlugTest, StageTableHoldsOnlyUnsealedSockets) {
+std::vector<int64_t> Iota(int64_t first, int count) {
+  std::vector<int64_t> out;
+  for (int64_t sock = first; sock < first + count; ++sock) {
+    out.push_back(sock);
+  }
+  return out;
+}
+
+// A zero window pushes every event on its own, at once.
+TEST(NetPlugTest, ZeroWindowPushesEachEvent) {
   PlugRig rig;
   SimRing ring(&rig.sim, &rig.fabric, rig.params, rig.InboundConfig());
-  NetPathOptions options;
-  options.coalescing = true;
-  NetPlug plug(&rig.sim, &ring, options, "net.plugtest");
-
-  constexpr int kSockets = 4096;
-  std::vector<int64_t> ascending;
-  for (int64_t sock = 1; sock <= kSockets; ++sock) {
-    ascending.push_back(sock);
-  }
-  const std::vector<int64_t> descending(ascending.rbegin(), ascending.rend());
-  std::vector<int64_t> delivered;
-  Spawn(rig.sim, DrainSockets(&ring, kSockets + 3, &delivered));
-  Spawn(rig.sim, StageOnePerSocket(&plug, descending));
-  rig.sim.RunUntil(rig.sim.now());
-  EXPECT_EQ(plug.staged_sockets(), static_cast<size_t>(kSockets));
-
-  rig.sim.RunUntil(rig.sim.now() + options.net_plug_window_ns);
-  EXPECT_EQ(plug.staged_sockets(), 0u);
+  NetPlug plug(&rig.sim, &ring, /*window=*/0, "net.plugtest");
+  std::vector<int64_t> socks;
+  std::vector<size_t> per_record;
+  Spawn(rig.sim, DrainEvents(&ring, &socks, &per_record));
+  Spawn(rig.sim, SendEvents(&plug, 1, 3));
   rig.sim.RunUntilIdle();
-  EXPECT_EQ(delivered, ascending) << "seals must run in socket order";
-
-  // A second burst touches three of those sockets: exactly three stages.
-  Spawn(rig.sim, StageOnePerSocket(&plug, {4000, 7, 4096}));
-  rig.sim.RunUntil(rig.sim.now());
-  EXPECT_EQ(plug.staged_sockets(), 3u);
+  EXPECT_EQ(plug.doorbells(), 3u);
+  EXPECT_EQ(plug.backlog_bytes(), 0u);
+  EXPECT_EQ(per_record, (std::vector<size_t>{1, 1, 1}));
+  EXPECT_EQ(socks, Iota(1, 3));
+  ring.Close();
   rig.sim.RunUntilIdle();
-  EXPECT_EQ(plug.staged_sockets(), 0u);
-  ascending.insert(ascending.end(), {7, 4000, 4096});
-  EXPECT_EQ(delivered, ascending);
+}
+
+// With a window, queued events ride one kBatch push at most one window
+// later, or at once when a full push's worth is queued; order holds.
+TEST(NetPlugTest, WindowBatchesEventsInSendOrder) {
+  PlugRig rig;
+  SimRing ring(&rig.sim, &rig.fabric, rig.params, rig.InboundConfig());
+  const Nanos window = Microseconds(10);
+  NetPlug plug(&rig.sim, &ring, window, "net.plugtest");
+  std::vector<int64_t> socks;
+  std::vector<size_t> per_record;
+  Spawn(rig.sim, DrainEvents(&ring, &socks, &per_record));
+
+  const SimTime t0 = rig.sim.now();
+  Spawn(rig.sim, SendEvents(&plug, 1, 5));
+  rig.sim.RunUntil(t0 + window - 1);
+  EXPECT_EQ(plug.doorbells(), 0u);
+  EXPECT_GT(plug.backlog_bytes(), 0u);
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(plug.doorbells(), 1u);
+  EXPECT_EQ(plug.backlog_bytes(), 0u);
+
+  // 40 more: a full push of kMaxEventsPerPush flushes at once, and the
+  // rest follows in the next frame.
+  Spawn(rig.sim, SendEvents(&plug, 6, 40));
+  rig.sim.RunUntilIdle();
+  EXPECT_EQ(plug.doorbells(), 3u);
+  EXPECT_EQ(plug.events_pushed(), 45u);
+  EXPECT_EQ(per_record,
+            (std::vector<size_t>{5, NetPlug::kMaxEventsPerPush, 8}));
+  EXPECT_EQ(socks, Iota(1, 45));
+  ring.Close();
+  rig.sim.RunUntilIdle();
 }
 
 // Echoes until the peer closes, then closes the stub socket too, so the
@@ -181,17 +206,15 @@ struct ChurnRun {
   size_t connections_tracked = 0;
 };
 
-ChurnRun RunProbesWithChurn(int churn) {
+ChurnRun RunProbesWithChurn(int churn, Nanos plug_window, int shards) {
   constexpr int kProbes = 4;
   constexpr int kRounds = 40;
   constexpr uint16_t kPort = 7100;
   MachineConfig config;
   config.num_phis = 1;
   config.nvme_capacity = MiB(64);
-  config.proxy_shards = 2;
-  config.net_options.coalescing = true;
-  config.net_options.vectored_push = true;
-  config.net_options.drr_dispatch = true;
+  config.proxy_shards = shards;
+  config.net_options.net_plug_window_ns = plug_window;
   Machine machine(std::move(config));
   Spawn(machine.sim(),
         ChurnEchoServer(&machine.net_stub(0), kPort, kProbes + churn));
@@ -222,8 +245,8 @@ ChurnRun RunProbesWithChurn(int churn) {
 }
 
 TEST(NetChurnTest, EchoTranscriptsSurviveTableRehashes) {
-  const ChurnRun quiet = RunProbesWithChurn(0);
-  const ChurnRun churned = RunProbesWithChurn(3000);
+  const ChurnRun quiet = RunProbesWithChurn(0, Microseconds(40), 2);
+  const ChurnRun churned = RunProbesWithChurn(3000, Microseconds(40), 2);
   EXPECT_EQ(quiet.connections_tracked, 4u);
   EXPECT_EQ(churned.connections_tracked, 3004u);
   ASSERT_EQ(quiet.transcripts.size(), churned.transcripts.size());
@@ -231,6 +254,25 @@ TEST(NetChurnTest, EchoTranscriptsSurviveTableRehashes) {
     EXPECT_FALSE(quiet.transcripts[p].empty());
     EXPECT_TRUE(quiet.transcripts[p] == churned.transcripts[p])
         << "probe " << p << " transcript differs under churn";
+  }
+}
+
+// The plug window and the shard count are performance knobs: under churn,
+// every probe's echo transcript is byte-identical in every cell.
+TEST(NetChurnTest, TranscriptsMatchAcrossPlugWindowAndShards) {
+  constexpr int kChurn = 1000;
+  const ChurnRun reference = RunProbesWithChurn(kChurn, 0, 1);
+  for (Nanos window : {Nanos{0}, Microseconds(40)}) {
+    for (int shards : {1, 2, 4}) {
+      const ChurnRun run = RunProbesWithChurn(kChurn, window, shards);
+      EXPECT_EQ(run.connections_tracked, 4u + kChurn);
+      ASSERT_EQ(run.transcripts.size(), reference.transcripts.size());
+      for (size_t p = 0; p < run.transcripts.size(); ++p) {
+        EXPECT_FALSE(run.transcripts[p].empty());
+        EXPECT_TRUE(run.transcripts[p] == reference.transcripts[p])
+            << "probe " << p << " window " << window << " shards " << shards;
+      }
+    }
   }
 }
 
