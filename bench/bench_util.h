@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -43,6 +44,7 @@
 #include "src/base/units.h"
 #include "src/sim/bottleneck.h"
 #include "src/sim/flight_recorder.h"
+#include "src/sim/slo_watchdog.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -162,6 +164,27 @@ inline void ArmFlightRecorder(Tracer& tracer) {
     BenchFlightRecorder()->set_echo_to_stderr(true);
   }
   tracer.set_flight_recorder(BenchFlightRecorder());
+}
+
+// Arms an SloWatchdog on `tracer` when SOLROS_SLO_STAGES or --slo-ns (the
+// total budget) sets any budget; null otherwise. A malformed
+// SOLROS_SLO_STAGES ends the bench with exit status 2, naming the bad item.
+inline std::unique_ptr<SloWatchdog> MaybeArmSloWatchdog(Simulator* sim,
+                                                        Tracer* tracer) {
+  Result<SloBudgets> budgets = SloBudgetsFromEnv();
+  if (!budgets.ok()) {
+    std::cerr << budgets.status().ToString() << "\n";
+    std::exit(2);
+  }
+  if (GetBenchFlags().slo_ns != 0) {
+    (*budgets)[Stage::kTotal] = GetBenchFlags().slo_ns;
+  }
+  if (!budgets->any()) {
+    return nullptr;
+  }
+  auto watchdog = std::make_unique<SloWatchdog>(sim, *budgets);
+  watchdog->Bind(tracer);
+  return watchdog;
 }
 
 // Tail-sampling rate: the --trace-sample flag, falling back to the

@@ -15,10 +15,11 @@
 //   File system = stub residual + proxy residual (CPU, cache staging)
 //   Transport   = ring queue wait + host DMA copy
 //   Storage     = nvme.batch device time
-// Fault-free, the five stages of every request sum to its end-to-end root
-// span exactly — CHECKed below for each of the measured ops. The virtio
-// panel has no RPC boundary and keeps the aggregate span-sum method
-// (fs.stage.fullfs_cpu / nvme.batch / remainder).
+// Fault-free, the stages of every request sum to its end-to-end root span
+// exactly — CHECKed below for each of the measured ops. The virtio panel has
+// no RPC boundary and keeps the aggregate span-sum method: full-FS CPU
+// (fs.stage.fullfs_cpu), the device stage of the whole loop, and the
+// remainder.
 // --trace-out=FILE exports the measured spans (per-request trees with flow
 // arrows) as Chrome trace JSON; two identical runs produce byte-identical
 // trace files. The per-stage distributions also land in the
@@ -44,44 +45,13 @@ constexpr uint64_t kIoSize = KiB(512);
 struct FsBreakdown {
   Nanos total;
   Nanos fs;         // file-system CPU (stub+proxy, or full FS on the Phi)
-  Nanos storage;    // device time (nvme.batch spans)
+  Nanos storage;    // device stage
   Nanos transport;  // everything else (block relay / RPC+DMA path)
 };
 
-// Per-request five-stage attribution averaged over the measured ops
-// (Solros panel only; every contributing request is CHECKed exact).
-struct SolrosStages {
-  Nanos total = 0;
-  Nanos stub = 0;
-  Nanos queue_wait = 0;
-  Nanos iosched_wait = 0;
-  Nanos proxy = 0;
-  Nanos copy_dma = 0;
-  Nanos device = 0;
-};
-
-// Derives the per-op breakdown from the stage spans recorded during the
-// measurement loop. `fs_span_a`/`fs_span_b` name the file-system stage
-// spans to sum (b may be empty).
-FsBreakdown BreakdownFromSpans(const Tracer& tracer, int ops,
-                               std::string_view fs_span_a,
-                               std::string_view fs_span_b) {
-  FsBreakdown out;
-  CHECK_EQ(tracer.CountSpans("fs.op"), static_cast<uint64_t>(ops));
-  out.total = tracer.TotalDuration("fs.op") / ops;
-  Nanos fs_total = tracer.TotalDuration(fs_span_a);
-  if (!fs_span_b.empty()) {
-    fs_total += tracer.TotalDuration(fs_span_b);
-  }
-  out.fs = fs_total / ops;
-  out.storage = tracer.TotalDuration("nvme.batch") / ops;
-  out.transport = out.total > out.fs + out.storage
-                      ? out.total - out.fs - out.storage
-                      : 0;
-  return out;
-}
-
-SolrosStages MeasureSolrosRead() {
+// Per-request stage attribution averaged over the measured ops (every
+// contributing request is CHECKed exact in a clean run).
+StageBreakdown MeasureSolrosRead() {
   Tracer tracer;  // outlives the machine: open pump spans stay harmless
   Machine machine(BenchMachine());
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
@@ -96,15 +66,8 @@ SolrosStages MeasureSolrosRead() {
   // Per-stage SLO budgets from SOLROS_SLO_STAGES, plus --slo-ns as the
   // total-latency budget. The watchdog evaluates every root span as it
   // closes and fires the flight recorder on a sustained violation streak.
-  SloBudgets budgets = SloBudgetsFromEnv();
-  if (GetBenchFlags().slo_ns > 0) {
-    budgets.total = GetBenchFlags().slo_ns;
-  }
-  std::unique_ptr<SloWatchdog> watchdog;
-  if (budgets.any()) {
-    watchdog = std::make_unique<SloWatchdog>(&machine.sim(), budgets);
-    watchdog->Bind(&tracer);
-  }
+  std::unique_ptr<SloWatchdog> watchdog =
+      MaybeArmSloWatchdog(&machine.sim(), &tracer);
   MetricRegistry::Default().ResetHistograms();
   const int kOps = 16;
   for (int i = 0; i < kOps; ++i) {
@@ -122,38 +85,21 @@ SolrosStages MeasureSolrosRead() {
   if (watchdog != nullptr) {
     std::cout << watchdog->Summary() << "\n";
   }
-  // Per-request attribution: one breakdown per RPC, each exact (the five
-  // stages sum to the request's end-to-end span) in this fault-free run.
+  // Per-request attribution: one breakdown per RPC, each exact (its stages
+  // sum to the request's end-to-end span) in this fault-free run.
   std::vector<StageBreakdown> breakdowns = ComputeStageBreakdowns(tracer);
   CHECK_EQ(breakdowns.size(), static_cast<size_t>(kOps));
   // Exactness is a clean-run invariant: injected faults (SOLROS_FAULTS)
   // force retries whose overlapping spans legitimately clamp.
   const bool clean_run = !Faults().any_armed();
-  SolrosStages avg;
-  for (const StageBreakdown& b : breakdowns) {
-    if (clean_run) {
+  if (clean_run) {
+    for (const StageBreakdown& b : breakdowns) {
       CHECK(b.exact);
-      CHECK_EQ(b.stub + b.queue_wait + b.iosched_wait + b.proxy +
-                   b.copy_dma + b.device,
-               b.total);
+      CHECK_EQ(StageSum(b), b.total);
     }
-    avg.total += b.total;
-    avg.stub += b.stub;
-    avg.queue_wait += b.queue_wait;
-    avg.iosched_wait += b.iosched_wait;
-    avg.proxy += b.proxy;
-    avg.copy_dma += b.copy_dma;
-    avg.device += b.device;
   }
   RecordStageMetrics(breakdowns);
-  avg.total /= kOps;
-  avg.stub /= kOps;
-  avg.queue_wait /= kOps;
-  avg.iosched_wait /= kOps;
-  avg.proxy /= kOps;
-  avg.copy_dma /= kOps;
-  avg.device /= kOps;
-  return avg;
+  return MeanStages(breakdowns);
 }
 
 FsBreakdown MeasureVirtioRead() {
@@ -176,7 +122,24 @@ FsBreakdown MeasureVirtioRead() {
                     service.Read(*ino, i * kIoSize, MemRef::Of(target)));
     CHECK_OK(n);
   }
-  return BreakdownFromSpans(tracer, kOps, "fs.stage.fullfs_cpu", {});
+  // No RPC boundary, so no trace ids: the whole measured loop goes through
+  // one accumulator with the bench's fs.op spans as its roots.
+  CHECK_EQ(tracer.CountSpans("fs.op"), static_cast<uint64_t>(kOps));
+  StageAccumulator loop;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (!span.open) {
+      loop.Add(span.name, span.name == "fs.op", span.end - span.begin);
+    }
+  }
+  StageBreakdown sums = loop.Finish(0);
+  FsBreakdown out;
+  out.total = sums.total / kOps;
+  out.fs = tracer.TotalDuration("fs.stage.fullfs_cpu") / kOps;
+  out.storage = sums.device / kOps;
+  out.transport = out.total > out.fs + out.storage
+                      ? out.total - out.fs - out.storage
+                      : 0;
+  return out;
 }
 
 void PrintFsPanel() {
@@ -184,7 +147,7 @@ void PrintFsPanel() {
   // Solros first: its stack retries through injected faults, so a
   // one-shot SOLROS_FAULTS probe lands here (and in the armed flight
   // recorder) instead of aborting the retry-less virtio baseline.
-  SolrosStages solros = MeasureSolrosRead();
+  StageBreakdown solros = MeasureSolrosRead();
   FsBreakdown virtio = MeasureVirtioRead();
   const Nanos solros_fs = solros.stub + solros.proxy;
   const Nanos solros_transport =

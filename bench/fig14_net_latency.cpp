@@ -17,8 +17,7 @@ using namespace solros;
 // the ping-pong workload under a tracer and averages the per-trace
 // breakdowns of the echo round trips (roots named net.client.op; control
 // RPCs are excluded by `wire > 0`). In a fault-free run every trace is
-// CHECKed exact: the six net stages sum to the root span to the
-// nanosecond.
+// CHECKed exact: the net stages sum to the root span to the nanosecond.
 static StageBreakdown MeasureNetBreakdownPanel(NetConfigKind kind,
                                                uint32_t size, int clients,
                                                int pings,
@@ -26,36 +25,20 @@ static StageBreakdown MeasureNetBreakdownPanel(NetConfigKind kind,
   std::vector<StageBreakdown> breakdowns =
       MeasureNetStages(kind, size, clients, pings, trace_out);
   const bool clean_run = !Faults().any_armed();
-  StageBreakdown avg;
-  uint64_t ops = 0;
+  std::vector<StageBreakdown> round_trips;
   for (const StageBreakdown& b : breakdowns) {
     CHECK(b.net);
     if (clean_run) {
       CHECK(b.exact);
-      CHECK_EQ(b.stub + b.queue_wait + b.iosched_wait + b.proxy +
-                   b.copy_dma + b.device + b.wire + b.dispatch,
-               b.total);
+      CHECK_EQ(StageSum(b), b.total);
     }
-    if (b.wire == 0) {
-      continue;  // control RPC (Listen/Accept/Close), not a round trip
+    if (b.wire > 0) {  // not a control RPC (Listen/Accept/Close)
+      round_trips.push_back(b);
     }
-    ++ops;
-    avg.total += b.total;
-    avg.stub += b.stub;
-    avg.queue_wait += b.queue_wait;
-    avg.proxy += b.proxy;
-    avg.wire += b.wire;
-    avg.dispatch += b.dispatch;
   }
   RecordStageMetrics(breakdowns);
-  CHECK_EQ(ops, uint64_t{static_cast<uint64_t>(clients)} * pings);
-  avg.total /= ops;
-  avg.stub /= ops;
-  avg.queue_wait /= ops;
-  avg.proxy /= ops;
-  avg.wire /= ops;
-  avg.dispatch /= ops;
-  return avg;
+  CHECK_EQ(round_trips.size(), static_cast<size_t>(clients) * pings);
+  return MeanStages(round_trips);
 }
 
 int main(int argc, char** argv) {
@@ -99,8 +82,7 @@ int main(int argc, char** argv) {
                "avg us; stages sum to total exactly) ---\n";
   const uint32_t kPanelSize = 4096;
   const int kPanelPings = 50;
-  TablePrinter panel({"config", "total", "wire", "proxy", "queue",
-                      "dispatch", "stub"});
+  TablePrinter panel({"config", "total", "wire", "proxy", "queue", "stub"});
   for (NetConfigKind kind :
        {NetConfigKind::kHost, NetConfigKind::kSolros,
         NetConfigKind::kPhiLinux}) {
@@ -112,7 +94,7 @@ int main(int argc, char** argv) {
         kind, kPanelSize, kClients, kPanelPings, trace_out);
     panel.AddRow({NetConfigName(kind), Usec1(avg.total), Usec1(avg.wire),
                   Usec1(avg.proxy), Usec1(avg.queue_wait),
-                  Usec1(avg.dispatch), Usec1(avg.stub)});
+                  Usec1(avg.stub)});
   }
   EmitTable(panel);
   std::cout << "\nshape: the Solros proxy column carries the host-side TCP "

@@ -5,6 +5,7 @@
 // and the per-co-processor distribution for 1..4 co-processors and all
 // three forwarding policies.
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "bench/net_workload.h"
@@ -96,14 +97,8 @@ void RunSamplingStorm() {
   MaybeEnableTelemetry(config);
   Machine machine(std::move(config));
   tracer.Bind(&machine.sim());
-  SloBudgets budgets = SloBudgetsFromEnv();
-  if (GetBenchFlags().slo_ns != 0) {
-    budgets.total = static_cast<Nanos>(GetBenchFlags().slo_ns);
-  }
-  SloWatchdog watchdog(&machine.sim(), budgets);
-  if (budgets.any()) {
-    watchdog.Bind(&tracer);
-  }
+  std::unique_ptr<SloWatchdog> watchdog =
+      MaybeArmSloWatchdog(&machine.sim(), &tracer);
 
   const int kConns = 64;
   const int kPings = 40;
@@ -133,11 +128,11 @@ void RunSamplingStorm() {
   CHECK_EQ(stats.spans_kept, static_cast<uint64_t>(tracer.spans().size()));
   // Retention: with budgets armed and no faults injected, the kept-for-SLO
   // traces are exactly the watchdog's violating requests.
-  if (budgets.any() && !Faults().any_armed()) {
-    CHECK_EQ(stats.kept_slo, watchdog.violations());
+  if (watchdog != nullptr && !Faults().any_armed()) {
+    CHECK_EQ(stats.kept_slo, watchdog->violations());
   }
-  if (budgets.any()) {
-    std::cout << watchdog.Summary() << "\n";
+  if (watchdog != nullptr) {
+    std::cout << watchdog->Summary() << "\n";
   }
   PrintSamplerSummary(tracer);
   AppendTelemetryReport("tail-sampled-storm", machine);

@@ -169,10 +169,6 @@ Task<void> DirectServer::OnClientData(uint64_t conn_id,
   }
   auto sit = sockets_.find(it->second);
   if (sit != sockets_.end() && sit->second.open) {
-    // Handoff wait until the application's Recv picks the message up —
-    // the direct stack's dispatch stage.
-    ScopedSpan dispatch(ctx.traced() ? sim_->tracer() : nullptr, "directsrv",
-                        "net.server.dispatch", ctx);
     co_await sit->second.recv_queue->Send(
         {std::move(data), ctx.trace_id, ctx.parent_span});
   }

@@ -73,7 +73,6 @@ Task<void> NetStub::DispatchEvent(
     tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
                        stamp->dequeue_at, ctx);
   }
-  ScopedSpan span(sim_, "netstub", "net.stub.dispatch", ctx);
   switch (event.kind) {
     case NetEventKind::kAccepted: {
       // Make the connected socket's queues exist before any data event.

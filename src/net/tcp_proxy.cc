@@ -320,7 +320,7 @@ Task<void> TcpProxy::OnClientData(uint64_t conn_id, std::vector<uint8_t> data,
     event.sock = socket.handle;
     event.length = static_cast<uint32_t>(data.size());
     if (ctx.traced()) {
-      // Downstream spans (ring wait, stub dispatch) hang off this span.
+      // Downstream spans (ring wait) hang off this span.
       TraceContext child = span.context();
       event.trace_id = child.trace_id;
       event.parent_span = child.parent_span;

@@ -1,41 +1,14 @@
 #include "src/sim/attribution.h"
 
 #include <map>
-#include <string_view>
+#include <optional>
+#include <string>
 
+#include "src/base/logging.h"
 #include "src/base/metrics.h"
 
 namespace solros {
 namespace {
-
-// Accumulators for one trace id before the subtraction step.
-struct TraceSums {
-  Nanos total = 0;    // root spans (parent == 0)
-  Nanos queue = 0;    // rpc.queue.{req,resp} / net.queue.event / net.plug.wait
-  Nanos service = 0;  // fs.proxy.service / net.proxy.* / net.server.stack
-  Nanos device = 0;   // nvme.batch
-  Nanos copy = 0;     // dma.copy
-  Nanos iosched = 0;  // iosched.queue
-  Nanos wire = 0;     // net.wire.transit
-  Nanos dispatch = 0; // net.stub.dispatch / net.server.dispatch
-  bool net_root = false;  // root span name starts with "net."
-  bool root_closed = false;
-};
-
-bool IsQueueSpan(std::string_view name) {
-  return name == "rpc.queue.req" || name == "rpc.queue.resp" ||
-         name == "net.queue.event" || name == "net.plug.wait";
-}
-
-bool IsServiceSpan(std::string_view name) {
-  return name == "fs.proxy.service" || name == "net.proxy.rpc" ||
-         name == "net.proxy.inbound" || name == "net.proxy.outbound" ||
-         name == "net.server.stack";
-}
-
-bool IsDispatchSpan(std::string_view name) {
-  return name == "net.stub.dispatch" || name == "net.server.dispatch";
-}
 
 // Subtracts b from a, clamping at zero; clears *exact on clamp.
 Nanos ClampSub(Nanos a, Nanos b, bool* exact) {
@@ -46,100 +19,130 @@ Nanos ClampSub(Nanos a, Nanos b, bool* exact) {
   return a - b;
 }
 
+// The stage a traced non-root span's duration counts toward, or nullopt for
+// spans inside another stage (fs.data.p2p, cache lookups, ...). Service
+// spans map to kProxy gross of the device, DMA and scheduler time nested in
+// them; StageAccumulator::Finish nets that out. kTotal and kStub are never
+// returned: the root span is the total and the stub is what remains.
+std::optional<Stage> StageOfSpan(std::string_view name) {
+  if (name == "rpc.queue.req" || name == "rpc.queue.resp" ||
+      name == "net.queue.event" || name == "net.plug.wait") {
+    return Stage::kQueue;
+  }
+  if (name == "fs.proxy.service" || name == "net.proxy.rpc" ||
+      name == "net.proxy.inbound" || name == "net.proxy.outbound" ||
+      name == "net.server.stack") {
+    return Stage::kProxy;
+  }
+  if (name == "net.wire.transit") {
+    return Stage::kWire;
+  }
+  if (name == "nvme.batch") {
+    return Stage::kDevice;
+  }
+  if (name == "dma.copy") {
+    return Stage::kCopy;
+  }
+  if (name == "iosched.queue") {
+    return Stage::kIosched;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
+
+void StageAccumulator::Add(std::string_view name, bool root,
+                           Nanos duration) {
+  if (root) {
+    sums_[static_cast<size_t>(Stage::kTotal)] += duration;
+    has_root_ = true;
+    net_ = name.starts_with("net.");
+  } else if (std::optional<Stage> stage = StageOfSpan(name)) {
+    sums_[static_cast<size_t>(*stage)] += duration;
+  }
+}
+
+StageBreakdown StageAccumulator::Finish(uint64_t trace_id) const {
+  StageBreakdown b;
+  b.trace_id = trace_id;
+  b.net = net_;
+  for (size_t i = 0; i < kStageCount; ++i) {
+    b.*kStages[i].field = sums_[i];
+  }
+  // b.proxy holds the gross service time until here.
+  const Nanos service = b.proxy;
+  b.proxy = ClampSub(service, b.device + b.copy_dma + b.iosched_wait,
+                     &b.exact);
+  b.stub = ClampSub(b.total, b.queue_wait + service + b.wire, &b.exact);
+  return b;
+}
 
 std::vector<StageBreakdown> ComputeStageBreakdowns(const Tracer& tracer) {
   // std::map keys the result on trace id => deterministic order.
-  std::map<uint64_t, TraceSums> sums;
+  std::map<uint64_t, StageAccumulator> traces;
   for (const SpanRecord& span : tracer.spans()) {
     if (span.open || span.trace_id == 0) {
       continue;
     }
-    TraceSums& s = sums[span.trace_id];
-    Nanos dur = span.end - span.begin;
-    if (span.parent == 0) {
-      s.total += dur;
-      s.root_closed = true;
-      s.net_root = span.name.rfind("net.", 0) == 0;
-    } else if (IsQueueSpan(span.name)) {
-      s.queue += dur;
-    } else if (IsServiceSpan(span.name)) {
-      s.service += dur;
-    } else if (IsDispatchSpan(span.name)) {
-      s.dispatch += dur;
-    } else if (span.name == "net.wire.transit") {
-      s.wire += dur;
-    } else if (span.name == "nvme.batch") {
-      s.device += dur;
-    } else if (span.name == "dma.copy") {
-      s.copy += dur;
-    } else if (span.name == "iosched.queue") {
-      s.iosched += dur;
-    }
+    traces[span.trace_id].Add(span.name, span.parent == 0,
+                              span.end - span.begin);
   }
-
   std::vector<StageBreakdown> out;
-  out.reserve(sums.size());
-  for (const auto& [trace_id, s] : sums) {
-    if (!s.root_closed) {
-      continue;
+  out.reserve(traces.size());
+  for (const auto& [trace_id, acc] : traces) {
+    if (acc.has_root()) {
+      out.push_back(acc.Finish(trace_id));
     }
-    StageBreakdown b;
-    b.trace_id = trace_id;
-    b.total = s.total;
-    b.queue_wait = s.queue;
-    b.device = s.device;
-    b.copy_dma = s.copy;
-    b.iosched_wait = s.iosched;
-    b.wire = s.wire;
-    b.dispatch = s.dispatch;
-    b.net = s.net_root;
-    b.proxy = ClampSub(s.service, s.device + s.copy + s.iosched, &b.exact);
-    b.stub = ClampSub(s.total, s.queue + s.service + s.wire + s.dispatch,
-                      &b.exact);
-    out.push_back(b);
   }
   return out;
 }
 
+Nanos StageSum(const StageBreakdown& b) {
+  Nanos sum = 0;
+  for (size_t i = 0; i < kStageCount; ++i) {
+    if (static_cast<Stage>(i) != Stage::kTotal) {
+      sum += b.*kStages[i].field;
+    }
+  }
+  return sum;
+}
+
+StageBreakdown MeanStages(const std::vector<StageBreakdown>& breakdowns) {
+  CHECK(!breakdowns.empty());
+  StageBreakdown mean;
+  for (const StageBreakdown& b : breakdowns) {
+    for (const StageInfo& info : kStages) {
+      mean.*info.field += b.*info.field;
+    }
+  }
+  for (const StageInfo& info : kStages) {
+    mean.*info.field /= breakdowns.size();
+  }
+  return mean;
+}
+
 void RecordStageMetrics(const std::vector<StageBreakdown>& breakdowns) {
   MetricRegistry& registry = MetricRegistry::Default();
-  LatencyHistogram* total = registry.GetHistogram("fs.stage.total_ns");
-  LatencyHistogram* stub = registry.GetHistogram("fs.stage.stub_ns");
-  LatencyHistogram* queue = registry.GetHistogram("fs.stage.queue_wait_ns");
-  LatencyHistogram* proxy = registry.GetHistogram("fs.stage.proxy_ns");
-  LatencyHistogram* copy = registry.GetHistogram("fs.stage.copy_dma_ns");
-  LatencyHistogram* device = registry.GetHistogram("fs.stage.device_ns");
-  LatencyHistogram* iosched =
-      registry.GetHistogram("fs.stage.iosched_wait_ns");
-  LatencyHistogram* net_total = registry.GetHistogram("net.stage.total_ns");
-  LatencyHistogram* net_stub = registry.GetHistogram("net.stage.stub_ns");
-  LatencyHistogram* net_queue =
-      registry.GetHistogram("net.stage.queue_wait_ns");
-  LatencyHistogram* net_dispatch =
-      registry.GetHistogram("net.stage.dispatch_ns");
-  LatencyHistogram* net_proxy = registry.GetHistogram("net.stage.proxy_ns");
-  LatencyHistogram* net_wire = registry.GetHistogram("net.stage.wire_ns");
-  LatencyHistogram* net_copy =
-      registry.GetHistogram("net.stage.copy_dma_ns");
-  for (const StageBreakdown& b : breakdowns) {
-    if (b.net) {
-      net_total->Record(b.total);
-      net_stub->Record(b.stub);
-      net_queue->Record(b.queue_wait);
-      net_dispatch->Record(b.dispatch);
-      net_proxy->Record(b.proxy);
-      net_wire->Record(b.wire);
-      net_copy->Record(b.copy_dma);
-      continue;
+  // Per-path handles, indexed by Stage; null where the path's taxonomy
+  // lacks the stage.
+  std::array<LatencyHistogram*, kStageCount> fs{};
+  std::array<LatencyHistogram*, kStageCount> net{};
+  for (size_t i = 0; i < kStageCount; ++i) {
+    const std::string metric = std::string(kStages[i].metric) + "_ns";
+    if (kStages[i].fs) {
+      fs[i] = registry.GetHistogram("fs.stage." + metric);
     }
-    total->Record(b.total);
-    stub->Record(b.stub);
-    queue->Record(b.queue_wait);
-    proxy->Record(b.proxy);
-    copy->Record(b.copy_dma);
-    device->Record(b.device);
-    iosched->Record(b.iosched_wait);
+    if (kStages[i].net) {
+      net[i] = registry.GetHistogram("net.stage." + metric);
+    }
+  }
+  for (const StageBreakdown& b : breakdowns) {
+    const auto& histograms = b.net ? net : fs;
+    for (size_t i = 0; i < kStageCount; ++i) {
+      if (histograms[i] != nullptr) {
+        histograms[i]->Record(b.*kStages[i].field);
+      }
+    }
   }
 }
 

@@ -1,49 +1,15 @@
 #include "src/sim/flight_recorder.h"
 
-#include <cstdlib>
 #include <iostream>
 #include <ostream>
 
 #include "src/base/fault.h"
+#include "src/base/logging.h"
 
 namespace solros {
-namespace {
 
-size_t CapacityFromEnv(bool* env_present) {
-  const char* env = std::getenv("SOLROS_FLIGHT_RECORDER");
-  if (env == nullptr || env[0] == '\0') {
-    *env_present = false;
-    return FlightRecorder::kDefaultCapacity;
-  }
-  *env_present = true;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0) {
-    return FlightRecorder::kDefaultCapacity;
-  }
-  return static_cast<size_t>(value);
-}
-
-Nanos SloThresholdFromEnv() {
-  const char* env = std::getenv("SOLROS_FLIGHT_RECORDER_SLO_NS");
-  if (env == nullptr || env[0] == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return 0;
-  }
-  return static_cast<Nanos>(value);
-}
-
-}  // namespace
-
-FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity), slo_threshold_ns_(SloThresholdFromEnv()) {
-  if (capacity_ == 0) {
-    capacity_ = CapacityFromEnv(&echo_to_stderr_);
-  }
+FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity) {
+  CHECK_GT(capacity_, 0u);
   entries_.resize(capacity_);
 }
 

@@ -5,7 +5,7 @@
 // the last moments before the failure are available without paying for a
 // full trace. This is the simulator's equivalent: a FlightRecorder attached
 // to a Tracer (Tracer::set_flight_recorder) receives a copy of every span
-// begin/end and instant event into a fixed-size ring. Two triggers snapshot
+// begin/end and instant event into a fixed-size ring. Three callers snapshot
 // the ring into a retained dump:
 //
 //   * a FaultPoint fires (ArmFaultTrigger installs a FaultRegistry fire
@@ -13,20 +13,15 @@
 //     "fault: nvme.cmd.timeout");
 //   * a proxy is about to return a system error to a data plane
 //     (MaybeDumpFlightRecorder, trigger "fs.proxy error: kIoError" etc.);
-//   * a traced request's root span closes slower than the SLO threshold
-//     (SOLROS_FLIGHT_RECORDER_SLO_NS, or set_slo_threshold_ns) — so a
-//     slow-but-fault-free request leaves forensics too (trigger
-//     "slo: <root span> <observed>ns > <threshold>ns").
+//   * the SLO watchdog (src/sim/slo_watchdog.h) sees a sustained run of
+//     over-budget requests — so a slow-but-fault-free request leaves
+//     forensics too (trigger "slo watchdog: <stage> over budget ...").
 //
 // Dumps are bounded (the oldest is discarded past kMaxDumps) and each
 // carries the triggering reason, the simulated time of the last recorded
 // event, and the ring contents oldest-first. The whole mechanism rides on
 // the tracer: with no tracer bound nothing reaches the recorder, so the
 // zero-overhead-when-off contract of the tracing layer is preserved.
-//
-// SOLROS_FLIGHT_RECORDER=<capacity> (used when a recorder is constructed
-// with capacity 0) sets the ring size and additionally echoes every dump
-// to stderr as it happens.
 #ifndef SOLROS_SRC_SIM_FLIGHT_RECORDER_H_
 #define SOLROS_SRC_SIM_FLIGHT_RECORDER_H_
 
@@ -63,11 +58,9 @@ class FlightRecorder {
 
   // Retained dumps; older ones are discarded.
   static constexpr size_t kMaxDumps = 8;
-  static constexpr size_t kDefaultCapacity = 128;
 
-  // capacity == 0 => SOLROS_FLIGHT_RECORDER if set (also enables stderr
-  // echo of dumps), else kDefaultCapacity.
-  explicit FlightRecorder(size_t capacity = 0);
+  // Keeps the newest `capacity` (> 0) events.
+  explicit FlightRecorder(size_t capacity);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
   ~FlightRecorder();
@@ -87,13 +80,6 @@ class FlightRecorder {
   // survive even if the process aborts before the report is printed.
   void set_echo_to_stderr(bool echo) { echo_to_stderr_ = echo; }
 
-  // Latency threshold for the SLO trigger: a traced root span closing
-  // slower than this dumps the ring (0 = disabled). Initialized from
-  // SOLROS_FLIGHT_RECORDER_SLO_NS; the Tracer checks it on every root
-  // span close.
-  void set_slo_threshold_ns(Nanos threshold) { slo_threshold_ns_ = threshold; }
-  Nanos slo_threshold_ns() const { return slo_threshold_ns_; }
-
   size_t capacity() const { return capacity_; }
   uint64_t total_dumps() const { return total_dumps_; }
   const std::deque<DumpRecord>& dumps() const { return dumps_; }
@@ -104,7 +90,6 @@ class FlightRecorder {
 
  private:
   size_t capacity_;
-  Nanos slo_threshold_ns_ = 0;
   bool echo_to_stderr_ = false;
   bool fault_trigger_armed_ = false;
   // Ring: entries_[(head_ + i) % capacity_] for i in [0, size_).

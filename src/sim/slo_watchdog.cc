@@ -1,60 +1,60 @@
 #include "src/sim/slo_watchdog.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "src/base/logging.h"
 #include "src/sim/flight_recorder.h"
 
 namespace solros {
-namespace {
 
-Nanos ClampSub(Nanos a, Nanos b) { return a > b ? a - b : 0; }
-
-}  // namespace
-
-SloBudgets SloBudgetsFromEnv() {
+Result<SloBudgets> SloBudgetsFromEnv() {
   SloBudgets budgets;
   const char* env = std::getenv("SOLROS_SLO_STAGES");
   if (env == nullptr) {
     return budgets;
   }
-  std::string spec(env);
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
+  std::string_view spec(env);
+  while (!spec.empty()) {
+    size_t comma = spec.find(',');
+    std::string_view item = spec.substr(0, comma);
+    spec = comma == std::string_view::npos ? std::string_view()
+                                           : spec.substr(comma + 1);
     size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      continue;
+    size_t i = 0;
+    while (i < kStageCount && kStages[i].name != item.substr(0, eq)) {
+      ++i;
     }
-    std::string stage = item.substr(0, eq);
-    Nanos value = static_cast<Nanos>(
-        std::strtoull(item.c_str() + eq + 1, nullptr, 10));
-    if (stage == "total") {
-      budgets.total = value;
-    } else if (stage == "stub") {
-      budgets.stub = value;
-    } else if (stage == "queue") {
-      budgets.queue = value;
-    } else if (stage == "iosched") {
-      budgets.iosched = value;
-    } else if (stage == "proxy") {
-      budgets.proxy = value;
-    } else if (stage == "copy") {
-      budgets.copy = value;
-    } else if (stage == "device") {
-      budgets.device = value;
-    } else if (stage == "wire") {
-      budgets.wire = value;
-    } else if (stage == "dispatch") {
-      budgets.dispatch = value;
+    Nanos ns = 0;
+    const char* end = item.data() + item.size();
+    bool parsed = false;
+    if (eq != std::string_view::npos && eq + 1 < item.size()) {
+      auto result = std::from_chars(item.data() + eq + 1, end, ns);
+      parsed = result.ec == std::errc() && result.ptr == end;
     }
+    if (i == kStageCount || !parsed) {
+      std::string stages;
+      for (const StageInfo& info : kStages) {
+        stages += " " + std::string(info.name);
+      }
+      return InvalidArgumentError("SOLROS_SLO_STAGES: bad item \"" +
+                                  std::string(item) +
+                                  "\" (want <stage>=<ns>, stage one of" +
+                                  stages + ")");
+    }
+    budgets.ns[i] = ns;
   }
   return budgets;
+}
+
+std::string_view OverBudgetStage(const SloBudgets& budgets,
+                                 const StageBreakdown& b) {
+  for (size_t i = 0; i < kStageCount; ++i) {
+    if (budgets.ns[i] != 0 && b.*kStages[i].field > budgets.ns[i]) {
+      return kStages[i].name;
+    }
+  }
+  return {};
 }
 
 SloWatchdog::SloWatchdog(Simulator* sim, SloBudgets budgets, int sustain)
@@ -73,50 +73,23 @@ void SloWatchdog::OnSpanClosed(const SpanRecord& record) {
   if (record.trace_id == 0) {
     return;
   }
+  auto it = open_.try_emplace(record.trace_id).first;
+  it->second.Add(record.name, record.parent == 0, record.end - record.begin);
   if (record.parent != 0) {
-    // Same stage bucketing as ComputeStageBreakdowns (src/sim/attribution).
-    Bucket& bucket = open_[record.trace_id];
-    Nanos dur = record.end - record.begin;
-    if (record.name == "rpc.queue.req" || record.name == "rpc.queue.resp" ||
-        record.name == "net.queue.event" || record.name == "net.plug.wait") {
-      bucket.queue += dur;
-    } else if (record.name == "iosched.queue") {
-      bucket.iosched += dur;
-    } else if (record.name == "fs.proxy.service" ||
-               record.name == "net.proxy.rpc" ||
-               record.name == "net.proxy.inbound" ||
-               record.name == "net.proxy.outbound" ||
-               record.name == "net.server.stack") {
-      bucket.service += dur;
-    } else if (record.name == "dma.copy") {
-      bucket.copy += dur;
-    } else if (record.name == "nvme.batch") {
-      bucket.device += dur;
-    } else if (record.name == "net.wire.transit") {
-      bucket.wire += dur;
-    } else if (record.name == "net.stub.dispatch" ||
-               record.name == "net.server.dispatch") {
-      bucket.dispatch += dur;
-    }
     return;
   }
   // Root close: every child stage already arrived (the pumps record queue
-  // spans before waking the caller), so evaluate and retire the bucket.
+  // spans before waking the caller), so evaluate and retire the trace.
   ++roots_seen_;
-  Bucket bucket;
-  auto it = open_.find(record.trace_id);
-  if (it != open_.end()) {
-    bucket = it->second;
-    open_.erase(it);
-  }
-  std::string stage = Evaluate(record.end - record.begin, bucket);
+  StageBreakdown breakdown = it->second.Finish(record.trace_id);
+  open_.erase(it);
+  std::string_view stage = OverBudgetStage(budgets_, breakdown);
   if (stage.empty()) {
     streak_ = 0;
     return;
   }
   ++violations_;
-  ++by_stage_[stage];
-  worst_stage_ = stage;
+  worst_stage_ = std::string(stage);
   if (tracer_ != nullptr) {
     // Under tail-based sampling this pins the trace before the root's
     // keep/drop decision (the tracer notifies listeners first).
@@ -125,45 +98,10 @@ void SloWatchdog::OnSpanClosed(const SpanRecord& record) {
   if (++streak_ >= sustain_) {
     streak_ = 0;  // re-arm: one dump per sustained burst
     ++dumps_fired_;
-    MaybeDumpFlightRecorder(sim_, "slo watchdog: " + stage +
+    MaybeDumpFlightRecorder(sim_, "slo watchdog: " + worst_stage_ +
                                       " over budget on trace " +
                                       std::to_string(record.trace_id));
   }
-}
-
-std::string SloWatchdog::Evaluate(Nanos total, const Bucket& bucket) const {
-  Nanos proxy = ClampSub(bucket.service,
-                         bucket.device + bucket.copy + bucket.iosched);
-  Nanos stub = ClampSub(total, bucket.queue + bucket.service + bucket.wire +
-                                   bucket.dispatch);
-  if (budgets_.total != 0 && total > budgets_.total) {
-    return "total";
-  }
-  if (budgets_.queue != 0 && bucket.queue > budgets_.queue) {
-    return "queue";
-  }
-  if (budgets_.iosched != 0 && bucket.iosched > budgets_.iosched) {
-    return "iosched";
-  }
-  if (budgets_.proxy != 0 && proxy > budgets_.proxy) {
-    return "proxy";
-  }
-  if (budgets_.copy != 0 && bucket.copy > budgets_.copy) {
-    return "copy";
-  }
-  if (budgets_.device != 0 && bucket.device > budgets_.device) {
-    return "device";
-  }
-  if (budgets_.wire != 0 && bucket.wire > budgets_.wire) {
-    return "wire";
-  }
-  if (budgets_.dispatch != 0 && bucket.dispatch > budgets_.dispatch) {
-    return "dispatch";
-  }
-  if (budgets_.stub != 0 && stub > budgets_.stub) {
-    return "stub";
-  }
-  return "";
 }
 
 std::string SloWatchdog::Summary() const {

@@ -1,56 +1,58 @@
 // SLO watchdog: per-stage latency budgets evaluated live, with flight
 // recorder forensics on sustained violation.
 //
-// The watchdog hangs off the Tracer's span-close listener and buckets each
-// closed span into the same six stages as src/sim/attribution.h (queue wait,
-// iosched wait, proxy, DMA copy, device, stub remainder). When a traced
-// request's *root* span closes, the request's stages are compared against
-// the armed budgets (0 = stage unarmed):
+// The watchdog hangs off the Tracer's span-close listener and feeds each
+// traced span into a per-trace StageAccumulator (src/sim/attribution.h), so
+// a request's stages are exactly the ones ComputeStageBreakdowns reports.
+// When a traced request's *root* span closes, its breakdown is compared
+// against the armed budgets (0 = stage unarmed):
 //
 //   * any stage over budget counts one violation (the first offending
-//     stage, in fixed stage order, is recorded as the reason);
+//     stage, in blame order, is recorded as the reason);
 //   * `sustain` consecutive violating requests trigger one flight-recorder
 //     dump ("slo watchdog: <stage> ...") — so overload forensics fire
-//     without any fault injected; the streak then re-arms.
+//     without any fault injected; the streak then re-arms. A `total`
+//     budget with sustain 1 dumps on every slow request.
 //
 // Root spans are evaluated as they close; the RPC pumps record queue spans
 // before waking the caller, so every child stage of a request is already
-// bucketed when its root closes. Budgets come from the bench --slo-ns flag
-// (total) and the SOLROS_SLO_STAGES env ("device=200000,queue=50000,...").
+// accumulated when its root closes. Budgets come from the bench --slo-ns
+// flag (total) and the SOLROS_SLO_STAGES env ("device=200000,queue=50000").
 #ifndef SOLROS_SRC_SIM_SLO_WATCHDOG_H_
 #define SOLROS_SRC_SIM_SLO_WATCHDOG_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
+#include "src/base/status.h"
+#include "src/sim/attribution.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 
 namespace solros {
 
 struct SloBudgets {
-  Nanos total = 0;
-  Nanos stub = 0;
-  Nanos queue = 0;
-  Nanos iosched = 0;
-  Nanos proxy = 0;
-  Nanos copy = 0;
-  Nanos device = 0;
-  // Net-path stages (src/sim/attribution.h taxonomy).
-  Nanos wire = 0;
-  Nanos dispatch = 0;
+  std::array<Nanos, kStageCount> ns{};  // indexed by Stage; 0 = unarmed
 
+  Nanos& operator[](Stage stage) { return ns[static_cast<size_t>(stage)]; }
   bool any() const {
-    return total | stub | queue | iosched | proxy | copy | device | wire |
-           dispatch;
+    return std::ranges::any_of(ns, [](Nanos budget) { return budget != 0; });
   }
 };
 
-// Parses SOLROS_SLO_STAGES ("stage=ns" pairs, comma-separated; stages:
-// total stub queue iosched proxy copy device wire dispatch). Unknown
-// stages are ignored.
-SloBudgets SloBudgetsFromEnv();
+// Parses SOLROS_SLO_STAGES: comma-separated "<stage>=<ns>" items, <stage>
+// a kStages name and <ns> a decimal integer. Unset = no budgets. Any other
+// item is an InvalidArgument error naming it.
+Result<SloBudgets> SloBudgetsFromEnv();
+
+// The first stage of `b`, in blame order, over its armed budget; empty
+// when within budget.
+std::string_view OverBudgetStage(const SloBudgets& budgets,
+                                 const StageBreakdown& b);
 
 class SloWatchdog {
  public:
@@ -74,31 +76,18 @@ class SloWatchdog {
   std::string Summary() const;
 
  private:
-  struct Bucket {
-    Nanos queue = 0;
-    Nanos iosched = 0;
-    Nanos service = 0;  // fs.proxy.service / net.proxy.* (proxy incl.)
-    Nanos copy = 0;
-    Nanos device = 0;
-    Nanos wire = 0;
-    Nanos dispatch = 0;
-  };
-
   void OnSpanClosed(const SpanRecord& record);
-  // Returns the first over-budget stage name, or "" when within budget.
-  std::string Evaluate(Nanos total, const Bucket& bucket) const;
 
   Simulator* sim_;
   SloBudgets budgets_;
   int sustain_;
   Tracer* tracer_ = nullptr;  // for FlagTrace under sampling
-  std::map<uint64_t, Bucket> open_;  // trace id -> stages closed so far
+  std::map<uint64_t, StageAccumulator> open_;  // trace id -> spans so far
   uint64_t roots_seen_ = 0;
   uint64_t violations_ = 0;
   uint64_t dumps_fired_ = 0;
   int streak_ = 0;
-  std::string worst_stage_;           // stage of the latest violation
-  std::map<std::string, uint64_t> by_stage_;
+  std::string worst_stage_;  // stage of the latest violation
 };
 
 }  // namespace solros

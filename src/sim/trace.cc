@@ -106,19 +106,6 @@ void Tracer::EndSpan(uint64_t span_id) {
 }
 
 void Tracer::NotifySpanClosed(const SpanRecord& record) {
-  // Slow-but-fault-free forensics: a traced root span (the end-to-end view
-  // of one request) closing past the flight recorder's SLO threshold dumps
-  // the recent trace window, exactly like a fault fire would.
-  if (flight_recorder_ != nullptr && record.trace_id != 0 &&
-      record.parent == 0) {
-    Nanos threshold = flight_recorder_->slo_threshold_ns();
-    Nanos took = record.end - record.begin;
-    if (threshold != 0 && took > threshold) {
-      flight_recorder_->Dump("slo: " + record.name + " " +
-                             std::to_string(took) + "ns > " +
-                             std::to_string(threshold) + "ns");
-    }
-  }
   if (on_span_close_) {
     on_span_close_(record);
   }

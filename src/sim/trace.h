@@ -233,8 +233,7 @@ class Tracer {
   Status ExportChromeTraceToFile(const std::string& path) const;
 
  private:
-  // Flight-recorder SLO check + span-close listener dispatch, shared by
-  // EndSpan and RecordSpan.
+  // Span-close listener dispatch, shared by EndSpan and RecordSpan.
   void NotifySpanClosed(const SpanRecord& record);
   // Sampling mode: stages a closed span in its trace buffer, or decides the
   // trace if `record` is a root.

@@ -1,14 +1,17 @@
 // Net-path attribution exactness through the full machine: in a fault-free
 // run every net trace's stages sum to its root span exactly; armed rpc.*
-// faults produce clamped (never negative) stages with `exact` cleared.
+// faults produce clamped (never negative) stages with `exact` cleared; and
+// the streaming SLO watchdog agrees with the batch pass.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "src/base/fault.h"
 #include "src/core/machine.h"
 #include "src/sim/attribution.h"
+#include "src/sim/slo_watchdog.h"
 #include "src/sim/sync.h"
 
 namespace solros {
@@ -77,10 +80,7 @@ TEST(NetAttributionTest, FaultFreeEchoStagesSumExactly) {
   for (const StageBreakdown& b : breakdowns) {
     EXPECT_TRUE(b.net);
     EXPECT_TRUE(b.exact) << "trace " << b.trace_id;
-    EXPECT_EQ(b.stub + b.queue_wait + b.iosched_wait + b.proxy +
-                  b.copy_dma + b.device + b.wire + b.dispatch,
-              b.total)
-        << "trace " << b.trace_id;
+    EXPECT_EQ(StageSum(b), b.total) << "trace " << b.trace_id;
     // Echo round trips cross the wire; control RPCs (Listen/Accept) don't.
     if (b.wire > 0) {
       ++echo_roots;
@@ -177,10 +177,7 @@ TEST(NetAttributionTest, BatchedEchoSumsExactly) {
   for (const StageBreakdown& b : breakdowns) {
     EXPECT_TRUE(b.net);
     EXPECT_TRUE(b.exact) << "trace " << b.trace_id;
-    EXPECT_EQ(b.stub + b.queue_wait + b.iosched_wait + b.proxy +
-                  b.copy_dma + b.device + b.wire + b.dispatch,
-              b.total)
-        << "trace " << b.trace_id;
+    EXPECT_EQ(StageSum(b), b.total) << "trace " << b.trace_id;
     if (b.wire > 0) {
       ++echo_roots;
       EXPECT_EQ(plug_waits[b.trace_id], 2) << "trace " << b.trace_id;
@@ -289,6 +286,93 @@ TEST(NetAttributionTest, DroppedResponsesClampAndClearExact) {
     EXPECT_LT(b.proxy, Seconds(1));
   }
   EXPECT_TRUE(any_clamped);
+}
+
+// The first stage of `b`, in blame order, over a 1 ns budget (total
+// skipped when unarmed); empty when none.
+std::string_view FirstStageOverOneNs(const StageBreakdown& b,
+                                     bool total_armed) {
+  for (size_t i = 0; i < kStageCount; ++i) {
+    if ((total_armed || static_cast<Stage>(i) != Stage::kTotal) &&
+        b.*kStages[i].field > 1) {
+      return kStages[i].name;
+    }
+  }
+  return {};
+}
+
+// The SLO watchdog accumulates each trace as its spans close; the batch
+// pass reads the finished trace. Over traced FS reads and net echoes (plus
+// the Listen/Accept control RPCs), with every stage budget at 1 ns and
+// sustain 1, both must see the same requests and the watchdog must blame
+// the stage the batch breakdown puts first over budget. The second pass
+// leaves total unarmed so the blame falls to the inner stages.
+TEST(NetAttributionTest, StreamingWatchdogMatchesBatchBreakdowns) {
+  ASSERT_FALSE(Faults().any_armed());
+  for (bool total_armed : {true, false}) {
+    SCOPED_TRACE(total_armed ? "all stages armed" : "total unarmed");
+    Tracer tracer;
+    MachineConfig config;
+    config.num_phis = 1;
+    config.nvme_capacity = MiB(64);
+    Machine machine(std::move(config));
+    CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+    FsStub& fs = machine.fs_stub(0);
+    auto ino = RunSim(machine.sim(), fs.Create("/slo"));
+    ASSERT_TRUE(ino.ok());
+    DeviceBuffer buffer(machine.phi_device(0), KiB(64));
+    CHECK_OK(RunSim(machine.sim(), fs.Write(*ino, 0, MemRef::Of(buffer))));
+
+    tracer.Bind(&machine.sim());
+    SloBudgets budgets;
+    budgets.ns.fill(1);
+    if (!total_armed) {
+      budgets[Stage::kTotal] = 0;
+    }
+    SloWatchdog watchdog(&machine.sim(), budgets, /*sustain=*/1);
+    watchdog.Bind(&tracer);
+    for (int i = 0; i < 4; ++i) {
+      DeviceBuffer target(machine.phi_device(0), KiB(16));
+      ASSERT_TRUE(RunSim(machine.sim(), fs.Read(*ino, i * KiB(16),
+                                                MemRef::Of(target)))
+                      .ok());
+      // Each read's root closed last: blame matches its breakdown.
+      auto so_far = ComputeStageBreakdowns(tracer);
+      ASSERT_EQ(so_far.size(), static_cast<size_t>(i + 1));
+      EXPECT_EQ(watchdog.worst_stage(),
+                FirstStageOverOneNs(so_far.back(), total_armed));
+    }
+    Spawn(machine.sim(), EchoServer(&machine.net_stub(0), 6300));
+    machine.sim().RunUntilIdle();
+    Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+    WaitGroup wg(&machine.sim());
+    wg.Add(1);
+    Spawn(machine.sim(), TracedPings(&machine.ethernet(), &client, 6300, 4,
+                                     &machine.sim(), &wg));
+    machine.sim().RunUntilIdle();
+    ASSERT_EQ(wg.outstanding(), 0u);
+
+    auto breakdowns = ComputeStageBreakdowns(tracer);
+    ASSERT_GE(breakdowns.size(), 8u);  // 4 reads + 4 echoes + control RPCs
+    uint64_t over = 0;
+    for (const StageBreakdown& b : breakdowns) {
+      if (!FirstStageOverOneNs(b, total_armed).empty()) {
+        ++over;
+      }
+    }
+    EXPECT_EQ(watchdog.roots_seen(), breakdowns.size());
+    EXPECT_EQ(watchdog.violations(), over);
+    if (total_armed) {
+      EXPECT_EQ(watchdog.violations(), breakdowns.size());
+    }
+    // The last echo's root is both the highest trace id and the last root
+    // to close.
+    EXPECT_TRUE(breakdowns.back().net);
+    EXPECT_EQ(watchdog.worst_stage(),
+              FirstStageOverOneNs(breakdowns.back(), total_armed));
+    // Spans the machine's teardown closes must not reach the watchdog.
+    tracer.set_span_close_listener(nullptr);
+  }
 }
 
 }  // namespace

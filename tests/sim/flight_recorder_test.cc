@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "src/base/fault.h"
@@ -122,35 +121,6 @@ TEST_F(FlightRecorderTest, WriteTextNamesTriggerAndEvents) {
   EXPECT_NE(text.find("fault: nvme.cmd.timeout"), std::string::npos);
   EXPECT_NE(text.find("nvme/nvme.cmd"), std::string::npos);
   EXPECT_NE(text.find("trace=7"), std::string::npos);
-}
-
-TEST_F(FlightRecorderTest, SlowRootSpanTriggersAnSloDump) {
-  Simulator sim;
-  Tracer tracer(&sim);
-  FlightRecorder recorder(16);
-  recorder.set_slo_threshold_ns(100);
-  tracer.set_flight_recorder(&recorder);
-  // A slow child and a slow untraced span are not end-to-end views: no dump.
-  tracer.RecordSpan("nvme", "nvme.batch", 0, 500, TraceContext{7, 3});
-  tracer.RecordSpan("pump", "net.proxy.inbound", 0, 500);
-  // A root exactly at the threshold is within SLO.
-  tracer.RecordSpan("stub", "fs.op", 0, 100, TraceContext{7, 0});
-  EXPECT_EQ(recorder.total_dumps(), 0u);
-  // A root over the threshold dumps, naming span, observed, and budget.
-  tracer.RecordSpan("stub", "fs.op", 0, 250, TraceContext{8, 0});
-  ASSERT_EQ(recorder.total_dumps(), 1u);
-  EXPECT_EQ(recorder.dumps()[0].trigger, "slo: fs.op 250ns > 100ns");
-  // The preceding events are the forensics payload.
-  EXPECT_GE(recorder.dumps()[0].entries.size(), 3u);
-}
-
-TEST_F(FlightRecorderTest, SloThresholdInitializesFromTheEnvironment) {
-  setenv("SOLROS_FLIGHT_RECORDER_SLO_NS", "12345", 1);
-  FlightRecorder recorder(8);
-  EXPECT_EQ(recorder.slo_threshold_ns(), 12345u);
-  unsetenv("SOLROS_FLIGHT_RECORDER_SLO_NS");
-  FlightRecorder off(8);
-  EXPECT_EQ(off.slo_threshold_ns(), 0u);
 }
 
 TEST_F(FlightRecorderTest, DestructorReleasesTheFaultTrigger) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "src/sim/flight_recorder.h"
 #include "src/sim/trace.h"
@@ -33,7 +34,7 @@ TEST_F(SloWatchdogTest, WithinBudgetCountsRootsWithoutViolations) {
   Simulator sim;
   Tracer tracer(&sim);
   SloBudgets budgets;
-  budgets.total = 1000;
+  budgets[Stage::kTotal] = 1000;
   SloWatchdog watchdog(&sim, budgets);
   watchdog.Bind(&tracer);
   for (uint64_t tid = 1; tid <= 4; ++tid) {
@@ -52,7 +53,7 @@ TEST_F(SloWatchdogTest, SustainedViolationsFireTheFlightRecorderOnce) {
   FlightRecorder recorder(16);
   tracer.set_flight_recorder(&recorder);
   SloBudgets budgets;
-  budgets.device = 100;
+  budgets[Stage::kDevice] = 100;
   SloWatchdog watchdog(&sim, budgets, /*sustain=*/3);
   watchdog.Bind(&tracer);
   for (uint64_t tid = 1; tid <= 3; ++tid) {
@@ -78,7 +79,7 @@ TEST_F(SloWatchdogTest, AHealthyRequestResetsTheStreak) {
   Simulator sim;
   Tracer tracer(&sim);
   SloBudgets budgets;
-  budgets.total = 300;
+  budgets[Stage::kTotal] = 300;
   SloWatchdog watchdog(&sim, budgets, /*sustain=*/3);
   watchdog.Bind(&tracer);
   CloseRequest(&tracer, 1, 500, 0, 0);
@@ -95,8 +96,8 @@ TEST_F(SloWatchdogTest, FirstOffendingStageInFixedOrderIsBlamed) {
   Simulator sim;
   Tracer tracer(&sim);
   SloBudgets budgets;
-  budgets.queue = 50;
-  budgets.device = 50;
+  budgets[Stage::kQueue] = 50;
+  budgets[Stage::kDevice] = 50;
   SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
   watchdog.Bind(&tracer);
   // Both queue (100) and device (200) are over; queue comes first in the
@@ -110,7 +111,7 @@ TEST_F(SloWatchdogTest, UntracedSpansAndChildrenAreNotRoots) {
   Simulator sim;
   Tracer tracer(&sim);
   SloBudgets budgets;
-  budgets.total = 1;
+  budgets[Stage::kTotal] = 1;
   SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
   watchdog.Bind(&tracer);
   // Untraced pump span and a traced child: neither closes a request.
@@ -120,18 +121,71 @@ TEST_F(SloWatchdogTest, UntracedSpansAndChildrenAreNotRoots) {
   EXPECT_EQ(watchdog.violations(), 0u);
 }
 
+// A total budget with sustain 1 dumps the flight recorder on every slow
+// request, naming the stage and the trace.
+TEST_F(SloWatchdogTest, TotalBudgetWithSustainOneDumpsEachSlowRoot) {
+  Simulator sim;
+  Tracer tracer(&sim);
+  FlightRecorder recorder(16);
+  tracer.set_flight_recorder(&recorder);
+  SloBudgets budgets;
+  budgets[Stage::kTotal] = 100;
+  SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
+  watchdog.Bind(&tracer);
+  // A slow child and a slow untraced span are not end-to-end views: no dump.
+  tracer.RecordSpan("nvme", "nvme.batch", 0, 500, TraceContext{7, 3});
+  tracer.RecordSpan("pump", "net.proxy.inbound", 0, 500);
+  // A root exactly at the budget is within SLO.
+  tracer.RecordSpan("stub", "fs.op", 0, 100, TraceContext{6, 0});
+  EXPECT_EQ(recorder.total_dumps(), 0u);
+  // A root over the budget dumps.
+  tracer.RecordSpan("stub", "fs.op", 0, 250, TraceContext{8, 0});
+  ASSERT_EQ(recorder.total_dumps(), 1u);
+  EXPECT_EQ(recorder.dumps()[0].trigger,
+            "slo watchdog: total over budget on trace 8");
+  // The preceding events are the forensics payload.
+  EXPECT_GE(recorder.dumps()[0].entries.size(), 3u);
+}
+
 TEST_F(SloWatchdogTest, BudgetsParseFromTheEnvironment) {
   unsetenv("SOLROS_SLO_STAGES");
-  EXPECT_FALSE(SloBudgetsFromEnv().any());
+  Result<SloBudgets> unset = SloBudgetsFromEnv();
+  ASSERT_TRUE(unset.ok());
+  EXPECT_FALSE(unset->any());
+  // One bad item rejects the whole spec instead of being skipped.
   setenv("SOLROS_SLO_STAGES",
          "total=1000,device=200,bogus=5,proxy=30,noequals", 1);
-  SloBudgets budgets = SloBudgetsFromEnv();
-  EXPECT_TRUE(budgets.any());
-  EXPECT_EQ(budgets.total, 1000u);
-  EXPECT_EQ(budgets.device, 200u);
-  EXPECT_EQ(budgets.proxy, 30u);
-  EXPECT_EQ(budgets.queue, 0u);
-  EXPECT_EQ(budgets.stub, 0u);
+  Result<SloBudgets> rejected = SloBudgetsFromEnv();
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().ToString().find("\"bogus=5\""),
+            std::string::npos);
+  setenv("SOLROS_SLO_STAGES", "total=1000,device=200,proxy=30,wire=7", 1);
+  Result<SloBudgets> budgets = SloBudgetsFromEnv();
+  ASSERT_TRUE(budgets.ok()) << budgets.status().ToString();
+  EXPECT_TRUE(budgets->any());
+  EXPECT_EQ((*budgets)[Stage::kTotal], 1000u);
+  EXPECT_EQ((*budgets)[Stage::kDevice], 200u);
+  EXPECT_EQ((*budgets)[Stage::kProxy], 30u);
+  EXPECT_EQ((*budgets)[Stage::kWire], 7u);
+  EXPECT_EQ((*budgets)[Stage::kQueue], 0u);
+  EXPECT_EQ((*budgets)[Stage::kStub], 0u);
+}
+
+// Every malformed item is rejected, and the error names it: a unit suffix
+// (which strtoull would have read as 2 ns), an unknown or deleted stage, an
+// item with no '=' or no value, and an empty item.
+TEST_F(SloWatchdogTest, MalformedBudgetItemsAreRejectedByName) {
+  for (const char* bad : {"device=2ms", "bogus=5", "dispatch=100",
+                          "noequals", "queue=", "queue=-1", "total=1,,stub=2",
+                          "device= 5"}) {
+    setenv("SOLROS_SLO_STAGES", (std::string("total=1000,") + bad).c_str(), 1);
+    Result<SloBudgets> budgets = SloBudgetsFromEnv();
+    ASSERT_FALSE(budgets.ok()) << bad;
+    EXPECT_EQ(budgets.code(), ErrorCode::kInvalidArgument) << bad;
+  }
+  setenv("SOLROS_SLO_STAGES", "total=1000,device=2ms", 1);
+  EXPECT_NE(SloBudgetsFromEnv().status().ToString().find("\"device=2ms\""),
+            std::string::npos);
 }
 
 }  // namespace

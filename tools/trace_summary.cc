@@ -1,12 +1,11 @@
 // trace_summary: per-stage latency percentiles from a Chrome trace file.
 //
 // Reads a trace exported by Tracer::ExportChromeTrace (--trace-out) and
-// rebuilds the per-request stage attribution offline, mirroring
-// src/sim/attribution.cc: for every trace id the root span is the
-// end-to-end view, and its time is split into queue-wait, device, DMA
-// copy, proxy, and stub remainders. Prints one row per stage with count,
-// p50, p99, and max, so a captured trace can be summarized without
-// re-running the benchmark. Untraced net data-path pump spans
+// rebuilds the per-request stage attribution offline by feeding every
+// traced span through src/sim/attribution's StageAccumulator — the same
+// taxonomy the benches and the SLO watchdog use. Prints one row per stage
+// with count, p50, p99, and max, so a captured trace can be summarized
+// without re-running the benchmark. Untraced net data-path pump spans
 // (net.proxy.inbound/outbound) get their own rows instead of being
 // dropped — the pumps serve no single request, so they never carry a
 // trace id.
@@ -16,6 +15,7 @@
 // The parser targets our own exporter's output shape (flat "X" events,
 // "args" holding numeric trace/span/parent ids) — it is not a general
 // JSON reader.
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/sim/attribution.h"
 
 namespace solros {
 namespace {
@@ -149,20 +150,6 @@ std::vector<Event> ParseEvents(const std::string& text) {
   return events;
 }
 
-struct Stages {
-  uint64_t total = 0;
-  uint64_t queue = 0;
-  uint64_t device = 0;
-  uint64_t copy = 0;
-  uint64_t iosched = 0;
-  uint64_t service = 0;
-  uint64_t wire = 0;
-  uint64_t dispatch = 0;
-  bool has_root = false;
-};
-
-uint64_t ClampSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
-
 std::string FormatUs(uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%7.1f us", static_cast<double>(ns) / 1e3);
@@ -179,12 +166,10 @@ int Run(const char* path) {
   buffer << in.rdbuf();
   std::vector<Event> events = ParseEvents(buffer.str());
 
-  // Same bucketing as ComputeStageBreakdowns: root spans carry the
-  // end-to-end time; queue/device/copy/service sums come off named spans.
   // Net data-path pump spans (net.proxy.inbound/outbound) are untraced —
   // the pumps serve no single request — so they are collected globally
   // here instead of per trace id.
-  std::map<uint64_t, Stages> by_trace;
+  std::map<uint64_t, StageAccumulator> by_trace;
   Histogram net_inbound, net_outbound;
   for (const Event& e : events) {
     if (e.trace_id == 0) {
@@ -195,63 +180,29 @@ int Run(const char* path) {
       }
       continue;
     }
-    Stages& s = by_trace[e.trace_id];
-    if (e.parent == 0) {
-      s.total += e.dur_ns;
-      s.has_root = true;
-    } else if (e.name == "rpc.queue.req" || e.name == "rpc.queue.resp" ||
-               e.name == "net.queue.event" || e.name == "net.plug.wait") {
-      s.queue += e.dur_ns;
-    } else if (e.name == "nvme.batch") {
-      s.device += e.dur_ns;
-    } else if (e.name == "dma.copy") {
-      s.copy += e.dur_ns;
-    } else if (e.name == "iosched.queue") {
-      s.iosched += e.dur_ns;
-    } else if (e.name == "fs.proxy.service" || e.name == "net.proxy.rpc" ||
-               e.name == "net.proxy.inbound" ||
-               e.name == "net.proxy.outbound" ||
-               e.name == "net.server.stack") {
-      s.service += e.dur_ns;
-    } else if (e.name == "net.wire.transit") {
-      s.wire += e.dur_ns;
-    } else if (e.name == "net.stub.dispatch" ||
-               e.name == "net.server.dispatch") {
-      s.dispatch += e.dur_ns;
-    }
+    by_trace[e.trace_id].Add(e.name, e.parent == 0, e.dur_ns);
   }
 
   // Only requests whose subtraction needed no clamping ("exact") feed the
   // percentile rows; clamped requests (fault retries with overlapping
   // spans) are counted and reported as a fraction instead of silently
   // skewing the distribution.
-  Histogram total, stub, queue, iosched, proxy, copy, device, wire,
-      dispatch;
+  std::array<Histogram, kStageCount> stages;  // indexed by Stage
   size_t requests = 0;
   size_t exact_requests = 0;
-  for (const auto& [trace_id, s] : by_trace) {
-    if (!s.has_root) {
+  for (const auto& [trace_id, acc] : by_trace) {
+    if (!acc.has_root()) {
       continue;
     }
     ++requests;
-    uint64_t inner = s.device + s.copy + s.iosched;
-    uint64_t named = s.queue + s.service + s.wire + s.dispatch;
-    bool exact = s.service >= inner && s.total >= named;
-    if (!exact) {
+    StageBreakdown b = acc.Finish(trace_id);
+    if (!b.exact) {
       continue;
     }
     ++exact_requests;
-    uint64_t proxy_ns = ClampSub(s.service, inner);
-    uint64_t stub_ns = ClampSub(s.total, named);
-    total.Record(s.total);
-    stub.Record(stub_ns);
-    queue.Record(s.queue);
-    iosched.Record(s.iosched);
-    proxy.Record(proxy_ns);
-    copy.Record(s.copy);
-    device.Record(s.device);
-    wire.Record(s.wire);
-    dispatch.Record(s.dispatch);
+    for (size_t i = 0; i < kStageCount; ++i) {
+      stages[i].Record(b.*kStages[i].field);
+    }
   }
   if (requests == 0 && net_inbound.count() == 0 &&
       net_outbound.count() == 0) {
@@ -272,25 +223,29 @@ int Run(const char* path) {
   }
   std::cout << "\n";
   std::cout << "  stage          count        p50         p99         max\n";
-  auto row = [&](const char* name, const Histogram& h) {
-    std::printf("  %-12s %7llu %s %s %s\n", name,
+  auto row = [&](std::string_view name, const Histogram& h) {
+    std::printf("  %-12s %7llu %s %s %s\n", std::string(name).c_str(),
                 static_cast<unsigned long long>(h.count()),
                 FormatUs(h.ValueAtQuantile(0.50)).c_str(),
                 FormatUs(h.ValueAtQuantile(0.99)).c_str(),
                 FormatUs(h.max()).c_str());
   };
   if (exact_requests > 0) {
-    row("stub", stub);
-    row("queue_wait", queue);
-    row("iosched_wait", iosched);
-    row("proxy", proxy);
-    row("copy_dma", copy);
-    row("device", device);
-    if (wire.max() > 0 || dispatch.max() > 0) {
-      row("wire", wire);
-      row("dispatch", dispatch);
+    // Stub first and total last; between them every FS stage, plus the
+    // net-only stages when the trace has any.
+    auto stage_row = [&](Stage stage) {
+      const size_t i = static_cast<size_t>(stage);
+      row(kStages[i].metric, stages[i]);
+    };
+    stage_row(Stage::kStub);
+    for (size_t i = 0; i < kStageCount; ++i) {
+      Stage stage = static_cast<Stage>(i);
+      if (stage != Stage::kTotal && stage != Stage::kStub &&
+          (kStages[i].fs || stages[i].max() > 0)) {
+        stage_row(stage);
+      }
     }
-    row("total", total);
+    stage_row(Stage::kTotal);
   }
   if (net_inbound.count() > 0) {
     row("net_inbound", net_inbound);
