@@ -40,8 +40,10 @@
 #include <vector>
 
 #include "src/base/metrics.h"
+#include "src/base/sharding.h"
 #include "src/base/stats.h"
 #include "src/base/units.h"
+#include "src/fs/journal.h"
 #include "src/sim/bottleneck.h"
 #include "src/sim/flight_recorder.h"
 #include "src/sim/slo_watchdog.h"
@@ -64,8 +66,41 @@ inline BenchFlags& GetBenchFlags() {
   return flags;
 }
 
+// Environment knobs (read by the bench configs, set by tools/ scripts):
+//   SOLROS_BENCH_QUICK=1   shrink the measurement matrix (CI smoke runs)
+//   SOLROS_JOURNAL=metadata|data  format the bench FS with a write-ahead
+//                          journal in that mode (and the volatile-write-
+//                          cache durability model); unset/off = no journal,
+//                          byte-identical to the committed baselines
+inline bool BenchEnvSet(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && value[0] != '\0' && value[0] != '0';
+}
+
+inline bool BenchQuickMode() { return BenchEnvSet("SOLROS_BENCH_QUICK"); }
+
+// SOLROS_JOURNAL as a journal mode; any value but unset, "", "0" or a
+// JournalModeName is an error naming it.
+inline Result<JournalMode> BenchJournalMode() {
+  const char* env = std::getenv("SOLROS_JOURNAL");
+  std::string_view value = env != nullptr ? env : "";
+  if (value.empty() || value == "0") {
+    return JournalMode::kOff;
+  }
+  for (JournalMode mode :
+       {JournalMode::kOff, JournalMode::kMetadata, JournalMode::kData}) {
+    if (value == JournalModeName(mode)) {
+      return mode;
+    }
+  }
+  return InvalidArgumentError("SOLROS_JOURNAL: bad value \"" +
+                              std::string(value) +
+                              "\" (want off, metadata or data)");
+}
+
 // Parses the common flags; unknown arguments are left for the bench.
-// Returns false (after printing usage) on a malformed common flag.
+// Returns false (after printing usage) on a malformed common flag, or after
+// naming the bad value of a malformed SOLROS_PROXY_SHARDS or SOLROS_JOURNAL.
 inline bool InitBench(int argc, char** argv) {
   BenchFlags& flags = GetBenchFlags();
   for (int i = 1; i < argc; ++i) {
@@ -115,30 +150,14 @@ inline bool InitBench(int argc, char** argv) {
       return false;
     }
   }
-  return true;
-}
-
-// Environment knobs (read by the bench configs, set by tools/ scripts):
-//   SOLROS_BENCH_QUICK=1   shrink the measurement matrix (CI smoke runs)
-//   SOLROS_JOURNAL=metadata|data  format the bench FS with a write-ahead
-//                          journal in that mode (and the volatile-write-
-//                          cache durability model); unset/off = no journal,
-//                          byte-identical to the committed baselines
-inline bool BenchEnvSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' && value[0] != '0';
-}
-
-inline bool BenchQuickMode() { return BenchEnvSet("SOLROS_BENCH_QUICK"); }
-
-// "metadata", "data", or "" (no journal).
-inline std::string BenchJournalMode() {
-  const char* value = std::getenv("SOLROS_JOURNAL");
-  if (value == nullptr || value[0] == '\0' ||
-      std::string(value) == "off" || std::string(value) == "0") {
-    return "";
+  for (const Status& status :
+       {ProxyShardsFromEnv().status(), BenchJournalMode().status()}) {
+    if (!status.ok()) {
+      std::cerr << status.ToString() << "\n";
+      return false;
+    }
   }
-  return value;
+  return true;
 }
 
 // The process-wide flight recorder created by --flight-recorder=N (null

@@ -23,12 +23,9 @@ MachineConfig BenchMachine() {
   // Cold-cache runs: a modest cache that cannot hold the working set.
   config.fs_options.cache_blocks = 8192;  // 32 MiB
   // SOLROS_JOURNAL=metadata|data: measure the crash-consistency ablation.
-  std::string journal = BenchJournalMode();
-  if (journal == "metadata") {
-    config.journal_mode = JournalMode::kMetadata;
-  } else if (journal == "data") {
-    config.journal_mode = JournalMode::kData;
-  }
+  Result<JournalMode> journal = BenchJournalMode();
+  CHECK_OK(journal);
+  config.journal_mode = *journal;
   return config;
 }
 

@@ -4,8 +4,8 @@
 // shards, each pinned to a dedicated host core with isolated state (§4's
 // "applications should control sharing", applied to the control plane
 // itself: partition first, share only what must be shared). These helpers
-// define the partition keys; stubs and proxies must agree on them, so they
-// live here with no dependencies.
+// define the partition keys and the shard count; stubs and proxies must
+// agree on them, so they live here, depending only on src/base.
 //
 //   inode range   namespace/metadata ops on an inode: consecutive runs of
 //                 64 inodes map to one shard, so a directory's worth of
@@ -23,11 +23,39 @@
 #ifndef SOLROS_SRC_BASE_SHARDING_H_
 #define SOLROS_SRC_BASE_SHARDING_H_
 
+#include <charconv>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
+#include "src/base/status.h"
+
 namespace solros {
+
+// Most control-plane shards a machine runs (each is a dedicated host core).
+inline constexpr int kMaxProxyShards = 16;
+
+// SOLROS_PROXY_SHARDS as a shard count: 1 when unset or empty, otherwise a
+// decimal integer in [1, kMaxProxyShards]. Anything else is an error that
+// names the bad value.
+inline Result<int> ProxyShardsFromEnv() {
+  const char* env = std::getenv("SOLROS_PROXY_SHARDS");
+  std::string_view value = env != nullptr ? env : "";
+  if (value.empty()) {
+    return 1;
+  }
+  int shards = 0;
+  const char* end = value.data() + value.size();
+  auto [parsed_end, ec] = std::from_chars(value.data(), end, shards);
+  if (ec != std::errc() || parsed_end != end || shards < 1 ||
+      shards > kMaxProxyShards) {
+    return InvalidArgumentError("SOLROS_PROXY_SHARDS: bad value \"" +
+                                std::string(value) + "\" (want a count in 1.." +
+                                std::to_string(kMaxProxyShards) + ")");
+  }
+  return shards;
+}
 
 // Stripe width for block-group routing, in file-system blocks (64 blocks =
 // 256 KiB at 4 KiB blocks): wide enough that a readahead window never

@@ -1,7 +1,6 @@
 #include "src/core/machine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -10,19 +9,21 @@
 #include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
+#include "src/base/sharding.h"
 
 namespace solros {
 namespace {
 
 // Resolved shard count: explicit config wins, then SOLROS_PROXY_SHARDS,
-// then 1. Clamped to a sane ceiling (a shard is a dedicated host core).
+// then 1. A malformed or out-of-range environment value is fatal.
 int ResolveProxyShards(int configured) {
-  int shards = configured;
-  if (shards <= 0) {
-    const char* env = std::getenv("SOLROS_PROXY_SHARDS");
-    shards = env != nullptr ? std::atoi(env) : 1;
+  if (configured > 0) {
+    CHECK_LE(configured, kMaxProxyShards);
+    return configured;
   }
-  return std::clamp(shards, 1, 16);
+  Result<int> shards = ProxyShardsFromEnv();
+  CHECK_OK(shards);
+  return *shards;
 }
 
 }  // namespace
@@ -83,10 +84,8 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   // The only cross-shard FS state: the versioned extent map (invalidated by
   // the FS itself whenever an inode's extents change) and the coordinator
   // the broadcast/barrier protocol walks.
-  extent_map_ = std::make_unique<SharedExtentMap>();
   fs_->set_extent_observer(
-      [map = extent_map_.get()](uint64_t ino) { map->Invalidate(ino); });
-  fs_coordinator_ = std::make_unique<FsShardCoordinator>();
+      [map = &extent_map_](uint64_t ino) { map->Invalidate(ino); });
 
   for (int k = 0; k < proxy_shards_; ++k) {
     FsProxy::Options shard_options = config_.fs_options;
@@ -95,14 +94,10 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
       shard_options.cache_blocks = std::max<size_t>(
           1, shard_options.cache_blocks / static_cast<size_t>(proxy_shards_));
     }
-    FsShardContext shard;
-    shard.shard_id = k;
-    shard.shard_count = proxy_shards_;
-    shard.extent_map = extent_map_.get();
-    shard.coordinator = fs_coordinator_.get();
     fs_proxies_.push_back(std::make_unique<FsProxy>(
         &sim_, fabric_.get(), params, fs_shards_->core(k), store_.get(),
-        fs_.get(), shard_options, shard));
+        fs_.get(), shard_options,
+        FsShardContext{k, proxy_shards_, extent_map_, fs_coordinator_}));
   }
 
   if (config_.enable_network) {
@@ -318,9 +313,6 @@ void Machine::DumpStats(std::ostream& os) {
   }
   for (auto& proxy : fs_proxies_) {
     IoScheduler* sched = proxy->io_scheduler();
-    if (sched == nullptr) {
-      continue;
-    }
     os << (proxy_shards_ > 1 ? "io-scheduler[" + std::to_string(
                                    proxy->shard_id()) + "]: "
                              : std::string("io-scheduler: "))
@@ -332,7 +324,7 @@ void Machine::DumpStats(std::ostream& os) {
        << sched->dispatched(IoClass::kReadahead) << "\n";
   }
   if (proxy_shards_ > 1) {
-    os << "extent-map: " << extent_map_->invalidations()
+    os << "extent-map: " << extent_map_.invalidations()
        << " invalidations\n";
   }
   os << "nvme: " << nvme_->commands_completed() << " commands, "

@@ -83,9 +83,9 @@ struct MachineConfig {
   // own dedicated host core with isolated state (cache segment, scheduler,
   // stream table / sockets); only the extent map and the shared listening
   // socket stay shared. FS traffic partitions by inode range with
-  // block-group striping, net traffic by connection hash. 0 (the default)
-  // reads SOLROS_PROXY_SHARDS from the environment and falls back to 1;
-  // the resolved value 1 is a single pinned shard under every legacy name.
+  // block-group striping, net traffic by connection hash. At most
+  // kMaxProxyShards; 0 (the default) reads SOLROS_PROXY_SHARDS (fatal when
+  // malformed, 1 when unset). One shard keeps every legacy name.
   int proxy_shards = 0;
 
   // USE telemetry: a non-zero window creates a TelemetryHub and binds it to
@@ -128,7 +128,7 @@ class Machine {
   FsProxy& fs_proxy() { return *fs_proxies_.front(); }
   FsProxy& fs_proxy_shard(int k) { return *fs_proxies_.at(k); }
   int proxy_shards() const { return proxy_shards_; }
-  SharedExtentMap& extent_map() { return *extent_map_; }
+  SharedExtentMap& extent_map() { return extent_map_; }
   FsStub& fs_stub(int i) { return *fs_stubs_.at(i); }
 
   EthernetFabric& ethernet() { return *ethernet_; }
@@ -161,8 +161,8 @@ class Machine {
   std::unique_ptr<TelemetryHub> telemetry_;
   // Declared before the FS/proxies: the FS extent observer and every
   // shard's ShardView point into it.
-  std::unique_ptr<SharedExtentMap> extent_map_;
-  std::unique_ptr<FsShardCoordinator> fs_coordinator_;
+  SharedExtentMap extent_map_;
+  FsShardCoordinator fs_coordinator_;
   std::unique_ptr<PcieFabric> fabric_;
   DeviceId host_device_;
   DeviceId nvme_device_;

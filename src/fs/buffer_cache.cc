@@ -11,12 +11,17 @@ namespace solros {
 
 namespace {
 
-size_t ProtectedCap(const BufferCacheOptions& options, size_t capacity) {
+// Fraction of capacity reserved for the protected segment.
+constexpr double kProtectedFraction = 0.75;
+// Max pages one eviction-triggered write-back cluster may carry.
+constexpr uint32_t kWritebackMaxBatch = 256;
+
+size_t ProtectedCap(size_t capacity) {
   if (capacity < 2) {
     return 0;
   }
   auto cap = static_cast<size_t>(static_cast<double>(capacity) *
-                                 options.protected_fraction);
+                                 kProtectedFraction);
   return std::clamp<size_t>(cap, 1, capacity - 1);
 }
 
@@ -35,17 +40,15 @@ Task<Status> BufferCache::BackingWriteV(std::span<const ConstBlockRun> runs) {
     // The scheduler applies its own coalescing policy for the round.
     co_return co_await sched_->WriteV(runs, IoClass::kWriteback);
   }
-  co_return co_await backing_->WriteV(runs, options_.coalesce_nvme);
+  co_return co_await backing_->WriteV(runs, /*coalesce=*/true);
 }
 
 BufferCache::BufferCache(BlockStore* backing, DeviceId arena_device,
-                         size_t capacity_blocks,
-                         const BufferCacheOptions& options)
+                         size_t capacity_blocks)
     : backing_(backing),
       capacity_(capacity_blocks),
       block_size_(backing->block_size()),
-      options_(options),
-      protected_cap_(ProtectedCap(options, capacity_blocks)),
+      protected_cap_(ProtectedCap(capacity_blocks)),
       arena_(arena_device, capacity_blocks * backing->block_size()) {
   CHECK_GT(capacity_blocks, 0u);
   free_slots_.reserve(capacity_blocks);
@@ -253,14 +256,14 @@ Task<Status> BufferCache::EvictOne() {
     uint64_t lo = victim;
     uint64_t hi = victim;
     uint32_t count = 1;
-    while (count < options_.writeback_max_batch && lo > 0) {
+    while (count < kWritebackMaxBatch && lo > 0) {
       auto p = map_.find(lo - 1);
       if (p == map_.end() || !p->second.dirty || OverlapsInflight(lo - 1, 1))
         break;
       --lo;
       ++count;
     }
-    while (count < options_.writeback_max_batch) {
+    while (count < kWritebackMaxBatch) {
       auto p = map_.find(hi + 1);
       if (p == map_.end() || !p->second.dirty || OverlapsInflight(hi + 1, 1))
         break;

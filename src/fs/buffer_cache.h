@@ -54,21 +54,11 @@ namespace solros {
 
 class IoScheduler;
 
-struct BufferCacheOptions {
-  // Fraction of capacity reserved for the protected segment.
-  double protected_fraction = 0.75;
-  // Max pages one eviction-triggered write-back cluster may carry.
-  uint32_t writeback_max_batch = 256;
-  // Batch vectored write-back under a single doorbell/interrupt.
-  bool coalesce_nvme = true;
-};
-
 class BufferCache {
  public:
   // `arena_device` is where pages live (the host socket device).
   BufferCache(BlockStore* backing, DeviceId arena_device,
-              size_t capacity_blocks,
-              const BufferCacheOptions& options = BufferCacheOptions());
+              size_t capacity_blocks);
 
   // Routes backing-store traffic through `sched` (demand class for miss
   // fills, write-back class for flushes) instead of hitting the store
@@ -207,7 +197,6 @@ class BufferCache {
   IoScheduler* sched_ = nullptr;
   size_t capacity_;
   uint32_t block_size_;
-  BufferCacheOptions options_;
   size_t protected_cap_;
   DeviceBuffer arena_;
   std::vector<size_t> free_slots_;

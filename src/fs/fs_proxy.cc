@@ -72,43 +72,28 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
       fs_(fs),
       options_(options),
       shard_(shard),
-      label_(ShardLabel("fs.proxy", shard.shard_id, shard.shard_count)),
-      host_dma_(sim, fabric, params, host_cpu->device()) {
-  // Per-shard suffix for the isolated-state components (cache, scheduler
-  // classes); empty for a standalone proxy so every legacy name survives.
-  const std::string suffix =
-      ShardLabel("", shard_.shard_id, shard_.shard_count);
+      host_dma_(sim, fabric, params, host_cpu->device()),
+      iosched_(sim, store,
+               IoSchedulerOptions{
+                   .coalesce_nvme = options.coalesce_nvme,
+                   .telemetry_suffix =
+                       ShardLabel("", shard.shard_id, shard.shard_count)}),
+      extent_view_(&shard.extent_map) {
+  if (sim->telemetry() != nullptr) {
+    use_ = sim->telemetry()->GetSeries(
+        ShardLabel("fs.proxy", shard_.shard_id, shard_.shard_count));
+  }
   if (options_.cache_blocks > 0) {
-    BufferCacheOptions cache_options;
-    cache_options.coalesce_nvme = options_.coalesce_nvme;
     // The arena lives on the shard core's socket, so a hit never crosses
     // QPI to reach its staging pages.
     cache_ = std::make_unique<BufferCache>(store, host_cpu->device(),
-                                           options_.cache_blocks,
-                                           cache_options);
+                                           options_.cache_blocks);
+    cache_->set_io_scheduler(&iosched_);
+    // Per-shard suffix, as on the scheduler's class series.
+    cache_->set_telemetry(
+        sim, "fs.cache" + ShardLabel("", shard_.shard_id, shard_.shard_count));
   }
-  if (options_.iosched) {
-    IoSchedulerOptions sched_options;
-    sched_options.coalesce_nvme = options_.coalesce_nvme;
-    sched_options.telemetry_suffix = suffix;
-    iosched_ = std::make_unique<IoScheduler>(sim, store, sched_options);
-    if (cache_ != nullptr) {
-      cache_->set_io_scheduler(iosched_.get());
-    }
-  }
-  if (shard_.extent_map != nullptr) {
-    extent_view_ =
-        std::make_unique<SharedExtentMap::ShardView>(shard_.extent_map);
-  }
-  if (sim->telemetry() != nullptr) {
-    use_ = sim->telemetry()->GetSeries(label_);
-  }
-  if (cache_ != nullptr) {
-    cache_->set_telemetry(sim, "fs.cache" + suffix);
-  }
-  if (shard_.coordinator != nullptr) {
-    shard_.coordinator->Register(this);
-  }
+  shard_.coordinator.Register(this);
 }
 
 void FsProxy::Serve(SimRing* request_ring, SimRing* response_ring) {
@@ -191,17 +176,11 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
   for (const FsExtent& extent : extents) {
     uint64_t bytes = uint64_t{extent.len} * kFsBlockSize;
     DeviceBuffer bounce(host_cpu_->device(), bytes);
-    if (iosched_ != nullptr) {
-      // Prefetch is speculation: readahead class, so it never queues ahead
-      // of a demand miss.
-      SOLROS_CO_RETURN_IF_ERROR(co_await iosched_->Read(
-          extent.start, extent.len, {bounce.data(), bytes},
-          IoClass::kReadahead));
-    } else {
-      std::vector<FsExtent> one = {extent};
-      SOLROS_CO_RETURN_IF_ERROR(co_await store_->ReadExtents(
-          one, MemRef::Of(bounce), options_.coalesce_nvme));
-    }
+    // Prefetch is speculation: readahead class, so it never queues ahead
+    // of a demand miss.
+    SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
+        extent.start, extent.len, {bounce.data(), bytes},
+        IoClass::kReadahead));
     for (uint64_t b = 0; b < extent.len; ++b) {
       SOLROS_CO_RETURN_IF_ERROR(co_await cache_->InsertClean(
           extent.start + b,
@@ -335,7 +314,7 @@ void FsProxy::NoteP2pFault() {
 
 uint32_t FsProxy::UpdateReadStream(uint32_t client, uint64_t ino,
                                    uint64_t offset, uint64_t length) {
-  StreamKey key{static_cast<uint32_t>(shard_.shard_id), client, ino};
+  StreamKey key{client, ino};
   auto it = streams_.find(key);
   if (it == streams_.end()) {
     if (streams_.size() >= kMaxReadStreams) {
@@ -363,76 +342,61 @@ uint32_t FsProxy::UpdateReadStream(uint32_t client, uint64_t ino,
   return stream.window_blocks;
 }
 
-Task<Status> FsProxy::FlushExtents(const std::vector<FsExtent>& extents) {
-  if (cache_ == nullptr ||
-      (cache_->dirty_pages() == 0 && !cache_->writeback_in_flight())) {
-    co_return OkStatus();
-  }
-  for (const FsExtent& e : extents) {
-    SOLROS_CO_RETURN_IF_ERROR(co_await cache_->FlushRange(e.start, e.len));
-  }
-  co_return OkStatus();
+bool FsProxy::HasDirtyPages() const {
+  return cache_ != nullptr &&
+         (cache_->dirty_pages() > 0 || cache_->writeback_in_flight());
+}
+
+bool FsProxy::AnyShardDirty(const FsProxy* skip) const {
+  const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
+  return std::any_of(shards.begin(), shards.end(), [skip](const FsProxy* p) {
+    return p != skip && p->HasDirtyPages();
+  });
 }
 
 Task<Result<std::vector<FsExtent>>> FsProxy::CachedFiemap(uint64_t ino,
                                                           uint64_t offset,
                                                           uint64_t length) {
-  if (extent_view_ != nullptr) {
-    const std::vector<FsExtent>* hit =
-        extent_view_->Lookup(ino, offset, length);
-    if (hit != nullptr) {
-      co_return *hit;
-    }
+  const std::vector<FsExtent>* hit = extent_view_.Lookup(ino, offset, length);
+  if (hit != nullptr) {
+    co_return *hit;
   }
   SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
                              co_await fs_->Fiemap(ino, offset, length));
-  if (extent_view_ != nullptr) {
-    extent_view_->Insert(ino, offset, length, extents);
-  }
+  extent_view_.Insert(ino, offset, length, extents);
   co_return extents;
 }
 
-void FsProxy::BroadcastInvalidate(const std::vector<FsExtent>& extents) {
-  // An LBA may be cached by any shard: a freed block can be reallocated to
-  // a file (or block group) another shard serves, so staleness does not
-  // respect the partitioning. Synchronous within the single-threaded sim —
-  // no cross-core charge, matching a store to a shared invalidation queue.
-  if (shard_.coordinator != nullptr) {
-    for (FsProxy* peer : shard_.coordinator->shards()) {
-      if (peer->cache_ == nullptr) {
-        continue;
-      }
-      for (const FsExtent& e : extents) {
-        peer->cache_->InvalidateRange(e.start, e.len);
-      }
+void FsProxy::BroadcastInvalidate(const std::vector<FsExtent>& extents,
+                                  const FsProxy* skip) {
+  // Synchronous within the single-threaded sim — no cross-core charge,
+  // matching a store to a shared invalidation queue.
+  for (FsProxy* peer : shard_.coordinator.shards()) {
+    if (peer == skip || peer->cache_ == nullptr) {
+      continue;
     }
-    return;
-  }
-  if (cache_ == nullptr) {
-    return;
-  }
-  for (const FsExtent& e : extents) {
-    cache_->InvalidateRange(e.start, e.len);
+    for (const FsExtent& e : extents) {
+      peer->cache_->InvalidateRange(e.start, e.len);
+    }
   }
 }
 
 Task<Status> FsProxy::BroadcastFlushExtents(
-    const std::vector<FsExtent>& extents) {
-  if (shard_.coordinator != nullptr) {
-    for (FsProxy* peer : shard_.coordinator->shards()) {
-      SOLROS_CO_RETURN_IF_ERROR(co_await peer->FlushExtents(extents));
+    const std::vector<FsExtent>& extents, const FsProxy* skip) {
+  for (FsProxy* peer : shard_.coordinator.shards()) {
+    if (peer == skip || !peer->HasDirtyPages()) {
+      continue;
     }
-    co_return OkStatus();
+    for (const FsExtent& e : extents) {
+      SOLROS_CO_RETURN_IF_ERROR(
+          co_await peer->cache_->FlushRange(e.start, e.len));
+    }
   }
-  co_return co_await FlushExtents(extents);
+  co_return OkStatus();
 }
 
 Task<Status> FsProxy::FsyncBarrier() {
-  std::vector<FsProxy*> self = {this};
-  const std::vector<FsProxy*>& shards =
-      shard_.coordinator != nullptr && !shard_.coordinator->shards().empty()
-          ? shard_.coordinator->shards()
-          : self;
+  const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
   if (store_->volatile_write_cache()) {
     // Durable order, shard-wide: push every shard's dirty pages to the
     // device first, then fence them behind every shard's in-flight
@@ -446,18 +410,14 @@ Task<Status> FsProxy::FsyncBarrier() {
       }
     }
     for (FsProxy* peer : shards) {
-      if (peer->iosched_ != nullptr) {
-        SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_->Flush());
-      }
+      SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_.Flush());
     }
     // The journal commit runs via the designated barrier shard so
     // ordered-class flushes serialize at one place and the journal keeps
     // one global commit order. A caller on another shard pays the
     // cross-shard handoff on the barrier shard's core.
-    FsProxy* barrier =
-        shard_.coordinator != nullptr ? shard_.coordinator->barrier_shard()
-                                      : this;
-    if (barrier != nullptr && barrier != this) {
+    FsProxy* barrier = shard_.coordinator.barrier_shard();
+    if (barrier != this) {
       co_await barrier->host_cpu_->Compute(params_.fs_proxy_cpu);
     }
     co_return co_await fs_->Sync();
@@ -735,6 +695,12 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
       std::vector<FsExtent> extents,
       co_await CachedFiemap(ino, first_block * kFsBlockSize,
                             stage_blocks * kFsBlockSize));
+  // Misses below are fetched from the device, so another shard's dirty
+  // copies of these blocks must reach it first. This shard's own dirty
+  // pages are served from its cache.
+  if (AnyShardDirty(/*skip=*/this)) {
+    SOLROS_CO_RETURN_IF_ERROR(co_await BroadcastFlushExtents(extents, this));
+  }
 
   // The staging walk runs under a cache span (child of the buffered data
   // span) whose args record the per-request outcome: demand blocks served
@@ -786,21 +752,14 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
              (cache_ == nullptr || !cache_->Contains(extent.start + i + run))) {
         ++run;
       }
-      if (iosched_ != nullptr) {
-        // The whole miss run — demand blocks plus any piggybacked
-        // readahead tail — is ONE demand-class request: a caller is
-        // blocked on its head, and splitting it would cost a second
-        // command for a fetch the device could do in one.
-        SOLROS_CO_RETURN_IF_ERROR(co_await iosched_->Read(
-            lba, static_cast<uint32_t>(run),
-            {bounce.data() + bounce_off, run * kFsBlockSize},
-            IoClass::kDemand, io_ctx));
-      } else {
-        std::vector<FsExtent> miss = {{lba, static_cast<uint32_t>(run), 0}};
-        SOLROS_CO_RETURN_IF_ERROR(co_await store_->ReadExtents(
-            miss, MemRef::Of(bounce, bounce_off, run * kFsBlockSize),
-            options_.coalesce_nvme, io_ctx));
-      }
+      // The whole miss run — demand blocks plus any piggybacked
+      // readahead tail — is ONE demand-class request: a caller is
+      // blocked on its head, and splitting it would cost a second
+      // command for a fetch the device could do in one.
+      SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
+          lba, static_cast<uint32_t>(run),
+          {bounce.data() + bounce_off, run * kFsBlockSize},
+          IoClass::kDemand, io_ctx));
       // Populate the cache with the fetched blocks (clean pages, no
       // second device read — the bytes are in the bounce buffer).
       if (cache_ != nullptr) {
@@ -870,6 +829,9 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
       absorbed->Increment(length / kFsBlockSize);
       ScopedSpan cache_span(sim_, "cache", "cache.write", ctx);
       cache_span.AddArg("absorbed", length / kFsBlockSize);
+      // Another shard's copy of these blocks is now stale; drop it so it
+      // can neither serve the old bytes nor write them back over these.
+      BroadcastInvalidate(*extents, /*skip=*/this);
       uint64_t cursor = 0;
       for (const FsExtent& e : *extents) {
         for (uint64_t b = 0; b < e.len; ++b) {
@@ -890,20 +852,7 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   // device; push overlapping dirty cached pages out of every shard first
   // so the RMW sees the newest bytes. Skip the extent walk when no shard
   // holds dirty pages at all (the common case stays Fiemap-free).
-  bool any_dirty = false;
-  if (shard_.coordinator != nullptr) {
-    for (FsProxy* peer : shard_.coordinator->shards()) {
-      if (peer->cache_ != nullptr && (peer->cache_->dirty_pages() > 0 ||
-                                      peer->cache_->writeback_in_flight())) {
-        any_dirty = true;
-        break;
-      }
-    }
-  } else {
-    any_dirty = cache_ != nullptr && (cache_->dirty_pages() > 0 ||
-                                      cache_->writeback_in_flight());
-  }
-  if (any_dirty) {
+  if (AnyShardDirty()) {
     auto dirty_extents = co_await CachedFiemap(ino, offset, length);
     if (dirty_extents.ok()) {
       SOLROS_CO_RETURN_IF_ERROR(co_await BroadcastFlushExtents(*dirty_extents));

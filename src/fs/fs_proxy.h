@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -70,24 +69,22 @@ class FsShardCoordinator {
  public:
   void Register(FsProxy* shard) { shards_.push_back(shard); }
   const std::vector<FsProxy*>& shards() const { return shards_; }
-  FsProxy* barrier_shard() const {
-    return shards_.empty() ? nullptr : shards_.front();
-  }
+  FsProxy* barrier_shard() const { return shards_.front(); }
 
  private:
   std::vector<FsProxy*> shards_;
 };
 
-// Identity of one proxy shard inside the sharded control plane. The
-// defaults describe a standalone (unsharded) proxy, which behaves exactly
-// like the historical single instance.
+// Identity of one proxy shard inside the sharded control plane, and the
+// only FS state the shards share. An unsharded control plane is one shard
+// that broadcasts to itself.
 struct FsShardContext {
-  int shard_id = 0;
-  int shard_count = 1;
-  // Shared versioned extent map (may be null: every Fiemap goes to the FS).
-  SharedExtentMap* extent_map = nullptr;
-  // Cross-shard registry (null: broadcasts degenerate to this shard only).
-  FsShardCoordinator* coordinator = nullptr;
+  int shard_id;
+  int shard_count;
+  // Shared versioned extent map every shard memoizes Fiemap results over.
+  SharedExtentMap& extent_map;
+  // Cross-shard registry the broadcast/barrier protocol walks.
+  FsShardCoordinator& coordinator;
 };
 
 class FsProxy {
@@ -100,20 +97,14 @@ class FsProxy {
     bool coalesce_nvme = true;
     // Allow P2P at all (ablation: force host-staging).
     bool allow_p2p = true;
-    // Route staged-path device traffic through the host-side I/O
-    // scheduler; off submits cache misses and write-back to the store
-    // directly.
-    bool iosched = true;
   };
 
-  // `host_cpu` is the processor the proxy's per-request CPU work runs on —
-  // the shared host pool for a standalone proxy, or this shard's dedicated
-  // core in a sharded control plane. `shard` identifies the shard and wires
-  // the explicitly shared structures (extent map, coordinator).
+  // `host_cpu` is this shard's dedicated control-plane core, where the
+  // proxy's per-request CPU work runs. `shard` identifies the shard and
+  // wires the explicitly shared structures (extent map, coordinator).
   FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
           Processor* host_cpu, NvmeBlockStore* store, SolrosFs* fs,
-          const Options& options,
-          const FsShardContext& shard = FsShardContext());
+          const Options& options, const FsShardContext& shard);
 
   // Binds an RPC server on the given ring pair and starts serving.
   void Serve(SimRing* request_ring, SimRing* response_ring);
@@ -129,19 +120,15 @@ class FsProxy {
 
   const FsProxyStats& stats() const { return stats_; }
   BufferCache* cache() { return cache_.get(); }
-  // The staged-path I/O scheduler (null when options.iosched is off).
-  IoScheduler* io_scheduler() { return iosched_.get(); }
+  // The I/O scheduler all staged-path device traffic goes through.
+  IoScheduler* io_scheduler() { return &iosched_; }
   SolrosFs* fs() { return fs_; }
 
   // -- shard introspection ----------------------------------------------------
   int shard_id() const { return shard_.shard_id; }
-  int shard_count() const { return shard_.shard_count; }
-  // Telemetry/analyzer component name: "fs.proxy" or "fs.proxy[k]".
-  const std::string& label() const { return label_; }
-  // Per-shard memo over the shared extent map (null when unwired).
-  SharedExtentMap::ShardView* extent_view() { return extent_view_.get(); }
-  // Live sequential-stream table size (regression surface for the
-  // shard-qualified stream keys).
+  // Per-shard memo over the shared extent map.
+  SharedExtentMap::ShardView* extent_view() { return &extent_view_; }
+  // Live sequential-stream table size (each shard keeps its own table).
   size_t read_streams() const { return streams_.size(); }
 
  private:
@@ -159,11 +146,10 @@ class FsProxy {
   Task<Result<bool>> ShouldUseP2p(const FsRequest& request, uint64_t length,
                                   uint32_t readahead_window = 0);
 
-  // Per-(shard, coprocessor, file) sequential-stream state for readahead.
-  // The shard id is part of the key so streams can never alias across a
-  // re-partitioning when the shard count changes (two shards may both see
-  // the same (client, ino) for different block groups of one file).
-  using StreamKey = std::tuple<uint32_t, uint32_t, uint64_t>;
+  // Per-(coprocessor, file) sequential-stream state for readahead. Each
+  // shard owns its own table, so two shards that both see one (client, ino)
+  // for different block groups of a file track independent streams.
+  using StreamKey = std::pair<uint32_t, uint64_t>;
   struct ReadStream {
     uint64_t next_offset = 0;   // where a sequential successor would start
     uint32_t window_blocks = 0; // current readahead window (0 = no stream)
@@ -182,10 +168,11 @@ class FsProxy {
                             uint64_t file_size, TraceContext ctx);
   Task<Status> BufferedWrite(uint64_t ino, uint64_t offset, uint64_t length,
                              MemRef source, TraceContext ctx);
-  // Write-back coherence: pushes dirty cached pages covering `extents` to
-  // the device before a path that reads the device directly (P2P read,
-  // read-modify-write). Cheap no-op when nothing is dirty.
-  Task<Status> FlushExtents(const std::vector<FsExtent>& extents);
+  // True while this shard's cache holds dirty pages or write-back is still
+  // in flight, i.e. the device may lag the cache.
+  bool HasDirtyPages() const;
+  // HasDirtyPages() on any shard other than `skip`.
+  bool AnyShardDirty(const FsProxy* skip = nullptr) const;
 
   // -- cross-shard coherence protocol -----------------------------------------
   // Fiemap through the per-shard memo of the shared versioned extent map;
@@ -193,12 +180,20 @@ class FsProxy {
   Task<Result<std::vector<FsExtent>>> CachedFiemap(uint64_t ino,
                                                    uint64_t offset,
                                                    uint64_t length);
-  // Drops cached copies of `extents` on EVERY shard (freed or rewritten
-  // blocks may be cached by whichever shard served them).
-  void BroadcastInvalidate(const std::vector<FsExtent>& extents);
-  // FlushExtents on every shard: any shard may hold dirty pages of a block
-  // the caller is about to read from the device.
-  Task<Status> BroadcastFlushExtents(const std::vector<FsExtent>& extents);
+  // Any shard may cache any block: a request routes by its start offset, so
+  // its range can reach into block groups other shards serve, and freed
+  // blocks can be reallocated anywhere. Both broadcasts below therefore walk
+  // every shard except `skip`.
+  //
+  // Drops cached copies of `extents` (freed or rewritten blocks).
+  void BroadcastInvalidate(const std::vector<FsExtent>& extents,
+                           const FsProxy* skip = nullptr);
+  // Write-back coherence before a path that reads the device directly (P2P
+  // read, read-modify-write, a staged read's miss fetch): pushes dirty
+  // cached pages covering `extents` to the device. Cheap no-op when no
+  // shard has dirty pages.
+  Task<Status> BroadcastFlushExtents(const std::vector<FsExtent>& extents,
+                                     const FsProxy* skip = nullptr);
   // The fsync path under a volatile write cache, shard-wide: flush every
   // shard's cache, fence every shard's scheduler with an ordered barrier,
   // then run the one journal commit via the designated barrier shard.
@@ -225,16 +220,15 @@ class FsProxy {
   SolrosFs* fs_;
   Options options_;
   FsShardContext shard_;
-  std::string label_;  // "fs.proxy" or "fs.proxy[k]"
   DmaEngine host_dma_;
   std::unique_ptr<BufferCache> cache_;
-  std::unique_ptr<IoScheduler> iosched_;
-  std::unique_ptr<SharedExtentMap::ShardView> extent_view_;
+  IoScheduler iosched_;
+  SharedExtentMap::ShardView extent_view_;
   std::vector<std::unique_ptr<RpcServer<FsRequest, FsResponse>>> servers_;
   FsProxyStats stats_;
-  // USE telemetry (label_): depth counts requests in service, errors count
-  // system-error responses; the shard's dedicated core records its busy
-  // intervals into the same series.
+  // USE telemetry ("fs.proxy" or "fs.proxy[k]"): depth counts requests in
+  // service, errors count system-error responses; the shard's dedicated
+  // core records its busy intervals into the same series.
   UseSeries* use_ = nullptr;
   std::map<StreamKey, ReadStream> streams_;
   // MRU-first key list; back() is the victim when the table is full, so a

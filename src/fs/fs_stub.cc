@@ -33,12 +33,6 @@ bool IsIdempotent(FsOp op) {
 }  // namespace
 
 FsStub::FsStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
-               SimRing* request_ring, SimRing* response_ring,
-               uint32_t client_id)
-    : FsStub(sim, params, phi_cpu,
-             {std::make_pair(request_ring, response_ring)}, client_id) {}
-
-FsStub::FsStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
                std::vector<std::pair<SimRing*, SimRing*>> shard_rings,
                uint32_t client_id)
     : sim_(sim),

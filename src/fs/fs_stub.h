@@ -28,10 +28,7 @@ namespace solros {
 
 class FsStub : public FileService {
  public:
-  FsStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
-         SimRing* request_ring, SimRing* response_ring, uint32_t client_id);
-
-  // Sharded control plane: one ring pair per proxy shard, in shard order.
+  // One ring pair per control-plane proxy shard, in shard order.
   // Each call is routed with the same partition functions the shards use —
   // reads/writes by (inode, block-group stripe), path ops by path hash,
   // inode ops by inode range — so a request lands on the shard that owns

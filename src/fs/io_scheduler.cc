@@ -12,6 +12,16 @@ namespace {
 // Host-side submission-path stall injected by the iosched.stall fault
 // point (IRQ storm, CPU contention between unplug and doorbell).
 constexpr Nanos kStallDelay = Microseconds(100);
+// How long an idle arrival holds the queue open for batching. Small
+// against flash latency (~80us) so the added latency is noise.
+constexpr Nanos kPlugWindow = Microseconds(4);
+// Unplug early at this many queued requests; also the per-round cap.
+constexpr uint64_t kPlugMaxBatch = 32;
+// Bound on dispatched-but-uncompleted device submissions (the block-layer
+// nr_requests analogue). Rounds pipeline up to this depth to keep the
+// device's queue slots fed; past it, arrivals back up at the scheduler
+// where priority can still reorder them.
+constexpr uint32_t kMaxInflightBatches = 4;
 }  // namespace
 
 IoScheduler::IoScheduler(Simulator* sim, NvmeBlockStore* store,
@@ -72,24 +82,6 @@ Task<Status> IoScheduler::Read(uint64_t lba, uint32_t nblocks,
   co_return co_await Submit(&req);
 }
 
-Task<Status> IoScheduler::Write(uint64_t lba, uint32_t nblocks,
-                                std::span<const uint8_t> in, IoClass cls,
-                                TraceContext ctx) {
-  if (nblocks == 0) {
-    co_return OkStatus();
-  }
-  const uint64_t bytes = uint64_t{nblocks} * block_size_;
-  if (in.size() < bytes) {
-    co_return InvalidArgumentError("iosched write span too short");
-  }
-  IoRequest req;
-  req.is_write = true;
-  req.cls = cls;
-  req.ctx = ctx;
-  req.wruns.push_back(ConstBlockRun{lba, nblocks, in.first(bytes)});
-  co_return co_await Submit(&req);
-}
-
 Task<Status> IoScheduler::WriteV(std::span<const ConstBlockRun> runs,
                                  IoClass cls, TraceContext ctx) {
   if (runs.empty()) {
@@ -147,30 +139,29 @@ void IoScheduler::FinishRequest(IoRequest* req, const Status& status) {
 Task<Status> IoScheduler::Submit(IoRequest* req) {
   req->enqueued = sim_->now();
   req->seq = ++arrivals_;
-  if (!req->is_write && options_.single_flight) {
-    if (InflightReads* cover = FindInflightCover(req->lba, req->nblocks);
-        cover != nullptr) {
-      // Single-flight attach: the bytes are already on their way; wait for
-      // that submission (its Status included — a shared fetch that fails
-      // fails every waiter) instead of re-reading flash.
-      dedup_hits_->Increment();
-      ++local_dedup_hits_;
-      cover->waiters.push_back(req);
-      while (!req->done) {
-        co_await done_cond_.Wait();
-      }
-      co_return req->status;
+  if (InflightReads* cover = req->is_write
+                                 ? nullptr
+                                 : FindInflightCover(req->lba, req->nblocks);
+      cover != nullptr) {
+    // Single-flight attach: the bytes are already on their way; wait for
+    // that submission (its Status included — a shared fetch that fails
+    // fails every waiter) instead of re-reading flash.
+    dedup_hits_->Increment();
+    ++local_dedup_hits_;
+    cover->waiters.push_back(req);
+    while (!req->done) {
+      co_await done_cond_.Wait();
     }
+    co_return req->status;
   }
-  const int class_idx = options_.priority ? static_cast<int>(req->cls) : 0;
-  classes_[class_idx].push_back(req);
+  classes_[static_cast<int>(req->cls)].push_back(req);
   ++pending_;
   if (UseSeries* use = use_[static_cast<int>(req->cls)]; use != nullptr) {
     use->QueueDelta(req->enqueued, +1);
   }
   EnsureDispatcher();
   work_cond_.NotifyAll();
-  if (plugged_ && pending_ >= options_.plug_max_batch) {
+  if (plugged_ && pending_ >= kPlugMaxBatch) {
     plug_cond_.NotifyAll();
   }
   while (!req->done) {
@@ -195,16 +186,14 @@ Task<void> IoScheduler::DispatchLoop() {
       co_await work_cond_.Wait();
       idle_arrival = true;
     }
-    if (options_.plug && idle_arrival && options_.plug_window > 0) {
+    if (idle_arrival) {
       co_await PlugWait();
     }
-    // Back-pressure: past max_inflight_batches the backlog stays queued
+    // Back-pressure: past kMaxInflightBatches the backlog stays queued
     // here, where SelectBatch can still reorder it, instead of draining
     // into the device's FIFO queue slots. A pending barrier fences the
     // pipeline completely: nothing dispatches past an ordered flush.
-    while (barrier_pending_ > 0 ||
-           inflight_batches_ >=
-               std::max<uint32_t>(options_.max_inflight_batches, 1)) {
+    while (barrier_pending_ > 0 || inflight_batches_ >= kMaxInflightBatches) {
       co_await done_cond_.Wait();
     }
     co_await DispatchRound();
@@ -220,14 +209,14 @@ Task<void> IoScheduler::PlugWait() {
   plugged_ = true;
   const uint64_t epoch = ++plug_epoch_;
   Spawn(*sim_, PlugTimer(epoch));
-  while (plugged_ && pending_ < options_.plug_max_batch) {
+  while (plugged_ && pending_ < kPlugMaxBatch) {
     co_await plug_cond_.Wait();
   }
   plugged_ = false;
 }
 
 Task<void> IoScheduler::PlugTimer(uint64_t epoch) {
-  co_await Delay(options_.plug_window);
+  co_await Delay(kPlugWindow);
   if (plugged_ && plug_epoch_ == epoch) {
     plugged_ = false;
     plug_cond_.NotifyAll();
@@ -312,11 +301,9 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
     if (!batch.runs.empty()) {
       MergedRun& m = batch.runs.back();
       const uint64_t mend = m.lba + m.nblocks;
-      // Adjacent runs always merge into one command (plug batching);
-      // union of *overlapping* ranges is the single-flight mechanism —
-      // with it off, duplicated ranges are fetched independently,
-      // seed-style.
-      if (lo == mend || (lo < mend && options_.single_flight)) {
+      // Adjacent runs merge into one command (plug batching); overlapping
+      // ranges union into it (single flight).
+      if (lo <= mend) {
         if (hi <= mend) {
           dedup_hits_->Increment();
           ++local_dedup_hits_;
@@ -489,16 +476,13 @@ Task<void> IoScheduler::SubmitFlushes(std::vector<IoRequest*> flushes) {
 std::vector<IoScheduler::IoRequest*> IoScheduler::SelectBatch() {
   peak_queued_ = std::max(peak_queued_, pending_);
   std::vector<IoRequest*> out;
-  const uint32_t cap = std::max<uint32_t>(options_.plug_max_batch, 1);
   for (std::deque<IoRequest*>& fifo : classes_) {
-    while (!fifo.empty() && out.size() < cap) {
+    while (!fifo.empty() && out.size() < kPlugMaxBatch) {
       out.push_back(fifo.front());
       fifo.pop_front();
     }
     if (!out.empty()) {
-      // Strict class priority: one class per round. (With priority off
-      // every request is in class 0, so this is simply "the round".)
-      break;
+      break;  // strict class priority: one class per round
     }
   }
   pending_ -= out.size();

@@ -7,7 +7,7 @@
 // flash twice, and background readahead/write-back competed head-to-head
 // with demand misses for queue slots. This scheduler sits between the
 // buffer cache / FS proxy and NvmeBlockStore and closes that gap with three
-// independently ablatable mechanisms:
+// mechanisms, always on:
 //
 //   single-flight reads   a read whose LBA range is covered by a merged
 //                         run already in flight attaches to it as a waiter
@@ -17,12 +17,12 @@
 //                         retries) fails every waiter coherently.
 //   plug/unplug batching  a request arriving at an idle scheduler plugs
 //                         the queue for a bounded sim-time window
-//                         (auto-unplugging early once plug_max_batch
+//                         (auto-unplugging early once kPlugMaxBatch
 //                         requests accumulate); everything gathered is
 //                         LBA-sorted, adjacent runs merged, and submitted
 //                         as one coalesced vector = one doorbell + one
 //                         interrupt. Rounds are pipelined up to
-//                         max_inflight_batches dispatched-but-uncompleted
+//                         kMaxInflightBatches dispatched-but-uncompleted
 //                         submissions: the device's internal queue-slot
 //                         parallelism stays fed, deeper backlogs wait at
 //                         the scheduler where they can still be
@@ -68,20 +68,7 @@ enum class IoClass : uint8_t {
 inline constexpr int kIoClassCount = 4;
 
 struct IoSchedulerOptions {
-  bool single_flight = true;
-  bool plug = true;
-  // How long an idle-arrival holds the queue open for batching. Small
-  // against flash latency (~80us) so the added latency is noise.
-  Nanos plug_window = Microseconds(4);
-  // Unplug early at this many queued requests; also the per-round cap.
-  uint32_t plug_max_batch = 32;
-  bool priority = true;
-  // Bound on dispatched-but-uncompleted device submissions (the
-  // block-layer nr_requests analogue). Rounds pipeline up to this depth
-  // to keep the device's queue slots fed; past it, arrivals back up at
-  // the scheduler where priority can still reorder them.
-  uint32_t max_inflight_batches = 4;
-  // Submit each round's vector under one doorbell/interrupt.
+  // Submit each round's vector under one doorbell/interrupt (ablation A1).
   bool coalesce_nvme = true;
   // Appended to the USE series names ("iosched.demand<suffix>" etc.) so
   // each control-plane shard's scheduler instance reports as its own
@@ -101,10 +88,6 @@ class IoScheduler {
   // stay alive across the await because the caller owns them.
   Task<Status> Read(uint64_t lba, uint32_t nblocks, std::span<uint8_t> out,
                     IoClass cls = IoClass::kDemand, TraceContext ctx = {});
-  Task<Status> Write(uint64_t lba, uint32_t nblocks,
-                     std::span<const uint8_t> in,
-                     IoClass cls = IoClass::kWriteback,
-                     TraceContext ctx = {});
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       IoClass cls = IoClass::kWriteback,
                       TraceContext ctx = {});
@@ -170,7 +153,7 @@ class IoScheduler {
   Task<Status> Submit(IoRequest* req);
   void EnsureDispatcher();
   Task<void> DispatchLoop();
-  // Holds the queue open for plug_window (or until plug_max_batch).
+  // Holds the queue open for kPlugWindow (or until kPlugMaxBatch).
   Task<void> PlugWait();
   Task<void> PlugTimer(uint64_t epoch);
   Task<void> DispatchRound();

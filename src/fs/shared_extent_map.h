@@ -58,7 +58,6 @@ class SharedExtentMap {
       auto it = memo_.find(Key{ino, offset, length});
       if (it == memo_.end() ||
           it->second.version != shared_->Version(ino)) {
-        ++misses_;
         return nullptr;
       }
       ++hits_;
@@ -75,7 +74,6 @@ class SharedExtentMap {
     }
 
     uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
 
    private:
     struct Key {
@@ -96,7 +94,6 @@ class SharedExtentMap {
     SharedExtentMap* shared_;
     std::map<Key, Entry> memo_;
     uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
   };
 
  private:

@@ -1,6 +1,6 @@
 // End-to-end integration of the full Solros machine: data-plane stubs,
-// control-plane proxies, the data-path policy, and real data integrity
-// through every layer.
+// control-plane proxies, the data-path policy, real data integrity through
+// every layer, and the environment knobs that configure it.
 #include "src/core/machine.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +8,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/metrics.h"
 #include "src/base/prng.h"
+#include "src/base/sharding.h"
 #include "src/base/units.h"
 #include "src/sim/sync.h"
 
@@ -439,6 +442,78 @@ TEST(MachineMemoryTest, UnwrittenMediaCostsNoHostMemory) {
   uint64_t after = ResidentBytes();
   uint64_t grown = after > before ? after - before : 0;
   EXPECT_LT(grown, MiB(64)) << "RSS grew " << grown / MiB(1) << " MiB";
+}
+
+// --- Environment knobs ------------------------------------------------------
+//
+// SOLROS_PROXY_SHARDS must be a decimal shard count in [1, kMaxProxyShards]
+// and SOLROS_JOURNAL a journal mode name (or unset / "0"); a malformed value
+// is rejected by name instead of silently running another configuration.
+// These tests assume neither knob is set in the ambient environment.
+
+// Sets an environment variable for one scope.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const std::string& value) : name(name) {
+    setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { unsetenv(name); }
+  const char* name;
+};
+
+TEST(ProxyShardsEnvTest, AcceptsCountsInRangeAndRejectsOthersNamingThem) {
+  EXPECT_EQ(ProxyShardsFromEnv().value(), 1);
+  for (int shards : {1, 4, kMaxProxyShards}) {
+    ScopedEnv env("SOLROS_PROXY_SHARDS", std::to_string(shards));
+    EXPECT_EQ(ProxyShardsFromEnv().value(), shards);
+  }
+  for (std::string bad : {"abc", "2x", " 2", "+2", "0", "-1", "17", "99"}) {
+    ScopedEnv env("SOLROS_PROXY_SHARDS", bad);
+    Result<int> shards = ProxyShardsFromEnv();
+    ASSERT_FALSE(shards.ok()) << bad;
+    EXPECT_NE(shards.status().message().find('"' + bad + '"'),
+              std::string::npos)
+        << shards.status().ToString();
+  }
+}
+
+TEST(ProxyShardsEnvDeathTest, MachineRefusesMalformedShardCount) {
+  ScopedEnv env("SOLROS_PROXY_SHARDS", "2x");
+  EXPECT_DEATH(Machine machine{MachineConfig{}},
+               "SOLROS_PROXY_SHARDS: bad value \"2x\"");
+}
+
+TEST(BenchEnvTest, JournalKnobMapsModeNamesAndRejectsOthers) {
+  EXPECT_EQ(BenchJournalMode().value(), JournalMode::kOff);
+  {
+    ScopedEnv env("SOLROS_JOURNAL", "0");
+    EXPECT_EQ(BenchJournalMode().value(), JournalMode::kOff);
+  }
+  // Every JournalModeName is accepted.
+  for (JournalMode mode :
+       {JournalMode::kOff, JournalMode::kMetadata, JournalMode::kData}) {
+    ScopedEnv env("SOLROS_JOURNAL", JournalModeName(mode));
+    EXPECT_EQ(BenchJournalMode().value(), mode) << JournalModeName(mode);
+  }
+  ScopedEnv env("SOLROS_JOURNAL", "metdata");
+  Result<JournalMode> mode = BenchJournalMode();
+  ASSERT_FALSE(mode.ok());
+  EXPECT_NE(mode.status().message().find("SOLROS_JOURNAL: bad value "
+                                         "\"metdata\""),
+            std::string::npos)
+      << mode.status().ToString();
+}
+
+// InitBench's false return is what makes a bench exit with status 2.
+TEST(BenchEnvTest, InitBenchRefusesMalformedKnobs) {
+  char arg0[] = "bench";
+  char* argv[] = {arg0, nullptr};
+  EXPECT_TRUE(InitBench(1, argv));
+  {
+    ScopedEnv env("SOLROS_JOURNAL", "metdata");
+    EXPECT_FALSE(InitBench(1, argv));
+  }
+  ScopedEnv env("SOLROS_PROXY_SHARDS", "abc");
+  EXPECT_FALSE(InitBench(1, argv));
 }
 
 }  // namespace

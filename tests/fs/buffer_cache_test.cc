@@ -171,12 +171,6 @@ class SegmentedCacheTest : public ::testing::Test {
     }
   }
 
-  BufferCacheOptions Options() {
-    BufferCacheOptions options;
-    options.protected_fraction = 0.75;  // capacity 8 -> protected cap 6
-    return options;
-  }
-
   std::vector<uint8_t> Block(uint8_t fill) {
     return std::vector<uint8_t>(4096, fill);
   }
@@ -188,14 +182,14 @@ class SegmentedCacheTest : public ::testing::Test {
 };
 
 TEST_F(SegmentedCacheTest, SecondTouchPromotesAndDemotionKeepsCap) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   for (uint64_t lba = 0; lba < 8; ++lba) {
     ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
   }
   EXPECT_EQ(cache.probation_pages(), 8u);
   EXPECT_EQ(cache.protected_pages(), 0u);
-  // Second touch promotes; the protected segment caps at 6 of 8 pages and
-  // demotes its LRU tail back to probation past that.
+  // Second touch promotes; the protected segment caps at 6 of 8 pages (a
+  // 0.75 fraction) and demotes its LRU tail back to probation past that.
   for (uint64_t lba = 0; lba < 7; ++lba) {
     ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
   }
@@ -205,7 +199,7 @@ TEST_F(SegmentedCacheTest, SecondTouchPromotesAndDemotionKeepsCap) {
 }
 
 TEST_F(SegmentedCacheTest, ScanCannotEvictProtectedWorkingSet) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   // Hot set: 4 pages, touched twice -> protected.
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t lba = 0; lba < 4; ++lba) {
@@ -224,7 +218,7 @@ TEST_F(SegmentedCacheTest, ScanCannotEvictProtectedWorkingSet) {
 }
 
 TEST_F(SegmentedCacheTest, ReadaheadFirstTouchDoesNotPromote) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   CHECK_OK(RunSim(sim_, cache.InsertClean(50, Block(0xaa),
                                           /*readahead=*/true)));
   EXPECT_EQ(cache.probation_pages(), 1u);
@@ -241,7 +235,7 @@ TEST_F(SegmentedCacheTest, ReadaheadFirstTouchDoesNotPromote) {
 }
 
 TEST_F(SegmentedCacheTest, FlushCoalescesSortedDirtyRuns) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   // Dirty pages inserted out of order: 12, 10, 20, 11.
   for (uint64_t lba : {12, 10, 20, 11}) {
     CHECK_OK(RunSim(sim_, cache.InsertDirty(
@@ -260,7 +254,7 @@ TEST_F(SegmentedCacheTest, FlushCoalescesSortedDirtyRuns) {
 }
 
 TEST_F(SegmentedCacheTest, EvictionWritesBackTheContiguousDirtyCluster) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   // Fill the cache with one contiguous dirty range.
   for (uint64_t lba = 40; lba < 48; ++lba) {
     CHECK_OK(RunSim(sim_, cache.InsertDirty(
@@ -279,7 +273,7 @@ TEST_F(SegmentedCacheTest, EvictionWritesBackTheContiguousDirtyCluster) {
 }
 
 TEST_F(SegmentedCacheTest, FlushRangeOnlyTouchesTheRange) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   CHECK_OK(RunSim(sim_, cache.InsertDirty(5, Block(5))));
   CHECK_OK(RunSim(sim_, cache.InsertDirty(60, Block(60))));
   CHECK_OK(RunSim(sim_, cache.FlushRange(0, 10)));
@@ -295,7 +289,7 @@ TEST_F(SegmentedCacheTest, FlushRangeOnlyTouchesTheRange) {
 TEST_F(SegmentedCacheTest, RacingGetBlocksShareOnePage) {
   // MemBlockStore completes instantly, so route through a cache whose
   // faults interleave: spawn two concurrent faults for the same block.
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   auto fault = [&](uint64_t lba) -> Task<void> {
     auto ref = co_await cache.GetBlock(lba);
     CHECK(ref.ok());
@@ -308,7 +302,7 @@ TEST_F(SegmentedCacheTest, RacingGetBlocksShareOnePage) {
 }
 
 TEST_F(SegmentedCacheTest, InvalidateWhileCoalescedFlushInFlight) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   uint8_t original = store_.raw()[81 * 4096];
   CHECK_OK(RunSim(sim_, cache.InsertDirty(80, Block(0x11))));
   CHECK_OK(RunSim(sim_, cache.InsertDirty(81, Block(0x22))));
@@ -333,7 +327,7 @@ TEST_F(SegmentedCacheTest, InvalidateWhileCoalescedFlushInFlight) {
 }
 
 TEST_F(SegmentedCacheTest, InsertCleanDuringInFlightReadaheadIsStable) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   // A readahead insert races a demand fault for the same block.
   auto insert = [&](uint64_t lba) -> Task<void> {
     CHECK_OK(co_await cache.InsertClean(lba, Block(0x5c),
@@ -354,7 +348,7 @@ TEST_F(SegmentedCacheTest, InsertCleanDuringInFlightReadaheadIsStable) {
 
 TEST_F(SegmentedCacheTest, ReDirtiedVictimDuringWritebackIsNotLost) {
   SlowStore slow(4096, 1024);
-  BufferCache cache(&slow, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&slow, fabric_.HostDevice(0), 8);
   for (uint64_t lba = 40; lba < 48; ++lba) {
     CHECK_OK(RunSim(sim_, cache.InsertDirty(
                               lba, Block(static_cast<uint8_t>(lba)))));
@@ -382,7 +376,7 @@ TEST_F(SegmentedCacheTest, ReDirtiedVictimDuringWritebackIsNotLost) {
 
 TEST_F(SegmentedCacheTest, FlushRangeWaitsForInFlightWriteback) {
   SlowStore slow(4096, 1024);
-  BufferCache cache(&slow, fabric_.HostDevice(0), 8, Options());
+  BufferCache cache(&slow, fabric_.HostDevice(0), 8);
   CHECK_OK(RunSim(sim_, cache.InsertDirty(80, Block(0x11))));
   CHECK_OK(RunSim(sim_, cache.InsertDirty(81, Block(0x22))));
   // Flush() clears the dirty bits at snapshot time and suspends in the
@@ -407,8 +401,8 @@ TEST_F(SegmentedCacheTest, FlushRangeWaitsForInFlightWriteback) {
 TEST_F(SegmentedCacheTest, AccessorsAreInstanceLocal) {
   // Two live caches share the process-global metric counters; each
   // instance's accessors must still report only its own traffic.
-  BufferCache a(&store_, fabric_.HostDevice(0), 8, Options());
-  BufferCache b(&store_, fabric_.HostDevice(0), 8, Options());
+  BufferCache a(&store_, fabric_.HostDevice(0), 8);
+  BufferCache b(&store_, fabric_.HostDevice(0), 8);
   ASSERT_TRUE(RunSim(sim_, a.GetBlock(5)).ok());
   ASSERT_TRUE(RunSim(sim_, a.GetBlock(5)).ok());
   EXPECT_EQ(a.misses(), 1u);

@@ -1,16 +1,20 @@
 // Property tests for SolrosFS against an in-memory reference model:
 // randomized namespace + data operation sequences, fiemap coverage
-// invariants, allocator accounting, and remount invariance.
+// invariants, allocator accounting, remount invariance, and the same
+// sequence giving the same bytes under every FS configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/base/fault.h"
 #include "src/base/prng.h"
+#include "src/base/sharding.h"
 #include "src/base/units.h"
 #include "src/core/machine.h"
 #include "src/fs/block_store.h"
@@ -424,6 +428,118 @@ TEST_P(CrashReplayDeterminismTest, SameSeedAndCutGiveIdenticalImage) {
 
 INSTANTIATE_TEST_SUITE_P(Cuts, CrashReplayDeterminismTest,
                          ::testing::Values(2u, 7u, 19u));
+
+// --- Cross-config differential oracle --------------------------------------
+//
+// Shard count, journal mode and the P2P/buffered choice must never change
+// what a file holds. One seeded sequence of create/write/read/truncate/
+// fsync/unlink runs through a full Machine's FsStub in every cell of
+// proxy_shards {1, 2, 4} x journal {off, metadata} x {P2P, buffered}; every
+// read and the final bytes of every file must match the reference model.
+// The model is a pure function of the seed, so each cell matching it means
+// all cells match each other. Requests straddle block-group stripes and the
+// cache is small, so the sequence crosses shards and drives eviction
+// write-back, the shared extent map and the coordinator's broadcasts.
+
+constexpr uint64_t kOracleMaxLength = KiB(24);
+
+// (proxy_shards, journal mode, buffered).
+using OracleCell = std::tuple<int, JournalMode, bool>;
+
+class FsConfigOracleTest : public ::testing::TestWithParam<OracleCell> {};
+
+TEST_P(FsConfigOracleTest, FinalBytesMatchReferenceModel) {
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.proxy_shards = std::get<0>(GetParam());
+  config.journal_mode = std::get<1>(GetParam());
+  config.fs_options.cache_blocks = 128;  // 512 KiB, split across shards
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  stub.set_buffered(std::get<2>(GetParam()));
+  DeviceBuffer buf(machine.phi_device(0), MiB(1));
+  auto run = [&](auto task) { return RunSim(machine.sim(), std::move(task)); };
+
+  Prng prng(0x0dd5eed);
+  std::map<std::string, ModelFile> model;
+  for (int step = 0, created = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const double dice = prng.NextDouble();
+    if (dice < 0.1 || model.empty()) {
+      std::string path = "/o" + std::to_string(created++);
+      auto ino = run(stub.Create(path));
+      ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+      model[path] = ModelFile{*ino, {}};
+      continue;
+    }
+    auto it = std::next(model.begin(), prng.NextBelow(model.size()));
+    const uint64_t ino = it->second.ino;
+    std::vector<uint8_t>& content = it->second.content;
+    // Every op lands within kOracleMaxLength of a block-group stripe
+    // boundary, where one request's blocks belong to two shards.
+    uint64_t offset = kShardStripeBlocks * kFsBlockSize *
+                          (1 + prng.NextBelow(2)) +
+                      prng.NextBelow(2 * kOracleMaxLength) - kOracleMaxLength;
+    uint64_t length = prng.NextInRange(1, kOracleMaxLength);
+    // Half the reads and writes are block-aligned so they can take P2P.
+    if (prng.NextBelow(2) == 0) {
+      offset -= offset % kFsBlockSize;
+      length = (length + kFsBlockSize - 1) / kFsBlockSize * kFsBlockSize;
+    }
+    if (dice < 0.5) {
+      for (uint64_t i = 0; i < length; ++i) {
+        buf.data()[i] = static_cast<uint8_t>(prng.Next());
+      }
+      auto n = run(stub.Write(ino, offset, MemRef::Of(buf, 0, length)));
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_EQ(*n, length);
+      content.resize(std::max<uint64_t>(content.size(), offset + length));
+      std::memcpy(content.data() + offset, buf.data(), length);
+    } else if (dice < 0.75) {
+      auto n = run(stub.Read(ino, offset, MemRef::Of(buf, 0, length)));
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_EQ(*n, offset >= content.size()
+                        ? 0
+                        : std::min<uint64_t>(length, content.size() - offset));
+      ASSERT_TRUE(*n == 0 ||
+                  std::memcmp(buf.data(), content.data() + offset, *n) == 0);
+    } else if (dice < 0.85) {
+      ASSERT_TRUE(run(stub.Truncate(ino, offset)).ok());
+      content.resize(offset);
+    } else if (dice < 0.93) {
+      ASSERT_TRUE(run(stub.Fsync(ino)).ok());
+    } else {
+      ASSERT_TRUE(run(stub.Unlink(it->first)).ok());
+      model.erase(it);
+    }
+  }
+  ASSERT_GE(model.size(), 2u) << "the sequence should leave files behind";
+  for (const auto& [path, file] : model) {
+    auto stat = run(stub.Stat(path));
+    ASSERT_TRUE(stat.ok()) << path << ": " << stat.status().ToString();
+    ASSERT_EQ(stat->size, file.content.size()) << path;
+    auto n = run(stub.Read(file.ino, 0, MemRef::Of(buf, 0, stat->size)));
+    ASSERT_TRUE(n.ok() && *n == stat->size) << path;
+    EXPECT_TRUE(stat->size == 0 ||
+                std::memcmp(buf.data(), file.content.data(), stat->size) == 0)
+        << path;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FsConfigOracleTest,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(JournalMode::kOff,
+                                         JournalMode::kMetadata),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<OracleCell>& info) {
+      return "Shards" + std::to_string(std::get<0>(info.param)) + "_" +
+             JournalModeName(std::get<1>(info.param)) + "Journal" +
+             (std::get<2>(info.param) ? "_Buffered" : "_P2p");
+    });
 
 }  // namespace
 }  // namespace solros

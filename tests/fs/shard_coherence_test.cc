@@ -162,7 +162,7 @@ TEST(ShardCoherenceTest, ExtentMapInvalidationDefeatsStaleMemos) {
   ExpectReadsBack(machine, reader, machine.phi_device(1), *ino, after);
 }
 
-TEST(ShardCoherenceTest, ReadStreamKeysAreShardQualified) {
+TEST(ShardCoherenceTest, ReadStreamsArePerShard) {
   Machine machine(ShardedConfig(2, /*num_phis=*/1));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   FsStub& stub = machine.fs_stub(0);
@@ -174,9 +174,8 @@ TEST(ShardCoherenceTest, ReadStreamKeysAreShardQualified) {
   WriteChunked(machine, stub, machine.phi_device(0), *ino, data);
 
   // One sequential scan of two block groups: the same (client, ino) pair
-  // forms an independent stream on EACH shard it crosses. The shard id in
-  // the stream key keeps those entries distinct by construction, so a
-  // re-partitioning can never alias two shards' windows onto one entry.
+  // forms an independent stream on EACH shard it crosses, because every
+  // shard keeps its own stream table.
   ExpectReadsBack(machine, stub, machine.phi_device(0), *ino, data);
   EXPECT_EQ(machine.fs_proxy_shard(0).read_streams(), 1u);
   EXPECT_EQ(machine.fs_proxy_shard(1).read_streams(), 1u);
