@@ -28,6 +28,7 @@
 #ifndef SOLROS_BENCH_BENCH_UTIL_H_
 #define SOLROS_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +40,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/fault.h"
+#include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/sharding.h"
 #include "src/base/stats.h"
@@ -98,9 +101,29 @@ inline Result<JournalMode> BenchJournalMode() {
                               "\" (want off, metadata or data)");
 }
 
+// SOLROS_TRACE_SAMPLE as a keep-1-in-N rate: 0 (full capture) when unset or
+// empty, otherwise a decimal integer. Anything else is an error naming it.
+inline Result<uint64_t> TraceSampleFromEnv() {
+  const char* env = std::getenv("SOLROS_TRACE_SAMPLE");
+  std::string_view value = env != nullptr ? env : "";
+  uint64_t n = 0;
+  if (value.empty()) {
+    return n;
+  }
+  const char* end = value.data() + value.size();
+  auto [parsed_end, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc() || parsed_end != end) {
+    return InvalidArgumentError("SOLROS_TRACE_SAMPLE: bad value \"" +
+                                std::string(value) +
+                                "\" (want a decimal keep-1-in-N)");
+  }
+  return n;
+}
+
 // Parses the common flags; unknown arguments are left for the bench.
 // Returns false (after printing usage) on a malformed common flag, or after
-// naming the bad value of a malformed SOLROS_PROXY_SHARDS or SOLROS_JOURNAL.
+// naming the bad value of a malformed SOLROS_PROXY_SHARDS, SOLROS_JOURNAL,
+// SOLROS_TRACE_SAMPLE or SOLROS_FAULTS.
 inline bool InitBench(int argc, char** argv) {
   BenchFlags& flags = GetBenchFlags();
   for (int i = 1; i < argc; ++i) {
@@ -151,7 +174,8 @@ inline bool InitBench(int argc, char** argv) {
     }
   }
   for (const Status& status :
-       {ProxyShardsFromEnv().status(), BenchJournalMode().status()}) {
+       {ProxyShardsFromEnv().status(), BenchJournalMode().status(),
+        TraceSampleFromEnv().status(), FaultRegistry().ConfigureFromEnv()}) {
     if (!status.ok()) {
       std::cerr << status.ToString() << "\n";
       return false;
@@ -212,11 +236,9 @@ inline uint64_t TraceSampleN() {
   if (GetBenchFlags().trace_sample != 0) {
     return GetBenchFlags().trace_sample;
   }
-  const char* value = std::getenv("SOLROS_TRACE_SAMPLE");
-  if (value == nullptr || value[0] == '\0') {
-    return 0;
-  }
-  return static_cast<uint64_t>(std::strtoull(value, nullptr, 10));
+  Result<uint64_t> n = TraceSampleFromEnv();
+  CHECK_OK(n);
+  return *n;
 }
 
 // Switches `tracer` to tail-based retention under --trace-sample=N /

@@ -1,7 +1,9 @@
 #include "src/base/fault.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -77,13 +79,7 @@ bool FaultPoint::ShouldFire() {
 FaultRegistry& FaultRegistry::Default() {
   static FaultRegistry* const registry = [] {
     auto* r = new FaultRegistry();
-    const char* env = std::getenv("SOLROS_FAULTS");
-    if (env != nullptr && env[0] != '\0') {
-      Status status = r->Configure(env);
-      if (!status.ok()) {
-        LOG(ERROR) << "ignoring bad SOLROS_FAULTS: " << status.ToString();
-      }
-    }
+    CHECK_OK(r->ConfigureFromEnv());
     return r;
   }();
   return *registry;
@@ -162,7 +158,20 @@ uint64_t FaultRegistry::seed() const {
   return seed_;
 }
 
-Status FaultRegistry::Configure(std::string_view config) {
+Status FaultRegistry::ConfigureFromEnv() {
+  const char* env = std::getenv("SOLROS_FAULTS");
+  std::string_view value = env != nullptr ? env : "";
+  Status status = Configure(value, /*known_points_only=*/true);
+  if (!status.ok()) {
+    return InvalidArgumentError("SOLROS_FAULTS: bad value \"" +
+                                std::string(value) + "\" (" +
+                                status.message() + ")");
+  }
+  return OkStatus();
+}
+
+Status FaultRegistry::Configure(std::string_view config,
+                                bool known_points_only) {
   // Parse fully before arming anything so a malformed tail cannot leave a
   // half-applied config behind.
   struct Entry {
@@ -194,6 +203,11 @@ Status FaultRegistry::Configure(std::string_view config) {
         return InvalidArgumentError("bad fault seed: " + trigger);
       }
       continue;
+    }
+    if (known_points_only &&
+        std::find(std::begin(kFaultPointNames), std::end(kFaultPointNames),
+                  name) == std::end(kFaultPointNames)) {
+      return InvalidArgumentError("unknown fault point: " + name);
     }
     FaultSpec spec;
     if (trigger == "once") {

@@ -29,7 +29,8 @@
 //
 // Comma-separated `point=trigger` entries; a trigger is a probability in
 // [0,1], `1/N` for every-Nth, or `once`; the reserved key `seed=<u64>`
-// sets the registry seed (default 0x50171005).
+// sets the registry seed (default 0x50171005). The environment may name
+// only the points in kFaultPointNames; a malformed value fails the run.
 #ifndef SOLROS_SRC_BASE_FAULT_H_
 #define SOLROS_SRC_BASE_FAULT_H_
 
@@ -47,6 +48,17 @@
 #include "src/base/status.h"
 
 namespace solros {
+
+// Every point the simulator probes.
+inline constexpr std::string_view kFaultPointNames[] = {
+    "hw.dma.error",         "hw.fabric.stall",
+    "iosched.stall",        "nvme.cmd.fail",
+    "nvme.cmd.timeout",     "nvme.powercut",
+    "nvme.tornwrite",       "rpc.corrupt.request",
+    "rpc.corrupt.response", "rpc.drop.request",
+    "rpc.drop.response",    "transport.ring.recv_stall",
+    "transport.ring.send_stall",
+};
 
 struct FaultSpec {
   // Fire each hit with this probability (0 disables the probabilistic arm).
@@ -106,7 +118,8 @@ class FaultRegistry {
   FaultRegistry(const FaultRegistry&) = delete;
   FaultRegistry& operator=(const FaultRegistry&) = delete;
 
-  // The process-wide instance; applies SOLROS_FAULTS on first use.
+  // The process-wide instance; applies SOLROS_FAULTS on first use and
+  // CHECK-fails on a bad value.
   static FaultRegistry& Default();
 
   // Returns the point registered under `name`, creating it (disarmed) on
@@ -132,8 +145,13 @@ class FaultRegistry {
   uint64_t seed() const;
 
   // Applies a SOLROS_FAULTS-syntax config string (see file comment). On a
-  // malformed entry nothing is armed and an error names the entry.
-  Status Configure(std::string_view config);
+  // malformed entry, or with `known_points_only` an entry naming a point
+  // outside kFaultPointNames, nothing is armed and an error names the entry.
+  Status Configure(std::string_view config, bool known_points_only = false);
+
+  // Configure(SOLROS_FAULTS, known_points_only); unset or empty arms
+  // nothing. The error names the bad value.
+  Status ConfigureFromEnv();
 
   // `name  hits  fires` table of every point touched this process, armed
   // or not (deterministic, name-sorted). Appended to Machine::DumpStats.

@@ -14,7 +14,9 @@
 //                 across shards in kShardStripeBlocks-block groups, mixed
 //                 with the inode so different files start on different
 //                 shards. Round-robin (not hashed) striping makes the load
-//                 split exact for sequential and strided workloads.
+//                 split exact for sequential and strided workloads. A data
+//                 request never crosses a stripe (OwnedRangeEnd), so the
+//                 stripe's shard is the only one that caches its blocks.
 //   path hash     namespace ops that carry only a path (FNV-1a).
 //   connection    TCP connections: a 64-bit mix of the wire connection id.
 //
@@ -26,6 +28,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -58,9 +61,8 @@ inline Result<int> ProxyShardsFromEnv() {
 }
 
 // Stripe width for block-group routing, in file-system blocks (64 blocks =
-// 256 KiB at 4 KiB blocks): wide enough that a readahead window never
-// spans more than two groups, narrow enough that a multi-MiB file spreads
-// over every shard.
+// 256 KiB at 4 KiB blocks): as wide as the largest readahead window,
+// narrow enough that a multi-MiB file spreads over every shard.
 inline constexpr uint64_t kShardStripeBlocks = 64;
 
 // Consecutive inodes per range before the owner advances.
@@ -85,6 +87,19 @@ inline constexpr int ShardOfFileRange(uint64_t ino, uint64_t offset,
   }
   uint64_t group = offset / (kShardStripeBlocks * uint64_t{block_size});
   return static_cast<int>((ino + group) % static_cast<uint64_t>(shards));
+}
+
+// End (exclusive) of the byte range owned by the shard serving `offset`:
+// the end of its stripe, or unbounded when `shards <= 1`. A data request
+// that stays below it has exactly one owner, so each cached block lives in
+// one shard's cache.
+inline constexpr uint64_t OwnedRangeEnd(uint64_t offset, uint32_t block_size,
+                                        int shards) {
+  if (shards <= 1) {
+    return std::numeric_limits<uint64_t>::max();
+  }
+  uint64_t stripe = kShardStripeBlocks * uint64_t{block_size};
+  return (offset / stripe + 1) * stripe;
 }
 
 // Owner of a path-only namespace op (create/unlink/mkdir/...): FNV-1a.

@@ -1,6 +1,7 @@
 // Baseline file-service configurations the paper compares against (§6.1.2).
 //
-//  * VirtioBlockStore + PhiLocalFs — the co-processor-centric stock path:
+//  * VirtioBlockStore + LocalFsService on a Phi core — the
+//    co-processor-centric stock path:
 //    "ext4 file system is running on Xeon Phi and controls an NVMe SSD as a
 //    virtual block device (virtblk). An SCIF kernel module on the host
 //    drives the NVMe SSD according to requests from the Xeon Phi. An
@@ -14,8 +15,8 @@
 //    both ends, data chunked at the NFS transfer unit and pushed through
 //    the Phi's TCP stack segment by segment.
 //
-//  * HostLocalFs — the host upper bound: full file system on fast cores,
-//    NVMe DMA into host memory.
+//  * LocalFsService on a host core — the host upper bound: full file system
+//    on fast cores, NVMe DMA into host memory.
 #ifndef SOLROS_SRC_FS_BASELINE_FS_H_
 #define SOLROS_SRC_FS_BASELINE_FS_H_
 
@@ -70,7 +71,7 @@ class VirtioBlockStore : public BlockStore {
 
 // Shared adapter: a FileService facade over a SolrosFs instance whose
 // calls run on `cpu` at the full-file-system CPU cost, with data landing
-// via plain local copies (used by PhiLocalFs and HostLocalFs).
+// via plain local copies (both the Phi-local and the host-local baseline).
 class LocalFsService : public FileService {
  public:
   LocalFsService(const HwParams& params, SolrosFs* fs, Processor* cpu);

@@ -119,7 +119,39 @@ MemRef BufferCache::SlotRef(size_t slot) {
   return MemRef::Of(arena_, slot * block_size_, block_size_);
 }
 
+BufferCache::Fill::Fill(BufferCache* cache, std::span<const FsExtent> runs)
+    : cache_(cache), runs_(runs) {
+  cache_->fills_.push_back(this);
+}
+
+BufferCache::Fill::~Fill() {
+  auto& fills = cache_->fills_;
+  fills.erase(std::find(fills.begin(), fills.end(), this));
+}
+
+bool BufferCache::Fill::stale(uint64_t lba) const {
+  return std::find(stale_.begin(), stale_.end(), lba) != stale_.end();
+}
+
+void BufferCache::Fill::Touch(uint64_t lba) {
+  for (const FsExtent& run : runs_) {
+    if (lba >= run.start && lba < run.start + run.len) {
+      stale_.push_back(lba);
+      return;
+    }
+  }
+}
+
+void BufferCache::TouchFills(uint64_t lba) {
+  for (Fill* fill : fills_) {
+    fill->Touch(lba);
+  }
+}
+
 void BufferCache::SetDirty(Page& page, bool dirty) {
+  if (dirty) {
+    TouchFills(page.lba);
+  }
   if (page.dirty == dirty) {
     return;
   }
@@ -455,6 +487,7 @@ Task<Status> BufferCache::WriteThrough(uint64_t lba, uint32_t nblocks,
 }
 
 void BufferCache::Invalidate(uint64_t lba) {
+  TouchFills(lba);
   auto it = map_.find(lba);
   if (it == map_.end()) {
     return;
@@ -469,6 +502,29 @@ void BufferCache::Invalidate(uint64_t lba) {
 void BufferCache::InvalidateRange(uint64_t lba, uint64_t nblocks) {
   for (uint64_t i = 0; i < nblocks; ++i) {
     Invalidate(lba + i);
+  }
+}
+
+void BufferCache::InvalidateCleanRange(uint64_t lba, uint64_t nblocks) {
+  for (uint64_t i = 0; i < nblocks; ++i) {
+    auto it = map_.find(lba + i);
+    if (it == map_.end() || !it->second.dirty) {
+      Invalidate(lba + i);
+    }
+  }
+}
+
+Task<void> BufferCache::DiscardRange(uint64_t lba, uint64_t nblocks) {
+  InvalidateRange(lba, nblocks);
+  co_await AwaitInflight(lba, nblocks);
+}
+
+void BufferCache::ZeroFrom(uint64_t lba, uint32_t offset) {
+  TouchFills(lba);
+  auto it = map_.find(lba);
+  if (it != map_.end()) {
+    std::span<uint8_t> page = SlotRef(it->second.slot).span();
+    std::memset(page.data() + offset, 0, block_size_ - offset);
   }
 }
 

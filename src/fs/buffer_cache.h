@@ -40,12 +40,14 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/fs/block_store.h"
+#include "src/fs/layout.h"
 #include "src/hw/memory.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -103,6 +105,14 @@ class BufferCache {
   // the cached copy would go stale).
   void Invalidate(uint64_t lba);
   void InvalidateRange(uint64_t lba, uint64_t nblocks);
+  // InvalidateRange, then waits out the in-flight write-backs overlapping
+  // the range, so a write that follows lands after them on the device.
+  Task<void> DiscardRange(uint64_t lba, uint64_t nblocks);
+  // InvalidateRange for clean pages only; dirty pages stay.
+  void InvalidateCleanRange(uint64_t lba, uint64_t nblocks);
+  // Zeroes a cached page from byte `offset` on, keeping its dirty state
+  // (a truncate keeps the block's head and frees its tail).
+  void ZeroFrom(uint64_t lba, uint32_t offset);
   bool Contains(uint64_t lba) const;
 
   Task<Status> Flush();
@@ -110,6 +120,33 @@ class BufferCache {
   // [lba, lba+nblocks). Fast no-op when the cache holds no dirty pages —
   // the proxy calls this before P2P reads for write-back coherence.
   Task<Status> FlushRange(uint64_t lba, uint64_t nblocks);
+
+  // A miss fill the caller performs itself: it reads blocks from the
+  // backing store and installs them with InsertClean. A write or free can
+  // land on a block between the fill's device read and its install (a P2P
+  // write, a write-through, an unlink, or a re-dirty whose write-back then
+  // evicts the page), and the fill would cache the older bytes. So a Fill
+  // watches its blocks (`runs`, which must outlive it) from the moment
+  // their mapping is known; a block invalidated or dirtied since then is
+  // stale, and the caller skips installing it.
+  class Fill {
+   public:
+    Fill(BufferCache* cache, std::span<const FsExtent> runs);
+    ~Fill();
+    Fill(const Fill&) = delete;
+    Fill& operator=(const Fill&) = delete;
+
+    bool stale(uint64_t lba) const;
+
+   private:
+    friend class BufferCache;
+    // Marks `lba` stale if this fill watches it.
+    void Touch(uint64_t lba);
+
+    BufferCache* cache_;
+    std::span<const FsExtent> runs_;
+    std::vector<uint64_t> stale_;
+  };
 
   // Counts `nblocks` demand misses that the caller fetched from the device
   // itself and installed with InsertClean (the proxy's staged read fetches
@@ -190,6 +227,8 @@ class BufferCache {
     return segment == Segment::kProtected ? protected_ : probation_;
   }
   void SetDirty(Page& page, bool dirty);
+  // Marks `lba` stale in every open fill that watches it.
+  void TouchFills(uint64_t lba);
   void UpdateGauges();
   MemRef SlotRef(size_t slot);
 
@@ -206,6 +245,7 @@ class BufferCache {
   std::list<uint64_t> protected_;
   size_t dirty_count_ = 0;
   std::list<InflightWriteback> inflight_;
+  std::vector<Fill*> fills_;  // open fills, touched on invalidate and dirty
   // Lazily built on first wait: the cache is constructed without a
   // Simulator, which Condition needs; waiters obtain it from their task.
   std::unique_ptr<Condition> inflight_cond_;

@@ -2,13 +2,13 @@
 //
 // Every configuration the paper evaluates implements this interface, so the
 // benchmarks and applications can swap them freely:
-//  * FsStub        — Solros: thin RPC stub -> control-plane proxy (§4.3)
-//  * PhiLocalFs    — co-processor-centric baseline: the full file system
-//                    runs on the Phi over a virtio-style remote block device
-//  * NfsClientFs   — NFS-style baseline: per-call RPC to the host FS with
-//                    chunked data transfer over the Phi's TCP stack
-//  * HostLocalFs   — the host upper bound: full FS on fast cores, data
-//                    lands in host memory
+//  * FsStub         — Solros: thin RPC stub -> control-plane proxy (§4.3)
+//  * LocalFsService — a full file system on one processor's cores: on the
+//                     Phi over a virtio-style remote block device (the
+//                     co-processor-centric baseline), or on the host with
+//                     data landing in host memory (the upper bound)
+//  * NfsClientFs    — NFS-style baseline: per-call RPC to the host FS with
+//                     chunked data transfer over the Phi's TCP stack
 //
 // Data-carrying calls use MemRef targets (the zero-copy "physical address"
 // convention): the caller owns a DeviceBuffer on its own device and the

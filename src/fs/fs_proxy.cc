@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 
 #include "src/base/fault.h"
 #include "src/base/logging.h"
@@ -56,6 +57,17 @@ bool IsSystemError(ErrorCode code) {
       return true;
     default:
       return false;
+  }
+}
+
+// Zeroes the bytes of `blocks` (file bytes from `offset` on) at or past
+// `file_size`. A cache holds them as zeros: the file system zero-fills them
+// on the device when the file grows, and tells no cache.
+void ZeroPastEof(std::span<uint8_t> blocks, uint64_t offset,
+                 uint64_t file_size) {
+  if (offset + blocks.size() > file_size) {
+    uint64_t keep = file_size > offset ? file_size - offset : 0;
+    std::memset(blocks.data() + keep, 0, blocks.size() - keep);
   }
 }
 
@@ -172,7 +184,9 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
   SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
                              co_await fs_->Fiemap(ino, 0, stat.size));
   // Fetch extent-by-extent with coalesced vectors into a bounce buffer,
-  // installing clean pages.
+  // installing clean pages in the cache of the shard that owns each block.
+  const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
+  uint64_t offset = 0;  // file offset of the next block
   for (const FsExtent& extent : extents) {
     uint64_t bytes = uint64_t{extent.len} * kFsBlockSize;
     DeviceBuffer bounce(host_cpu_->device(), bytes);
@@ -181,8 +195,11 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
     SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
         extent.start, extent.len, {bounce.data(), bytes},
         IoClass::kReadahead));
-    for (uint64_t b = 0; b < extent.len; ++b) {
-      SOLROS_CO_RETURN_IF_ERROR(co_await cache_->InsertClean(
+    ZeroPastEof({bounce.data(), bytes}, offset, stat.size);
+    for (uint64_t b = 0; b < extent.len; ++b, offset += kFsBlockSize) {
+      FsProxy* owner = shards[static_cast<size_t>(ShardOfFileRange(
+          ino, offset, kFsBlockSize, shard_.shard_count))];
+      SOLROS_CO_RETURN_IF_ERROR(co_await owner->cache_->InsertClean(
           extent.start + b,
           {bounce.data() + b * kFsBlockSize, kFsBlockSize}));
     }
@@ -228,7 +245,9 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
     case FsOp::kUnlink: {
       // Freed blocks may be reallocated to another file — possibly one
       // served by a different shard — so drop cached copies on EVERY
-      // shard before the blocks return to the allocator.
+      // shard before the blocks return to the allocator, and clean copies
+      // again after.
+      std::vector<FsExtent> freed;
       if (cache_ != nullptr) {
         auto ino = co_await fs_->Lookup(request.Path());
         if (ino.ok()) {
@@ -236,12 +255,14 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
           if (stat.ok()) {
             auto extents = co_await CachedFiemap(*ino, 0, stat->size);
             if (extents.ok()) {
-              BroadcastInvalidate(*extents);
+              freed = std::move(*extents);
             }
           }
         }
       }
+      co_await BroadcastInvalidate(freed);
       Status status = co_await fs_->Unlink(request.Path());
+      BroadcastDropClean(freed);
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }
@@ -269,19 +290,24 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
       break;
     }
     case FsOp::kTruncate: {
-      // Invalidate cached pages of any region a shrink is about to free —
-      // on every shard, since the freed blocks go back to a shared pool.
+      // Invalidate cached pages of any region a shrink frees, as for
+      // unlink. A partially kept last block stays cached with its freed
+      // tail zeroed.
+      std::vector<FsExtent> freed;
+      const uint32_t kept = request.length % kFsBlockSize;
       if (cache_ != nullptr) {
         auto stat = co_await fs_->StatInode(request.ino);
         if (stat.ok() && request.length < stat->size) {
           auto extents = co_await CachedFiemap(
               request.ino, request.length, stat->size - request.length);
           if (extents.ok()) {
-            BroadcastInvalidate(*extents);
+            freed = std::move(*extents);
           }
         }
       }
+      co_await BroadcastInvalidate(freed, kept);
       Status status = co_await fs_->Truncate(request.ino, request.length);
+      BroadcastDropClean(freed);
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }
@@ -342,16 +368,12 @@ uint32_t FsProxy::UpdateReadStream(uint32_t client, uint64_t ino,
   return stream.window_blocks;
 }
 
-bool FsProxy::HasDirtyPages() const {
-  return cache_ != nullptr &&
-         (cache_->dirty_pages() > 0 || cache_->writeback_in_flight());
-}
-
-bool FsProxy::AnyShardDirty(const FsProxy* skip) const {
-  const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
-  return std::any_of(shards.begin(), shards.end(), [skip](const FsProxy* p) {
-    return p != skip && p->HasDirtyPages();
-  });
+bool FsProxy::OwnsRange(uint64_t ino, uint64_t offset,
+                        uint64_t length) const {
+  const int shards = shard_.shard_count;
+  return ShardOfFileRange(ino, offset, kFsBlockSize, shards) ==
+             shard_.shard_id &&
+         length <= OwnedRangeEnd(offset, kFsBlockSize, shards) - offset;
 }
 
 Task<Result<std::vector<FsExtent>>> FsProxy::CachedFiemap(uint64_t ino,
@@ -361,38 +383,69 @@ Task<Result<std::vector<FsExtent>>> FsProxy::CachedFiemap(uint64_t ino,
   if (hit != nullptr) {
     co_return *hit;
   }
+  const uint64_t version = shard_.extent_map.Version(ino);
   SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
                              co_await fs_->Fiemap(ino, offset, length));
-  extent_view_.Insert(ino, offset, length, extents);
+  // An answer clipped at EOF depends on the file size, which a write can
+  // grow without touching the extents (and so the version): memoize only
+  // answers that map every block of the range.
+  uint64_t mapped = 0;
+  for (const FsExtent& e : extents) {
+    mapped += e.len;
+  }
+  if (mapped == (offset + length + kFsBlockSize - 1) / kFsBlockSize -
+                    offset / kFsBlockSize) {
+    extent_view_.Insert(ino, offset, length, version, extents);
+  }
   co_return extents;
 }
 
-void FsProxy::BroadcastInvalidate(const std::vector<FsExtent>& extents,
-                                  const FsProxy* skip) {
-  // Synchronous within the single-threaded sim — no cross-core charge,
-  // matching a store to a shared invalidation queue.
-  for (FsProxy* peer : shard_.coordinator.shards()) {
-    if (peer == skip || peer->cache_ == nullptr) {
-      continue;
-    }
-    for (const FsExtent& e : extents) {
-      peer->cache_->InvalidateRange(e.start, e.len);
-    }
+Task<Status> FsProxy::FlushExtents(const std::vector<FsExtent>& extents) {
+  if (cache_ == nullptr) {
+    co_return OkStatus();
+  }
+  for (const FsExtent& e : extents) {
+    SOLROS_CO_RETURN_IF_ERROR(co_await cache_->FlushRange(e.start, e.len));
+  }
+  co_return OkStatus();
+}
+
+Task<void> FsProxy::DropExtents(const std::vector<FsExtent>& extents) {
+  if (cache_ == nullptr) {
+    co_return;
+  }
+  for (const FsExtent& e : extents) {
+    co_await cache_->DiscardRange(e.start, e.len);
   }
 }
 
-Task<Status> FsProxy::BroadcastFlushExtents(
-    const std::vector<FsExtent>& extents, const FsProxy* skip) {
+Task<void> FsProxy::BroadcastInvalidate(std::vector<FsExtent> extents,
+                                        uint32_t keep_bytes) {
+  // No cross-core charge, matching a store to a shared invalidation queue;
+  // the only wait is for write-backs already in flight.
+  const bool keep_head = keep_bytes > 0 && !extents.empty();
+  const uint64_t head = keep_head ? extents.front().start : 0;
+  if (keep_head) {
+    ++extents.front().start;
+    --extents.front().len;
+  }
   for (FsProxy* peer : shard_.coordinator.shards()) {
-    if (peer == skip || !peer->HasDirtyPages()) {
+    if (keep_head && peer->cache_ != nullptr) {
+      peer->cache_->ZeroFrom(head, keep_bytes);
+    }
+    co_await peer->DropExtents(extents);
+  }
+}
+
+void FsProxy::BroadcastDropClean(const std::vector<FsExtent>& extents) {
+  for (FsProxy* peer : shard_.coordinator.shards()) {
+    if (peer->cache_ == nullptr) {
       continue;
     }
     for (const FsExtent& e : extents) {
-      SOLROS_CO_RETURN_IF_ERROR(
-          co_await peer->cache_->FlushRange(e.start, e.len));
+      peer->cache_->InvalidateCleanRange(e.start, e.len);
     }
   }
-  co_return OkStatus();
 }
 
 Task<Status> FsProxy::FsyncBarrier() {
@@ -494,6 +547,10 @@ Task<Result<bool>> FsProxy::ShouldUseP2p(const FsRequest& request,
 
 Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
                                      TraceContext ctx) {
+  if (!OwnsRange(request.ino, request.offset,
+                 std::min(request.length, request.memory.length))) {
+    co_return ErrorResponse(InvalidArgumentError("read outside shard range"));
+  }
   FsResponse response;
   auto stat = co_await fs_->StatInode(request.ino);
   if (!stat.ok()) {
@@ -533,9 +590,10 @@ Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
     if (!extents.ok()) {
       co_return ErrorResponse(extents.status());
     }
-    // P2P bypasses the caches; push any dirty cached pages of this range
-    // out of EVERY shard first so the device read returns the newest bytes.
-    Status coherent = co_await BroadcastFlushExtents(*extents);
+    // P2P bypasses the cache; push this shard's dirty pages of the range
+    // (the only cached copies) first so the device read returns the newest
+    // bytes.
+    Status coherent = co_await FlushExtents(*extents);
     if (!coherent.ok()) {
       co_return ErrorResponse(coherent);
     }
@@ -580,6 +638,9 @@ Task<FsResponse> FsProxy::HandleWrite(const FsRequest& request,
                                       TraceContext ctx) {
   FsResponse response;
   uint64_t length = std::min(request.length, request.memory.length);
+  if (!OwnsRange(request.ino, request.offset, length)) {
+    co_return ErrorResponse(InvalidArgumentError("write outside shard range"));
+  }
   if (length == 0) {
     response.value = 0;
     co_return response;
@@ -597,12 +658,15 @@ Task<FsResponse> FsProxy::HandleWrite(const FsRequest& request,
           MetricRegistry::Default().GetCounter("fs.proxy.p2p_writes");
       p2p_writes->Increment();
       ScopedSpan data(sim_, "proxy", "fs.data.p2p", ctx);
-      // The data on disk is about to change under any cached copies —
-      // drop them on every shard.
-      BroadcastInvalidate(*extents);
+      // The data on disk is about to change under this shard's cached
+      // copies — drop them.
+      co_await DropExtents(*extents);
       Status status = co_await store_->WriteExtents(
           *extents, request.memory.Sub(0, length), options_.coalesce_nvme,
           data.context());
+      // Again once the bytes landed: a fill that read them meanwhile holds
+      // the old ones.
+      co_await DropExtents(*extents);
       if (status.ok()) {
         NoteP2pSuccess();
         response.value = length;
@@ -677,15 +741,11 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
         file_blocks > last_block ? file_blocks - last_block : 0;
     stage_blocks += std::min<uint64_t>(ra_blocks, headroom);
   }
-  if (shard_.shard_count > 1) {
-    // Clip speculation at the block-group stripe boundary: blocks past it
-    // route to a different shard, whose own stream detector readaheads
-    // them into ITS cache — fetching them here would duplicate pages
-    // across segments and fight that shard's window.
-    uint64_t stripe_end = (last_block + kShardStripeBlocks - 1) /
-                          kShardStripeBlocks * kShardStripeBlocks;
-    stage_blocks = std::min(stage_blocks, stripe_end - first_block);
-  }
+  // Clip speculation at the end of this shard's stripe: blocks past it
+  // belong to another shard, whose own stream detector readaheads them
+  // into ITS cache.
+  uint64_t owned_end = OwnedRangeEnd(offset, kFsBlockSize, shard_.shard_count);
+  stage_blocks = std::min(stage_blocks, owned_end / kFsBlockSize - first_block);
   if (stage_blocks > nblocks) {
     TRACE_INSTANT(sim_, "proxy", "fs.proxy.readahead");
   }
@@ -695,11 +755,12 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
       std::vector<FsExtent> extents,
       co_await CachedFiemap(ino, first_block * kFsBlockSize,
                             stage_blocks * kFsBlockSize));
-  // Misses below are fetched from the device, so another shard's dirty
-  // copies of these blocks must reach it first. This shard's own dirty
-  // pages are served from its cache.
-  if (AnyShardDirty(/*skip=*/this)) {
-    SOLROS_CO_RETURN_IF_ERROR(co_await BroadcastFlushExtents(extents, this));
+
+  // Watch the staged blocks from the moment their mapping is known, so a
+  // write or free that lands before a miss run is installed drops it.
+  std::optional<BufferCache::Fill> fill;
+  if (cache_ != nullptr) {
+    fill.emplace(cache_.get(), extents);
   }
 
   // The staging walk runs under a cache span (child of the buffered data
@@ -763,14 +824,18 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
       // Populate the cache with the fetched blocks (clean pages, no
       // second device read — the bytes are in the bounce buffer).
       if (cache_ != nullptr) {
+        ZeroPastEof({bounce.data() + bounce_off, run * kFsBlockSize},
+                    first_block * kFsBlockSize + bounce_off, file_size);
         for (uint64_t b = 0; b < run; ++b) {
           bool ra = cursor + i + b >= nblocks;
-          Status inserted = co_await cache_->InsertClean(
-              lba + b,
-              {bounce.data() + bounce_off + b * kFsBlockSize, kFsBlockSize},
-              /*readahead=*/ra);
-          if (!inserted.ok()) {
-            co_return inserted;
+          if (!fill->stale(lba + b)) {
+            Status inserted = co_await cache_->InsertClean(
+                lba + b,
+                {bounce.data() + bounce_off + b * kFsBlockSize, kFsBlockSize},
+                /*readahead=*/ra);
+            if (!inserted.ok()) {
+              co_return inserted;
+            }
           }
           if (ra) {
             ++span_readahead;
@@ -829,9 +894,6 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
       absorbed->Increment(length / kFsBlockSize);
       ScopedSpan cache_span(sim_, "cache", "cache.write", ctx);
       cache_span.AddArg("absorbed", length / kFsBlockSize);
-      // Another shard's copy of these blocks is now stale; drop it so it
-      // can neither serve the old bytes nor write them back over these.
-      BroadcastInvalidate(*extents, /*skip=*/this);
       uint64_t cursor = 0;
       for (const FsExtent& e : *extents) {
         for (uint64_t b = 0; b < e.len; ++b) {
@@ -849,13 +911,14 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
     // Gap past EOF: fall through to the write-through path below.
   }
   // The write-through path read-modify-writes partial blocks from the
-  // device; push overlapping dirty cached pages out of every shard first
-  // so the RMW sees the newest bytes. Skip the extent walk when no shard
-  // holds dirty pages at all (the common case stays Fiemap-free).
-  if (AnyShardDirty()) {
+  // device; push this shard's overlapping dirty pages out first so the RMW
+  // sees the newest bytes. Skip the extent walk when the cache holds no
+  // dirty pages at all (the common case stays Fiemap-free).
+  if (cache_ != nullptr &&
+      (cache_->dirty_pages() > 0 || cache_->writeback_in_flight())) {
     auto dirty_extents = co_await CachedFiemap(ino, offset, length);
     if (dirty_extents.ok()) {
-      SOLROS_CO_RETURN_IF_ERROR(co_await BroadcastFlushExtents(*dirty_extents));
+      SOLROS_CO_RETURN_IF_ERROR(co_await FlushExtents(*dirty_extents));
     }
   }
   SOLROS_CO_ASSIGN_OR_RETURN(
@@ -865,11 +928,11 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   if (written != length) {
     co_return IoError("short write");
   }
-  // Keep every shard's cache coherent with the freshly written blocks.
+  // Keep the cache coherent with the freshly written blocks.
   if (cache_ != nullptr) {
     auto extents = co_await CachedFiemap(ino, offset, length);
     if (extents.ok()) {
-      BroadcastInvalidate(*extents);
+      co_await DropExtents(*extents);
     }
   }
   co_return OkStatus();

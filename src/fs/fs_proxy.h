@@ -60,8 +60,8 @@ struct FsProxyStats {
 class FsProxy;
 
 // Registry for the sharded control plane: every FsProxy shard registers
-// here and the broadcast operations (cross-shard cache invalidation,
-// write-back flushes, fsync barriers) walk it. The first registered shard
+// here, in shard order, and the two cross-shard operations (free-path cache
+// invalidation and the fsync barrier) walk it. The first registered shard
 // (shard 0) is the *designated barrier shard*: journal commits route
 // through its core so ordered-class flushes keep one global order and the
 // crash-consistency guarantees survive sharding unchanged.
@@ -109,13 +109,15 @@ class FsProxy {
   // Binds an RPC server on the given ring pair and starts serving.
   void Serve(SimRing* request_ring, SimRing* response_ring);
 
-  // Handles one request (also callable directly, e.g. by HostLocalFs).
+  // Handles one request: the entry point of every RPC server. A read or
+  // write that is not wholly inside this shard's owned range (see
+  // OwnedRangeEnd) fails with kInvalidArgument.
   Task<FsResponse> Handle(FsRequest request);
 
   // Pulls a whole file into the shared buffer cache (§4.3: the control
   // plane "prefetches frequently accessed files ... to the host memory");
   // subsequent buffered reads from any data plane are served from DRAM.
-  // No-op without a cache.
+  // Each block goes into its owning shard's cache. Fails without a cache.
   Task<Status> Prefetch(const std::string& path);
 
   const FsProxyStats& stats() const { return stats_; }
@@ -146,6 +148,10 @@ class FsProxy {
   Task<Result<bool>> ShouldUseP2p(const FsRequest& request, uint64_t length,
                                   uint32_t readahead_window = 0);
 
+  // True when [offset, offset + length) of `ino` lies wholly inside the
+  // stripe this shard owns (always, unsharded).
+  bool OwnsRange(uint64_t ino, uint64_t offset, uint64_t length) const;
+
   // Per-(coprocessor, file) sequential-stream state for readahead. Each
   // shard owns its own table, so two shards that both see one (client, ino)
   // for different block groups of a file track independent streams.
@@ -161,39 +167,41 @@ class FsProxy {
                             uint64_t length);
 
   // Buffered helpers (cache-aware staging + one host DMA). `ra_blocks`
-  // extends the staged range past the request (clipped to `file_size`)
-  // with readahead-tagged clean pages.
+  // extends the staged range past the request (clipped to `file_size` and
+  // to this shard's stripe) with readahead-tagged clean pages.
   Task<Status> BufferedRead(uint64_t ino, uint64_t offset, uint64_t length,
                             MemRef target, uint32_t ra_blocks,
                             uint64_t file_size, TraceContext ctx);
   Task<Status> BufferedWrite(uint64_t ino, uint64_t offset, uint64_t length,
                              MemRef source, TraceContext ctx);
-  // True while this shard's cache holds dirty pages or write-back is still
-  // in flight, i.e. the device may lag the cache.
-  bool HasDirtyPages() const;
-  // HasDirtyPages() on any shard other than `skip`.
-  bool AnyShardDirty(const FsProxy* skip = nullptr) const;
+  // Write-back coherence before a path that reads the device directly (P2P
+  // read, read-modify-write): pushes this shard's dirty cached pages of
+  // `extents` to the device. A free no-op when none is dirty or in flight.
+  Task<Status> FlushExtents(const std::vector<FsExtent>& extents);
+  // Drops this shard's cached copies of `extents` (rewritten on the device)
+  // and waits out their in-flight write-backs (BufferCache::DiscardRange).
+  Task<void> DropExtents(const std::vector<FsExtent>& extents);
 
-  // -- cross-shard coherence protocol -----------------------------------------
+  // -- what the shards share ---------------------------------------------------
+  // A block of a file is cached only by the shard that owns its stripe, so
+  // the read and write paths are shard-local. Three things stay shared.
+  //
   // Fiemap through the per-shard memo of the shared versioned extent map;
   // falls through to the FS (and re-memoizes) on a stale or missing entry.
   Task<Result<std::vector<FsExtent>>> CachedFiemap(uint64_t ino,
                                                    uint64_t offset,
                                                    uint64_t length);
-  // Any shard may cache any block: a request routes by its start offset, so
-  // its range can reach into block groups other shards serve, and freed
-  // blocks can be reallocated anywhere. Both broadcasts below therefore walk
-  // every shard except `skip`.
-  //
-  // Drops cached copies of `extents` (freed or rewritten blocks).
-  void BroadcastInvalidate(const std::vector<FsExtent>& extents,
-                           const FsProxy* skip = nullptr);
-  // Write-back coherence before a path that reads the device directly (P2P
-  // read, read-modify-write, a staged read's miss fetch): pushes dirty
-  // cached pages covering `extents` to the device. Cheap no-op when no
-  // shard has dirty pages.
-  Task<Status> BroadcastFlushExtents(const std::vector<FsExtent>& extents,
-                                     const FsProxy* skip = nullptr);
+  // Unlink and truncate free blocks that the allocator may hand to any
+  // file, so their cached copies are dropped on every shard before the
+  // free: no dirty copy may be written back over the blocks' next owner.
+  // With `keep_bytes` > 0 the first block of `extents` is kept: only its
+  // bytes from `keep_bytes` on are zeroed in place.
+  Task<void> BroadcastInvalidate(std::vector<FsExtent> extents,
+                                 uint32_t keep_bytes = 0);
+  // After the free: drops every shard's clean copies of `extents`, which a
+  // fill that read the blocks meanwhile may have left. A dirty copy is
+  // already the next owner's.
+  void BroadcastDropClean(const std::vector<FsExtent>& extents);
   // The fsync path under a volatile write cache, shard-wide: flush every
   // shard's cache, fence every shard's scheduler with an ordered barrier,
   // then run the one journal commit via the designated barrier shard.

@@ -1,5 +1,7 @@
 #include "src/fs/fs_stub.h"
 
+#include <algorithm>
+
 #include "src/base/fault.h"
 #include "src/base/metrics.h"
 #include "src/sim/trace.h"
@@ -56,7 +58,8 @@ int FsStub::RouteShard(const FsRequest& request) const {
     case FsOp::kRead:
     case FsOp::kWrite:
       // Block-group striping: large files spread across shards, small
-      // files land whole on their inode's shard.
+      // files land whole on their inode's shard. DataCall never lets a
+      // request cross a stripe, so its start offset names its only owner.
       return ShardOfFileRange(request.ino, request.offset, kFsBlockSize,
                               shards);
     case FsOp::kStat:
@@ -174,26 +177,35 @@ Task<Result<uint64_t>> FsStub::Create(const std::string& path) {
 
 Task<Result<uint64_t>> FsStub::Read(uint64_t ino, uint64_t offset,
                                     MemRef target) {
-  FsRequest request;
-  request.op = FsOp::kRead;
-  request.ino = ino;
-  request.offset = offset;
-  request.length = target.length;
-  request.memory = target;
-  SOLROS_CO_ASSIGN_OR_RETURN(FsResponse r, co_await Call(request));
-  co_return r.value;
+  co_return co_await DataCall(FsOp::kRead, ino, offset, target);
 }
 
 Task<Result<uint64_t>> FsStub::Write(uint64_t ino, uint64_t offset,
                                      MemRef source) {
-  FsRequest request;
-  request.op = FsOp::kWrite;
-  request.ino = ino;
-  request.offset = offset;
-  request.length = source.length;
-  request.memory = source;
-  SOLROS_CO_ASSIGN_OR_RETURN(FsResponse r, co_await Call(request));
-  co_return r.value;
+  co_return co_await DataCall(FsOp::kWrite, ino, offset, source);
+}
+
+Task<Result<uint64_t>> FsStub::DataCall(FsOp op, uint64_t ino, uint64_t offset,
+                                        MemRef memory) {
+  const int shards = static_cast<int>(clients_.size());
+  uint64_t done = 0;
+  do {
+    const uint64_t at = offset + done;
+    const uint64_t piece = std::min(
+        memory.length - done, OwnedRangeEnd(at, kFsBlockSize, shards) - at);
+    FsRequest request;
+    request.op = op;
+    request.ino = ino;
+    request.offset = at;
+    request.length = piece;
+    request.memory = memory.Sub(done, piece);
+    SOLROS_CO_ASSIGN_OR_RETURN(FsResponse r, co_await Call(request));
+    done += r.value;
+    if (r.value < piece) {
+      break;  // end of file
+    }
+  } while (done < memory.length);
+  co_return done;
 }
 
 Task<Result<FileStat>> FsStub::Stat(const std::string& path) {

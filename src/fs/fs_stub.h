@@ -32,7 +32,8 @@ class FsStub : public FileService {
   // Each call is routed with the same partition functions the shards use —
   // reads/writes by (inode, block-group stripe), path ops by path hash,
   // inode ops by inode range — so a request lands on the shard that owns
-  // its cache segment and stream state.
+  // its cache segment and stream state. A read or write that spans stripes
+  // is issued as one RPC per stripe, one after another.
   FsStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
          std::vector<std::pair<SimRing*, SimRing*>> shard_rings,
          uint32_t client_id);
@@ -76,6 +77,10 @@ class FsStub : public FileService {
 
  private:
   Task<Result<FsResponse>> Call(FsRequest request);
+  // A read or write of `memory` at `offset`, one RPC per owned run. Returns
+  // the bytes up to the first short piece; any failed piece fails the call.
+  Task<Result<uint64_t>> DataCall(FsOp op, uint64_t ino, uint64_t offset,
+                                  MemRef memory);
   // Which proxy shard (client index) serves this request.
   int RouteShard(const FsRequest& request) const;
 

@@ -64,13 +64,15 @@ class SharedExtentMap {
       return &it->second.extents;
     }
 
+    // Memoizes a Fiemap result. `version` is the inode's version when the
+    // Fiemap started, so a mutation that landed while it ran leaves the
+    // entry stale.
     void Insert(uint64_t ino, uint64_t offset, uint64_t length,
-                std::vector<FsExtent> extents) {
+                uint64_t version, std::vector<FsExtent> extents) {
       if (memo_.size() >= kMaxEntries) {
         memo_.clear();  // coarse reset; the memo refills from live traffic
       }
-      memo_[Key{ino, offset, length}] =
-          Entry{shared_->Version(ino), std::move(extents)};
+      memo_[Key{ino, offset, length}] = Entry{version, std::move(extents)};
     }
 
     uint64_t hits() const { return hits_; }

@@ -284,12 +284,28 @@ Task<Status> SolrosFs::FlushMetadata(bool force) {
     co_return OkStatus();
   }
   std::vector<JournalBlockImage> images;
+  // The staged blocks move into `images` and stay readable through
+  // committing_ until this commit checkpoints them (or fails).
+  struct Unpin {
+    std::map<uint64_t, const uint8_t*>& committing;
+    std::vector<std::pair<uint64_t, const uint8_t*>> pinned;
+    ~Unpin() {
+      for (const auto& [lba, data] : pinned) {
+        auto it = committing.find(lba);
+        if (it != committing.end() && it->second == data) {
+          committing.erase(it);
+        }
+      }
+    }
+  } unpin{committing_, {}};
   // Staged content first (map order = ascending LBA, data region after
   // metadata): if an oversized transaction is ever split, metadata goes in
   // the last sub-transaction, so durable metadata never references content
   // from a discarded one.
   for (auto& [lba, data] : staged_writes_) {
     images.push_back(JournalBlockImage{lba, std::move(data)});
+    committing_[lba] = images.back().data.data();
+    unpin.pinned.emplace_back(lba, images.back().data.data());
   }
   staged_writes_.clear();
   if (super_dirty_) {
@@ -358,6 +374,11 @@ Task<Status> SolrosFs::ReadMetaBlock(uint64_t lba, std::span<uint8_t> out) {
     auto it = staged_writes_.find(lba);
     if (it != staged_writes_.end()) {
       std::memcpy(out.data(), it->second.data(), kFsBlockSize);
+      co_return OkStatus();
+    }
+    auto committing = committing_.find(lba);
+    if (committing != committing_.end()) {
+      std::memcpy(out.data(), committing->second, kFsBlockSize);
       co_return OkStatus();
     }
   }

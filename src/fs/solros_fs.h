@@ -206,6 +206,10 @@ class SolrosFs {
   // Whole-block after-images awaiting the next commit (journaled mounts
   // only); drained by FlushMetadata at the end of every mutating op.
   std::map<uint64_t, std::vector<uint8_t>> staged_writes_;
+  // Blocks of in-flight commits, by LBA: they reach their home location
+  // only when the commit checkpoints, so ReadMetaBlock serves them from
+  // here until then.
+  std::map<uint64_t, const uint8_t*> committing_;
   // Set by every structural change (allocation, free, extent or size
   // update); distinguishes commits that matter from pure-mtime deferrals.
   bool meta_txn_required_ = false;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/base/fault.h"
 #include "src/base/metrics.h"
 #include "src/base/prng.h"
 #include "src/base/sharding.h"
@@ -446,10 +447,12 @@ TEST(MachineMemoryTest, UnwrittenMediaCostsNoHostMemory) {
 
 // --- Environment knobs ------------------------------------------------------
 //
-// SOLROS_PROXY_SHARDS must be a decimal shard count in [1, kMaxProxyShards]
-// and SOLROS_JOURNAL a journal mode name (or unset / "0"); a malformed value
-// is rejected by name instead of silently running another configuration.
-// These tests assume neither knob is set in the ambient environment.
+// SOLROS_PROXY_SHARDS must be a decimal shard count in [1, kMaxProxyShards],
+// SOLROS_JOURNAL a journal mode name (or unset / "0"), SOLROS_TRACE_SAMPLE a
+// decimal rate and SOLROS_FAULTS a fault preset naming known points; a
+// malformed value is rejected by name instead of silently running another
+// configuration. These tests assume no knob is set in the ambient
+// environment.
 
 // Sets an environment variable for one scope.
 struct ScopedEnv {
@@ -512,8 +515,64 @@ TEST(BenchEnvTest, InitBenchRefusesMalformedKnobs) {
     ScopedEnv env("SOLROS_JOURNAL", "metdata");
     EXPECT_FALSE(InitBench(1, argv));
   }
+  {
+    ScopedEnv env("SOLROS_TRACE_SAMPLE", "16x");
+    EXPECT_FALSE(InitBench(1, argv));
+  }
+  {
+    ScopedEnv env("SOLROS_FAULTS", "bogus=1");
+    EXPECT_FALSE(InitBench(1, argv));
+  }
   ScopedEnv env("SOLROS_PROXY_SHARDS", "abc");
   EXPECT_FALSE(InitBench(1, argv));
+}
+
+TEST(BenchEnvTest, TraceSampleKnobRejectsNonDecimal) {
+  EXPECT_EQ(TraceSampleFromEnv().value(), 0u);
+  {
+    ScopedEnv env("SOLROS_TRACE_SAMPLE", "16");
+    EXPECT_EQ(TraceSampleFromEnv().value(), 16u);
+  }
+  for (std::string bad : {"x", "16x", "-1", " 16"}) {
+    ScopedEnv env("SOLROS_TRACE_SAMPLE", bad);
+    Result<uint64_t> n = TraceSampleFromEnv();
+    ASSERT_FALSE(n.ok()) << bad;
+    EXPECT_NE(n.status().message().find("SOLROS_TRACE_SAMPLE: bad value \"" +
+                                        bad + '"'),
+              std::string::npos)
+        << n.status().ToString();
+  }
+}
+
+TEST(BenchEnvTest, FaultsKnobRejectsUnknownPointsAndBadTriggers) {
+  FaultRegistry registry;
+  EXPECT_TRUE(registry.ConfigureFromEnv().ok());
+  EXPECT_FALSE(registry.any_armed());
+  {
+    ScopedEnv env("SOLROS_FAULTS", "nvme.cmd.timeout=0.01,seed=11");
+    ASSERT_TRUE(registry.ConfigureFromEnv().ok());
+    EXPECT_TRUE(registry.GetPoint("nvme.cmd.timeout")->armed());
+  }
+  for (std::string bad :
+       {"bogus=1", "nvme.cmd.timout=0.01", "nvme.cmd.timeout=lots"}) {
+    ScopedEnv env("SOLROS_FAULTS", bad);
+    FaultRegistry fresh;
+    Status status = fresh.ConfigureFromEnv();
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_NE(status.message().find("SOLROS_FAULTS: bad value \"" + bad + '"'),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(fresh.any_armed()) << bad;
+  }
+}
+
+TEST(FaultsEnvDeathTest, DefaultRegistryRefusesMalformedPreset) {
+  // Threadsafe style re-executes the binary, so the child builds the
+  // default registry afresh under the bad value.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ScopedEnv env("SOLROS_FAULTS", "bogus=1");
+  EXPECT_DEATH(Faults(), "SOLROS_FAULTS: bad value \"bogus=1\"");
+  ::testing::FLAGS_gtest_death_test_style = "fast";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -437,14 +438,21 @@ INSTANTIATE_TEST_SUITE_P(Cuts, CrashReplayDeterminismTest,
 // proxy_shards {1, 2, 4} x journal {off, metadata} x {P2P, buffered}; every
 // read and the final bytes of every file must match the reference model.
 // The model is a pure function of the seed, so each cell matching it means
-// all cells match each other. Requests straddle block-group stripes and the
-// cache is small, so the sequence crosses shards and drives eviction
-// write-back, the shared extent map and the coordinator's broadcasts.
+// all cells match each other. Requests straddle block-group stripes (the
+// stub splits them, one RPC per owning shard) and the cache is small, so
+// the sequence crosses shards and drives eviction write-back, the shared
+// extent map and the free-path invalidations.
 
 constexpr uint64_t kOracleMaxLength = KiB(24);
 
 // (proxy_shards, journal mode, buffered).
 using OracleCell = std::tuple<int, JournalMode, bool>;
+
+std::string OracleCellName(const ::testing::TestParamInfo<OracleCell>& info) {
+  return "Shards" + std::to_string(std::get<0>(info.param)) + "_" +
+         JournalModeName(std::get<1>(info.param)) + "Journal" +
+         (std::get<2>(info.param) ? "_Buffered" : "_P2p");
+}
 
 class FsConfigOracleTest : public ::testing::TestWithParam<OracleCell> {};
 
@@ -535,11 +543,181 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(JournalMode::kOff,
                                          JournalMode::kMetadata),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<OracleCell>& info) {
-      return "Shards" + std::to_string(std::get<0>(info.param)) + "_" +
-             JournalModeName(std::get<1>(info.param)) + "Journal" +
-             (std::get<2>(info.param) ? "_Buffered" : "_P2p");
-    });
+    OracleCellName);
+
+// --- Concurrent oracle -----------------------------------------------------
+//
+// The same cells with each phase's ops overlapping in time: four workers on
+// two data planes write, read, truncate, unlink and fsync within
+// kOracleMaxLength of stripe boundaries at once, with staggered starts, so
+// a read's miss fill races a write or a free of the blocks it fetches. A
+// file takes at most one mutation per phase, which keeps the model exact;
+// in-phase reads are the racing fills and go unchecked. After each phase's
+// barrier every touched range of every surviving file is read back and
+// checked against the model.
+
+constexpr int kOracleWorkers = 4;
+
+struct OracleOp {
+  FsOp op = FsOp::kRead;
+  std::string path;
+  uint64_t ino = 0;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  Nanos start_delay = 0;
+  FsStub* stub = nullptr;
+  DeviceBuffer* buf = nullptr;
+  Status status;
+  bool done = false;
+};
+
+Task<void> RunOracleOp(OracleOp* op) {
+  co_await Delay(op->start_delay);
+  MemRef mem = MemRef::Of(*op->buf, 0, op->length);
+  switch (op->op) {
+    case FsOp::kWrite: {
+      Result<uint64_t> n = co_await op->stub->Write(op->ino, op->offset, mem);
+      op->status = n.status();
+      if (n.ok() && *n != op->length) {
+        op->status = IoError("short write");
+      }
+      break;
+    }
+    case FsOp::kRead: {
+      // A racing fill: its bytes are checked after the barrier.
+      Result<uint64_t> n = co_await op->stub->Read(op->ino, op->offset, mem);
+      static_cast<void>(n);
+      break;
+    }
+    case FsOp::kTruncate:
+      op->status = co_await op->stub->Truncate(op->ino, op->offset);
+      break;
+    case FsOp::kUnlink:
+      op->status = co_await op->stub->Unlink(op->path);
+      break;
+    default:
+      op->status = co_await op->stub->Fsync(op->ino);
+      break;
+  }
+  op->done = true;
+}
+
+class FsConcurrentOracleTest : public ::testing::TestWithParam<OracleCell> {};
+
+TEST_P(FsConcurrentOracleTest, OverlappingPhasesMatchReferenceModel) {
+  MachineConfig config;
+  config.num_phis = 2;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.proxy_shards = std::get<0>(GetParam());
+  config.journal_mode = std::get<1>(GetParam());
+  config.fs_options.cache_blocks = 128;  // 512 KiB, split across shards
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub* stubs[] = {&machine.fs_stub(0), &machine.fs_stub(1)};
+  std::vector<std::unique_ptr<DeviceBuffer>> bufs;
+  for (int w = 0; w < kOracleWorkers; ++w) {
+    stubs[w % 2]->set_buffered(std::get<2>(GetParam()));
+    bufs.push_back(std::make_unique<DeviceBuffer>(machine.phi_device(w % 2),
+                                                  kOracleMaxLength));
+  }
+  auto run = [&](auto task) { return RunSim(machine.sim(), std::move(task)); };
+
+  Prng prng(0xc0c0a);
+  std::map<std::string, ModelFile> model;
+  int created = 0;
+  for (int phase = 0; phase < 150; ++phase) {
+    SCOPED_TRACE("phase " + std::to_string(phase));
+    while (model.size() < 3) {
+      std::string path = "/c" + std::to_string(created++);
+      auto ino = run(stubs[0]->Create(path));
+      ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+      model[path] = ModelFile{*ino, {}};
+    }
+    std::vector<OracleOp> ops(kOracleWorkers);
+    std::set<std::string> mutated;
+    for (int w = 0; w < kOracleWorkers; ++w) {
+      OracleOp& op = ops[static_cast<size_t>(w)];
+      op.stub = stubs[w % 2];
+      op.buf = bufs[static_cast<size_t>(w)].get();
+      op.start_delay = prng.NextBelow(40) * 1000;
+      auto it = std::next(model.begin(), prng.NextBelow(model.size()));
+      op.path = it->first;
+      op.ino = it->second.ino;
+      op.offset = kShardStripeBlocks * kFsBlockSize * (1 + prng.NextBelow(2)) +
+                  prng.NextBelow(2 * kOracleMaxLength) - kOracleMaxLength;
+      op.length = prng.NextInRange(1, kOracleMaxLength);
+      if (prng.NextBelow(2) == 0) {
+        op.offset -= op.offset % kFsBlockSize;
+        op.length = (op.length + kFsBlockSize - 1) / kFsBlockSize * kFsBlockSize;
+      }
+      const double dice = prng.NextDouble();
+      const bool unmutated = !mutated.contains(op.path);
+      if (dice < 0.4 && unmutated) {
+        op.op = FsOp::kWrite;
+        for (uint64_t i = 0; i < op.length; ++i) {
+          op.buf->data()[i] = static_cast<uint8_t>(prng.Next());
+        }
+      } else if (dice < 0.5 && unmutated) {
+        op.op = FsOp::kTruncate;
+      } else if (dice < 0.55 && unmutated) {
+        op.op = FsOp::kUnlink;
+      } else if (dice < 0.6) {
+        op.op = FsOp::kFsync;
+      }
+      if (op.op != FsOp::kRead && op.op != FsOp::kFsync) {
+        mutated.insert(op.path);
+      }
+    }
+    for (OracleOp& op : ops) {
+      Spawn(machine.sim(), RunOracleOp(&op));
+    }
+    machine.sim().RunUntilIdle();
+
+    for (const OracleOp& op : ops) {
+      ASSERT_TRUE(op.done);
+      ASSERT_TRUE(op.status.ok()) << op.status.ToString();
+      auto it = model.find(op.path);
+      if (op.op == FsOp::kWrite) {
+        std::vector<uint8_t>& content = it->second.content;
+        content.resize(std::max<uint64_t>(content.size(),
+                                          op.offset + op.length));
+        std::memcpy(content.data() + op.offset, op.buf->data(), op.length);
+      } else if (op.op == FsOp::kTruncate) {
+        it->second.content.resize(op.offset);
+      } else if (op.op == FsOp::kUnlink) {
+        model.erase(it);
+      }
+    }
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const OracleOp& op = ops[i];
+      auto it = model.find(op.path);
+      if (it == model.end()) {
+        continue;
+      }
+      const std::vector<uint8_t>& content = it->second.content;
+      DeviceBuffer& buf = *bufs[i];
+      auto n = run(stubs[(phase + i) % 2]->Read(
+          it->second.ino, op.offset, MemRef::Of(buf, 0, op.length)));
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_EQ(*n, op.offset >= content.size()
+                        ? 0
+                        : std::min<uint64_t>(op.length,
+                                             content.size() - op.offset));
+      ASSERT_TRUE(*n == 0 || std::memcmp(buf.data(),
+                                         content.data() + op.offset, *n) == 0)
+          << op.path << " [" << op.offset << ", +" << *n << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FsConcurrentOracleTest,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(JournalMode::kOff,
+                                         JournalMode::kMetadata),
+                       ::testing::Bool()),
+    OracleCellName);
 
 }  // namespace
 }  // namespace solros

@@ -46,9 +46,7 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-// Writes `data` through `stub` in 4KB chunks so consecutive block groups
-// route to different shards (one big write would be routed once, by its
-// start offset).
+// Writes `data` through `stub` in 4KB chunks.
 void WriteChunked(Machine& machine, FsStub& stub, DeviceId device,
                   uint64_t ino, const std::vector<uint8_t>& data) {
   DeviceBuffer buf(device, kChunk);
@@ -130,6 +128,94 @@ TEST(ShardCoherenceTest, CrossShardWriteReadUnlink) {
   auto data2 = RandomBytes(KiB(512), 0xbeef);
   WriteChunked(machine, writer, machine.phi_device(0), *ino2, data2);
   ExpectReadsBack(machine, reader, machine.phi_device(1), *ino2, data2);
+
+  // One unchunked 1 MiB write and read at shards=4: the stub splits each at
+  // stripe boundaries, so every stripe's piece reaches its owner, and each
+  // block ends up cached only by that owner.
+  Machine wide(ShardedConfig(4));
+  CHECK_OK(RunSim(wide.sim(), wide.FormatFs()));
+  FsStub& stub = wide.fs_stub(0);
+  stub.set_buffered(true);
+  auto ino3 = RunSim(wide.sim(), stub.Create("/wide.bin"));
+  ASSERT_TRUE(ino3.ok());
+  std::vector<uint64_t> requests(4);
+  for (int k = 0; k < 4; ++k) {
+    requests[k] = wide.fs_proxy_shard(k).stats().requests;
+  }
+  auto data3 = RandomBytes(MiB(1), 0xf00d);
+  DeviceBuffer src(wide.phi_device(0), data3.size());
+  std::memcpy(src.data(), data3.data(), data3.size());
+  auto written = RunSim(wide.sim(), stub.Write(*ino3, 0, MemRef::Of(src)));
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, data3.size());
+  DeviceBuffer dst(wide.phi_device(1), data3.size());
+  auto read = RunSim(wide.sim(), wide.fs_stub(1).Read(*ino3, 0,
+                                                       MemRef::Of(dst)));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data3.size());
+  EXPECT_EQ(std::memcmp(dst.data(), data3.data(), data3.size()), 0);
+  // Four 256 KiB stripes, one per shard: one write piece and one read
+  // piece each.
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(wide.fs_proxy_shard(k).stats().requests - requests[k], 2u)
+        << "shard " << k;
+  }
+  auto extents =
+      RunSim(wide.sim(), wide.fs().Fiemap(*ino3, 0, data3.size()));
+  ASSERT_TRUE(extents.ok());
+  uint64_t offset = 0;
+  for (const FsExtent& e : *extents) {
+    for (uint64_t b = 0; b < e.len; ++b, offset += kChunk) {
+      int owner = ShardOfFileRange(*ino3, offset, kChunk, 4);
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(wide.fs_proxy_shard(k).cache()->Contains(e.start + b),
+                  k == owner)
+            << "offset " << offset << " shard " << k;
+      }
+    }
+  }
+  EXPECT_EQ(offset, data3.size());
+}
+
+// A proxy serves only its own stripes: a hand-built read or write that
+// straddles a stripe boundary, or starts in another shard's stripe, fails
+// with kInvalidArgument instead of caching blocks another shard owns.
+TEST(ShardCoherenceTest, ProxyRejectsStraddlingAndMisroutedData) {
+  Machine machine(ShardedConfig(4));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  auto ino = RunSim(machine.sim(), stub.Create("/owned.bin"));
+  ASSERT_TRUE(ino.ok());
+  const uint64_t stripe = kShardStripeBlocks * kChunk;
+  DeviceBuffer buf(machine.phi_device(0), 2 * kChunk);
+  auto written =
+      RunSim(machine.sim(), stub.Write(*ino, stripe - kChunk, MemRef::Of(buf)));
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+
+  const int owner = ShardOfFileRange(*ino, stripe - kChunk, kChunk, 4);
+  const int other = (owner + 1) % 4;
+  for (FsOp op : {FsOp::kRead, FsOp::kWrite}) {
+    FsRequest request;
+    request.op = op;
+    request.ino = *ino;
+    // Straddles the stripe boundary: half of it belongs to `other`.
+    request.offset = stripe - kChunk;
+    request.length = 2 * kChunk;
+    request.memory = MemRef::Of(buf);
+    FsResponse straddling =
+        RunSim(machine.sim(), machine.fs_proxy_shard(owner).Handle(request));
+    EXPECT_EQ(straddling.error, ErrorCode::kInvalidArgument);
+    // Wholly inside the owner's stripe, but sent to another shard.
+    request.length = kChunk;
+    request.memory = MemRef::Of(buf, 0, kChunk);
+    FsResponse misrouted =
+        RunSim(machine.sim(), machine.fs_proxy_shard(other).Handle(request));
+    EXPECT_EQ(misrouted.error, ErrorCode::kInvalidArgument);
+    FsResponse owned =
+        RunSim(machine.sim(), machine.fs_proxy_shard(owner).Handle(request));
+    EXPECT_EQ(owned.error, ErrorCode::kOk);
+    EXPECT_EQ(owned.value, kChunk);
+  }
 }
 
 TEST(ShardCoherenceTest, ExtentMapInvalidationDefeatsStaleMemos) {
