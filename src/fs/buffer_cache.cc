@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/base/logging.h"
-#include "src/fs/io_scheduler.h"
 #include "src/sim/simulator.h"
 
 namespace solros {
@@ -28,9 +27,10 @@ size_t ProtectedCap(size_t capacity) {
 }  // namespace
 
 Task<Status> BufferCache::BackingRead(uint64_t lba, uint32_t nblocks,
-                                      std::span<uint8_t> out) {
+                                      std::span<uint8_t> out, IoClass cls,
+                                      TraceContext ctx) {
   if (sched_ != nullptr) {
-    co_return co_await sched_->Read(lba, nblocks, out, IoClass::kDemand);
+    co_return co_await sched_->Read(lba, nblocks, out, cls, ctx);
   }
   co_return co_await backing_->Read(lba, nblocks, out);
 }
@@ -331,50 +331,97 @@ Task<Status> BufferCache::EvictOne() {
   co_return OkStatus();
 }
 
-Task<Result<MemRef>> BufferCache::GetBlock(uint64_t lba) {
+void BufferCache::CopyHit(Page& page, std::span<uint8_t> out) {
   if (use_ != nullptr) {
     use_->CompleteOp(telemetry_sim_->now(), 0);
   }
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    hits_->Increment();
-    ++local_hits_;
-    bool was_readahead = it->second.readahead;
-    if (was_readahead) {
-      readahead_hits_->Increment();
-      ++local_readahead_hits_;
-      it->second.readahead = false;
-    }
-    // A readahead page's first demand hit is its first reference, not a
-    // reuse — it must not promote (see TouchHit).
-    TouchHit(it->second, /*promote=*/!was_readahead);
-    UpdateGauges();
-    co_return SlotRef(it->second.slot);
+  hits_->Increment();
+  ++local_hits_;
+  bool was_readahead = page.readahead;
+  if (was_readahead) {
+    readahead_hits_->Increment();
+    ++local_readahead_hits_;
+    page.readahead = false;
   }
-  misses_->Increment();
-  ++local_misses_;
-  while (free_slots_.empty()) {
-    SOLROS_CO_RETURN_IF_ERROR(co_await EvictOne());
-  }
-  size_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  MemRef ref = SlotRef(slot);
-  SOLROS_CO_RETURN_IF_ERROR(co_await BackingRead(lba, 1, ref.span()));
-  // Another task may have faulted the same block while we were reading
-  // (the backing Read suspends); keep the established page and return our
-  // slot to the free list.
-  auto raced = map_.find(lba);
-  if (raced != map_.end()) {
-    free_slots_.push_back(slot);
-    co_return SlotRef(raced->second.slot);
-  }
-  Page page;
-  page.lba = lba;
-  page.slot = slot;
-  LinkNew(page);
-  map_.emplace(lba, page);
+  // A readahead page's first demand hit is its first reference, not a
+  // reuse — it must not promote (see TouchHit).
+  TouchHit(page, /*promote=*/!was_readahead);
   UpdateGauges();
-  co_return ref;
+  std::memcpy(out.data(), SlotRef(page.slot).span().data(), block_size_);
+}
+
+Task<Result<BufferCache::StageCounts>> BufferCache::Stage(
+    std::span<const FsExtent> extents, uint64_t demand_blocks,
+    uint64_t valid_bytes, std::span<uint8_t> out, IoClass cls,
+    TraceContext ctx) {
+  // Watch the blocks from the start, so a write or free that lands before
+  // a miss run is installed drops it.
+  Fill fill(this, extents);
+  StageCounts counts;
+  uint64_t cursor = 0;  // block index within `out`
+  for (const FsExtent& extent : extents) {
+    for (uint64_t i = 0; i < extent.len;) {
+      const uint64_t lba = extent.start + i;
+      const uint64_t index = cursor + i;
+      const bool speculative = index >= demand_blocks;
+      auto it = map_.find(lba);
+      if (it != map_.end()) {
+        // No copy and no LRU touch for an already-cached readahead block:
+        // the stream has not actually reached it yet.
+        if (!speculative) {
+          CopyHit(it->second, out.subspan(index * block_size_, block_size_));
+          ++counts.hits;
+        }
+        ++i;
+        continue;
+      }
+      if (speculative) {
+        // A miss run that STARTS in the readahead region means the demand
+        // part was already cached — skip the speculative fetch entirely.
+        // Readahead I/O only piggybacks on a demand miss, so a fully-cached
+        // request costs zero device commands (this is what turns a
+        // sequential stream into one command per window instead of one
+        // per request).
+        ++i;
+        continue;
+      }
+      // Extend the miss run (it may cross from the demand region into the
+      // readahead region — that is the point: one device read). The whole
+      // run is one request in `cls`: a caller is blocked on its head, and
+      // splitting it would cost a second command for a fetch the device
+      // could do in one.
+      uint64_t run = 1;
+      while (i + run < extent.len && !Contains(lba + run)) {
+        ++run;
+      }
+      const uint64_t at = index * block_size_;
+      std::span<uint8_t> fetched = out.subspan(at, run * block_size_);
+      SOLROS_CO_RETURN_IF_ERROR(co_await BackingRead(
+          lba, static_cast<uint32_t>(run), fetched, cls, ctx));
+      if (at + fetched.size() > valid_bytes) {
+        uint64_t keep = valid_bytes > at ? valid_bytes - at : 0;
+        std::memset(fetched.data() + keep, 0, fetched.size() - keep);
+      }
+      for (uint64_t b = 0; b < run; ++b) {
+        const bool readahead = index + b >= demand_blocks;
+        if (!fill.stale(lba + b)) {
+          SOLROS_CO_RETURN_IF_ERROR(co_await InsertLocked(
+              lba + b, fetched.subspan(b * block_size_, block_size_),
+              /*dirty=*/false, readahead));
+        }
+        if (readahead) {
+          ++counts.readahead;
+        } else {
+          ++counts.misses;
+        }
+      }
+      i += run;
+    }
+    cursor += extent.len;
+  }
+  misses_->Increment(counts.misses);
+  local_misses_ += counts.misses;
+  co_return counts;
 }
 
 Task<Status> BufferCache::InsertLocked(uint64_t lba,
@@ -436,54 +483,10 @@ Task<Status> BufferCache::InsertLocked(uint64_t lba,
   co_return OkStatus();
 }
 
-Task<Status> BufferCache::InsertClean(uint64_t lba,
-                                      std::span<const uint8_t> content,
-                                      bool readahead) {
-  co_return co_await InsertLocked(lba, content, /*dirty=*/false, readahead);
-}
-
 Task<Status> BufferCache::InsertDirty(uint64_t lba,
                                       std::span<const uint8_t> content) {
   co_return co_await InsertLocked(lba, content, /*dirty=*/true,
                                   /*readahead=*/false);
-}
-
-void BufferCache::RecordMisses(uint64_t nblocks) {
-  misses_->Increment(nblocks);
-  local_misses_ += nblocks;
-}
-
-void BufferCache::MarkDirty(uint64_t lba) {
-  auto it = map_.find(lba);
-  CHECK(it != map_.end()) << "MarkDirty on uncached block " << lba;
-  SetDirty(it->second, true);
-}
-
-Task<Status> BufferCache::ReadThrough(uint64_t lba, uint32_t nblocks,
-                                      std::span<uint8_t> out) {
-  if (out.size() < uint64_t{nblocks} * block_size_) {
-    co_return InvalidArgumentError("span too short");
-  }
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    SOLROS_CO_ASSIGN_OR_RETURN(MemRef page, co_await GetBlock(lba + i));
-    std::memcpy(out.data() + uint64_t{i} * block_size_, page.span().data(),
-                block_size_);
-  }
-  co_return OkStatus();
-}
-
-Task<Status> BufferCache::WriteThrough(uint64_t lba, uint32_t nblocks,
-                                       std::span<const uint8_t> in) {
-  if (in.size() < uint64_t{nblocks} * block_size_) {
-    co_return InvalidArgumentError("span too short");
-  }
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    SOLROS_CO_ASSIGN_OR_RETURN(MemRef page, co_await GetBlock(lba + i));
-    std::memcpy(page.span().data(), in.data() + uint64_t{i} * block_size_,
-                block_size_);
-    MarkDirty(lba + i);
-  }
-  co_return OkStatus();
 }
 
 void BufferCache::Invalidate(uint64_t lba) {
@@ -499,12 +502,6 @@ void BufferCache::Invalidate(uint64_t lba) {
   UpdateGauges();
 }
 
-void BufferCache::InvalidateRange(uint64_t lba, uint64_t nblocks) {
-  for (uint64_t i = 0; i < nblocks; ++i) {
-    Invalidate(lba + i);
-  }
-}
-
 void BufferCache::InvalidateCleanRange(uint64_t lba, uint64_t nblocks) {
   for (uint64_t i = 0; i < nblocks; ++i) {
     auto it = map_.find(lba + i);
@@ -515,7 +512,9 @@ void BufferCache::InvalidateCleanRange(uint64_t lba, uint64_t nblocks) {
 }
 
 Task<void> BufferCache::DiscardRange(uint64_t lba, uint64_t nblocks) {
-  InvalidateRange(lba, nblocks);
+  for (uint64_t i = 0; i < nblocks; ++i) {
+    Invalidate(lba + i);
+  }
   co_await AwaitInflight(lba, nblocks);
 }
 

@@ -6,6 +6,13 @@
 // served to a co-processor with a host-initiated DMA directly out of the
 // cache — no disk access and no staging copy.
 //
+// Device bytes enter the cache one way: Stage(), the staged fill behind
+// both buffered reads and prefetch. It copies hits out, fetches each miss
+// run with one device read, and installs the fetched blocks clean — except
+// those a write or free touched while the fetch was in flight, whose
+// fetched bytes may be older than the device's. The only other install is
+// InsertDirty(), a write absorbed as a dirty page.
+//
 // Eviction is a segmented LRU (2Q-style): new pages enter a *probation*
 // segment and are promoted to the *protected* segment on their second
 // touch. A streaming scan from one co-processor therefore churns only
@@ -47,6 +54,7 @@
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/fs/block_store.h"
+#include "src/fs/io_scheduler.h"
 #include "src/fs/layout.h"
 #include "src/hw/memory.h"
 #include "src/sim/sync.h"
@@ -54,61 +62,63 @@
 
 namespace solros {
 
-class IoScheduler;
-
 class BufferCache {
  public:
   // `arena_device` is where pages live (the host socket device).
   BufferCache(BlockStore* backing, DeviceId arena_device,
               size_t capacity_blocks);
 
-  // Routes backing-store traffic through `sched` (demand class for miss
-  // fills, write-back class for flushes) instead of hitting the store
+  // Routes backing-store traffic through `sched` (Stage's class for its
+  // fetches, write-back class for flushes) instead of hitting the store
   // directly. Null (the default) submits straight to the backing store.
   void set_io_scheduler(IoScheduler* sched) { sched_ = sched; }
 
   // Attaches USE telemetry (default series "fs.cache"; a sharded proxy
   // passes "fs.cache[k]"): depth = dirty pages awaiting write-back, ops =
-  // lookups, wait unused. No-op when the simulator has no telemetry hub.
+  // demand hits, wait unused. No-op when the simulator has no telemetry hub.
   // The cache is built without a Simulator, so the owner (FsProxy, tests)
   // wires this explicitly.
   void set_telemetry(Simulator* sim, const std::string& series = "fs.cache");
 
-  // Returns a reference to the cached page for `lba`, faulting it in from
-  // the backing store on a miss (possibly evicting). The MemRef stays valid
-  // until the page is evicted — use it immediately (single-threaded sim).
-  Task<Result<MemRef>> GetBlock(uint64_t lba);
+  // What one Stage call did with the blocks of its extents.
+  struct StageCounts {
+    uint64_t hits = 0;       // demand blocks copied out of the cache
+    uint64_t misses = 0;     // demand blocks fetched from the device
+    uint64_t readahead = 0;  // speculative blocks fetched with them
+  };
 
-  // Marks a cached page dirty after the caller mutated it through GetBlock.
-  void MarkDirty(uint64_t lba);
-
-  // Installs a clean page from caller-provided content without touching the
-  // backing store (the caller just read it, e.g. into a bounce buffer).
-  // No-op if the block is already cached. Pages installed with
-  // `readahead=true` count one cache.readahead_hits on their first
-  // GetBlock touch (speculation that paid off).
-  Task<Status> InsertClean(uint64_t lba, std::span<const uint8_t> content,
-                           bool readahead = false);
+  // The one way device bytes enter the cache. Stages the blocks of
+  // `extents`, in order, into `out`: the first `demand_blocks` are
+  // demanded, the rest are speculative readahead. A cached demand block is
+  // copied out (a hit). A run of uncached blocks that starts at a demand
+  // block is fetched with one device read in class `cls` — the run may
+  // extend into the speculative tail — and its bytes of `out` at or past
+  // `valid_bytes` are zeroed (bytes past EOF, which the file system
+  // zero-fills on the device when the file grows, telling no cache). Its
+  // blocks are then installed clean, except a block that a write or free
+  // touched since the call began: the fetch may hold its older bytes.
+  // Speculative blocks are never fetched on their own, and cached ones are
+  // not copied; fetched ones are tagged readahead, so their first demand
+  // hit counts in cache.readahead_hits and does not promote. Call Stage
+  // right after looking `extents` up, with no suspension in between: the
+  // watch on writes and frees starts when Stage does. Fetched demand
+  // blocks count as misses.
+  Task<Result<StageCounts>> Stage(std::span<const FsExtent> extents,
+                                  uint64_t demand_blocks, uint64_t valid_bytes,
+                                  std::span<uint8_t> out, IoClass cls,
+                                  TraceContext ctx = {});
 
   // Installs a full-block overwrite as a dirty page without faulting the
   // old content in from disk (write-back absorption). If the block is
   // already cached its content is replaced in place.
   Task<Status> InsertDirty(uint64_t lba, std::span<const uint8_t> content);
 
-  // Convenience byte-span access through the cache.
-  Task<Status> ReadThrough(uint64_t lba, uint32_t nblocks,
-                           std::span<uint8_t> out);
-  Task<Status> WriteThrough(uint64_t lba, uint32_t nblocks,
-                            std::span<const uint8_t> in);
-
-  // Drops a page without writeback (used when P2P bypasses the cache and
-  // the cached copy would go stale).
-  void Invalidate(uint64_t lba);
-  void InvalidateRange(uint64_t lba, uint64_t nblocks);
-  // InvalidateRange, then waits out the in-flight write-backs overlapping
-  // the range, so a write that follows lands after them on the device.
+  // Drops the pages of [lba, lba+nblocks) without write-back (the device
+  // bytes are about to change, or the blocks are being freed), then waits
+  // out the in-flight write-backs overlapping the range, so a write that
+  // follows lands after them on the device.
   Task<void> DiscardRange(uint64_t lba, uint64_t nblocks);
-  // InvalidateRange for clean pages only; dirty pages stay.
+  // Drops the clean pages of [lba, lba+nblocks); dirty pages stay.
   void InvalidateCleanRange(uint64_t lba, uint64_t nblocks);
   // Zeroes a cached page from byte `offset` on, keeping its dirty state
   // (a truncate keeps the block's head and frees its tail).
@@ -120,39 +130,6 @@ class BufferCache {
   // [lba, lba+nblocks). Fast no-op when the cache holds no dirty pages —
   // the proxy calls this before P2P reads for write-back coherence.
   Task<Status> FlushRange(uint64_t lba, uint64_t nblocks);
-
-  // A miss fill the caller performs itself: it reads blocks from the
-  // backing store and installs them with InsertClean. A write or free can
-  // land on a block between the fill's device read and its install (a P2P
-  // write, a write-through, an unlink, or a re-dirty whose write-back then
-  // evicts the page), and the fill would cache the older bytes. So a Fill
-  // watches its blocks (`runs`, which must outlive it) from the moment
-  // their mapping is known; a block invalidated or dirtied since then is
-  // stale, and the caller skips installing it.
-  class Fill {
-   public:
-    Fill(BufferCache* cache, std::span<const FsExtent> runs);
-    ~Fill();
-    Fill(const Fill&) = delete;
-    Fill& operator=(const Fill&) = delete;
-
-    bool stale(uint64_t lba) const;
-
-   private:
-    friend class BufferCache;
-    // Marks `lba` stale if this fill watches it.
-    void Touch(uint64_t lba);
-
-    BufferCache* cache_;
-    std::span<const FsExtent> runs_;
-    std::vector<uint64_t> stale_;
-  };
-
-  // Counts `nblocks` demand misses that the caller fetched from the device
-  // itself and installed with InsertClean (the proxy's staged read fetches
-  // a whole miss run in one vector instead of faulting it through
-  // GetBlock), so misses() and cache.misses see them.
-  void RecordMisses(uint64_t nblocks);
 
   uint64_t hits() const { return local_hits_; }
   uint64_t misses() const { return local_misses_; }
@@ -199,10 +176,31 @@ class BufferCache {
     uint64_t hi;  // inclusive
   };
 
+  // One Stage call's watch on its blocks (`runs`, which must outlive it):
+  // a block invalidated or dirtied while the fill is open is stale, and
+  // the fill does not install it.
+  class Fill {
+   public:
+    Fill(BufferCache* cache, std::span<const FsExtent> runs);
+    ~Fill();
+    Fill(const Fill&) = delete;
+    Fill& operator=(const Fill&) = delete;
+
+    bool stale(uint64_t lba) const;
+    // Marks `lba` stale if this fill watches it.
+    void Touch(uint64_t lba);
+
+   private:
+    BufferCache* cache_;
+    std::span<const FsExtent> runs_;
+    std::vector<uint64_t> stale_;
+  };
+
   Task<Status> EvictOne();
   // Backing-store I/O, routed through the I/O scheduler when one is set.
   Task<Status> BackingRead(uint64_t lba, uint32_t nblocks,
-                           std::span<uint8_t> out);
+                           std::span<uint8_t> out, IoClass cls,
+                           TraceContext ctx);
   Task<Status> BackingWriteV(std::span<const ConstBlockRun> runs);
   // Writes `plan` to the backing store as one vectored submission tracked
   // as an in-flight range, re-marking still-cached pages dirty if the
@@ -220,6 +218,10 @@ class BufferCache {
   WritebackPlan PlanWriteback(std::vector<uint64_t> lbas);
   Task<Status> InsertLocked(uint64_t lba, std::span<const uint8_t> content,
                             bool dirty, bool readahead);
+  // Copies a cached page out as a demand hit: counts it and touches it.
+  void CopyHit(Page& page, std::span<uint8_t> out);
+  // Drops a page without write-back.
+  void Invalidate(uint64_t lba);
   void TouchHit(Page& page, bool promote = true);
   void LinkNew(Page& page);
   void Unlink(const Page& page);

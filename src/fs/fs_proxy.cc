@@ -60,17 +60,6 @@ bool IsSystemError(ErrorCode code) {
   }
 }
 
-// Zeroes the bytes of `blocks` (file bytes from `offset` on) at or past
-// `file_size`. A cache holds them as zeros: the file system zero-fills them
-// on the device when the file grows, and tells no cache.
-void ZeroPastEof(std::span<uint8_t> blocks, uint64_t offset,
-                 uint64_t file_size) {
-  if (offset + blocks.size() > file_size) {
-    uint64_t keep = file_size > offset ? file_size - offset : 0;
-    std::memset(blocks.data() + keep, 0, blocks.size() - keep);
-  }
-}
-
 }  // namespace
 
 FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
@@ -181,28 +170,25 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
   }
   SOLROS_CO_ASSIGN_OR_RETURN(uint64_t ino, co_await fs_->Lookup(path));
   SOLROS_CO_ASSIGN_OR_RETURN(FileStat stat, co_await fs_->StatInode(ino));
-  SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
-                             co_await fs_->Fiemap(ino, 0, stat.size));
-  // Fetch extent-by-extent with coalesced vectors into a bounce buffer,
-  // installing clean pages in the cache of the shard that owns each block.
+  // Stage the file stripe by stripe into the cache of the shard that owns
+  // each stripe, through the same guarded fill as a buffered read. Prefetch
+  // is speculation: readahead class, so it never queues ahead of a demand
+  // miss.
   const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
-  uint64_t offset = 0;  // file offset of the next block
-  for (const FsExtent& extent : extents) {
-    uint64_t bytes = uint64_t{extent.len} * kFsBlockSize;
-    DeviceBuffer bounce(host_cpu_->device(), bytes);
-    // Prefetch is speculation: readahead class, so it never queues ahead
-    // of a demand miss.
-    SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
-        extent.start, extent.len, {bounce.data(), bytes},
-        IoClass::kReadahead));
-    ZeroPastEof({bounce.data(), bytes}, offset, stat.size);
-    for (uint64_t b = 0; b < extent.len; ++b, offset += kFsBlockSize) {
-      FsProxy* owner = shards[static_cast<size_t>(ShardOfFileRange(
-          ino, offset, kFsBlockSize, shard_.shard_count))];
-      SOLROS_CO_RETURN_IF_ERROR(co_await owner->cache_->InsertClean(
-          extent.start + b,
-          {bounce.data() + b * kFsBlockSize, kFsBlockSize}));
-    }
+  const int shard_count = shard_.shard_count;
+  for (uint64_t offset = 0; offset < stat.size;) {
+    uint64_t end = std::min(OwnedRangeEnd(offset, kFsBlockSize, shard_count),
+                            stat.size);
+    FsProxy* owner = shards[static_cast<size_t>(
+        ShardOfFileRange(ino, offset, kFsBlockSize, shard_count))];
+    SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
+                               co_await fs_->Fiemap(ino, offset, end - offset));
+    uint64_t blocks = (end - offset + kFsBlockSize - 1) / kFsBlockSize;
+    std::vector<uint8_t> bounce(blocks * kFsBlockSize);
+    auto staged = co_await owner->cache_->Stage(extents, blocks, end - offset,
+                                                bounce, IoClass::kReadahead);
+    SOLROS_CO_RETURN_IF_ERROR(staged.status());
+    offset = end;
   }
   co_return OkStatus();
 }
@@ -243,26 +229,18 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
       break;
     }
     case FsOp::kUnlink: {
-      // Freed blocks may be reallocated to another file — possibly one
-      // served by a different shard — so drop cached copies on EVERY
-      // shard before the blocks return to the allocator, and clean copies
-      // again after.
-      std::vector<FsExtent> freed;
+      const std::string path = request.Path();
+      std::optional<FreedRange> freed;
       if (cache_ != nullptr) {
-        auto ino = co_await fs_->Lookup(request.Path());
+        auto ino = co_await fs_->Lookup(path);
         if (ino.ok()) {
           auto stat = co_await fs_->StatInode(*ino);
           if (stat.ok()) {
-            auto extents = co_await CachedFiemap(*ino, 0, stat->size);
-            if (extents.ok()) {
-              freed = std::move(*extents);
-            }
+            freed = FreedRange{*ino, 0, stat->size};
           }
         }
       }
-      co_await BroadcastInvalidate(freed);
-      Status status = co_await fs_->Unlink(request.Path());
-      BroadcastDropClean(freed);
+      Status status = co_await FreeBlocks(freed, 0, fs_->Unlink(path));
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }
@@ -290,24 +268,18 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
       break;
     }
     case FsOp::kTruncate: {
-      // Invalidate cached pages of any region a shrink frees, as for
-      // unlink. A partially kept last block stays cached with its freed
-      // tail zeroed.
-      std::vector<FsExtent> freed;
-      const uint32_t kept = request.length % kFsBlockSize;
+      // A partially kept last block stays cached with its freed tail zeroed.
+      std::optional<FreedRange> freed;
       if (cache_ != nullptr) {
         auto stat = co_await fs_->StatInode(request.ino);
         if (stat.ok() && request.length < stat->size) {
-          auto extents = co_await CachedFiemap(
-              request.ino, request.length, stat->size - request.length);
-          if (extents.ok()) {
-            freed = std::move(*extents);
-          }
+          freed = FreedRange{request.ino, request.length,
+                             stat->size - request.length};
         }
       }
-      co_await BroadcastInvalidate(freed, kept);
-      Status status = co_await fs_->Truncate(request.ino, request.length);
-      BroadcastDropClean(freed);
+      Status status = co_await FreeBlocks(
+          freed, request.length % kFsBlockSize,
+          fs_->Truncate(request.ino, request.length));
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }
@@ -419,33 +391,43 @@ Task<void> FsProxy::DropExtents(const std::vector<FsExtent>& extents) {
   }
 }
 
-Task<void> FsProxy::BroadcastInvalidate(std::vector<FsExtent> extents,
-                                        uint32_t keep_bytes) {
-  // No cross-core charge, matching a store to a shared invalidation queue;
-  // the only wait is for write-backs already in flight.
-  const bool keep_head = keep_bytes > 0 && !extents.empty();
-  const uint64_t head = keep_head ? extents.front().start : 0;
+Task<Status> FsProxy::FreeBlocks(std::optional<FreedRange> range,
+                                 uint32_t keep_bytes, Task<Status> free_op) {
+  std::vector<FsExtent> freed;
+  if (range.has_value()) {
+    auto extents = co_await CachedFiemap(range->ino, range->offset,
+                                         range->length);
+    if (extents.ok()) {
+      freed = std::move(*extents);
+    }
+  }
+  // Before the free: drop every shard's copies. No cross-core charge,
+  // matching a store to a shared invalidation queue; the only wait is for
+  // write-backs already in flight.
+  std::vector<FsExtent> dropped = freed;
+  const bool keep_head = keep_bytes > 0 && !dropped.empty();
   if (keep_head) {
-    ++extents.front().start;
-    --extents.front().len;
+    ++dropped.front().start;
+    --dropped.front().len;
   }
   for (FsProxy* peer : shard_.coordinator.shards()) {
     if (keep_head && peer->cache_ != nullptr) {
-      peer->cache_->ZeroFrom(head, keep_bytes);
+      peer->cache_->ZeroFrom(freed.front().start, keep_bytes);
     }
-    co_await peer->DropExtents(extents);
+    co_await peer->DropExtents(dropped);
   }
-}
-
-void FsProxy::BroadcastDropClean(const std::vector<FsExtent>& extents) {
+  Status status = co_await std::move(free_op);
+  // After the free: drop the clean copies a fill that read the blocks
+  // meanwhile may have left. A dirty copy is already the next owner's.
   for (FsProxy* peer : shard_.coordinator.shards()) {
     if (peer->cache_ == nullptr) {
       continue;
     }
-    for (const FsExtent& e : extents) {
+    for (const FsExtent& e : freed) {
       peer->cache_->InvalidateCleanRange(e.start, e.len);
     }
   }
+  co_return status;
 }
 
 Task<Status> FsProxy::FsyncBarrier() {
@@ -726,16 +708,15 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
                                    uint64_t length, MemRef target,
                                    uint32_t ra_blocks, uint64_t file_size,
                                    TraceContext ctx) {
-  // Stage the byte range in a host bounce buffer. Cached blocks come from
-  // the cache; missing runs are fetched with one coalesced NVMe vector and
-  // then populate the cache. A readahead window extends the staged range
-  // past the request so a miss run spanning the boundary fetches the next
-  // `ra_blocks` speculatively in the same NVMe vector.
+  // Stage the byte range in a host bounce buffer through the cache
+  // (BufferCache::Stage). A readahead window extends the staged range past
+  // the request so a miss run spanning the boundary fetches the next
+  // `ra_blocks` speculatively in the same device read.
   uint64_t first_block = offset / kFsBlockSize;
   uint64_t last_block = (offset + length + kFsBlockSize - 1) / kFsBlockSize;
   uint64_t nblocks = last_block - first_block;
   uint64_t stage_blocks = nblocks;
-  if (ra_blocks > 0 && cache_ != nullptr) {
+  if (ra_blocks > 0) {
     uint64_t file_blocks = (file_size + kFsBlockSize - 1) / kFsBlockSize;
     uint64_t headroom =
         file_blocks > last_block ? file_blocks - last_block : 0;
@@ -756,104 +737,32 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
       co_await CachedFiemap(ino, first_block * kFsBlockSize,
                             stage_blocks * kFsBlockSize));
 
-  // Watch the staged blocks from the moment their mapping is known, so a
-  // write or free that lands before a miss run is installed drops it.
-  std::optional<BufferCache::Fill> fill;
-  if (cache_ != nullptr) {
-    fill.emplace(cache_.get(), extents);
-  }
-
-  // The staging walk runs under a cache span (child of the buffered data
-  // span) whose args record the per-request outcome: demand blocks served
-  // from cache, demand blocks fetched from the device, and speculative
-  // readahead blocks piggybacked onto those fetches.
-  std::optional<ScopedSpan> cache_span;
-  if (cache_ != nullptr) {
-    cache_span.emplace(sim_, "cache", "cache.read", ctx);
-  }
-  TraceContext io_ctx = cache_span.has_value() ? cache_span->context() : ctx;
-  uint64_t span_hits = 0;
-  uint64_t span_misses = 0;
-  uint64_t span_readahead = 0;
-
-  uint64_t cursor = 0;  // block index within the staged range
-  for (const FsExtent& extent : extents) {
-    for (uint64_t i = 0; i < extent.len;) {
-      uint64_t lba = extent.start + i;
-      uint64_t bounce_off = (cursor + i) * kFsBlockSize;
-      bool speculative = cursor + i >= nblocks;
-      if (cache_ != nullptr && cache_->Contains(lba)) {
-        if (speculative) {
-          // Already-cached readahead block: nothing to stage, and no
-          // LRU touch — the stream has not actually reached it yet.
-          ++i;
-          continue;
-        }
-        SOLROS_CO_ASSIGN_OR_RETURN(MemRef page, co_await cache_->GetBlock(lba));
-        std::memcpy(bounce.data() + bounce_off, page.span().data(),
-                    kFsBlockSize);
-        ++span_hits;
-        ++i;
-        continue;
-      }
-      if (speculative) {
-        // A miss run that STARTS in the readahead region means the demand
-        // part of this request was already cached — skip the speculative
-        // fetch entirely. Readahead I/O only piggybacks on a demand miss,
-        // so a fully-cached request costs zero device commands (this is
-        // what turns a sequential stream into one command per window
-        // instead of one per request).
-        ++i;
-        continue;
-      }
-      // Extend a miss run (it may cross from the request region into the
-      // readahead region — that is the point: one vectored device read).
-      uint64_t run = 1;
-      while (i + run < extent.len &&
-             (cache_ == nullptr || !cache_->Contains(extent.start + i + run))) {
-        ++run;
-      }
-      // The whole miss run — demand blocks plus any piggybacked
-      // readahead tail — is ONE demand-class request: a caller is
-      // blocked on its head, and splitting it would cost a second
-      // command for a fetch the device could do in one.
+  if (cache_ == nullptr) {
+    // No cache (ablation A3): one demand read per extent.
+    uint64_t cursor = 0;
+    for (const FsExtent& e : extents) {
       SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
-          lba, static_cast<uint32_t>(run),
-          {bounce.data() + bounce_off, run * kFsBlockSize},
-          IoClass::kDemand, io_ctx));
-      // Populate the cache with the fetched blocks (clean pages, no
-      // second device read — the bytes are in the bounce buffer).
-      if (cache_ != nullptr) {
-        ZeroPastEof({bounce.data() + bounce_off, run * kFsBlockSize},
-                    first_block * kFsBlockSize + bounce_off, file_size);
-        for (uint64_t b = 0; b < run; ++b) {
-          bool ra = cursor + i + b >= nblocks;
-          if (!fill->stale(lba + b)) {
-            Status inserted = co_await cache_->InsertClean(
-                lba + b,
-                {bounce.data() + bounce_off + b * kFsBlockSize, kFsBlockSize},
-                /*readahead=*/ra);
-            if (!inserted.ok()) {
-              co_return inserted;
-            }
-          }
-          if (ra) {
-            ++span_readahead;
-          } else {
-            ++span_misses;
-          }
-        }
-      }
-      i += run;
+          e.start, e.len,
+          {bounce.data() + cursor * kFsBlockSize, e.len * kFsBlockSize},
+          IoClass::kDemand, ctx));
+      cursor += e.len;
     }
-    cursor += extent.len;
-  }
-  if (cache_span.has_value()) {
-    cache_->RecordMisses(span_misses);
-    cache_span->AddArg("hits", span_hits);
-    cache_span->AddArg("misses", span_misses);
-    cache_span->AddArg("readahead", span_readahead);
-    cache_span.reset();  // close before the DMA: the move is not cache time
+  } else {
+    // The staging walk runs under a cache span (child of the buffered data
+    // span) whose args record the per-request outcome: demand blocks served
+    // from cache, demand blocks fetched from the device, and speculative
+    // readahead blocks piggybacked onto those fetches. The span closes
+    // before the DMA: the move is not cache time.
+    ScopedSpan cache_span(sim_, "cache", "cache.read", ctx);
+    SOLROS_CO_ASSIGN_OR_RETURN(
+        BufferCache::StageCounts staged,
+        co_await cache_->Stage(extents, nblocks,
+                               file_size - first_block * kFsBlockSize,
+                               {bounce.data(), stage_blocks * kFsBlockSize},
+                               IoClass::kDemand, cache_span.context()));
+    cache_span.AddArg("hits", staged.hits);
+    cache_span.AddArg("misses", staged.misses);
+    cache_span.AddArg("readahead", staged.readahead);
   }
 
   // One host-initiated DMA moves the requested bytes to the target.

@@ -22,6 +22,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,7 +118,8 @@ class FsProxy {
   // Pulls a whole file into the shared buffer cache (§4.3: the control
   // plane "prefetches frequently accessed files ... to the host memory");
   // subsequent buffered reads from any data plane are served from DRAM.
-  // Each block goes into its owning shard's cache. Fails without a cache.
+  // Each stripe is staged into its owning shard's cache with a
+  // readahead-class BufferCache::Stage. Fails without a cache.
   Task<Status> Prefetch(const std::string& path);
 
   const FsProxyStats& stats() const { return stats_; }
@@ -191,17 +193,23 @@ class FsProxy {
   Task<Result<std::vector<FsExtent>>> CachedFiemap(uint64_t ino,
                                                    uint64_t offset,
                                                    uint64_t length);
-  // Unlink and truncate free blocks that the allocator may hand to any
-  // file, so their cached copies are dropped on every shard before the
-  // free: no dirty copy may be written back over the blocks' next owner.
-  // With `keep_bytes` > 0 the first block of `extents` is kept: only its
-  // bytes from `keep_bytes` on are zeroed in place.
-  Task<void> BroadcastInvalidate(std::vector<FsExtent> extents,
-                                 uint32_t keep_bytes = 0);
-  // After the free: drops every shard's clean copies of `extents`, which a
-  // fill that read the blocks meanwhile may have left. A dirty copy is
-  // already the next owner's.
-  void BroadcastDropClean(const std::vector<FsExtent>& extents);
+  // A byte range of a file whose blocks a free returns to the allocator.
+  struct FreedRange {
+    uint64_t ino;
+    uint64_t offset;
+    uint64_t length;
+  };
+  // The free path of unlink and truncate: runs `free_op` between two
+  // broadcasts over the blocks of `range`. The allocator may hand freed
+  // blocks to any file, so first every shard drops its cached copies — no
+  // dirty copy may be written back over the blocks' next owner. With
+  // `keep_bytes` > 0 the first block is kept: only its bytes from
+  // `keep_bytes` on are zeroed in place. After the free, every shard drops
+  // the clean copies a fill that read the blocks meanwhile may have left; a
+  // dirty copy is already the next owner's. No range, nothing to drop.
+  // Returns `free_op`'s status.
+  Task<Status> FreeBlocks(std::optional<FreedRange> range,
+                          uint32_t keep_bytes, Task<Status> free_op);
   // The fsync path under a volatile write cache, shard-wide: flush every
   // shard's cache, fence every shard's scheduler with an ordered barrier,
   // then run the one journal commit via the designated barrier shard.

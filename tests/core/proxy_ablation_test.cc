@@ -6,7 +6,9 @@
 #include <sstream>
 
 #include "src/base/prng.h"
+#include "src/base/units.h"
 #include "src/core/machine.h"
+#include "src/sim/sync.h"
 
 namespace solros {
 namespace {
@@ -130,6 +132,92 @@ TEST(PrefetchTest, PrefetchMissingFileFails) {
   EXPECT_EQ(RunSim(machine.sim(), machine.fs_proxy().Prefetch("/nope"))
                 .code(),
             ErrorCode::kNotFound);
+}
+
+// Prefetch installs through the guarded staged fill. With the cache full of
+// dirty pages, each of its installs suspends in a write-back eviction; a P2P
+// write to the file's tail that lands meanwhile must not be undone by the
+// prefetch installing the tail's old bytes after the write's last drop.
+TEST(PrefetchTest, PrefetchRacingP2pWriteKeepsTheNewBytes) {
+  constexpr uint64_t kCacheBlocks = 64;
+  constexpr uint64_t kFileBlocks = 32;
+  constexpr uint64_t kTailBlocks = 4;
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.proxy_shards = 1;
+  config.fs_options.cache_blocks = kCacheBlocks;
+  Machine machine(std::move(config));
+  Simulator& sim = machine.sim();
+  CHECK_OK(RunSim(sim, machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  FsProxy& proxy = machine.fs_proxy();
+  auto write = [&](uint64_t ino, uint64_t offset,
+                   const std::vector<uint8_t>& bytes) {
+    DeviceBuffer src(machine.phi_device(0), bytes.size());
+    std::memcpy(src.data(), bytes.data(), bytes.size());
+    CHECK_OK(RunSim(sim, stub.Write(ino, offset, MemRef::Of(src))));
+  };
+
+  // The file to prefetch, and a filler file twice the cache's size, both
+  // written to the device.
+  auto hot = RunSim(sim, stub.Create("/hot"));
+  ASSERT_TRUE(hot.ok());
+  write(*hot, 0, RandomBytes(kFileBlocks * kFsBlockSize, 5));
+  auto filler = RunSim(sim, stub.Create("/filler"));
+  ASSERT_TRUE(filler.ok());
+  write(*filler, 0, RandomBytes(2 * kCacheBlocks * kFsBlockSize, 6));
+  ASSERT_EQ(proxy.cache()->size(), 0u);
+  // Buffered overwrites of every other filler block fill the cache with
+  // dirty pages, each its own write-back cluster.
+  stub.set_buffered(true);
+  for (uint64_t b = 0; b < 2 * kCacheBlocks; b += 2) {
+    write(*filler, b * kFsBlockSize, RandomBytes(kFsBlockSize, 100 + b));
+  }
+  stub.set_buffered(false);
+  ASSERT_EQ(proxy.cache()->dirty_pages(), kCacheBlocks);
+
+  const uint64_t tail = (kFileBlocks - kTailBlocks) * kFsBlockSize;
+  const auto new_tail = RandomBytes(kTailBlocks * kFsBlockSize, 7);
+  DeviceBuffer tail_src(machine.phi_device(0), new_tail.size());
+  std::memcpy(tail_src.data(), new_tail.data(), new_tail.size());
+  Status prefetched;
+  bool prefetch_done = false;
+  bool wrote_mid_prefetch = false;
+  const uint64_t p2p_writes = proxy.stats().p2p_writes;
+  WaitGroup wg(&sim);
+  auto prefetch = [&]() -> Task<void> {
+    prefetched = co_await proxy.Prefetch("/hot");
+    prefetch_done = true;
+    wg.Done();
+  };
+  // Overwrites the tail once the prefetch has begun installing.
+  auto overwrite = [&]() -> Task<void> {
+    while (proxy.cache()->evictions() == 0) {
+      co_await Delay(Microseconds(1));
+    }
+    CHECK_OK(co_await stub.Write(*hot, tail, MemRef::Of(tail_src)));
+    wrote_mid_prefetch = !prefetch_done;
+    wg.Done();
+  };
+  auto race = [&]() -> Task<void> {
+    wg.Add(2);
+    Spawn(sim, prefetch());
+    Spawn(sim, overwrite());
+    co_await wg.Wait();
+  };
+  RunSim(sim, race());
+  CHECK_OK(prefetched);
+  EXPECT_EQ(proxy.stats().p2p_writes, p2p_writes + 1);
+  EXPECT_TRUE(wrote_mid_prefetch);
+
+  stub.set_buffered(true);
+  DeviceBuffer dst(machine.phi_device(0), new_tail.size());
+  auto n = RunSim(sim, stub.Read(*hot, tail, MemRef::Of(dst)));
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, new_tail.size());
+  EXPECT_EQ(std::memcmp(dst.data(), new_tail.data(), new_tail.size()), 0);
 }
 
 TEST(MachineStatsTest, DumpStatsMentionsEverySubsystem) {

@@ -8,6 +8,8 @@
 #include "src/base/prng.h"
 #include "src/base/units.h"
 #include "src/fs/block_store.h"
+#include "src/fs/io_scheduler.h"
+#include "src/fs/layout.h"
 #include "src/hw/fabric.h"
 #include "src/hw/params.h"
 #include "src/sim/simulator.h"
@@ -15,6 +17,23 @@
 
 namespace solros {
 namespace {
+
+// Stages `nblocks` blocks from `lba` through `cache`, all of them demanded,
+// and returns their bytes.
+Task<std::vector<uint8_t>> StageAsync(BufferCache* cache, uint64_t lba,
+                                      uint32_t nblocks = 1) {
+  const FsExtent extent{lba, nblocks};
+  std::vector<uint8_t> out(uint64_t{nblocks} * 4096);
+  auto staged = co_await cache->Stage({&extent, 1}, nblocks, out.size(), out,
+                                      IoClass::kDemand);
+  CHECK_OK(staged);
+  co_return out;
+}
+
+std::vector<uint8_t> StageBlocks(Simulator& sim, BufferCache& cache,
+                                 uint64_t lba, uint32_t nblocks = 1) {
+  return RunSim(sim, StageAsync(&cache, lba, nblocks));
+}
 
 class BufferCacheTest : public ::testing::Test {
  protected:
@@ -38,40 +57,36 @@ class BufferCacheTest : public ::testing::Test {
 };
 
 TEST_F(BufferCacheTest, MissThenHit) {
-  auto ref1 = RunSim(sim_, cache_.GetBlock(5));
-  ASSERT_TRUE(ref1.ok());
+  auto first = StageBlocks(sim_, cache_, 5);
   EXPECT_EQ(cache_.misses(), 1u);
   EXPECT_EQ(cache_.hits(), 0u);
-  EXPECT_EQ(std::memcmp(ref1->span().data(), store_.raw().data() + 5 * 4096,
-                        4096),
+  EXPECT_EQ(std::memcmp(first.data(), store_.raw().data() + 5 * 4096, 4096),
             0);
-  auto ref2 = RunSim(sim_, cache_.GetBlock(5));
-  ASSERT_TRUE(ref2.ok());
+  auto second = StageBlocks(sim_, cache_, 5);
   EXPECT_EQ(cache_.hits(), 1u);
+  EXPECT_EQ(second, first);
 }
 
 TEST_F(BufferCacheTest, LruEviction) {
   for (uint64_t lba = 0; lba < 8; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, cache_.GetBlock(lba)).ok());
+    StageBlocks(sim_, cache_, lba);
   }
   EXPECT_EQ(cache_.size(), 8u);
   // Touch block 0 so block 1 becomes LRU.
-  ASSERT_TRUE(RunSim(sim_, cache_.GetBlock(0)).ok());
+  StageBlocks(sim_, cache_, 0);
   // Insert a 9th block; block 1 must be evicted.
-  ASSERT_TRUE(RunSim(sim_, cache_.GetBlock(100)).ok());
+  StageBlocks(sim_, cache_, 100);
   EXPECT_EQ(cache_.evictions(), 1u);
   EXPECT_TRUE(cache_.Contains(0));
   EXPECT_FALSE(cache_.Contains(1));
 }
 
 TEST_F(BufferCacheTest, DirtyPagesFlushOnEviction) {
-  auto ref = RunSim(sim_, cache_.GetBlock(3));
-  ASSERT_TRUE(ref.ok());
-  std::memset(ref->span().data(), 0x77, 4096);
-  cache_.MarkDirty(3);
+  CHECK_OK(RunSim(sim_, cache_.InsertDirty(
+                            3, std::vector<uint8_t>(4096, 0x77))));
   // Force eviction of block 3 by filling the cache.
   for (uint64_t lba = 10; lba < 19; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, cache_.GetBlock(lba)).ok());
+    StageBlocks(sim_, cache_, lba);
   }
   EXPECT_FALSE(cache_.Contains(3));
   // The store now holds the dirty content.
@@ -79,43 +94,44 @@ TEST_F(BufferCacheTest, DirtyPagesFlushOnEviction) {
 }
 
 TEST_F(BufferCacheTest, FlushWritesAllDirty) {
-  auto ref = RunSim(sim_, cache_.GetBlock(7));
-  ASSERT_TRUE(ref.ok());
-  std::memset(ref->span().data(), 0x42, 4096);
-  cache_.MarkDirty(7);
+  CHECK_OK(RunSim(sim_, cache_.InsertDirty(
+                            7, std::vector<uint8_t>(4096, 0x42))));
   CHECK_OK(RunSim(sim_, cache_.Flush()));
   EXPECT_EQ(store_.raw()[7 * 4096], 0x42);
 }
 
-TEST_F(BufferCacheTest, ReadThroughAndWriteThrough) {
-  std::vector<uint8_t> data(4096 * 2, 0xcd);
-  CHECK_OK(RunSim(sim_, cache_.WriteThrough(20, 2, data)));
-  std::vector<uint8_t> out(4096 * 2);
-  CHECK_OK(RunSim(sim_, cache_.ReadThrough(20, 2, out)));
-  EXPECT_EQ(out, data);
+TEST_F(BufferCacheTest, StageReadsDirtyPagesBeforeWriteback) {
+  std::vector<uint8_t> data(4096, 0xcd);
+  CHECK_OK(RunSim(sim_, cache_.InsertDirty(20, data)));
+  CHECK_OK(RunSim(sim_, cache_.InsertDirty(21, data)));
+  // Staged from the dirty pages, not the device.
+  auto out = StageBlocks(sim_, cache_, 20, 2);
+  EXPECT_EQ(out, std::vector<uint8_t>(4096 * 2, 0xcd));
+  EXPECT_EQ(cache_.hits(), 2u);
+  EXPECT_EQ(cache_.misses(), 0u);
   // Store not yet updated (write-back).
   EXPECT_NE(store_.raw()[20 * 4096], 0xcd);
   CHECK_OK(RunSim(sim_, cache_.Flush()));
   EXPECT_EQ(store_.raw()[20 * 4096], 0xcd);
+  EXPECT_EQ(store_.raw()[21 * 4096], 0xcd);
 }
 
 TEST_F(BufferCacheTest, InvalidateDropsWithoutWriteback) {
-  auto ref = RunSim(sim_, cache_.GetBlock(9));
-  ASSERT_TRUE(ref.ok());
   uint8_t original = store_.raw()[9 * 4096];
-  std::memset(ref->span().data(), original + 1, 4096);
-  cache_.MarkDirty(9);
-  cache_.Invalidate(9);
+  CHECK_OK(RunSim(sim_, cache_.InsertDirty(
+                            9, std::vector<uint8_t>(4096, original + 1))));
+  RunSim(sim_, cache_.DiscardRange(9, 1));
   CHECK_OK(RunSim(sim_, cache_.Flush()));
   EXPECT_EQ(store_.raw()[9 * 4096], original);
   EXPECT_FALSE(cache_.Contains(9));
 }
 
 TEST_F(BufferCacheTest, InvalidateRangeAndMissingBlocksAreNoops) {
-  ASSERT_TRUE(RunSim(sim_, cache_.GetBlock(30)).ok());
-  cache_.InvalidateRange(29, 4);  // covers 30, ignores absent ones
+  StageBlocks(sim_, cache_, 30);
+  RunSim(sim_, cache_.DiscardRange(29, 4));  // covers 30, ignores absent ones
   EXPECT_FALSE(cache_.Contains(30));
-  cache_.Invalidate(999);  // absent: no-op
+  RunSim(sim_, cache_.DiscardRange(999, 1));  // absent: no-op
+  EXPECT_EQ(cache_.size(), 0u);
 }
 
 // Counts the backing-store calls the cache makes, so tests can assert how
@@ -184,14 +200,14 @@ class SegmentedCacheTest : public ::testing::Test {
 TEST_F(SegmentedCacheTest, SecondTouchPromotesAndDemotionKeepsCap) {
   BufferCache cache(&store_, fabric_.HostDevice(0), 8);
   for (uint64_t lba = 0; lba < 8; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
+    StageBlocks(sim_, cache, lba);
   }
   EXPECT_EQ(cache.probation_pages(), 8u);
   EXPECT_EQ(cache.protected_pages(), 0u);
   // Second touch promotes; the protected segment caps at 6 of 8 pages (a
   // 0.75 fraction) and demotes its LRU tail back to probation past that.
   for (uint64_t lba = 0; lba < 7; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
+    StageBlocks(sim_, cache, lba);
   }
   EXPECT_EQ(cache.protected_pages(), 6u);
   EXPECT_EQ(cache.probation_pages(), 2u);
@@ -203,13 +219,13 @@ TEST_F(SegmentedCacheTest, ScanCannotEvictProtectedWorkingSet) {
   // Hot set: 4 pages, touched twice -> protected.
   for (int pass = 0; pass < 2; ++pass) {
     for (uint64_t lba = 0; lba < 4; ++lba) {
-      ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
+      StageBlocks(sim_, cache, lba);
     }
   }
   EXPECT_EQ(cache.protected_pages(), 4u);
   // A scan 4x the cache size touches each block exactly once.
   for (uint64_t lba = 100; lba < 132; ++lba) {
-    ASSERT_TRUE(RunSim(sim_, cache.GetBlock(lba)).ok());
+    StageBlocks(sim_, cache, lba);
   }
   // The scan churned probation only; the hot set survived.
   for (uint64_t lba = 0; lba < 4; ++lba) {
@@ -219,19 +235,57 @@ TEST_F(SegmentedCacheTest, ScanCannotEvictProtectedWorkingSet) {
 
 TEST_F(SegmentedCacheTest, ReadaheadFirstTouchDoesNotPromote) {
   BufferCache cache(&store_, fabric_.HostDevice(0), 8);
-  CHECK_OK(RunSim(sim_, cache.InsertClean(50, Block(0xaa),
-                                          /*readahead=*/true)));
-  EXPECT_EQ(cache.probation_pages(), 1u);
+  // Demand block 49 misses; block 50 rides its fetch as readahead.
+  const FsExtent extent{49, 2};
+  std::vector<uint8_t> out(2 * 4096);
+  auto staged = RunSim(sim_, cache.Stage({&extent, 1}, /*demand_blocks=*/1,
+                                         out.size(), out, IoClass::kDemand));
+  ASSERT_TRUE(staged.ok());
+  EXPECT_EQ(staged->misses, 1u);
+  EXPECT_EQ(staged->readahead, 1u);
+  EXPECT_EQ(cache.probation_pages(), 2u);
   // First demand hit consumes the speculation: counted, not promoted —
   // a scan references each prefetched page exactly once and must not be
   // able to flood the protected segment through its readahead fills.
-  ASSERT_TRUE(RunSim(sim_, cache.GetBlock(50)).ok());
+  StageBlocks(sim_, cache, 50);
   EXPECT_EQ(cache.readahead_hits(), 1u);
   EXPECT_EQ(cache.protected_pages(), 0u);
   // The second hit is genuine reuse.
-  ASSERT_TRUE(RunSim(sim_, cache.GetBlock(50)).ok());
+  StageBlocks(sim_, cache, 50);
   EXPECT_EQ(cache.protected_pages(), 1u);
   EXPECT_EQ(cache.readahead_hits(), 1u);
+}
+
+TEST_F(SegmentedCacheTest, SpeculativeBlocksAreNeverFetchedAlone) {
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
+  StageBlocks(sim_, cache, 60);
+  // The demand block hits, so the uncached speculative tail is not fetched
+  // and nothing new is installed.
+  const FsExtent extent{60, 4};
+  std::vector<uint8_t> out(4 * 4096);
+  auto staged = RunSim(sim_, cache.Stage({&extent, 1}, /*demand_blocks=*/1,
+                                         out.size(), out, IoClass::kDemand));
+  ASSERT_TRUE(staged.ok());
+  EXPECT_EQ(staged->hits, 1u);
+  EXPECT_EQ(staged->misses, 0u);
+  EXPECT_EQ(staged->readahead, 0u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(SegmentedCacheTest, FetchedBytesPastValidAreZeroed) {
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
+  // Two blocks of which only the first 100 bytes are valid (the file ends
+  // there): the rest is staged and cached as zeros.
+  const FsExtent extent{64, 2};
+  std::vector<uint8_t> out(2 * 4096, 0xff);
+  ASSERT_TRUE(RunSim(sim_, cache.Stage({&extent, 1}, 2, /*valid_bytes=*/100,
+                                       out, IoClass::kDemand))
+                  .ok());
+  EXPECT_EQ(std::memcmp(out.data(), store_.raw().data() + 64 * 4096, 100), 0);
+  EXPECT_EQ(out[100], 0);
+  EXPECT_EQ(out[2 * 4096 - 1], 0);
+  auto cached = StageBlocks(sim_, cache, 65);
+  EXPECT_EQ(cached, std::vector<uint8_t>(4096, 0));
 }
 
 TEST_F(SegmentedCacheTest, FlushCoalescesSortedDirtyRuns) {
@@ -260,9 +314,9 @@ TEST_F(SegmentedCacheTest, EvictionWritesBackTheContiguousDirtyCluster) {
     CHECK_OK(RunSim(sim_, cache.InsertDirty(
                               lba, Block(static_cast<uint8_t>(lba)))));
   }
-  // Faulting a new block evicts one victim — but cleans the whole dirty
+  // Staging a new block evicts one victim — but cleans the whole dirty
   // cluster with a single vectored write.
-  ASSERT_TRUE(RunSim(sim_, cache.GetBlock(200)).ok());
+  StageBlocks(sim_, cache, 200);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(store_.writev_calls, 1);
   EXPECT_EQ(store_.writev_runs, 1u);
@@ -286,61 +340,59 @@ TEST_F(SegmentedCacheTest, FlushRangeOnlyTouchesTheRange) {
   EXPECT_EQ(store_.writev_calls + store_.writes, calls_before);
 }
 
-TEST_F(SegmentedCacheTest, RacingGetBlocksShareOnePage) {
-  // MemBlockStore completes instantly, so route through a cache whose
-  // faults interleave: spawn two concurrent faults for the same block.
+TEST_F(SegmentedCacheTest, RacingStagesShareOnePage) {
+  // Two concurrent cold fills of the same block install one page.
   BufferCache cache(&store_, fabric_.HostDevice(0), 8);
-  auto fault = [&](uint64_t lba) -> Task<void> {
-    auto ref = co_await cache.GetBlock(lba);
-    CHECK(ref.ok());
-  };
-  Spawn(sim_, fault(70));
-  Spawn(sim_, fault(70));
+  Spawn(sim_, StageAsync(&cache, 70));
+  Spawn(sim_, StageAsync(&cache, 70));
   sim_.RunUntilIdle();
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.Contains(70));
 }
 
 TEST_F(SegmentedCacheTest, InvalidateWhileCoalescedFlushInFlight) {
-  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
-  uint8_t original = store_.raw()[81 * 4096];
+  SlowStore slow(4096, 1024);
+  BufferCache cache(&slow, fabric_.HostDevice(0), 8);
   CHECK_OK(RunSim(sim_, cache.InsertDirty(80, Block(0x11))));
   CHECK_OK(RunSim(sim_, cache.InsertDirty(81, Block(0x22))));
-  // Start the flush, then invalidate one page before the simulator runs
-  // the write-back to completion. The flush snapshotted the content before
-  // suspending, so it must neither crash nor lose the other page.
+  // Start the flush, then discard one page while the write-back is in
+  // flight. The flush snapshotted the content before suspending, so it
+  // must neither crash nor lose the other page, and the discard returns
+  // only once the in-flight snapshot has landed (so a write that follows
+  // it lands after).
   bool flushed = false;
+  bool landed_at_discard = false;
   auto flush = [&]() -> Task<void> {
     CHECK_OK(co_await cache.Flush());
     flushed = true;
   };
+  auto discard = [&]() -> Task<void> {
+    co_await cache.DiscardRange(81, 1);
+    landed_at_discard = slow.raw()[81 * 4096] == 0x22;
+  };
   Spawn(sim_, flush());
-  cache.Invalidate(81);
+  Spawn(sim_, discard());
   sim_.RunUntilIdle();
   EXPECT_TRUE(flushed);
+  EXPECT_TRUE(landed_at_discard);
   EXPECT_FALSE(cache.Contains(81));
-  EXPECT_EQ(store_.raw()[80 * 4096], 0x11);
-  // Whether 81's snapshot landed depends on flush/invalidate interleaving;
-  // both orders are sound (P2P writers invalidate before overwriting).
-  uint8_t now = store_.raw()[81 * 4096];
-  EXPECT_TRUE(now == original || now == 0x22);
+  EXPECT_EQ(slow.raw()[80 * 4096], 0x11);
 }
 
 TEST_F(SegmentedCacheTest, InsertCleanDuringInFlightReadaheadIsStable) {
   BufferCache cache(&store_, fabric_.HostDevice(0), 8);
-  // A readahead insert races a demand fault for the same block.
-  auto insert = [&](uint64_t lba) -> Task<void> {
-    CHECK_OK(co_await cache.InsertClean(lba, Block(0x5c),
-                                        /*readahead=*/true));
+  // A fill that installs block 90 as readahead (riding demand block 89)
+  // races a demand fill of block 90.
+  auto readahead = [&]() -> Task<void> {
+    const FsExtent extent{89, 2};
+    std::vector<uint8_t> out(2 * 4096);
+    CHECK_OK(co_await cache.Stage({&extent, 1}, /*demand_blocks=*/1,
+                                  out.size(), out, IoClass::kReadahead));
   };
-  auto fault = [&](uint64_t lba) -> Task<void> {
-    auto ref = co_await cache.GetBlock(lba);
-    CHECK(ref.ok());
-  };
-  Spawn(sim_, fault(90));
-  Spawn(sim_, insert(90));
+  Spawn(sim_, StageAsync(&cache, 90));
+  Spawn(sim_, readahead());
   sim_.RunUntilIdle();
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.Contains(90));
   // The page is clean either way — never a phantom dirty bit.
   EXPECT_EQ(cache.dirty_pages(), 0u);
@@ -353,16 +405,12 @@ TEST_F(SegmentedCacheTest, ReDirtiedVictimDuringWritebackIsNotLost) {
     CHECK_OK(RunSim(sim_, cache.InsertDirty(
                               lba, Block(static_cast<uint8_t>(lba)))));
   }
-  // The fault suspends inside the eviction write-back (SlowStore delays);
+  // The fill suspends inside the eviction write-back (SlowStore delays);
   // the overwrite then lands while the victim's old snapshot is in flight.
-  auto fault = [&]() -> Task<void> {
-    auto ref = co_await cache.GetBlock(200);
-    CHECK(ref.ok());
-  };
   auto overwrite = [&]() -> Task<void> {
     CHECK_OK(co_await cache.InsertDirty(40, Block(0x99)));
   };
-  Spawn(sim_, fault());
+  Spawn(sim_, StageAsync(&cache, 200));
   Spawn(sim_, overwrite());
   sim_.RunUntilIdle();
   // The re-dirtied page must survive the eviction pass with its new bytes
@@ -403,8 +451,8 @@ TEST_F(SegmentedCacheTest, AccessorsAreInstanceLocal) {
   // instance's accessors must still report only its own traffic.
   BufferCache a(&store_, fabric_.HostDevice(0), 8);
   BufferCache b(&store_, fabric_.HostDevice(0), 8);
-  ASSERT_TRUE(RunSim(sim_, a.GetBlock(5)).ok());
-  ASSERT_TRUE(RunSim(sim_, a.GetBlock(5)).ok());
+  StageBlocks(sim_, a, 5);
+  StageBlocks(sim_, a, 5);
   EXPECT_EQ(a.misses(), 1u);
   EXPECT_EQ(a.hits(), 1u);
   EXPECT_EQ(b.misses(), 0u);

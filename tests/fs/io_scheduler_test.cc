@@ -294,13 +294,17 @@ TEST(IoSchedulerTest, StallFaultDelaysButDrainsEveryRequest) {
   EXPECT_EQ(wg.outstanding(), 0u);
 }
 
-// Satellite regression: the named duplicate-fetch guarantee at the cache
-// level. N concurrent GetBlock calls on one cold LBA => one device command
-// and N satisfied callers; a fault on that one fetch fails all N.
-Task<void> GetBlockInto(BufferCache* cache, uint64_t lba, int* ok_count,
-                        int* fail_count, WaitGroup* wg) {
-  auto ref = co_await cache->GetBlock(lba);
-  if (ref.ok()) {
+// The duplicate-fetch guarantee at the cache level. N concurrent cold
+// Stage calls on one LBA => one device command and N satisfied callers; a
+// fault on that one fetch fails all N and caches nothing.
+Task<void> StageInto(BufferCache* cache, uint64_t lba,
+                     std::vector<uint8_t>* out, int* ok_count,
+                     int* fail_count, WaitGroup* wg) {
+  const FsExtent extent{lba, 1};
+  out->resize(kBs);
+  auto staged = co_await cache->Stage({&extent, 1}, 1, kBs, *out,
+                                      IoClass::kDemand);
+  if (staged.ok()) {
     ++*ok_count;
   } else {
     ++*fail_count;
@@ -308,46 +312,51 @@ Task<void> GetBlockInto(BufferCache* cache, uint64_t lba, int* ok_count,
   wg->Done();
 }
 
-TEST(IoSchedulerTest, ConcurrentColdGetBlocksShareOneDeviceFetch) {
+TEST(IoSchedulerTest, ConcurrentColdStagesShareOneDeviceFetch) {
   Rig rig;
   IoScheduler sched(&rig.sim, &rig.store);
   BufferCache cache(&rig.store, rig.host, /*capacity_blocks=*/32);
   cache.set_io_scheduler(&sched);
   constexpr int kCallers = 8;
+  std::vector<std::vector<uint8_t>> outs(kCallers);
   int ok_count = 0, fail_count = 0;
   WaitGroup wg(&rig.sim);
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
-    Spawn(rig.sim, GetBlockInto(&cache, 77, &ok_count, &fail_count, &wg));
+    Spawn(rig.sim,
+          StageInto(&cache, 77, &outs[i], &ok_count, &fail_count, &wg));
   }
   rig.sim.RunUntilIdle();
   EXPECT_EQ(ok_count, kCallers);
   EXPECT_EQ(fail_count, 0);
   EXPECT_EQ(rig.nvme.commands_completed(), 1u);
   EXPECT_EQ(rig.nvme.doorbells_rung(), 1u);
+  for (const std::vector<uint8_t>& out : outs) {
+    EXPECT_EQ(std::memcmp(out.data(), rig.flash(77), kBs), 0);
+  }
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.Contains(77));
-  auto ref = RunSim(rig.sim, cache.GetBlock(77));
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(std::memcmp(ref->span().data(), rig.flash(77), kBs), 0);
 }
 
-TEST(IoSchedulerTest, FaultedSharedGetBlockFetchFailsAllCallers) {
+TEST(IoSchedulerTest, FaultedSharedStageFetchFailsAllCallers) {
   Rig rig;
   IoScheduler sched(&rig.sim, &rig.store);
   BufferCache cache(&rig.store, rig.host, /*capacity_blocks=*/32);
   cache.set_io_scheduler(&sched);
   ASSERT_TRUE(Faults().Arm("nvme.cmd.fail", FaultSpec::EveryNth(1)).ok());
   constexpr int kCallers = 8;
+  std::vector<std::vector<uint8_t>> outs(kCallers);
   int ok_count = 0, fail_count = 0;
   WaitGroup wg(&rig.sim);
   for (int i = 0; i < kCallers; ++i) {
     wg.Add(1);
-    Spawn(rig.sim, GetBlockInto(&cache, 77, &ok_count, &fail_count, &wg));
+    Spawn(rig.sim,
+          StageInto(&cache, 77, &outs[i], &ok_count, &fail_count, &wg));
   }
   rig.sim.RunUntilIdle();
   EXPECT_EQ(ok_count, 0);
   EXPECT_EQ(fail_count, kCallers);
-  EXPECT_FALSE(cache.Contains(77));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -2,21 +2,19 @@
 # Bench baseline harness.
 #
 #   tools/bench_baseline.sh record [out.json]   # run quick benches, write baseline
-#   tools/bench_baseline.sh check  [base.json]  # re-run fig11/fig12, fail on >10%
-#                                               # buffered-throughput regression
 #
 # Runs the short (SOLROS_BENCH_QUICK) fig11/fig12/fig17 configs plus the
 # cache_paths staged-path bench with --csv, and emits a machine-readable
-# BENCH_baseline.json (one row object per line so `check` can parse it with
-# awk — no JSON tooling required). Every row is the "current" variant, the
-# default configuration CI protects; EXPERIMENTS.md records the seed-path
-# numbers these replaced.
+# BENCH_baseline.json (one row object per line, so a fresh recording diffs
+# line by line). Every row is the "current" variant, the default
+# configuration CI protects: CI records a fresh file and `cmp`s it against
+# the committed one, so any drift in any row fails. EXPERIMENTS.md records
+# the seed-path numbers these replaced.
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
 MODE="${1:-record}"
 BASELINE="${2:-BENCH_baseline.json}"
-REGRESSION_PCT="${REGRESSION_PCT:-10}"
 
 cd "$(dirname "$0")/.."
 
@@ -123,64 +121,10 @@ record() {
        "seq-read nvme cmds $seq_cmds)" >&2
 }
 
-check() {
-  if [[ ! -f "$BASELINE" ]]; then
-    echo "error: baseline $BASELINE not found (run: $0 record)" >&2
-    exit 2
-  fi
-  local tmp
-  tmp="$(mktemp -d)"
-  trap "rm -rf '$tmp'" EXIT
-
-  echo ">> fig11/fig12 for regression check" >&2
-  run_bench fig11_fs_random_read | parse_fs_fig fig11 current >"$tmp/rows"
-  run_bench fig12_fs_random_write | parse_fs_fig fig12 current >>"$tmp/rows"
-
-  # Baseline buffered-path numbers: one row object per line by construction.
-  awk -F'[:,]' '
-    /"variant": "current"/ && (/"fig": "fig11"/ || /"fig": "fig12"/) {
-      for (i = 1; i <= NF; ++i) gsub(/[ "}{\]]/, "", $i)
-      fig = ""; threads = ""; block = ""; buffered = ""
-      for (i = 1; i < NF; ++i) {
-        if ($i == "fig") fig = $(i + 1)
-        if ($i == "threads") threads = $(i + 1)
-        if ($i == "block") block = $(i + 1)
-        if ($i == "buffered_gbps") buffered = $(i + 1)
-      }
-      if (fig != "" && buffered != "")
-        print fig "," threads "," block "," buffered
-    }
-  ' "$BASELINE" | sort >"$tmp/base"
-
-  awk -F, '{print $1 "," $3 "," $4 "," $7}' "$tmp/rows" | sort >"$tmp/now"
-
-  join -t, -j1 \
-    <(awk -F, '{print $1 ":" $2 ":" $3 "," $4}' "$tmp/base") \
-    <(awk -F, '{print $1 ":" $2 ":" $3 "," $4}' "$tmp/now") >"$tmp/joined"
-
-  if [[ ! -s "$tmp/joined" ]]; then
-    echo "error: no comparable rows between baseline and fresh run" >&2
-    exit 2
-  fi
-
-  awk -F, -v pct="$REGRESSION_PCT" '
-    {
-      base = $2; now = $3
-      drop = (base > 0) ? 100.0 * (base - now) / base : 0
-      status = (drop > pct) ? "REGRESSED" : "ok"
-      printf "%-24s baseline %.3f GB/s  now %.3f GB/s  (%+.1f%%)  %s\n",
-             $1, base, now, -drop, status
-      if (drop > pct) failed = 1
-    }
-    END { exit failed ? 1 : 0 }
-  ' "$tmp/joined"
-}
-
 case "$MODE" in
   record) record ;;
-  check) check ;;
   *)
-    echo "usage: $0 {record|check} [baseline.json]" >&2
+    echo "usage: $0 record [baseline.json]" >&2
     exit 2
     ;;
 esac
