@@ -81,12 +81,6 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   fs_ = std::make_unique<SolrosFs>(store_.get(), &sim_);
   fs_->set_journal_mode(config_.journal_mode);
 
-  // The only cross-shard FS state: the versioned extent map (invalidated by
-  // the FS itself whenever an inode's extents change) and the coordinator
-  // the broadcast/barrier protocol walks.
-  fs_->set_extent_observer(
-      [map = &extent_map_](uint64_t ino) { map->Invalidate(ino); });
-
   for (int k = 0; k < proxy_shards_; ++k) {
     FsProxy::Options shard_options = config_.fs_options;
     if (proxy_shards_ > 1 && shard_options.cache_blocks > 0) {
@@ -97,7 +91,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
     fs_proxies_.push_back(std::make_unique<FsProxy>(
         &sim_, fabric_.get(), params, fs_shards_->core(k), store_.get(),
         fs_.get(), shard_options,
-        FsShardContext{k, proxy_shards_, extent_map_, fs_coordinator_}));
+        FsShardContext{k, proxy_shards_, fs_coordinator_}));
   }
 
   if (config_.enable_network) {
@@ -322,10 +316,6 @@ void Machine::DumpStats(std::ostream& os) {
        << sched->dispatched(IoClass::kDemand) << "/"
        << sched->dispatched(IoClass::kWriteback) << "/"
        << sched->dispatched(IoClass::kReadahead) << "\n";
-  }
-  if (proxy_shards_ > 1) {
-    os << "extent-map: " << extent_map_.invalidations()
-       << " invalidations\n";
   }
   os << "nvme: " << nvme_->commands_completed() << " commands, "
      << nvme_->doorbells_rung() << " doorbells, "

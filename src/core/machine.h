@@ -29,7 +29,6 @@
 #include "src/base/metrics.h"
 #include "src/core/shard.h"
 #include "src/fs/fs_proxy.h"
-#include "src/fs/shared_extent_map.h"
 #include "src/fs/fs_stub.h"
 #include "src/fs/nvme_block_store.h"
 #include "src/fs/solros_fs.h"
@@ -81,8 +80,8 @@ struct MachineConfig {
 
   // Control-plane shards: each FsProxy/TcpProxy shard runs pinned to its
   // own dedicated host core with isolated state (cache segment, scheduler,
-  // stream table / sockets); only the extent map and the shared listening
-  // socket stay shared. FS traffic partitions by inode range with
+  // stream table / sockets); only the FS shard coordinator and the shared
+  // listening socket stay shared. FS traffic partitions by inode range with
   // block-group striping, net traffic by connection hash. At most
   // kMaxProxyShards; 0 (the default) reads SOLROS_PROXY_SHARDS (fatal when
   // malformed, 1 when unset). One shard keeps every legacy name.
@@ -128,7 +127,6 @@ class Machine {
   FsProxy& fs_proxy() { return *fs_proxies_.front(); }
   FsProxy& fs_proxy_shard(int k) { return *fs_proxies_.at(k); }
   int proxy_shards() const { return proxy_shards_; }
-  SharedExtentMap& extent_map() { return extent_map_; }
   FsStub& fs_stub(int i) { return *fs_stubs_.at(i); }
 
   EthernetFabric& ethernet() { return *ethernet_; }
@@ -159,9 +157,6 @@ class Machine {
   // Declared before every component so it is destroyed after them all —
   // components hold raw UseSeries pointers into the hub.
   std::unique_ptr<TelemetryHub> telemetry_;
-  // Declared before the FS/proxies: the FS extent observer and every
-  // shard's ShardView point into it.
-  SharedExtentMap extent_map_;
   FsShardCoordinator fs_coordinator_;
   std::unique_ptr<PcieFabric> fabric_;
   DeviceId host_device_;

@@ -78,8 +78,7 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
                IoSchedulerOptions{
                    .coalesce_nvme = options.coalesce_nvme,
                    .telemetry_suffix =
-                       ShardLabel("", shard.shard_id, shard.shard_count)}),
-      extent_view_(&shard.extent_map) {
+                       ShardLabel("", shard.shard_id, shard.shard_count)}) {
   if (sim->telemetry() != nullptr) {
     use_ = sim->telemetry()->GetSeries(
         ShardLabel("fs.proxy", shard_.shard_id, shard_.shard_count));
@@ -348,30 +347,6 @@ bool FsProxy::OwnsRange(uint64_t ino, uint64_t offset,
          length <= OwnedRangeEnd(offset, kFsBlockSize, shards) - offset;
 }
 
-Task<Result<std::vector<FsExtent>>> FsProxy::CachedFiemap(uint64_t ino,
-                                                          uint64_t offset,
-                                                          uint64_t length) {
-  const std::vector<FsExtent>* hit = extent_view_.Lookup(ino, offset, length);
-  if (hit != nullptr) {
-    co_return *hit;
-  }
-  const uint64_t version = shard_.extent_map.Version(ino);
-  SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
-                             co_await fs_->Fiemap(ino, offset, length));
-  // An answer clipped at EOF depends on the file size, which a write can
-  // grow without touching the extents (and so the version): memoize only
-  // answers that map every block of the range.
-  uint64_t mapped = 0;
-  for (const FsExtent& e : extents) {
-    mapped += e.len;
-  }
-  if (mapped == (offset + length + kFsBlockSize - 1) / kFsBlockSize -
-                    offset / kFsBlockSize) {
-    extent_view_.Insert(ino, offset, length, version, extents);
-  }
-  co_return extents;
-}
-
 Task<Status> FsProxy::FlushExtents(const std::vector<FsExtent>& extents) {
   if (cache_ == nullptr) {
     co_return OkStatus();
@@ -395,8 +370,8 @@ Task<Status> FsProxy::FreeBlocks(std::optional<FreedRange> range,
                                  uint32_t keep_bytes, Task<Status> free_op) {
   std::vector<FsExtent> freed;
   if (range.has_value()) {
-    auto extents = co_await CachedFiemap(range->ino, range->offset,
-                                         range->length);
+    auto extents =
+        co_await fs_->Fiemap(range->ino, range->offset, range->length);
     if (extents.ok()) {
       freed = std::move(*extents);
     }
@@ -510,10 +485,9 @@ Task<Result<bool>> FsProxy::ShouldUseP2p(const FsRequest& request,
   // Cache-hot data is served from the host cache. Probe the first few
   // blocks of the range.
   if (cache_ != nullptr) {
-    auto extents = co_await CachedFiemap(request.ino, request.offset,
-                                         std::min<uint64_t>(
-                                             length,
-                                             kCacheProbeBlocks * kFsBlockSize));
+    auto extents = co_await fs_->Fiemap(
+        request.ino, request.offset,
+        std::min<uint64_t>(length, kCacheProbeBlocks * kFsBlockSize));
     if (extents.ok()) {
       for (const FsExtent& e : *extents) {
         for (uint64_t b = 0; b < e.len; ++b) {
@@ -568,7 +542,7 @@ Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
         MetricRegistry::Default().GetCounter("fs.proxy.p2p_reads");
     p2p_reads->Increment();
     ScopedSpan data(sim_, "proxy", "fs.data.p2p", ctx);
-    auto extents = co_await CachedFiemap(request.ino, request.offset, length);
+    auto extents = co_await fs_->Fiemap(request.ino, request.offset, length);
     if (!extents.ok()) {
       co_return ErrorResponse(extents.status());
     }
@@ -734,8 +708,8 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
 
   SOLROS_CO_ASSIGN_OR_RETURN(
       std::vector<FsExtent> extents,
-      co_await CachedFiemap(ino, first_block * kFsBlockSize,
-                            stage_blocks * kFsBlockSize));
+      co_await fs_->Fiemap(ino, first_block * kFsBlockSize,
+                           stage_blocks * kFsBlockSize));
 
   if (cache_ == nullptr) {
     // No cache (ablation A3): one demand read per extent.
@@ -825,7 +799,7 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   // dirty pages at all (the common case stays Fiemap-free).
   if (cache_ != nullptr &&
       (cache_->dirty_pages() > 0 || cache_->writeback_in_flight())) {
-    auto dirty_extents = co_await CachedFiemap(ino, offset, length);
+    auto dirty_extents = co_await fs_->Fiemap(ino, offset, length);
     if (dirty_extents.ok()) {
       SOLROS_CO_RETURN_IF_ERROR(co_await FlushExtents(*dirty_extents));
     }
@@ -839,7 +813,7 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   }
   // Keep the cache coherent with the freshly written blocks.
   if (cache_ != nullptr) {
-    auto extents = co_await CachedFiemap(ino, offset, length);
+    auto extents = co_await fs_->Fiemap(ino, offset, length);
     if (extents.ok()) {
       co_await DropExtents(*extents);
     }

@@ -30,7 +30,6 @@
 #include "src/base/sharding.h"
 #include "src/base/status.h"
 #include "src/fs/buffer_cache.h"
-#include "src/fs/shared_extent_map.h"
 #include "src/fs/io_scheduler.h"
 #include "src/fs/nvme_block_store.h"
 #include "src/fs/solros_fs.h"
@@ -82,8 +81,6 @@ class FsShardCoordinator {
 struct FsShardContext {
   int shard_id;
   int shard_count;
-  // Shared versioned extent map every shard memoizes Fiemap results over.
-  SharedExtentMap& extent_map;
   // Cross-shard registry the broadcast/barrier protocol walks.
   FsShardCoordinator& coordinator;
 };
@@ -102,7 +99,7 @@ class FsProxy {
 
   // `host_cpu` is this shard's dedicated control-plane core, where the
   // proxy's per-request CPU work runs. `shard` identifies the shard and
-  // wires the explicitly shared structures (extent map, coordinator).
+  // wires the shared coordinator.
   FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
           Processor* host_cpu, NvmeBlockStore* store, SolrosFs* fs,
           const Options& options, const FsShardContext& shard);
@@ -130,8 +127,6 @@ class FsProxy {
 
   // -- shard introspection ----------------------------------------------------
   int shard_id() const { return shard_.shard_id; }
-  // Per-shard memo over the shared extent map.
-  SharedExtentMap::ShardView* extent_view() { return &extent_view_; }
   // Live sequential-stream table size (each shard keeps its own table).
   size_t read_streams() const { return streams_.size(); }
 
@@ -186,13 +181,9 @@ class FsProxy {
 
   // -- what the shards share ---------------------------------------------------
   // A block of a file is cached only by the shard that owns its stripe, so
-  // the read and write paths are shard-local. Three things stay shared.
+  // the read and write paths are shard-local, and every shard maps file
+  // ranges with Fiemap on the one SolrosFs. Two things stay shared.
   //
-  // Fiemap through the per-shard memo of the shared versioned extent map;
-  // falls through to the FS (and re-memoizes) on a stale or missing entry.
-  Task<Result<std::vector<FsExtent>>> CachedFiemap(uint64_t ino,
-                                                   uint64_t offset,
-                                                   uint64_t length);
   // A byte range of a file whose blocks a free returns to the allocator.
   struct FreedRange {
     uint64_t ino;
@@ -239,7 +230,6 @@ class FsProxy {
   DmaEngine host_dma_;
   std::unique_ptr<BufferCache> cache_;
   IoScheduler iosched_;
-  SharedExtentMap::ShardView extent_view_;
   std::vector<std::unique_ptr<RpcServer<FsRequest, FsResponse>>> servers_;
   FsProxyStats stats_;
   // USE telemetry ("fs.proxy" or "fs.proxy[k]"): depth counts requests in

@@ -419,9 +419,6 @@ void SolrosFs::FreeInode(uint64_t ino) {
     it->second.inode = DiskInode{};
     it->second.dirty = true;
   }
-  if (extent_observer_) {
-    extent_observer_(ino);
-  }
 }
 
 Result<FsExtent> SolrosFs::AllocExtent(uint32_t want) {
@@ -564,9 +561,6 @@ Task<Status> SolrosFs::StoreExtents(uint64_t ino,
   }
   inode->allocated_blocks_cache = blocks;
   MarkInodeDirty(ino);
-  if (extent_observer_) {
-    extent_observer_(ino);
-  }
   co_return OkStatus();
 }
 

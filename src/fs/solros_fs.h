@@ -24,7 +24,6 @@
 #define SOLROS_SRC_FS_SOLROS_FS_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -99,15 +98,6 @@ class SolrosFs {
 
   // Flushes dirty metadata and the store.
   Task<Status> Sync();
-
-  // Called with the inode number after every extent-map mutation
-  // (StoreExtents, FreeInode). The sharded control plane hangs its
-  // cross-shard invalidation protocol off this: the shared extent map
-  // bumps the inode's version so every shard's memoized Fiemap results go
-  // stale. Unset (the default) costs nothing.
-  void set_extent_observer(std::function<void(uint64_t)> observer) {
-    extent_observer_ = std::move(observer);
-  }
 
   // -- Introspection ----------------------------------------------------------
   uint64_t free_blocks() const { return super_.free_blocks; }
@@ -188,7 +178,6 @@ class SolrosFs {
   static void BitSet(std::vector<uint8_t>& bits, uint64_t index, bool value);
 
   BlockStore* store_;
-  std::function<void(uint64_t)> extent_observer_;
   Simulator* sim_;
   bool mounted_ = false;
   SuperBlock super_ = {};

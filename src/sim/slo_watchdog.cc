@@ -35,7 +35,7 @@ Result<SloBudgets> SloBudgetsFromEnv() {
     if (i == kStageCount || !parsed) {
       std::string stages;
       for (const StageInfo& info : kStages) {
-        stages += " " + std::string(info.name);
+        stages.append(" ").append(info.name);
       }
       return InvalidArgumentError("SOLROS_SLO_STAGES: bad item \"" +
                                   std::string(item) +

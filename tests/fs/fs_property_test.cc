@@ -440,8 +440,8 @@ INSTANTIATE_TEST_SUITE_P(Cuts, CrashReplayDeterminismTest,
 // The model is a pure function of the seed, so each cell matching it means
 // all cells match each other. Requests straddle block-group stripes (the
 // stub splits them, one RPC per owning shard) and the cache is small, so
-// the sequence crosses shards and drives eviction write-back, the shared
-// extent map and the free-path invalidations.
+// the sequence crosses shards and drives eviction write-back and the
+// free-path invalidations.
 
 constexpr uint64_t kOracleMaxLength = KiB(24);
 

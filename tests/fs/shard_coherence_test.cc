@@ -2,11 +2,12 @@
 //
 // The control plane partitions FS traffic across per-core proxy shards by
 // inode range with block-group striping; the only shared structures are
-// the versioned extent map and the journal's barrier shard. These tests
-// drive real workloads through the data-plane stubs (which route each RPC
-// to its shard) and assert the sharing protocol holds: writes on one shard
-// are visible to reads on another, extent-map invalidation defeats stale
-// memos, the coherence survives rpc.*/nvme.* fault injection, and a power
+// the shard coordinator (free-path invalidation and the fsync barrier) and
+// the one SolrosFs every shard maps file ranges through. These tests drive
+// real workloads through the data-plane stubs (which route each RPC to its
+// shard) and assert the sharing protocol holds: writes on one shard are
+// visible to reads on another, a fragmented file remaps correctly across
+// shards, the coherence survives rpc.*/nvme.* fault injection, and a power
 // cut mid-workload at shards=2 still recovers to an fsck-clean image.
 #include <gtest/gtest.h>
 
@@ -218,34 +219,121 @@ TEST(ShardCoherenceTest, ProxyRejectsStraddlingAndMisroutedData) {
   }
 }
 
-TEST(ShardCoherenceTest, ExtentMapInvalidationDefeatsStaleMemos) {
-  Machine machine(ShardedConfig(2));
-  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
-  FsStub& writer = machine.fs_stub(0);
-  FsStub& reader = machine.fs_stub(1);
-  writer.set_buffered(true);
-  reader.set_buffered(true);
+// Writes `data` to `ino` through `stub` in `piece`-byte appends, each
+// followed by one to `other` at `*other_size`. Every 4KB block of either
+// file lands on the next free block, so their extents never merge. Aligned
+// 4KB pieces take the absorbing write-back path; 2KB pieces write through.
+Task<Status> InterleavedAppends(FsStub* stub, DeviceId device, uint64_t ino,
+                                uint64_t other, uint64_t* other_size,
+                                const std::vector<uint8_t>* data,
+                                uint64_t piece) {
+  DeviceBuffer buf(device, piece);
+  for (uint64_t off = 0; off < data->size(); off += piece) {
+    std::memcpy(buf.data(), data->data() + off, piece);
+    SOLROS_CO_RETURN_IF_ERROR(
+        (co_await stub->Write(ino, off, MemRef::Of(buf))).status());
+    SOLROS_CO_RETURN_IF_ERROR(
+        (co_await stub->Write(other, *other_size, MemRef::Of(buf))).status());
+    *other_size += piece;
+  }
+  co_return OkStatus();
+}
 
-  auto ino = RunSim(machine.sim(), writer.Create("/remap.bin"));
-  ASSERT_TRUE(ino.ok());
-  auto before = RandomBytes(KiB(512), 1);
-  WriteChunked(machine, writer, machine.phi_device(0), *ino, before);
-  ExpectReadsBack(machine, reader, machine.phi_device(1), *ino, before);
-  // Reads re-walk the same ranges: the per-shard memos are now warm.
-  ExpectReadsBack(machine, reader, machine.phi_device(1), *ino, before);
-  uint64_t hits = machine.fs_proxy_shard(0).extent_view()->hits() +
-                  machine.fs_proxy_shard(1).extent_view()->hits();
-  EXPECT_GT(hits, 0u) << "repeated reads never hit the extent memo";
+// Reads `ino` through `stub` until it holds all of `data`, each byte as soon
+// as the file has it (a read at EOF waits 1 us and retries, for at most
+// 10 ms without progress), and counts the reads whose bytes differ from
+// `data`.
+Task<Status> ChaseAppends(FsStub* stub, DeviceId device, uint64_t ino,
+                          const std::vector<uint8_t>* data, int* mismatches) {
+  DeviceBuffer buf(device, kChunk);
+  int idle = 0;
+  for (uint64_t off = 0; off < data->size();) {
+    SOLROS_CO_ASSIGN_OR_RETURN(
+        uint64_t n, co_await stub->Read(ino, off, MemRef::Of(buf)));
+    if (n == 0) {
+      if (++idle > 10000) {
+        co_return TimedOutError("file stopped growing");
+      }
+      co_await Delay(Microseconds(1));
+      continue;
+    }
+    idle = 0;
+    if (std::memcmp(buf.data(), data->data() + off, n) != 0) {
+      ++*mismatches;
+    }
+    off += n;
+  }
+  co_return OkStatus();
+}
 
-  // Truncate frees every extent and a rewrite re-allocates them: the
-  // version bump must invalidate both shards' memos, or a stale mapping
-  // would read freed (or re-owned) blocks.
-  uint64_t invalidations0 = machine.extent_map().invalidations();
-  ASSERT_TRUE(RunSim(machine.sim(), writer.Truncate(*ino, 0)).ok());
-  auto after = RandomBytes(KiB(512), 2);
-  WriteChunked(machine, writer, machine.phi_device(0), *ino, after);
-  EXPECT_GT(machine.extent_map().invalidations(), invalidations0);
-  ExpectReadsBack(machine, reader, machine.phi_device(1), *ino, after);
+Task<void> StoreStatus(Task<Status> task, Status* out) {
+  *out = co_await std::move(task);
+}
+
+// A file fragmented past kDirectExtents keeps its later extents in an
+// indirect block that every Fiemap reads. Written on one data plane and read
+// from the other at shards=2, the file must read back right after a remap
+// (truncate to 0, then a rewrite with new bytes), with the journal off and
+// in metadata mode. The reader chases the rewrite, so it maps each new block
+// while the append that allocated it commits; in metadata mode only
+// SolrosFs::committing_ then holds the indirect block that maps it.
+TEST(ShardCoherenceTest, FragmentedFileRemapsAcrossShards) {
+  for (JournalMode mode : {JournalMode::kOff, JournalMode::kMetadata}) {
+    SCOPED_TRACE(JournalModeName(mode));
+    MachineConfig config = ShardedConfig(2);
+    config.journal_mode = mode;
+    Machine machine(std::move(config));
+    CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+    FsStub& writer = machine.fs_stub(0);
+    FsStub& reader = machine.fs_stub(1);
+    writer.set_buffered(true);
+    reader.set_buffered(true);
+    const DeviceId wdev = machine.phi_device(0);
+    const DeviceId rdev = machine.phi_device(1);
+
+    auto ino = RunSim(machine.sim(), writer.Create("/remap.bin"));
+    auto other = RunSim(machine.sim(), writer.Create("/other.bin"));
+    ASSERT_TRUE(ino.ok() && other.ok());
+    uint64_t other_size = 0;
+    // 512 KiB: both shards' stripes, 128 single-block extents.
+    auto before = RandomBytes(KiB(512), 1);
+    Status appended = RunSim(
+        machine.sim(), InterleavedAppends(&writer, wdev, *ino, *other,
+                                          &other_size, &before, kChunk));
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+    auto stat = RunSim(machine.sim(), machine.fs().Stat("/remap.bin"));
+    ASSERT_TRUE(stat.ok());
+    ASSERT_GT(stat->extent_count, static_cast<uint32_t>(kDirectExtents))
+        << "workload failed to force an indirect extent block";
+    ExpectReadsBack(machine, reader, rdev, *ino, before);
+    // A repeated read maps the same ranges again.
+    ExpectReadsBack(machine, reader, rdev, *ino, before);
+
+    // Truncate frees every extent and the indirect block; the rewrite
+    // allocates them at new places while the reader follows it.
+    ASSERT_TRUE(RunSim(machine.sim(), writer.Truncate(*ino, 0)).ok());
+    auto after = RandomBytes(KiB(512), 2);
+    WaitGroup wg(&machine.sim());
+    Status chased;
+    int mismatches = 0;
+    SpawnJoined(machine.sim(), wg,
+                StoreStatus(InterleavedAppends(&writer, wdev, *ino, *other,
+                                               &other_size, &after,
+                                               kChunk / 2),
+                            &appended));
+    SpawnJoined(machine.sim(), wg,
+                StoreStatus(ChaseAppends(&reader, rdev, *ino, &after,
+                                         &mismatches),
+                            &chased));
+    RunSim(machine.sim(), wg.Wait());
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+    ASSERT_TRUE(chased.ok()) << chased.ToString();
+    EXPECT_EQ(mismatches, 0);
+    stat = RunSim(machine.sim(), machine.fs().Stat("/remap.bin"));
+    ASSERT_TRUE(stat.ok());
+    EXPECT_GT(stat->extent_count, static_cast<uint32_t>(kDirectExtents));
+    ExpectReadsBack(machine, reader, rdev, *ino, after);
+  }
 }
 
 TEST(ShardCoherenceTest, ReadStreamsArePerShard) {
@@ -289,7 +377,7 @@ TEST_F(ShardFaultTest, CoherenceSurvivesRpcAndNvmeFaults) {
   CHECK_OK(Faults().Arm("nvme.cmd.timeout", FaultSpec::Probability(0.01)));
 
   // Write, remap (truncate + rewrite), and cross-shard read back — the
-  // full extent-map invalidation protocol — with the recovery layers
+  // full free-path invalidation protocol — with the recovery layers
   // absorbing dropped RPC responses and NVMe timeouts underneath.
   auto first = RandomBytes(KiB(256), 4);
   WriteChunked(machine, writer, machine.phi_device(0), *ino, first);
