@@ -115,8 +115,7 @@ inline int ShardOfPath(std::string_view path, int shards) {
   return static_cast<int>(h % static_cast<uint64_t>(shards));
 }
 
-// Primary owner of a TCP connection (the accept-queue handoff may override
-// it with a less-loaded shard; see TcpProxy).
+// Owner of a TCP connection: the TcpProxy event-loop shard that serves it.
 inline constexpr int ShardOfConnection(uint64_t conn_id, int shards) {
   if (shards <= 1) {
     return 0;

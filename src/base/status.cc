@@ -38,6 +38,19 @@ std::string_view ErrorCodeName(ErrorCode code) {
   return "UNKNOWN";
 }
 
+bool IsSystemError(ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kIoError:
+    case ErrorCode::kTimedOut:
+    case ErrorCode::kInternal:
+    case ErrorCode::kResourceExhausted:
+    case ErrorCode::kConnectionReset:
+      return true;
+    default:
+      return false;
+  }
+}
+
 std::string Status::ToString() const {
   if (ok()) {
     return "OK";

@@ -36,6 +36,13 @@ enum class ErrorCode : uint8_t {
 // Returns a stable human-readable name ("kOk" -> "OK").
 std::string_view ErrorCodeName(ErrorCode code);
 
+// True when `code` means the system (device, DMA, transport) failed, as
+// opposed to benign outcomes that correct programs produce all the time
+// (kNotFound, kAlreadyExists, bad handles, unsupported ops). A system error
+// that escapes a proxy dumps the flight recorder and keeps its trace under
+// tail-based sampling.
+bool IsSystemError(ErrorCode code);
+
 // A cheap, value-type status. Ok statuses carry no allocation.
 class Status {
  public:

@@ -14,6 +14,15 @@
 namespace solros {
 namespace {
 
+// Ring capacities per co-processor. §4.4.1 uses a 128 MB inbound ring; it is
+// kept smaller here because ring memory is physically allocated per
+// co-processor.
+constexpr size_t kRpcRingCapacity = MiB(1);
+constexpr size_t kOutboundRingCapacity = MiB(4);
+constexpr size_t kInboundRingCapacity = MiB(8);
+// The NVMe SSD and the NIC sit on host socket 0.
+constexpr int kIoSocket = 0;
+
 // Resolved shard count: explicit config wins, then SOLROS_PROXY_SHARDS,
 // then 1. A malformed or out-of-range environment value is fatal.
 int ResolveProxyShards(int configured) {
@@ -31,8 +40,7 @@ int ResolveProxyShards(int configured) {
 Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   const HwParams& params = config_.params;
   if (config_.telemetry_window > 0) {
-    telemetry_ = std::make_unique<TelemetryHub>(config_.telemetry_window,
-                                                config_.telemetry_windows);
+    telemetry_ = std::make_unique<TelemetryHub>(config_.telemetry_window);
     sim_.set_telemetry(telemetry_.get());
   }
   proxy_shards_ = ResolveProxyShards(config_.proxy_shards);
@@ -66,8 +74,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   fs_shards_ = std::make_unique<ShardSet>(&sim_, fabric_.get(), params,
                                           "fs.proxy", proxy_shards_);
 
-  nvme_device_ = fabric_->AddDevice(DeviceType::kNvme, config_.nvme_socket,
-                                    "nvme0");
+  nvme_device_ = fabric_->AddDevice(DeviceType::kNvme, kIoSocket, "nvme0");
   nvme_ = std::make_unique<NvmeDevice>(&sim_, fabric_.get(), params,
                                        nvme_device_, config_.nvme_capacity,
                                        host_cpu_.get());
@@ -95,8 +102,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   }
 
   if (config_.enable_network) {
-    nic_device_ = fabric_->AddDevice(DeviceType::kNic, config_.nic_socket,
-                                     "nic0");
+    nic_device_ = fabric_->AddDevice(DeviceType::kNic, kIoSocket, "nic0");
     ethernet_ = std::make_unique<EthernetFabric>(&sim_, params);
     std::unique_ptr<ForwardingPolicy> policy = std::move(config_.policy);
     if (policy == nullptr) {
@@ -150,11 +156,11 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
       Processor* shard_core = fs_shards_->core(k);
       rings.fs_request.push_back(
           make_ring("fs.req" + std::to_string(i) + suffix,
-                    config_.rpc_ring_capacity, phi, true,
+                    kRpcRingCapacity, phi, true,
                     shard_core->device(), shard_core));
       rings.fs_response.push_back(
           make_ring("fs.resp" + std::to_string(i) + suffix,
-                    config_.rpc_ring_capacity, phi, false,
+                    kRpcRingCapacity, phi, false,
                     shard_core->device(), shard_core));
       fs_proxies_[k]->Serve(rings.fs_request.back().get(),
                             rings.fs_response.back().get());
@@ -164,24 +170,21 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
     fs_stubs_.push_back(std::make_unique<FsStub>(
         &sim_, params, phi_cpu, std::move(stub_rings),
         static_cast<uint32_t>(i)));
-    fs_stubs_.back()->set_retry_options(config_.rpc_retry);
 
     if (config_.enable_network) {
       rings.net_request =
-          make_ring("net.req" + std::to_string(i), config_.rpc_ring_capacity,
-                    phi, true, host_device_, host_cpu_.get());
+          make_ring("net.req" + std::to_string(i), kRpcRingCapacity, phi,
+                    true, host_device_, host_cpu_.get());
       rings.net_response =
-          make_ring("net.resp" + std::to_string(i), config_.rpc_ring_capacity,
-                    phi, false, host_device_, host_cpu_.get());
+          make_ring("net.resp" + std::to_string(i), kRpcRingCapacity, phi,
+                    false, host_device_, host_cpu_.get());
       // Outbound master at the Phi; inbound master at the host (§4.4.1).
       rings.outbound =
-          make_ring("net.out" + std::to_string(i),
-                    config_.outbound_ring_capacity, phi, true, host_device_,
-                    host_cpu_.get());
+          make_ring("net.out" + std::to_string(i), kOutboundRingCapacity,
+                    phi, true, host_device_, host_cpu_.get());
       rings.inbound =
-          make_ring("net.in" + std::to_string(i),
-                    config_.inbound_ring_capacity, host_device_, false,
-                    host_device_, host_cpu_.get());
+          make_ring("net.in" + std::to_string(i), kInboundRingCapacity,
+                    host_device_, false, host_device_, host_cpu_.get());
       tcp_proxy_->AttachDataPlane(static_cast<uint32_t>(i),
                                   rings.net_request.get(),
                                   rings.net_response.get(),
@@ -190,7 +193,6 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
           &sim_, params, phi_cpu, rings.net_request.get(),
           rings.net_response.get(), rings.inbound.get(),
           rings.outbound.get(), config_.net_options));
-      net_stubs_.back()->set_retry_options(config_.rpc_retry);
     }
   }
 
@@ -257,7 +259,7 @@ std::string Machine::ConntrackJson(size_t top_k) const {
 }
 
 Task<Status> Machine::FormatFs(uint64_t inode_count) {
-  co_return co_await fs_->Format(inode_count, config_.journal_blocks);
+  co_return co_await fs_->Format(inode_count);
 }
 
 void Machine::DumpStats(std::ostream& os) {
@@ -328,11 +330,7 @@ void Machine::DumpStats(std::ostream& os) {
        << net.connections_forwarded << " connections, in/out messages "
        << net.inbound_messages << "/" << net.outbound_messages
        << ", in/out bytes " << net.inbound_bytes << "/"
-       << net.outbound_bytes;
-    if (net.shard_handoffs > 0) {
-      os << ", shard handoffs " << net.shard_handoffs;
-    }
-    os << "\n";
+       << net.outbound_bytes << "\n";
   }
   for (int i = 0; i < config_.num_phis; ++i) {
     const DataPlaneRings& rings = rings_[i];

@@ -49,10 +49,9 @@ namespace solros {
 struct MachineConfig {
   HwParams params = HwParams::Default();
   int num_phis = 1;
-  // Socket placement (Fig. 1(a)'s cross-NUMA experiment moves these apart).
-  int nvme_socket = 0;
+  // Socket placement of the co-processors (Fig. 1(a)'s cross-NUMA
+  // experiment moves them off the NVMe/NIC socket, 0).
   std::vector<int> phi_sockets;  // default: all on socket 0
-  int nic_socket = 0;
   uint64_t nvme_capacity = GiB(2);
 
   FsProxy::Options fs_options;
@@ -60,15 +59,9 @@ struct MachineConfig {
   // kOff also switches the NVMe store to the volatile-write-cache
   // durability model (real Flush commands, ordered barriers on fsync).
   JournalMode journal_mode = JournalMode::kOff;
-  uint64_t journal_blocks = 0;  // 0 = kDefaultJournalBlocks
-  // Recovery policies, consulted only while fault injection is armed.
-  RpcRetryOptions rpc_retry;                 // FS and net stub calls
-  NvmeBlockStore::RetryPolicy nvme_retry;    // block-store resubmission
-  size_t rpc_ring_capacity = MiB(1);
-  size_t outbound_ring_capacity = MiB(4);
-  // §4.4.1 uses 128 MB; kept smaller by default because ring memory is
-  // physically allocated per co-processor.
-  size_t inbound_ring_capacity = MiB(8);
+  // Block-store resubmission, consulted only while fault injection is
+  // armed. (Stub retries are set per stub with set_retry_options.)
+  NvmeBlockStore::RetryPolicy nvme_retry;
 
   bool enable_network = true;
   // Forwarding policy for shared listening sockets.
@@ -93,7 +86,6 @@ struct MachineConfig {
   // series. Zero (the default) keeps telemetry fully off — no series, no
   // recording, byte-identical timing either way.
   Nanos telemetry_window = 0;
-  uint32_t telemetry_windows = 256;
 };
 
 class Machine {

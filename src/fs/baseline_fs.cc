@@ -22,7 +22,7 @@ VirtioBlockStore::VirtioBlockStore(Simulator* sim, const HwParams& params,
       nvme_(nvme),
       host_cpu_(host_cpu),
       phi_cpu_(phi_cpu),
-      backend_(sim, "virtio-backend") {}
+      backend_(sim, 1, "virtio-backend") {}
 
 uint32_t VirtioBlockStore::block_size() const { return nvme_->block_size(); }
 uint64_t VirtioBlockStore::block_count() const {
@@ -184,7 +184,7 @@ NfsClientFs::NfsClientFs(Simulator* sim, PcieFabric* fabric,
       host_cpu_(host_cpu),
       phi_cpu_(phi_cpu),
       phi_device_(phi_device),
-      transport_(sim, "nfs-transport") {}
+      transport_(sim, 1, "nfs-transport") {}
 
 Task<void> NfsClientFs::RoundTrip(uint64_t payload_to_phi,
                                   uint64_t payload_to_host) {

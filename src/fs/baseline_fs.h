@@ -65,7 +65,7 @@ class VirtioBlockStore : public BlockStore {
   // handling and relay copy serialize through it — why the stock path is
   // flat at ~0.1-0.2 GB/s no matter how many Phi threads issue I/O
   // (Figs. 11/12).
-  FifoResource backend_;
+  MultiServerResource backend_;
   uint64_t requests_ = 0;
 };
 
@@ -139,7 +139,7 @@ class NfsClientFs : public FileService {
   DeviceId phi_device_;
   // One NFS client transport context (rpciod + a single TCP connection):
   // chunk transfers serialize.
-  FifoResource transport_;
+  MultiServerResource transport_;
 };
 
 }  // namespace solros

@@ -43,23 +43,6 @@ bool DegradableFault(const Status& status) {
          status.code() == ErrorCode::kIoError;
 }
 
-// Errors that indicate the system (device, DMA, transport) failed, as
-// opposed to benign namespace outcomes like kNotFound/kAlreadyExists that
-// correct programs produce all the time. Only system errors trigger a
-// flight-recorder dump on the way out of a proxy.
-bool IsSystemError(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kIoError:
-    case ErrorCode::kTimedOut:
-    case ErrorCode::kInternal:
-    case ErrorCode::kResourceExhausted:
-    case ErrorCode::kConnectionReset:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
@@ -156,6 +139,11 @@ Task<FsResponse> FsProxy::Handle(FsRequest request) {
   if (IsSystemError(response.error)) {
     if (use_ != nullptr) {
       use_->AddError(sim_->now());
+    }
+    if (Tracer* tracer = sim_->tracer();
+        tracer != nullptr && request.trace_id != 0) {
+      // Under tail-based sampling, errored traces are always retained.
+      tracer->FlagTrace(request.trace_id, Tracer::TraceFlag::kError);
     }
     MaybeDumpFlightRecorder(
         sim_, "fs.proxy error: " + std::string(ErrorCodeName(response.error)));

@@ -142,6 +142,12 @@ Task<Result<FsResponse>> FsStub::Call(FsRequest request) {
     co_await Delay(backoff);
     backoff *= 2;
   }
+  const ErrorCode final_code = rpc.ok() ? rpc.value().error : rpc.code();
+  if (IsSystemError(final_code) && tracer != nullptr && root_ctx.traced()) {
+    // A failed call marks the whole trace for retention under tail-based
+    // sampling (no-op in full-capture mode), as NetStub::Call does.
+    tracer->FlagTrace(root_ctx.trace_id, Tracer::TraceFlag::kError);
+  }
   if (!rpc.ok()) {
     co_return rpc.status();
   }

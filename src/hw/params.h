@@ -112,7 +112,6 @@ struct HwParams {
   // part (syscall, softirq, socket wakeup) and a per-segment part.
   Nanos tcp_message_cpu = Microseconds(5);
   Nanos tcp_segment_cpu = Microseconds(2);
-  uint32_t tcp_max_segment = KiB(64);
   // Thin data-plane stub cost per socket call (§4.4: "a one-to-one mapping
   // with a socket system call").
   Nanos net_stub_cpu = Nanoseconds(500);
@@ -152,8 +151,6 @@ struct HwParams {
   // -- Ring-buffer / RPC ------------------------------------------------------
   // Local enqueue/dequeue CPU cost (combining amortizes atomics; §4.2.3).
   Nanos rb_op_cpu = Nanoseconds(150);
-  uint64_t rb_default_size = MiB(4);
-  uint64_t net_inbound_rb_size = MiB(128);  // §4.4.1
 
   // Returns parameters as used by most experiments.
   static HwParams Default() { return HwParams{}; }

@@ -6,6 +6,12 @@
 #include "src/sim/trace.h"
 
 namespace solros {
+namespace {
+
+// Host bridge CPU to relay one TCP segment onto the PCIe link.
+constexpr Nanos kBridgeCpuPerSegment = Nanoseconds(500);
+
+}  // namespace
 
 DirectServer::DirectServer(Simulator* sim, PcieFabric* fabric,
                            const HwParams& params, EthernetFabric* ethernet,
@@ -15,7 +21,7 @@ DirectServer::DirectServer(Simulator* sim, PcieFabric* fabric,
       params_(params),
       ethernet_(ethernet),
       config_(config),
-      rx_queue_(sim, "rx-softirq") {
+      rx_queue_(sim, 1, "rx-softirq") {
   CHECK(config.stack_cpu != nullptr);
 }
 
@@ -23,8 +29,7 @@ Task<void> DirectServer::InboundStack(uint64_t bytes) {
   uint64_t segments = TcpSegments(bytes);
   if (config_.bridge_cpu != nullptr) {
     // The host bridge relays each frame onto the PCIe link.
-    co_await config_.bridge_cpu->Compute(segments *
-                                         config_.bridge_cpu_per_segment);
+    co_await config_.bridge_cpu->Compute(segments * kBridgeCpuPerSegment);
     co_await fabric_->Transfer(config_.bridge_device, config_.stack_device,
                                bytes + 64, /*initiator_rate=*/0.0,
                                /*peer_to_peer=*/false);
@@ -47,8 +52,7 @@ Task<void> DirectServer::OutboundStack(uint64_t bytes) {
   if (config_.bridge_cpu != nullptr) {
     co_await fabric_->Transfer(config_.stack_device, config_.bridge_device,
                                bytes + 64, 0.0, false);
-    co_await config_.bridge_cpu->Compute(segments *
-                                         config_.bridge_cpu_per_segment);
+    co_await config_.bridge_cpu->Compute(segments * kBridgeCpuPerSegment);
   }
 }
 

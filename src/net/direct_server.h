@@ -39,7 +39,6 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     Processor* bridge_cpu = nullptr;
     DeviceId stack_device;            // device hosting the stack
     DeviceId bridge_device;           // host side of the bridge
-    Nanos bridge_cpu_per_segment = Nanoseconds(500);
     // Stock Phi-Linux funnels receive processing through one softirq
     // context; that single queue is where Fig. 1(b)'s long tail comes
     // from. Host stacks use RSS (parallel queues).
@@ -100,7 +99,7 @@ class DirectServer : public ServerPort, public ServerSocketApi {
   HwParams params_;
   EthernetFabric* ethernet_;
   Config config_;
-  FifoResource rx_queue_;
+  MultiServerResource rx_queue_;
   int64_t next_handle_ = 1;
   std::map<int64_t, Listener> listeners_;
   std::map<uint16_t, int64_t> port_to_listener_;

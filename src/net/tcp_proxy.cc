@@ -10,25 +10,6 @@
 #include "src/sim/trace.h"
 
 namespace solros {
-namespace {
-
-// System-level failures worth a flight-recorder dump when they escape the
-// proxy; expected outcomes of normal operation (bad handles, unsupported
-// ops) are not.
-bool IsSystemError(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kIoError:
-    case ErrorCode::kTimedOut:
-    case ErrorCode::kInternal:
-    case ErrorCode::kResourceExhausted:
-    case ErrorCode::kConnectionReset:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
                    Processor* host_cpu, EthernetFabric* ethernet,
@@ -42,8 +23,6 @@ TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
       plug_window_(net_options.net_plug_window_ns),
       policy_(std::move(policy)),
       c_rpcs_(MetricRegistry::Default().GetCounter("net.proxy.rpcs")),
-      c_shard_handoffs_(
-          MetricRegistry::Default().GetCounter("net.proxy.shard_handoffs")),
       c_bad_policy_picks_(
           MetricRegistry::Default().GetCounter("net.proxy.bad_policy_picks")),
       c_connections_forwarded_(MetricRegistry::Default().GetCounter(
@@ -77,22 +56,6 @@ TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
   if (sim->telemetry() != nullptr) {
     conntrack_->BindTelemetry(sim->telemetry());
   }
-}
-
-uint32_t TcpProxy::PickShard(uint64_t conn_id) {
-  const int count = static_cast<int>(shards_.size());
-  if (count <= 1) {
-    return 0;
-  }
-  const int primary = ShardOfConnection(conn_id, count);
-  bool handoff = false;
-  const int pick = PickShardForDepths(
-      primary, count, [this](int k) { return ShardDepth(k); }, &handoff);
-  if (handoff) {
-    ++stats_.shard_handoffs;
-    c_shard_handoffs_->Increment();
-  }
-  return static_cast<uint32_t>(pick);
 }
 
 void TcpProxy::AttachDataPlane(uint32_t dataplane_id, SimRing* rpc_request,
@@ -227,9 +190,10 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
   if (it == listeners_.end() || it->second.members.empty()) {
     co_return Status(ErrorCode::kConnectionReset, "no listeners");
   }
-  // The accept queue is shared: any shard may drain it, and the hash (or
-  // load handoff) decides which loop owns the connection from here on.
-  const uint32_t shard_id = PickShard(conn_id);
+  // The accept queue is shared: any shard may drain it, and the connection
+  // hash decides which loop owns the connection from here on.
+  const uint32_t shard_id = static_cast<uint32_t>(
+      ShardOfConnection(conn_id, shard_count()));
   Shard& shard = shards_[shard_id];
   // Host-side SYN handling on the owning shard's core.
   co_await shard.core->Compute(params_.tcp_segment_cpu);

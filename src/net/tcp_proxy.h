@@ -38,40 +38,6 @@
 
 namespace solros {
 
-// Pure shard-pick decision, shared by TcpProxy::PickShard and its
-// regression test. `depth(k)` reads shard k's live event-loop depth.
-// Returns the picked shard; sets *handoff when the pick overrides the
-// hash-primary. A handoff needs depth(primary) > 2*depth(lightest) + 1
-// with depth(lightest) >= 0, i.e. depth(primary) >= 2 — so a shallow
-// primary (the steady-state common case) skips the O(shards) scan
-// entirely, with behavior identical to the always-scan implementation.
-template <typename DepthFn>
-int PickShardForDepths(int primary, int count, DepthFn&& depth,
-                       bool* handoff) {
-  *handoff = false;
-  if (count <= 1) {
-    return 0;
-  }
-  const int64_t primary_depth = depth(primary);
-  if (primary_depth <= 1) {
-    return primary;
-  }
-  int lightest = 0;
-  for (int k = 1; k < count; ++k) {
-    if (depth(k) < depth(lightest)) {
-      lightest = k;
-    }
-  }
-  // Handoff only on a real imbalance: the primary is carrying more than
-  // double the lightest loop's depth. Hash placement stays the common case
-  // so connection state keeps core affinity.
-  if (primary != lightest && primary_depth > 2 * depth(lightest) + 1) {
-    *handoff = true;
-    return lightest;
-  }
-  return primary;
-}
-
 struct TcpProxyStats {
   uint64_t rpcs = 0;
   uint64_t connections_forwarded = 0;
@@ -79,19 +45,18 @@ struct TcpProxyStats {
   uint64_t outbound_messages = 0;
   uint64_t inbound_bytes = 0;
   uint64_t outbound_bytes = 0;
-  // Connections steered away from their hash-primary shard because its
-  // event loop was overloaded (live load handoff).
+  // Always zero: every connection stays on its hash shard. Kept only for
+  // the benchmark's net.proxy.shard_handoffs row.
   uint64_t shard_handoffs = 0;
 };
 
 class TcpProxy : public ServerPort {
  public:
   // `shard_cores` (optional) shards the proxy's event-loop work: each
-  // connection is pinned to one core by connection hash (with a live
-  // handoff to the lightest shard when the primary's depth runs away) and
-  // all of its TCP processing charges go to that core, reported under
-  // "net.proxy[k]". Empty => the historical single loop on `host_cpu`
-  // reported as "net.proxy". The listener table and forwarding policy stay
+  // connection is pinned to one core by connection hash and all of its TCP
+  // processing charges go to that core, reported under "net.proxy[k]".
+  // Empty => the historical single loop on `host_cpu` reported as
+  // "net.proxy". The listener table and forwarding policy stay
   // shared — the shared listening socket (§4.4.3) is one accept queue no
   // matter how many shards drain it.
   TcpProxy(Simulator* sim, const HwParams& params, Processor* host_cpu,
@@ -119,11 +84,6 @@ class TcpProxy : public ServerPort {
   const TcpProxyStats& stats() const { return stats_; }
   ForwardingPolicy* policy() { return policy_.get(); }
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  // Live event-loop depth of shard `k` (requests + events in service).
-  int64_t ShardDepth(int k) const {
-    const Shard& shard = shards_[static_cast<size_t>(k)];
-    return shard.use != nullptr ? shard.use->depth() : 0;
-  }
 
  private:
   struct DataPlane {
@@ -171,9 +131,6 @@ class TcpProxy : public ServerPort {
                                   std::optional<SimRing::DequeueStamp> stamp);
   Task<Status> SendEvent(uint32_t dataplane_id, const NetEvent& event,
                          std::span<const uint8_t> payload);
-  // Shard for a new wire connection: connection hash, overridden by a
-  // handoff to the lightest shard when the primary's live depth runs away.
-  uint32_t PickShard(uint64_t conn_id);
 
   Simulator* sim_;
   HwParams params_;
@@ -193,7 +150,6 @@ class TcpProxy : public ServerPort {
   // Process counters, resolved once at construction instead of a registry
   // map lookup per message on the hot paths (FsProxy does the same).
   Counter* const c_rpcs_;
-  Counter* const c_shard_handoffs_;
   Counter* const c_bad_policy_picks_;
   Counter* const c_connections_forwarded_;
   Counter* const c_inbound_messages_;

@@ -22,61 +22,11 @@
 
 namespace solros {
 
-// A single FIFO server. `Use(d)` reserves the server for `d` ns starting at
-// max(now, previous reservation end) and resumes the caller when its service
+// k identical FIFO servers (e.g. the 8 DMA channels of a Xeon or Xeon Phi;
+// k = 1 for a ring's control line or a link). `Use(d)` reserves the
+// earliest-available server for `d` ns starting at max(now, that server's
+// previous reservation end) and resumes the caller when its service
 // completes.
-class FifoResource {
- public:
-  explicit FifoResource(Simulator* sim, std::string name = "")
-      : sim_(sim), name_(std::move(name)) {
-    DCHECK(sim != nullptr);
-  }
-  FifoResource(const FifoResource&) = delete;
-  FifoResource& operator=(const FifoResource&) = delete;
-
-  struct UseAwaiter {
-    FifoResource* resource;
-    Nanos duration;
-    bool await_ready() const noexcept { return false; }
-    template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> handle) {
-      Simulator* sim = resource->sim_;
-      SimTime start = std::max(sim->now(), resource->busy_until_);
-      SimTime end = start + duration;
-      resource->busy_until_ = end;
-      resource->busy_time_ += duration;
-      ++resource->uses_;
-      if (resource->use_ != nullptr) {
-        resource->use_->RecordUse(sim->now(), start, end);
-      }
-      sim->ResumeAt(end, handle);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  // co_await resource.Use(duration);
-  UseAwaiter Use(Nanos duration) { return UseAwaiter{this, duration}; }
-
-  // Optional USE telemetry target; every reservation is reported as one
-  // busy interval (with its queueing wait). Null = off.
-  void set_use_series(UseSeries* use) { use_ = use; }
-
-  SimTime busy_until() const { return busy_until_; }
-  Nanos total_busy_time() const { return busy_time_; }
-  uint64_t use_count() const { return uses_; }
-  const std::string& name() const { return name_; }
-
- private:
-  Simulator* sim_;
-  std::string name_;
-  SimTime busy_until_ = 0;
-  Nanos busy_time_ = 0;
-  uint64_t uses_ = 0;
-  UseSeries* use_ = nullptr;
-};
-
-// k identical FIFO servers (e.g. the 8 DMA channels of a Xeon or Xeon Phi).
-// Each use picks the earliest-available server.
 class MultiServerResource {
  public:
   MultiServerResource(Simulator* sim, size_t servers, std::string name = "")
@@ -113,10 +63,12 @@ class MultiServerResource {
     void await_resume() const noexcept {}
   };
 
+  // co_await resource.Use(duration);
   UseAwaiter Use(Nanos duration) { return UseAwaiter{this, duration}; }
 
-  // Optional USE telemetry target (register it with capacity ==
-  // server_count() so utilization is normalized per server). Null = off.
+  // Optional USE telemetry target; every reservation is reported as one
+  // busy interval (with its queueing wait). Register it with capacity ==
+  // server_count() so utilization is normalized per server. Null = off.
   void set_use_series(UseSeries* use) { use_ = use; }
 
   size_t server_count() const { return busy_until_.size(); }
@@ -140,7 +92,7 @@ class BandwidthResource {
  public:
   BandwidthResource(Simulator* sim, double bytes_per_sec, Nanos latency = 0,
                     std::string name = "")
-      : server_(sim, std::move(name)),
+      : server_(sim, 1, std::move(name)),
         rate_(bytes_per_sec),
         latency_(latency) {
     CHECK_GT(bytes_per_sec, 0.0);
@@ -166,7 +118,7 @@ class BandwidthResource {
   void set_use_series(UseSeries* use) { server_.set_use_series(use); }
 
  private:
-  FifoResource server_;
+  MultiServerResource server_;
   double rate_;
   Nanos latency_;
   uint64_t bytes_moved_ = 0;

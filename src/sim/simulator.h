@@ -1,17 +1,18 @@
 // Discrete-event simulator core.
 //
 // The simulator is a single-threaded event loop over (time, sequence)-ordered
-// callbacks. All device and OS-service models in this repository run as
-// C++20 coroutines (src/sim/task.h) scheduled on this loop; simulated time
-// only advances between events, so every run is deterministic.
+// coroutine resumptions. All device and OS-service models in this repository
+// run as C++20 coroutines (src/sim/task.h); an event is one suspended
+// coroutine and the time to resume it. Simulated time only advances between
+// events, so every run is deterministic.
 //
-// Events at equal timestamps execute in FIFO posting order.
+// Events at equal timestamps execute in FIFO scheduling order.
 #ifndef SOLROS_SRC_SIM_SIMULATOR_H_
 #define SOLROS_SRC_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
@@ -47,22 +48,11 @@ class Simulator {
   void set_telemetry(TelemetryHub* hub) { telemetry_ = hub; }
   TelemetryHub* telemetry() const { return telemetry_; }
 
-  // Schedules `fn` to run `delay` ns from now (0 = end of current event).
-  void Post(Nanos delay, std::function<void()> fn) {
-    PostAt(now_ + delay, std::move(fn));
-  }
-
-  // Schedules `fn` at absolute time `when` (clamped to now).
-  void PostAt(SimTime when, std::function<void()> fn) {
-    if (when < now_) {
-      when = now_;
-    }
-    queue_.push(Event{when, seq_++, std::move(fn)});
-  }
-
-  // Schedules resumption of a suspended coroutine at absolute time `when`.
+  // Schedules resumption of a suspended coroutine at absolute time `when`
+  // (clamped to now; at now it runs after the current event and every event
+  // already due). The only way to schedule an event.
   void ResumeAt(SimTime when, std::coroutine_handle<> handle) {
-    PostAt(when, [handle] { handle.resume(); });
+    queue_.push(Event{std::max(when, now_), seq_++, handle});
   }
 
   // Runs until the event queue drains or `max_events` have been processed.
@@ -96,7 +86,7 @@ class Simulator {
   struct Event {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
+    std::coroutine_handle<> handle;
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
@@ -108,12 +98,12 @@ class Simulator {
   };
 
   void StepOne() {
-    // Move the event out before running: the callback may push new events
+    // Copy the event out before resuming: the coroutine may push new events
     // and invalidate the queue top.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
+    const Event event = queue_.top();
     queue_.pop();
     now_ = event.when;
-    event.fn();
+    event.handle.resume();
   }
 
   SimTime now_ = 0;

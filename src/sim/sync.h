@@ -44,7 +44,7 @@ class Condition {
     }
     std::coroutine_handle<> handle = waiters_.front();
     waiters_.pop_front();
-    sim_->Post(0, [handle] { handle.resume(); });
+    sim_->ResumeAt(sim_->now(), handle);
   }
 
   void NotifyAll() {

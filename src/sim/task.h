@@ -154,7 +154,7 @@ void Spawn(Simulator& sim, Task<T> task) {
   CHECK(handle) << "spawning an empty task";
   handle.promise().set_sim(&sim);
   handle.promise().set_detached();
-  sim.Post(0, [handle] { handle.resume(); });
+  sim.ResumeAt(sim.now(), handle);
 }
 
 // Suspends the current task for `delay` simulated nanoseconds.

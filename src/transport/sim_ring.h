@@ -116,7 +116,7 @@ class SimRing {
   RingBuffer ring_;
   Condition data_avail_;
   Condition space_avail_;
-  FifoResource control_line_;
+  MultiServerResource control_line_;
   // Signal epochs close the poll-then-sleep race: TryReceive/TrySend have
   // internal suspension points, so a notification can fire while a poller
   // is mid-attempt (and not yet waiting). Every SetReady/SetDone bumps the

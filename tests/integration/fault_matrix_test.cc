@@ -425,6 +425,41 @@ TEST_F(FaultMatrixTest, BenignErrorsDoNotDumpFlightRecorder) {
   EXPECT_EQ(recorder.total_dumps(), 0u);
 }
 
+// Tail-based sampling keeps a failed FS request's trace, as it keeps a
+// failed net request's. The hash keeps no trace here, so only the error
+// flag can retain it.
+TEST_F(FaultMatrixTest, FailedFsReadTraceIsKeptUnderSampling) {
+  Tracer tracer;
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.nvme_retry.max_attempts = 1;  // store passes faults straight up
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  auto ino = RunSim(machine.sim(), stub.Create("/sampled"));
+  ASSERT_TRUE(ino.ok());
+  DeviceBuffer src(machine.phi_device(0), KiB(64));
+  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))));
+
+  tracer.Bind(&machine.sim());
+  tracer.EnableSampling(/*keep_one_in=*/0);
+  // The P2P write left nothing cached: the buffered read misses, and every
+  // NVMe command it issues fails.
+  stub.set_buffered(true);
+  ASSERT_TRUE(Faults().Arm("nvme.cmd.fail", FaultSpec::EveryNth(1)).ok());
+  DeviceBuffer dst(machine.phi_device(0), KiB(64));
+  auto n = RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst)));
+  Faults().DisarmAll();
+  EXPECT_FALSE(n.ok());
+  EXPECT_GT(machine.fs_proxy().stats().buffered_reads, 0u);
+
+  const SamplerStats& stats = tracer.sampler_stats();
+  EXPECT_GE(stats.kept_error, 1u);
+  EXPECT_EQ(stats.kept_hash, 0u);
+}
+
 // Network checksum workload: a KV server behind the TCP proxy while the RPC
 // control plane drops and corrupts frames. Every Put/Get round trip
 // verifies its value, so a single silently lost or mangled byte fails.

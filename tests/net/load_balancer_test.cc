@@ -1,15 +1,10 @@
-// Forwarding-policy unit tests (§4.4.3) and the PickShardForDepths
-// regression: the shallow-primary early-out must behave identically to the
-// always-scan reference implementation.
+// Forwarding-policy unit tests (§4.4.3).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <vector>
 
-#include "src/base/prng.h"
 #include "src/net/load_balancer.h"
-#include "src/net/tcp_proxy.h"
 
 namespace solros {
 namespace {
@@ -114,72 +109,6 @@ TEST(ContentHashPolicyTest, SpreadsClientsAcrossTargets) {
     EXPECT_GT(count, clients / 4 * 8 / 10) << "target " << target;
     EXPECT_LT(count, clients / 4 * 12 / 10) << "target " << target;
   }
-}
-
-// The always-scan reference PickShardForDepths behavior, as implemented
-// before the shallow-primary early-out.
-template <typename DepthFn>
-int ReferencePickShard(int primary, int count, DepthFn&& depth,
-                       bool* handoff) {
-  *handoff = false;
-  if (count <= 1) {
-    return 0;
-  }
-  int lightest = 0;
-  for (int k = 1; k < count; ++k) {
-    if (depth(k) < depth(lightest)) {
-      lightest = k;
-    }
-  }
-  if (primary != lightest && depth(primary) > 2 * depth(lightest) + 1) {
-    *handoff = true;
-    return lightest;
-  }
-  return primary;
-}
-
-TEST(PickShardForDepthsTest, MatchesAlwaysScanReferenceOnRandomDepths) {
-  Prng prng(0x51ab);
-  for (int count : {1, 2, 3, 4, 8}) {
-    for (int trial = 0; trial < 2000; ++trial) {
-      std::vector<int64_t> depths(static_cast<size_t>(count));
-      for (int64_t& d : depths) {
-        // Mostly shallow (the steady-state the early-out serves), with
-        // occasional runaway loops.
-        d = static_cast<int64_t>(prng.NextInRange(0, 4));
-        if (prng.NextInRange(0, 10) == 0) {
-          d = static_cast<int64_t>(prng.NextInRange(0, 200));
-        }
-      }
-      // NextInRange is inclusive: the primary is a valid shard index.
-      const int primary = static_cast<int>(
-          prng.NextInRange(0, static_cast<uint64_t>(count - 1)));
-      auto depth = [&](int k) { return depths[static_cast<size_t>(k)]; };
-      bool fast_handoff = false;
-      bool ref_handoff = false;
-      const int fast =
-          PickShardForDepths(primary, count, depth, &fast_handoff);
-      const int ref =
-          ReferencePickShard(primary, count, depth, &ref_handoff);
-      ASSERT_EQ(fast, ref) << "count=" << count << " primary=" << primary;
-      ASSERT_EQ(fast_handoff, ref_handoff)
-          << "count=" << count << " primary=" << primary;
-    }
-  }
-}
-
-TEST(PickShardForDepthsTest, ShallowPrimaryStaysPut) {
-  // Depth 0 or 1 on the primary can never satisfy the handoff inequality,
-  // so the early-out returns the primary without scanning.
-  bool handoff = true;
-  int calls = 0;
-  auto depth = [&](int k) {
-    ++calls;
-    return k == 2 ? 1 : 0;
-  };
-  EXPECT_EQ(PickShardForDepths(2, 8, depth, &handoff), 2);
-  EXPECT_FALSE(handoff);
-  EXPECT_EQ(calls, 1);  // only the primary was probed
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(end1, end2);
 }
 
-Task<void> ResourceUser(FifoResource* res, Nanos d, WaitGroup* wg) {
+Task<void> ResourceUser(MultiServerResource* res, Nanos d, WaitGroup* wg) {
   co_await res->Use(d);
   wg->Done();
 }
@@ -98,7 +98,7 @@ TEST(DeterminismTest, ResourceTotalsAreExact) {
   // Busy-time accounting must equal the sum of requested durations
   // regardless of interleaving.
   Simulator sim;
-  FifoResource res(&sim, "r");
+  MultiServerResource res(&sim, 1, "r");
   WaitGroup wg(&sim);
   Prng prng(5);
   Nanos expected = 0;

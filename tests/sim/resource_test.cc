@@ -12,15 +12,17 @@
 namespace solros {
 namespace {
 
-Task<void> UseFor(FifoResource* res, Nanos d, std::vector<SimTime>* ends) {
+Task<void> UseFor(MultiServerResource* res, Nanos d,
+                  std::vector<SimTime>* ends) {
   Simulator* sim = co_await CurrentSimulator();
   co_await res->Use(d);
   ends->push_back(sim->now());
 }
 
+// A FIFO server is the one-server MultiServerResource.
 TEST(FifoResourceTest, SerializesConcurrentUsers) {
   Simulator sim;
-  FifoResource res(&sim, "disk");
+  MultiServerResource res(&sim, 1, "disk");
   std::vector<SimTime> ends;
   for (int i = 0; i < 3; ++i) {
     Spawn(sim, UseFor(&res, Microseconds(10), &ends));
@@ -36,9 +38,10 @@ TEST(FifoResourceTest, SerializesConcurrentUsers) {
 
 TEST(FifoResourceTest, IdleGapsDoNotAccumulate) {
   Simulator sim;
-  FifoResource res(&sim);
+  MultiServerResource res(&sim, 1);
   std::vector<SimTime> ends;
-  auto late_user = [](FifoResource* r, std::vector<SimTime>* e) -> Task<void> {
+  auto late_user = [](MultiServerResource* r,
+                      std::vector<SimTime>* e) -> Task<void> {
     co_await Delay(Microseconds(100));
     Simulator* sim = co_await CurrentSimulator();
     co_await r->Use(Microseconds(5));
@@ -52,19 +55,12 @@ TEST(FifoResourceTest, IdleGapsDoNotAccumulate) {
   EXPECT_EQ(ends[1], Microseconds(105));  // starts fresh at 100
 }
 
-Task<void> UseMulti(MultiServerResource* res, Nanos d,
-                    std::vector<SimTime>* ends) {
-  Simulator* sim = co_await CurrentSimulator();
-  co_await res->Use(d);
-  ends->push_back(sim->now());
-}
-
 TEST(MultiServerResourceTest, ParallelismUpToServerCount) {
   Simulator sim;
   MultiServerResource res(&sim, 4, "dma");
   std::vector<SimTime> ends;
   for (int i = 0; i < 8; ++i) {
-    Spawn(sim, UseMulti(&res, Microseconds(10), &ends));
+    Spawn(sim, UseFor(&res, Microseconds(10), &ends));
   }
   sim.RunUntilIdle();
   ASSERT_EQ(ends.size(), 8u);
