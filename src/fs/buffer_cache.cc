@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "src/base/logging.h"
 #include "src/sim/simulator.h"
@@ -156,8 +157,12 @@ void BufferCache::SetDirty(Page& page, bool dirty) {
     return;
   }
   page.dirty = dirty;
-  dirty_count_ += dirty ? 1 : -1;
-  dirty_gauge_->Set(static_cast<int64_t>(dirty_count_));
+  if (dirty) {
+    dirty_.insert(page.lba);
+  } else {
+    dirty_.erase(page.lba);
+  }
+  dirty_gauge_->Set(static_cast<int64_t>(dirty_.size()));
   if (use_ != nullptr) {
     use_->QueueDelta(telemetry_sim_->now(), dirty ? +1 : -1);
   }
@@ -281,34 +286,26 @@ Task<Status> BufferCache::EvictOne() {
       co_await AwaitInflight(victim, 1);
       co_return OkStatus();
     }
-    // Gather the LBA-contiguous dirty cluster around the victim so one
-    // eviction absorbs its neighbours' write-back too. Neighbours with an
-    // older snapshot still in flight stay out (same ordering rule as
-    // above).
-    uint64_t lo = victim;
-    uint64_t hi = victim;
+    // Gather the LBA-contiguous dirty cluster around the victim, walking
+    // its neighbours in the dirty index, so one eviction absorbs their
+    // write-back too. Neighbours with an older snapshot still in flight
+    // stay out (same ordering rule as above).
+    auto first = dirty_.find(victim);
+    auto last = std::next(first);
     uint32_t count = 1;
-    while (count < kWritebackMaxBatch && lo > 0) {
-      auto p = map_.find(lo - 1);
-      if (p == map_.end() || !p->second.dirty || OverlapsInflight(lo - 1, 1))
-        break;
-      --lo;
+    while (count < kWritebackMaxBatch && first != dirty_.begin() &&
+           *std::prev(first) == *first - 1 &&
+           !OverlapsInflight(*first - 1, 1)) {
+      --first;
       ++count;
     }
-    while (count < kWritebackMaxBatch) {
-      auto p = map_.find(hi + 1);
-      if (p == map_.end() || !p->second.dirty || OverlapsInflight(hi + 1, 1))
-        break;
-      ++hi;
+    while (count < kWritebackMaxBatch && last != dirty_.end() &&
+           *last == *std::prev(last) + 1 && !OverlapsInflight(*last, 1)) {
+      ++last;
       ++count;
-    }
-    std::vector<uint64_t> lbas;
-    lbas.reserve(count);
-    for (uint64_t lba = lo; lba <= hi; ++lba) {
-      lbas.push_back(lba);
     }
     SOLROS_CO_RETURN_IF_ERROR(
-        co_await WritebackRuns(PlanWriteback(std::move(lbas))));
+        co_await WritebackRuns(PlanWriteback({first, last})));
     // The write-back suspended; re-resolve the victim, which may have been
     // invalidated (slot already freed), touched, or re-dirtied meanwhile.
     it = map_.find(victim);
@@ -540,19 +537,11 @@ Task<Status> BufferCache::Flush() {
       co_await AwaitAllInflight();
       continue;
     }
-    if (dirty_count_ == 0) {
+    if (dirty_.empty()) {
       break;
     }
-    std::vector<uint64_t> dirty;
-    dirty.reserve(dirty_count_);
-    for (const auto& [lba, page] : map_) {
-      if (page.dirty) {
-        dirty.push_back(lba);
-      }
-    }
-    std::sort(dirty.begin(), dirty.end());
-    SOLROS_CO_RETURN_IF_ERROR(
-        co_await WritebackRuns(PlanWriteback(std::move(dirty))));
+    SOLROS_CO_RETURN_IF_ERROR(co_await WritebackRuns(
+        PlanWriteback({dirty_.begin(), dirty_.end()})));
   }
   co_return co_await backing_->Flush();
 }
@@ -573,25 +562,8 @@ Task<Status> BufferCache::FlushRange(uint64_t lba, uint64_t nblocks) {
       co_await AwaitInflight(lba, nblocks);
       continue;
     }
-    if (dirty_count_ == 0) {
-      co_return OkStatus();
-    }
-    std::vector<uint64_t> dirty;
-    if (nblocks < map_.size()) {
-      for (uint64_t i = 0; i < nblocks; ++i) {
-        auto it = map_.find(lba + i);
-        if (it != map_.end() && it->second.dirty) {
-          dirty.push_back(lba + i);
-        }
-      }
-    } else {
-      for (const auto& [cached, page] : map_) {
-        if (page.dirty && cached >= lba && cached < lba + nblocks) {
-          dirty.push_back(cached);
-        }
-      }
-      std::sort(dirty.begin(), dirty.end());
-    }
+    std::vector<uint64_t> dirty(dirty_.lower_bound(lba),
+                                dirty_.lower_bound(lba + nblocks));
     if (dirty.empty()) {
       co_return OkStatus();
     }

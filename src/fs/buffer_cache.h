@@ -20,18 +20,20 @@
 // set.
 //
 // Write policy is write-back: dirty pages are flushed on eviction and on
-// Flush(). Evictions gather the LBA-contiguous dirty cluster around the
-// victim and Flush() sorts all dirty pages by LBA, so both go to the device
-// as vectored multi-block writes (one command per contiguous run, one
-// doorbell for the batch). Write-back snapshots content and clears dirty
-// bits up front; every submission is tracked as an in-flight LBA range
-// until the device confirms it, so (a) Flush/FlushRange wait out
-// overlapping in-flight writes instead of treating snapshot-cleaned pages
-// as durable, (b) no second write is ever submitted for an LBA that
-// overlaps an in-flight one (NVMe gives no ordering across submissions),
-// and (c) a page re-dirtied while its snapshot is in flight keeps its dirty
-// bit and is written again later rather than evicted with the new bytes
-// dropped.
+// Flush(). The cache keeps an LBA-ordered index of its dirty pages, so
+// choosing what to write costs the dirty pages, not the cache size:
+// Flush() takes the whole index, FlushRange() the slice inside its range,
+// and an eviction the contiguous cluster of index neighbours around the
+// victim. Each goes to the device in ascending LBA order as one vectored
+// multi-block write (one command per contiguous run, one doorbell for the
+// batch). Write-back snapshots content and clears dirty bits up front;
+// every submission is tracked as an in-flight LBA range until the device
+// confirms it, so (a) Flush/FlushRange wait out overlapping in-flight
+// writes instead of treating snapshot-cleaned pages as durable, (b) no
+// second write is ever submitted for an LBA that overlaps an in-flight one
+// (NVMe gives no ordering across submissions), and (c) a page re-dirtied
+// while its snapshot is in flight keeps its dirty bit and is written again
+// later rather than evicted with the new bytes dropped.
 //
 // Counters live in the process MetricRegistry (cache.hits, cache.misses,
 // cache.evictions, cache.readahead_hits, cache.readahead_blocks,
@@ -46,6 +48,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <set>
 #include <string>
 #include <span>
 #include <unordered_map>
@@ -137,7 +140,7 @@ class BufferCache {
   uint64_t readahead_hits() const { return local_readahead_hits_; }
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
-  size_t dirty_pages() const { return dirty_count_; }
+  size_t dirty_pages() const { return dirty_.size(); }
   // True while a write-back submission is outstanding at the device. Pages
   // covered by it are already clean, so "dirty_pages() == 0" alone must
   // not be read as "everything durable".
@@ -245,7 +248,9 @@ class BufferCache {
   // front = most recent in both segments.
   std::list<uint64_t> probation_;
   std::list<uint64_t> protected_;
-  size_t dirty_count_ = 0;
+  // LBAs of the dirty pages, ascending; SetDirty keeps it in step with
+  // Page::dirty.
+  std::set<uint64_t> dirty_;
   std::list<InflightWriteback> inflight_;
   std::vector<Fill*> fills_;  // open fills, touched on invalidate and dirty
   // Lazily built on first wait: the cache is constructed without a

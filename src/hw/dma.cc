@@ -21,8 +21,7 @@ DmaEngine::DmaEngine(Simulator* sim, PcieFabric* fabric,
       init_latency_(fabric->TypeOf(owner) == DeviceType::kHost
                         ? params.dma_init_host
                         : params.dma_init_phi),
-      channels_(sim, static_cast<size_t>(params.dma_channels),
-                fabric->NameOf(owner) + "-dma") {
+      channels_(sim, static_cast<size_t>(params.dma_channels)) {
   if (sim->telemetry() != nullptr) {
     use_ = sim->telemetry()->GetSeries("dma." + fabric->NameOf(owner),
                                        static_cast<uint32_t>(

@@ -29,7 +29,7 @@ class Processor {
             std::string name, std::string telemetry_series = "")
       : device_(device),
         speed_(speed),
-        threads_(sim, static_cast<size_t>(hw_threads), name) {
+        threads_(sim, static_cast<size_t>(hw_threads)) {
     CHECK_GT(speed, 0.0);
     CHECK_GT(hw_threads, 0);
     if (sim->telemetry() != nullptr) {

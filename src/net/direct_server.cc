@@ -21,7 +21,7 @@ DirectServer::DirectServer(Simulator* sim, PcieFabric* fabric,
       params_(params),
       ethernet_(ethernet),
       config_(config),
-      rx_queue_(sim, 1, "rx-softirq") {
+      rx_queue_(sim, 1) {
   CHECK(config.stack_cpu != nullptr);
 }
 

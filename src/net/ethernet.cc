@@ -9,8 +9,8 @@ namespace solros {
 EthernetFabric::EthernetFabric(Simulator* sim, const HwParams& params)
     : sim_(sim),
       params_(params),
-      wire_up_(sim, params.nic_bw, params.nic_wire_latency, "eth-up"),
-      wire_down_(sim, params.nic_bw, params.nic_wire_latency, "eth-down"),
+      wire_up_(sim, params.nic_bw, params.nic_wire_latency),
+      wire_down_(sim, params.nic_bw, params.nic_wire_latency),
       c_payload_copies_(
           MetricRegistry::Default().GetCounter("net.wire.payload_copies")),
       c_pool_hits_(

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -26,11 +26,13 @@ namespace solros {
 // k = 1 for a ring's control line or a link). `Use(d)` reserves the
 // earliest-available server for `d` ns starting at max(now, that server's
 // previous reservation end) and resumes the caller when its service
-// completes.
+// completes. The servers are identical, so only the multiset of their
+// reservation ends matters: it is kept as a min-heap, and a pick costs
+// O(log k).
 class MultiServerResource {
  public:
-  MultiServerResource(Simulator* sim, size_t servers, std::string name = "")
-      : sim_(sim), busy_until_(servers, 0), name_(std::move(name)) {
+  MultiServerResource(Simulator* sim, size_t servers)
+      : sim_(sim), busy_until_(servers, 0) {
     DCHECK(sim != nullptr);
     CHECK_GT(servers, 0u);
   }
@@ -44,15 +46,12 @@ class MultiServerResource {
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> handle) {
       Simulator* sim = resource->sim_;
-      size_t best = 0;
-      for (size_t i = 1; i < resource->busy_until_.size(); ++i) {
-        if (resource->busy_until_[i] < resource->busy_until_[best]) {
-          best = i;
-        }
-      }
-      SimTime start = std::max(sim->now(), resource->busy_until_[best]);
+      std::vector<SimTime>& ends = resource->busy_until_;
+      std::pop_heap(ends.begin(), ends.end(), std::greater<>());
+      SimTime start = std::max(sim->now(), ends.back());
       SimTime end = start + duration;
-      resource->busy_until_[best] = end;
+      ends.back() = end;
+      std::push_heap(ends.begin(), ends.end(), std::greater<>());
       resource->busy_time_ += duration;
       ++resource->uses_;
       if (resource->use_ != nullptr) {
@@ -74,14 +73,12 @@ class MultiServerResource {
   size_t server_count() const { return busy_until_.size(); }
   Nanos total_busy_time() const { return busy_time_; }
   uint64_t use_count() const { return uses_; }
-  const std::string& name() const { return name_; }
 
  private:
   Simulator* sim_;
-  std::vector<SimTime> busy_until_;
+  std::vector<SimTime> busy_until_;  // min-heap on std::greater
   Nanos busy_time_ = 0;
   uint64_t uses_ = 0;
-  std::string name_;
   UseSeries* use_ = nullptr;
 };
 
@@ -90,11 +87,8 @@ class MultiServerResource {
 // latency (propagation + protocol overhead) is added after the transfer.
 class BandwidthResource {
  public:
-  BandwidthResource(Simulator* sim, double bytes_per_sec, Nanos latency = 0,
-                    std::string name = "")
-      : server_(sim, 1, std::move(name)),
-        rate_(bytes_per_sec),
-        latency_(latency) {
+  BandwidthResource(Simulator* sim, double bytes_per_sec, Nanos latency = 0)
+      : server_(sim, 1), rate_(bytes_per_sec), latency_(latency) {
     CHECK_GT(bytes_per_sec, 0.0);
   }
 

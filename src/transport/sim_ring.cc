@@ -30,7 +30,7 @@ SimRing::SimRing(Simulator* sim, PcieFabric* fabric, const HwParams& params,
       ring_(MakeRingConfig(config)),
       data_avail_(sim),
       space_avail_(sim),
-      control_line_(sim, 1, "ring-control") {
+      control_line_(sim, 1) {
   CHECK(config.producer_cpu != nullptr && config.consumer_cpu != nullptr);
   CHECK(config.master_device == config.producer_device ||
         config.master_device == config.consumer_device)

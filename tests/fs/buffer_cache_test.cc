@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/base/prng.h"
@@ -139,6 +140,7 @@ TEST_F(BufferCacheTest, InvalidateRangeAndMissingBlocksAreNoops) {
 class CountingStore : public MemBlockStore {
  public:
   using MemBlockStore::MemBlockStore;
+  using Run = std::pair<uint64_t, uint32_t>;  // (lba, nblocks)
 
   Task<Status> Write(uint64_t lba, uint32_t nblocks,
                      std::span<const uint8_t> in) override {
@@ -148,14 +150,19 @@ class CountingStore : public MemBlockStore {
 
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       bool coalesce) override {
-    ++writev_calls;
-    writev_runs += runs.size();
-    return MemBlockStore::WriteV(runs, coalesce);
+    std::vector<Run>& submitted = submissions.emplace_back();
+    for (const ConstBlockRun& run : runs) {
+      submitted.emplace_back(run.lba, run.nblocks);
+    }
+    if (fail_writev) {
+      co_return IoError("injected write-back failure");
+    }
+    co_return co_await MemBlockStore::WriteV(runs, coalesce);
   }
 
-  int writes = 0;         // direct per-run writes (WriteV's default delegates)
-  int writev_calls = 0;   // vectored submissions
-  size_t writev_runs = 0; // total contiguous runs across them
+  int writes = 0;  // direct per-run writes (WriteV's default delegates)
+  std::vector<std::vector<Run>> submissions;  // each vectored one's runs
+  bool fail_writev = false;  // fail vectored submissions, writing nothing
 };
 
 // A store whose writes take simulated time, so tests can interleave other
@@ -298,8 +305,9 @@ TEST_F(SegmentedCacheTest, FlushCoalescesSortedDirtyRuns) {
   EXPECT_EQ(cache.dirty_pages(), 4u);
   CHECK_OK(RunSim(sim_, cache.Flush()));
   // One vectored submission, two contiguous runs: [10..12] and [20].
-  EXPECT_EQ(store_.writev_calls, 1);
-  EXPECT_EQ(store_.writev_runs, 2u);
+  ASSERT_EQ(store_.submissions.size(), 1u);
+  EXPECT_EQ(store_.submissions[0],
+            (std::vector<CountingStore::Run>{{10, 3}, {20, 1}}));
   EXPECT_EQ(cache.dirty_pages(), 0u);
   EXPECT_EQ(store_.raw()[10 * 4096], 10);
   EXPECT_EQ(store_.raw()[11 * 4096], 11);
@@ -318,8 +326,9 @@ TEST_F(SegmentedCacheTest, EvictionWritesBackTheContiguousDirtyCluster) {
   // cluster with a single vectored write.
   StageBlocks(sim_, cache, 200);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(store_.writev_calls, 1);
-  EXPECT_EQ(store_.writev_runs, 1u);
+  ASSERT_EQ(store_.submissions.size(), 1u);
+  EXPECT_EQ(store_.submissions[0],
+            (std::vector<CountingStore::Run>{{40, 8}}));
   EXPECT_EQ(cache.dirty_pages(), 0u);
   for (uint64_t lba = 40; lba < 48; ++lba) {
     EXPECT_EQ(store_.raw()[lba * 4096], static_cast<uint8_t>(lba));
@@ -335,9 +344,74 @@ TEST_F(SegmentedCacheTest, FlushRangeOnlyTouchesTheRange) {
   EXPECT_EQ(store_.raw()[5 * 4096], 5);
   EXPECT_NE(store_.raw()[60 * 4096], 60);
   // Clean cache: FlushRange is a free no-op (no store calls).
-  int calls_before = store_.writev_calls + store_.writes;
+  size_t calls_before = store_.submissions.size() + store_.writes;
   CHECK_OK(RunSim(sim_, cache.FlushRange(0, 10)));
-  EXPECT_EQ(store_.writev_calls + store_.writes, calls_before);
+  EXPECT_EQ(store_.submissions.size() + store_.writes, calls_before);
+}
+
+TEST_F(SegmentedCacheTest, FailedFlushKeepsPagesDirtyForOneAscendingRetry) {
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
+  for (uint64_t lba : {12, 10, 20, 11}) {
+    CHECK_OK(RunSim(sim_, cache.InsertDirty(
+                              lba, Block(static_cast<uint8_t>(lba)))));
+  }
+  store_.fail_writev = true;
+  EXPECT_FALSE(RunSim(sim_, cache.Flush()).ok());
+  // The failed submission put back every page it carried.
+  EXPECT_EQ(cache.dirty_pages(), 4u);
+  EXPECT_NE(store_.raw()[10 * 4096], 10);
+  store_.fail_writev = false;
+  CHECK_OK(RunSim(sim_, cache.Flush()));
+  EXPECT_EQ(cache.dirty_pages(), 0u);
+  // The retry is again one ascending submission of the same runs.
+  const std::vector<CountingStore::Run> runs = {{10, 3}, {20, 1}};
+  ASSERT_EQ(store_.submissions.size(), 2u);
+  EXPECT_EQ(store_.submissions[0], runs);
+  EXPECT_EQ(store_.submissions[1], runs);
+  for (uint64_t lba : {10, 11, 12, 20}) {
+    EXPECT_EQ(store_.raw()[lba * 4096], static_cast<uint8_t>(lba));
+  }
+}
+
+TEST_F(SegmentedCacheTest, DroppedDirtyPagesAreNeverWrittenBack) {
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
+  const std::vector<uint8_t> before(store_.raw().begin(),
+                                    store_.raw().end());
+  for (uint64_t lba = 30; lba < 36; ++lba) {
+    CHECK_OK(RunSim(sim_, cache.InsertDirty(lba, Block(0xee))));
+  }
+  // The free path: drop the freed blocks' pages, then their clean copies
+  // across the whole range (dirty ones stay).
+  RunSim(sim_, cache.DiscardRange(31, 2));
+  RunSim(sim_, cache.DiscardRange(35, 1));
+  cache.InvalidateCleanRange(30, 6);
+  EXPECT_EQ(cache.dirty_pages(), 3u);
+  CHECK_OK(RunSim(sim_, cache.Flush()));
+  ASSERT_EQ(store_.submissions.size(), 1u);
+  EXPECT_EQ(store_.submissions[0],
+            (std::vector<CountingStore::Run>{{30, 1}, {33, 2}}));
+  for (uint64_t lba : {31, 32, 35}) {
+    EXPECT_EQ(std::memcmp(store_.raw().data() + lba * 4096,
+                          before.data() + lba * 4096, 4096),
+              0)
+        << "dropped lba " << lba << " was written";
+  }
+}
+
+TEST_F(SegmentedCacheTest, WideFlushRangeWritesOnlyItsDirtyPages) {
+  BufferCache cache(&store_, fabric_.HostDevice(0), 8);
+  for (uint64_t lba : {101, 3, 500, 7, 100, 5}) {
+    CHECK_OK(RunSim(sim_, cache.InsertDirty(
+                              lba, Block(static_cast<uint8_t>(lba)))));
+  }
+  // A 200-block range over a cache of 6 pages.
+  CHECK_OK(RunSim(sim_, cache.FlushRange(4, 200)));
+  ASSERT_EQ(store_.submissions.size(), 1u);
+  EXPECT_EQ(store_.submissions[0],
+            (std::vector<CountingStore::Run>{{5, 1}, {7, 1}, {100, 2}}));
+  EXPECT_EQ(cache.dirty_pages(), 2u);  // 3 and 500 lie outside
+  CHECK_OK(RunSim(sim_, cache.FlushRange(4, 200)));
+  EXPECT_EQ(store_.submissions.size(), 1u);
 }
 
 TEST_F(SegmentedCacheTest, RacingStagesShareOnePage) {

@@ -98,7 +98,7 @@ TEST(DeterminismTest, ResourceTotalsAreExact) {
   // Busy-time accounting must equal the sum of requested durations
   // regardless of interleaving.
   Simulator sim;
-  MultiServerResource res(&sim, 1, "r");
+  MultiServerResource res(&sim, 1);
   WaitGroup wg(&sim);
   Prng prng(5);
   Nanos expected = 0;

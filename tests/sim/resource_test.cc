@@ -22,7 +22,7 @@ Task<void> UseFor(MultiServerResource* res, Nanos d,
 // A FIFO server is the one-server MultiServerResource.
 TEST(FifoResourceTest, SerializesConcurrentUsers) {
   Simulator sim;
-  MultiServerResource res(&sim, 1, "disk");
+  MultiServerResource res(&sim, 1);
   std::vector<SimTime> ends;
   for (int i = 0; i < 3; ++i) {
     Spawn(sim, UseFor(&res, Microseconds(10), &ends));
@@ -57,7 +57,7 @@ TEST(FifoResourceTest, IdleGapsDoNotAccumulate) {
 
 TEST(MultiServerResourceTest, ParallelismUpToServerCount) {
   Simulator sim;
-  MultiServerResource res(&sim, 4, "dma");
+  MultiServerResource res(&sim, 4);
   std::vector<SimTime> ends;
   for (int i = 0; i < 8; ++i) {
     Spawn(sim, UseFor(&res, Microseconds(10), &ends));
@@ -73,9 +73,56 @@ TEST(MultiServerResourceTest, ParallelismUpToServerCount) {
   }
 }
 
+// Arrives at `at`, holds a server for `d`, and records its completion time.
+Task<void> ArriveAndUse(MultiServerResource* res, Nanos at, Nanos d,
+                        SimTime* end) {
+  Simulator* sim = co_await CurrentSimulator();
+  co_await Delay(at);
+  co_await res->Use(d);
+  *end = sim->now();
+}
+
+// Each reservation takes the server that frees up first, starting no earlier
+// than its arrival. Staggered arrivals with mixed lengths pin every pick.
+TEST(MultiServerResourceTest, StaggeredMixedReservationsTakeEarliestServer) {
+  Simulator sim;
+  MultiServerResource res(&sim, 4);
+  struct Use {
+    Nanos at;
+    Nanos d;
+    SimTime want;  // completion time
+  };
+  const std::vector<Use> uses = {
+      {0, 10, 10},   // server ends {10, 0, 0, 0}
+      {0, 30, 30},   // {10, 30, 0, 0}
+      {0, 5, 5},     // {10, 30, 5, 0}
+      {1, 20, 21},   // {10, 30, 5, 21}
+      {2, 7, 12},    // waits for the 5: {10, 30, 12, 21}
+      {3, 4, 14},    // waits for the 10: {14, 30, 12, 21}
+      {3, 50, 62},   // waits for the 12: {14, 30, 62, 21}
+      {40, 1, 41},   // all idle but one: starts on arrival
+      {40, 2, 42},
+      {40, 3, 43},
+      {40, 6, 47},   // waits for the 41
+      {40, 8, 50},   // waits for the 42
+      {40, 9, 52},   // waits for the 43
+  };
+  std::vector<SimTime> ends(uses.size());
+  for (size_t i = 0; i < uses.size(); ++i) {
+    Spawn(sim, ArriveAndUse(&res, Microseconds(uses[i].at),
+                            Microseconds(uses[i].d), &ends[i]));
+  }
+  sim.RunUntilIdle();
+  for (size_t i = 0; i < uses.size(); ++i) {
+    EXPECT_EQ(ends[i], Microseconds(uses[i].want)) << "use " << i;
+  }
+  EXPECT_EQ(res.use_count(), uses.size());
+  EXPECT_EQ(res.total_busy_time(), Microseconds(155));
+}
+
 TEST(BandwidthResourceTest, TransferTimeMatchesRate) {
   Simulator sim;
-  BandwidthResource link(&sim, GBps(1), /*latency=*/0, "pcie");
+  BandwidthResource link(&sim, GBps(1), /*latency=*/0);
   RunSim(sim, link.Transfer(MiB(1)));
   // 1 MiB at 1 GB/s = 1048576 ns.
   EXPECT_EQ(sim.now(), 1048576u);
