@@ -321,15 +321,12 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
     batch.runs.push_back(MergedRun{lo, r->nblocks, scratch_blocks});
     scratch_blocks += r->nblocks;
   }
-  batch.scratch.resize(scratch_blocks * block_size_);
-  std::vector<BlockRun> runs;
-  runs.reserve(batch.runs.size());
+  // The merged runs fill the scratch back to back, so each is one extent.
+  batch.scratch.emplace(store_->host_device(), scratch_blocks * block_size_);
+  std::vector<FsExtent> extents;
+  extents.reserve(batch.runs.size());
   for (const MergedRun& m : batch.runs) {
-    runs.push_back(BlockRun{
-        m.lba, m.nblocks,
-        std::span<uint8_t>(
-            batch.scratch.data() + m.scratch_block * block_size_,
-            uint64_t{m.nblocks} * block_size_)});
+    extents.push_back(FsExtent{m.lba, m.nblocks});
   }
   TraceContext batch_ctx;
   for (const IoRequest* r : reads) {
@@ -339,10 +336,10 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
     }
   }
   // Expose the merged coverage while the device works so late-arriving
-  // covered reads can attach. Retries happen below, in ReadRuns.
+  // covered reads can attach. Retries happen below, in the block store.
   inflight_reads_.push_back(&batch);
-  Status status =
-      co_await store_->ReadRuns(runs, options_.coalesce_nvme, batch_ctx);
+  Status status = co_await store_->ReadExtents(
+      extents, MemRef::Of(*batch.scratch), options_.coalesce_nvme, batch_ctx);
   inflight_reads_.erase(
       std::find(inflight_reads_.begin(), inflight_reads_.end(), &batch));
   for (size_t i = 0; i < reads.size(); ++i) {
@@ -350,7 +347,7 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
     if (status.ok()) {
       const MergedRun& m = batch.runs[place[i].run];
       std::memcpy(r->out.data(),
-                  batch.scratch.data() +
+                  batch.scratch->data() +
                       (m.scratch_block + place[i].block_off) * block_size_,
                   uint64_t{r->nblocks} * block_size_);
     }
@@ -369,7 +366,7 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
       }
       CHECK(m != nullptr);
       std::memcpy(w->out.data(),
-                  batch.scratch.data() +
+                  batch.scratch->data() +
                       (m->scratch_block + (w->lba - m->lba)) * block_size_,
                   uint64_t{w->nblocks} * block_size_);
     }
@@ -399,31 +396,23 @@ Task<void> IoScheduler::SubmitWrites(std::vector<IoRequest*> writes) {
   std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
     return a.lba != b.lba ? a.lba < b.lba : a.seq < b.seq;
   });
-  // Copy into one contiguous scratch so adjacent runs become one command.
-  // Overlapping writes never merge: the device gives no ordering within a
-  // submission, and the cache's in-flight range tracking means callers
-  // never overlap anyway.
-  std::vector<uint8_t> scratch(total_blocks * block_size_);
-  std::vector<ConstBlockRun> runs;
+  // Copy into one contiguous host scratch, which the device DMAs from, so
+  // adjacent runs become one command. Overlapping writes never merge: the
+  // device gives no ordering within a submission, and the cache's
+  // in-flight range tracking means callers never overlap anyway.
+  DeviceBuffer scratch(store_->host_device(), total_blocks * block_size_);
+  std::vector<FsExtent> extents;
   uint64_t cursor = 0;  // blocks copied into scratch
   for (const Piece& p : pieces) {
-    const uint64_t bytes = uint64_t{p.nblocks} * block_size_;
-    std::memcpy(scratch.data() + cursor * block_size_, p.data.data(), bytes);
-    if (!runs.empty() &&
-        runs.back().lba + runs.back().nblocks == p.lba) {
-      ConstBlockRun& last = runs.back();
-      last = ConstBlockRun{
-          last.lba, last.nblocks + p.nblocks,
-          std::span<const uint8_t>(
-              last.data.data(),
-              last.data.size() + bytes)};
+    std::memcpy(scratch.data() + cursor * block_size_, p.data.data(),
+                uint64_t{p.nblocks} * block_size_);
+    if (!extents.empty() &&
+        extents.back().start + extents.back().len == p.lba) {
+      extents.back().len += p.nblocks;
       merges_->Increment();
       ++local_merges_;
     } else {
-      runs.push_back(ConstBlockRun{
-          p.lba, p.nblocks,
-          std::span<const uint8_t>(scratch.data() + cursor * block_size_,
-                                   bytes)});
+      extents.push_back(FsExtent{p.lba, p.nblocks});
     }
     cursor += p.nblocks;
   }
@@ -434,8 +423,8 @@ Task<void> IoScheduler::SubmitWrites(std::vector<IoRequest*> writes) {
       break;
     }
   }
-  Status status =
-      co_await store_->WriteRuns(runs, options_.coalesce_nvme, batch_ctx);
+  Status status = co_await store_->WriteExtents(
+      extents, MemRef::Of(scratch), options_.coalesce_nvme, batch_ctx);
   for (IoRequest* r : writes) {
     FinishRequest(r, status);
   }

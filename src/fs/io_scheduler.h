@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -141,10 +142,11 @@ class IoScheduler {
     uint64_t scratch_block = 0;  // offset into the batch scratch, blocks
   };
   // An in-flight read submission; late-arriving covered reads attach to
-  // `waiters` and are satisfied from `scratch` when the device completes.
+  // `waiters` and are satisfied from `scratch`, the host buffer the device
+  // DMAs into, when the device completes.
   struct InflightReads {
     std::vector<MergedRun> runs;
-    std::vector<uint8_t> scratch;
+    std::optional<DeviceBuffer> scratch;
     std::vector<IoRequest*> waiters;
   };
 

@@ -63,16 +63,6 @@ Task<Status> NvmeBlockStore::Flush() {
 
 Task<Status> NvmeBlockStore::ReadV(std::span<const BlockRun> runs,
                                    bool coalesce) {
-  co_return co_await ReadRuns(runs, coalesce);
-}
-
-Task<Status> NvmeBlockStore::WriteV(std::span<const ConstBlockRun> runs,
-                                    bool coalesce) {
-  co_return co_await WriteRuns(runs, coalesce);
-}
-
-Task<Status> NvmeBlockStore::ReadRuns(std::span<const BlockRun> runs,
-                                      bool coalesce, TraceContext ctx) {
   if (runs.empty()) co_return OkStatus();
   uint64_t total = 0;
   for (const BlockRun& run : runs) {
@@ -94,7 +84,7 @@ Task<Status> NvmeBlockStore::ReadRuns(std::span<const BlockRun> runs,
     offset += bytes;
   }
   SOLROS_CO_RETURN_IF_ERROR(
-      co_await SubmitWithRetry(std::move(commands), coalesce, ctx));
+      co_await SubmitWithRetry(std::move(commands), coalesce));
   offset = 0;
   for (const BlockRun& run : runs) {
     uint64_t bytes = uint64_t{run.nblocks} * block_size();
@@ -104,8 +94,8 @@ Task<Status> NvmeBlockStore::ReadRuns(std::span<const BlockRun> runs,
   co_return OkStatus();
 }
 
-Task<Status> NvmeBlockStore::WriteRuns(std::span<const ConstBlockRun> runs,
-                                       bool coalesce, TraceContext ctx) {
+Task<Status> NvmeBlockStore::WriteV(std::span<const ConstBlockRun> runs,
+                                    bool coalesce) {
   if (runs.empty()) co_return OkStatus();
   uint64_t total = 0;
   for (const ConstBlockRun& run : runs) {
@@ -127,7 +117,7 @@ Task<Status> NvmeBlockStore::WriteRuns(std::span<const ConstBlockRun> runs,
                                    MemRef::Of(staging).Sub(offset, bytes)});
     offset += bytes;
   }
-  co_return co_await SubmitWithRetry(std::move(commands), coalesce, ctx);
+  co_return co_await SubmitWithRetry(std::move(commands), coalesce);
 }
 
 Task<Status> NvmeBlockStore::SubmitWithRetry(

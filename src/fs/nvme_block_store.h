@@ -60,17 +60,11 @@ class NvmeBlockStore : public BlockStore {
   // Vectored byte-span I/O: every run stages through one host DeviceBuffer
   // and becomes one NVMe command; the batch goes down in a single
   // SubmitWithRetry (one doorbell + one interrupt when `coalesce`). Used by
-  // the buffer cache for readahead fills and coalesced write-back.
+  // SolrosFs and by a buffer cache that runs without the I/O scheduler; the
+  // scheduler DMAs into its own host buffer through the extent methods.
   Task<Status> ReadV(std::span<const BlockRun> runs, bool coalesce) override;
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       bool coalesce) override;
-
-  // ReadV/WriteV with an originating trace context, so a scheduler batch's
-  // device spans link back to the request that triggered the round.
-  Task<Status> ReadRuns(std::span<const BlockRun> runs, bool coalesce,
-                        TraceContext ctx = {});
-  Task<Status> WriteRuns(std::span<const ConstBlockRun> runs, bool coalesce,
-                         TraceContext ctx = {});
 
   // Zero-copy vectorized I/O: one (extent -> target sub-range) command per
   // extent; `coalesce` batches them under a single doorbell/interrupt.
@@ -85,6 +79,9 @@ class NvmeBlockStore : public BlockStore {
                             TraceContext ctx = {});
 
   NvmeDevice* device() { return nvme_; }
+  // The host memory this store stages byte spans through (the submitting
+  // CPU's device); callers that build their own DMA buffers place them here.
+  DeviceId host_device() const { return cpu_->device(); }
 
  private:
   Task<Status> SubmitExtents(const std::vector<FsExtent>& extents,

@@ -127,11 +127,11 @@ double PcieFabric::PathBandwidth(DeviceId src, DeviceId dst,
   return bw;
 }
 
-Task<void> PcieFabric::Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
-                                double initiator_rate, bool peer_to_peer) {
+WakeAt PcieFabric::Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
+                            double initiator_rate, bool peer_to_peer) {
   CHECK(src.valid() && dst.valid());
   if (bytes == 0 || src == dst) {
-    co_return;
+    return WakeAt::Ready();
   }
   static Counter* const transfers =
       MetricRegistry::Default().GetCounter("hw.pcie.transfers");
@@ -144,7 +144,6 @@ Task<void> PcieFabric::Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
   if (peer_to_peer) {
     p2p_transfers->Increment();
   }
-  TRACE_SPAN(sim_, "pcie", "pcie.transfer");
   double bw = PathBandwidth(src, dst, initiator_rate, peer_to_peer);
   Nanos duration = TransferTime(bytes, bw);
 
@@ -177,7 +176,11 @@ Task<void> PcieFabric::Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
   }
   total_bytes_ += bytes;
   ++transfer_count_;
-  co_await Delay(end + params_.pcie_propagation - sim_->now());
+  SimTime arrival = end + params_.pcie_propagation;
+  if (Tracer* tracer = sim_->tracer(); tracer != nullptr) {
+    tracer->RecordSpan("pcie", "pcie.transfer", sim_->now(), arrival);
+  }
+  return WakeAt{arrival};
 }
 
 }  // namespace solros

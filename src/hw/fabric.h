@@ -68,10 +68,12 @@ class PcieFabric {
   // Moves `bytes` from `src` to `dst`, additionally capped at
   // `initiator_rate` (the DMA engine's own bandwidth; pass 0 for no cap).
   // `peer_to_peer` marks transfers where neither endpoint is host memory —
-  // only those suffer the cross-NUMA relay cap. Completes when the last
-  // byte arrives.
-  Task<void> Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
-                      double initiator_rate, bool peer_to_peer);
+  // only those suffer the cross-NUMA relay cap. Reserves the path at call
+  // time; the returned awaiter resumes the caller when the last byte
+  // arrives, and is ready at once for an empty or same-device transfer.
+  //   co_await fabric->Transfer(src, dst, bytes, rate, p2p);
+  WakeAt Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
+                  double initiator_rate, bool peer_to_peer);
 
   // The bandwidth a transfer would see (bottleneck of the path), without
   // queueing.

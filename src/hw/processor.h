@@ -40,8 +40,9 @@ class Processor {
   }
 
   // Runs `reference_ns` of host-speed CPU work on this processor.
-  Task<void> Compute(Nanos reference_ns) {
-    co_await threads_.Use(ScaledTime(reference_ns));
+  //   co_await cpu->Compute(ns);
+  MultiServerResource::UseAwaiter Compute(Nanos reference_ns) {
+    return threads_.Use(ScaledTime(reference_ns));
   }
 
   // The wall time `reference_ns` of work takes on one of these cores.

@@ -39,25 +39,28 @@ class MultiServerResource {
   MultiServerResource(const MultiServerResource&) = delete;
   MultiServerResource& operator=(const MultiServerResource&) = delete;
 
+  // Reserves the earliest-available server for `duration` from max(now,
+  // its previous reservation end) and returns the end of that service.
+  SimTime Reserve(Nanos duration) {
+    std::pop_heap(busy_until_.begin(), busy_until_.end(), std::greater<>());
+    SimTime start = std::max(sim_->now(), busy_until_.back());
+    SimTime end = start + duration;
+    busy_until_.back() = end;
+    std::push_heap(busy_until_.begin(), busy_until_.end(), std::greater<>());
+    busy_time_ += duration;
+    ++uses_;
+    if (use_ != nullptr) {
+      use_->RecordUse(sim_->now(), start, end);
+    }
+    return end;
+  }
+
   struct UseAwaiter {
     MultiServerResource* resource;
     Nanos duration;
     bool await_ready() const noexcept { return false; }
-    template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> handle) {
-      Simulator* sim = resource->sim_;
-      std::vector<SimTime>& ends = resource->busy_until_;
-      std::pop_heap(ends.begin(), ends.end(), std::greater<>());
-      SimTime start = std::max(sim->now(), ends.back());
-      SimTime end = start + duration;
-      ends.back() = end;
-      std::push_heap(ends.begin(), ends.end(), std::greater<>());
-      resource->busy_time_ += duration;
-      ++resource->uses_;
-      if (resource->use_ != nullptr) {
-        resource->use_->RecordUse(sim->now(), start, end);
-      }
-      sim->ResumeAt(end, handle);
+    void await_suspend(std::coroutine_handle<> handle) {
+      resource->sim_->ResumeAt(resource->Reserve(duration), handle);
     }
     void await_resume() const noexcept {}
   };

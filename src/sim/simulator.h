@@ -6,7 +6,11 @@
 // coroutine and the time to resume it. Simulated time only advances between
 // events, so every run is deterministic.
 //
-// Events at equal timestamps execute in FIFO scheduling order.
+// Events at equal timestamps execute in FIFO scheduling order. A resumption
+// posted for the current time skips the heap: it goes to a FIFO ready lane
+// that runs after the heap events already due at now. Those were scheduled
+// before the clock reached now, so their sequence numbers are lower than any
+// lane post's, and the lane preserves the (time, seq) order exactly.
 #ifndef SOLROS_SRC_SIM_SIMULATOR_H_
 #define SOLROS_SRC_SIM_SIMULATOR_H_
 
@@ -50,16 +54,20 @@ class Simulator {
 
   // Schedules resumption of a suspended coroutine at absolute time `when`
   // (clamped to now; at now it runs after the current event and every event
-  // already due). The only way to schedule an event.
+  // already due, from the ready lane). The only way to schedule an event.
   void ResumeAt(SimTime when, std::coroutine_handle<> handle) {
-    queue_.push(Event{std::max(when, now_), seq_++, handle});
+    if (when <= now_) {
+      ready_.push_back(handle);
+    } else {
+      queue_.push(Event{when, seq_++, handle});
+    }
   }
 
   // Runs until the event queue drains or `max_events` have been processed.
   // Returns the number of events processed.
   uint64_t RunUntilIdle(uint64_t max_events = ~0ull) {
     uint64_t processed = 0;
-    while (!queue_.empty() && processed < max_events) {
+    while (!idle() && processed < max_events) {
       StepOne();
       ++processed;
     }
@@ -70,7 +78,7 @@ class Simulator {
   // `deadline` (even if idle). Returns the number of events processed.
   uint64_t RunUntil(SimTime deadline) {
     uint64_t processed = 0;
-    while (!queue_.empty() && queue_.top().when <= deadline) {
+    while (!idle() && NextEventTime() <= deadline) {
       StepOne();
       ++processed;
     }
@@ -80,7 +88,9 @@ class Simulator {
     return processed;
   }
 
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const {
+    return queue_.size() + (ready_.size() - ready_head_);
+  }
 
  private:
   struct Event {
@@ -97,13 +107,33 @@ class Simulator {
     }
   };
 
+  bool idle() const { return queue_.empty() && ready_head_ == ready_.size(); }
+
+  // Time of the next event; the simulator must not be idle.
+  SimTime NextEventTime() const {
+    return ready_head_ < ready_.size() ? now_ : queue_.top().when;
+  }
+
+  // Runs the next event: a heap event due now, else the lane's head, else
+  // the earliest heap event (advancing the clock to it).
   void StepOne() {
-    // Copy the event out before resuming: the coroutine may push new events
-    // and invalidate the queue top.
-    const Event event = queue_.top();
-    queue_.pop();
-    now_ = event.when;
-    event.handle.resume();
+    std::coroutine_handle<> handle;
+    if (ready_head_ < ready_.size() &&
+        (queue_.empty() || queue_.top().when != now_)) {
+      handle = ready_[ready_head_++];
+      if (ready_head_ == ready_.size()) {
+        ready_.clear();
+        ready_head_ = 0;
+      }
+    } else {
+      // Copy the event out before resuming: the coroutine may push new
+      // events and invalidate the queue top.
+      const Event event = queue_.top();
+      queue_.pop();
+      now_ = event.when;
+      handle = event.handle;
+    }
+    handle.resume();
   }
 
   SimTime now_ = 0;
@@ -111,6 +141,10 @@ class Simulator {
   TelemetryHub* telemetry_ = nullptr;
   uint64_t seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  // Zero-delay resumptions posted at now, in FIFO order from ready_head_.
+  // The lane drains before the clock advances, so every entry is due now.
+  std::vector<std::coroutine_handle<>> ready_;
+  size_t ready_head_ = 0;
 };
 
 }  // namespace solros

@@ -17,10 +17,16 @@
 //  * A spawned (detached) Task destroys its own frame on completion.
 //  * The Simulator pointer propagates parent -> child at co_await time, so
 //    only root tasks need explicit binding (done by Spawn/RunSim).
+//  * Frames come from a thread-local pool (sim_internal::FramePool), not
+//    straight from malloc.
 #ifndef SOLROS_SRC_SIM_TASK_H_
 #define SOLROS_SRC_SIM_TASK_H_
 
+#include <sanitizer/asan_interface.h>
+
 #include <coroutine>
+#include <cstddef>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -29,8 +35,99 @@
 
 namespace solros {
 
+namespace sim_internal {
+
+// Free lists of coroutine frame blocks, one per 64-byte size class, owned by
+// one thread. A simulated operation creates and destroys a few dozen Task
+// frames of a handful of sizes; recycling their blocks keeps malloc off the
+// event loop. Frames above kClasses * kClassBytes bytes go straight to
+// ::operator new. A cached block is poisoned under ASan (the macros are
+// no-ops otherwise), so touching a destroyed frame is still reported. The
+// lists are freed when their thread exits.
+class FramePool {
+ public:
+  static constexpr size_t kClassBytes = 64;
+  static constexpr size_t kClasses = 32;
+
+  void* Allocate(size_t bytes) {
+    const size_t cls = (bytes - 1) / kClassBytes;
+    if (cls >= kClasses) {
+      return ::operator new(bytes);
+    }
+    FreeBlock* block = free_[cls];
+    if (block == nullptr) {
+      return ::operator new((cls + 1) * kClassBytes);
+    }
+    ASAN_UNPOISON_MEMORY_REGION(block, (cls + 1) * kClassBytes);
+    free_[cls] = block->next;
+    return block;
+  }
+
+  void Free(void* frame, size_t bytes) noexcept {
+    const size_t cls = (bytes - 1) / kClassBytes;
+    if (cls >= kClasses || released_) {
+      ::operator delete(frame);
+      return;
+    }
+    if (!reaper_armed_) {
+      ArmReaper();
+    }
+    free_[cls] = new (frame) FreeBlock{free_[cls]};
+    ASAN_POISON_MEMORY_REGION(frame, (cls + 1) * kClassBytes);
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  // Registers Release() to run when this thread exits.
+  void ArmReaper() noexcept;
+
+  // Returns every cached block to ::operator delete; blocks freed later
+  // (by thread_local or static destructors that run after) bypass the pool.
+  void Release() noexcept {
+    for (FreeBlock*& head : free_) {
+      while (head != nullptr) {
+        ASAN_UNPOISON_MEMORY_REGION(head, sizeof(FreeBlock));
+        FreeBlock* next = head->next;
+        ::operator delete(head);
+        head = next;
+      }
+    }
+    released_ = true;
+  }
+
+  FreeBlock* free_[kClasses] = {};
+  bool reaper_armed_ = false;
+  bool released_ = false;
+};
+
+// Trivially destructible and constant-initialized, so an access is a plain
+// TLS load with no init guard.
+inline thread_local constinit FramePool frame_pool;
+
+inline void FramePool::ArmReaper() noexcept {
+  struct Reaper {
+    ~Reaper() { frame_pool.Release(); }
+  };
+  static thread_local Reaper reaper;
+  (void)reaper;
+  reaper_armed_ = true;
+}
+
+}  // namespace sim_internal
+
 class TaskPromiseBase {
  public:
+  // Coroutine frames of every Task come from the calling thread's pool.
+  static void* operator new(std::size_t bytes) {
+    return sim_internal::frame_pool.Allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    sim_internal::frame_pool.Free(frame, bytes);
+  }
+
   Simulator* sim() const { return sim_; }
   void set_sim(Simulator* sim) { sim_ = sim; }
   void set_continuation(std::coroutine_handle<> continuation) {
@@ -169,6 +266,26 @@ struct Delay {
     Simulator* sim = handle.promise().sim();
     DCHECK(sim != nullptr);
     sim->ResumeAt(sim->now() + delay, handle);
+  }
+  void await_resume() const noexcept {}
+};
+
+// Suspends the current task until absolute time `when` (clamped to now).
+// `WakeAt::Ready()` does not suspend and posts no event: a leaf that
+// reserves its time synchronously returns it when it has no work.
+//   co_await WakeAt{end};
+struct WakeAt {
+  SimTime when = 0;
+  bool ready = false;
+
+  static WakeAt Ready() { return WakeAt{0, true}; }
+
+  bool await_ready() const noexcept { return ready; }
+  template <typename Promise>
+  void await_suspend(std::coroutine_handle<Promise> handle) {
+    Simulator* sim = handle.promise().sim();
+    DCHECK(sim != nullptr);
+    sim->ResumeAt(when, handle);
   }
   void await_resume() const noexcept {}
 };

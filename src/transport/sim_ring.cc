@@ -94,15 +94,19 @@ Task<void> SimRing::ChargeCopy(RingSide side, uint64_t bytes) {
   }
 }
 
-Task<void> SimRing::ChargeControl(uint64_t transactions) {
+WakeAt SimRing::ChargeControl(uint64_t transactions) {
   if (transactions == 0) {
-    co_return;
+    return WakeAt::Ready();
   }
   static Counter* const txns =
       MetricRegistry::Default().GetCounter("transport.ring.control_txns");
   txns->Increment(transactions);
-  TRACE_SPAN(sim_, "ring", "ring.sync");
-  co_await control_line_.Use(transactions * params_.pcie_transaction_latency);
+  SimTime end =
+      control_line_.Reserve(transactions * params_.pcie_transaction_latency);
+  if (Tracer* tracer = sim_->tracer(); tracer != nullptr) {
+    tracer->RecordSpan("ring", "ring.sync", sim_->now(), end);
+  }
+  return WakeAt{end};
 }
 
 Task<Status> SimRing::TrySend(std::span<const uint8_t> payload) {

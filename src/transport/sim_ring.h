@@ -103,8 +103,9 @@ class SimRing {
  private:
   // Remote head/tail accesses serialize on the variable's home cache line
   // and the PCIe link — modeled as a per-ring FIFO resource. This is what
-  // makes the eager scheme collapse under concurrency (Fig. 9).
-  Task<void> ChargeControl(uint64_t transactions);
+  // makes the eager scheme collapse under concurrency (Fig. 9). Reserves
+  // the line at call time; ready at once when there are no transactions.
+  WakeAt ChargeControl(uint64_t transactions);
   Task<void> ChargeCopy(RingSide side, uint64_t bytes);
   bool PortRemote(RingSide side) const;
   bool PortIsHost(RingSide side) const;

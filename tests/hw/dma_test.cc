@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/hw/fabric.h"
@@ -182,6 +184,10 @@ TEST(WindowCopierTest, CopiesRealBytes) {
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), 128), 0);
 }
 
+Task<void> AwaitCompute(Processor* cpu, Nanos work) {
+  co_await cpu->Compute(work);
+}
+
 TEST(ProcessorTest, SpeedFactorScalesWork) {
   Simulator sim;
   HwParams params;
@@ -192,7 +198,7 @@ TEST(ProcessorTest, SpeedFactorScalesWork) {
   Processor phi_cpu(&sim, phi, 244, params.phi_core_speed, "phi-cpu");
   EXPECT_EQ(host_cpu.ScaledTime(Microseconds(1)), Microseconds(1));
   EXPECT_EQ(phi_cpu.ScaledTime(Microseconds(1)), Microseconds(8));
-  RunSim(sim, phi_cpu.Compute(Microseconds(10)));
+  RunSim(sim, AwaitCompute(&phi_cpu, Microseconds(10)));
   EXPECT_EQ(sim.now(), Microseconds(80));
 }
 
@@ -214,6 +220,36 @@ TEST(ProcessorTest, OversubscriptionQueues) {
   sim.RunUntilIdle();
   // 4 jobs, 2 threads -> 20us.
   EXPECT_EQ(sim.now(), Microseconds(20));
+}
+
+Task<void> ComputeAt(Simulator* sim, Processor* cpu, SimTime start,
+                     Nanos work, int id,
+                     std::vector<std::pair<int, SimTime>>* done) {
+  co_await WakeAt{start};
+  co_await cpu->Compute(work);
+  done->emplace_back(id, sim->now());
+}
+
+TEST(ProcessorTest, BusyServersKeepExactCompletionTimes) {
+  Simulator sim;
+  HwParams params;
+  PcieFabric fabric(&sim, params);
+  Processor cpu(&sim, fabric.HostDevice(0), 2, 1.0, "pair");
+  std::vector<std::pair<int, SimTime>> done;
+  // Both threads are busy when job 2 arrives: it takes the thread that
+  // frees first (4us); job 3, at 5us, takes that same thread after job 2.
+  Spawn(sim, ComputeAt(&sim, &cpu, 0, Microseconds(10), 0, &done));
+  Spawn(sim, ComputeAt(&sim, &cpu, 0, Microseconds(4), 1, &done));
+  Spawn(sim, ComputeAt(&sim, &cpu, 0, Microseconds(3), 2, &done));
+  Spawn(sim, ComputeAt(&sim, &cpu, Microseconds(5), Microseconds(2), 3,
+                       &done));
+  sim.RunUntilIdle();
+  EXPECT_EQ(done, (std::vector<std::pair<int, SimTime>>{
+                      {1, Microseconds(4)},
+                      {2, Microseconds(7)},
+                      {3, Microseconds(9)},
+                      {0, Microseconds(10)}}));
+  EXPECT_EQ(cpu.total_busy_time(), Microseconds(19));
 }
 
 }  // namespace

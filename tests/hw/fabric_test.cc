@@ -63,11 +63,15 @@ TEST(FabricTest, CrossNumaP2pIsCapped) {
       rig.params.nvme_read_bw);
 }
 
+Task<void> AwaitTransfer(PcieFabric* fabric, DeviceId src, DeviceId dst,
+                         uint64_t bytes, bool peer_to_peer) {
+  co_await fabric->Transfer(src, dst, bytes, 0.0, peer_to_peer);
+}
+
 TEST(FabricTest, TransferTakesBottleneckTime) {
   Rig rig;
-  RunSim(rig.sim, rig.fabric.Transfer(rig.phi0, rig.host0, MiB(64),
-                                      /*initiator_rate=*/0.0,
-                                      /*peer_to_peer=*/false));
+  RunSim(rig.sim, AwaitTransfer(&rig.fabric, rig.phi0, rig.host0, MiB(64),
+                                /*peer_to_peer=*/false));
   // 64 MiB at 6.5 GB/s + propagation.
   Nanos expected =
       TransferTime(MiB(64), rig.params.pcie_phi_up_bw) +
@@ -112,10 +116,28 @@ TEST(FabricTest, DisjointPathsRunInParallel) {
 
 TEST(FabricTest, ZeroByteAndSelfTransfersAreFree) {
   Rig rig;
-  RunSim(rig.sim, rig.fabric.Transfer(rig.phi0, rig.host0, 0, 0.0, false));
+  RunSim(rig.sim, AwaitTransfer(&rig.fabric, rig.phi0, rig.host0, 0, false));
   EXPECT_EQ(rig.sim.now(), 0u);
-  RunSim(rig.sim, rig.fabric.Transfer(rig.phi0, rig.phi0, MiB(1), 0.0, true));
+  RunSim(rig.sim, AwaitTransfer(&rig.fabric, rig.phi0, rig.phi0, MiB(1), true));
   EXPECT_EQ(rig.sim.now(), 0u);
+}
+
+Task<void> FreeTransfers(PcieFabric* fabric, Simulator* sim, DeviceId a,
+                         DeviceId b) {
+  co_await fabric->Transfer(a, b, 0, 0.0, false);
+  co_await fabric->Transfer(a, a, MiB(1), 0.0, true);
+  EXPECT_EQ(sim->pending_events(), 0u);
+  EXPECT_EQ(sim->now(), Microseconds(3));
+}
+
+TEST(FabricTest, FreeTransfersPostNoEvent) {
+  Rig rig;
+  rig.sim.RunUntil(Microseconds(3));
+  Spawn(rig.sim, FreeTransfers(&rig.fabric, &rig.sim, rig.phi0, rig.host0));
+  // The spawn is the only event: neither transfer suspended.
+  EXPECT_EQ(rig.sim.RunUntilIdle(), 1u);
+  EXPECT_EQ(rig.sim.now(), Microseconds(3));
+  EXPECT_EQ(rig.fabric.transfer_count(), 0u);
 }
 
 }  // namespace

@@ -22,17 +22,6 @@ std::coroutine_handle<> StartAt(Simulator& sim, SimTime when,
   return handle;
 }
 
-// Suspends the current task until absolute time `when`.
-struct ResumeAtTime {
-  SimTime when;
-  bool await_ready() const noexcept { return false; }
-  template <typename Promise>
-  void await_suspend(std::coroutine_handle<Promise> handle) {
-    handle.promise().sim()->ResumeAt(when, handle);
-  }
-  void await_resume() const noexcept {}
-};
-
 Task<void> Push(std::vector<int>* order, int value) {
   order->push_back(value);
   co_return;
@@ -88,7 +77,7 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 }
 
 Task<void> ResumeInPast(Simulator* sim, SimTime* seen) {
-  co_await ResumeAtTime{5};  // 5 < now (100)
+  co_await WakeAt{5};  // 5 < now (100)
   *seen = sim->now();
 }
 
@@ -148,6 +137,99 @@ TEST(SimulatorTest, ZeroDelayPostRunsAfterCurrentEvent) {
   StartAt(sim, 10, SpawnAtNow(&sim, &order));
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+Task<void> PushAt(SimTime when, std::vector<int>* order, int value) {
+  co_await WakeAt{when};
+  order->push_back(value);
+}
+
+// Pushes `value`, then posts Push(`then`) at now when `then` is set.
+Task<void> PushThenPost(Simulator* sim, std::vector<int>* order, int value,
+                        int then = -1) {
+  order->push_back(value);
+  if (then >= 0) {
+    Spawn(*sim, Push(order, then));
+  }
+  co_return;
+}
+
+TEST(SimulatorTest, LanePostRunsAfterHeapEventsDueNow) {
+  Simulator sim;
+  std::vector<int> order;
+  // The poster is scheduled first; a second event due at the same time is
+  // scheduled after it, and a third is scheduled at 5 for 10. The zero-delay
+  // post the poster makes at 10 still runs after both.
+  StartAt(sim, 10, PushThenPost(&sim, &order, 1, /*then=*/4));
+  StartAt(sim, 10, Push(&order, 2));
+  StartAt(sim, 5, PushAt(10, &order, 3));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 10u);
+}
+
+Task<void> PostTwo(Simulator* sim, std::vector<int>* order) {
+  Spawn(*sim, PushThenPost(sim, order, 1, /*then=*/3));
+  Spawn(*sim, PushThenPost(sim, order, 2, /*then=*/4));
+  co_return;
+}
+
+TEST(SimulatorTest, LanePostsFromLaneEventsRunFifo) {
+  Simulator sim;
+  std::vector<int> order;
+  StartAt(sim, 10, PostTwo(&sim, &order));
+  StartAt(sim, 11, Push(&order, 5));
+  EXPECT_EQ(sim.RunUntilIdle(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+Task<void> PostThree(Simulator* sim, int* fired) {
+  for (int i = 0; i < 3; ++i) {
+    Spawn(*sim, Count(fired));
+  }
+  co_return;
+}
+
+TEST(SimulatorTest, PendingEventsCountsTheLane) {
+  Simulator sim;
+  int fired = 0;
+  StartAt(sim, 10, PostThree(&sim, &fired));
+  StartAt(sim, 20, Count(&fired));
+  EXPECT_EQ(sim.RunUntilIdle(1), 1u);
+  // Three lane posts plus the heap event at 20.
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(SimulatorTest, RunUntilCountsAndBoundsLaneEvents) {
+  Simulator sim;
+  int fired = 0;
+  StartAt(sim, 10, PostThree(&sim, &fired));
+  StartAt(sim, 20, Count(&fired));
+  EXPECT_EQ(sim.RunUntilIdle(2), 2u);  // the poster and one lane post
+  EXPECT_EQ(sim.pending_events(), 3u);
+  // The rest of the lane is due at 10; the heap event at 20 is not.
+  EXPECT_EQ(sim.RunUntil(15), 2u);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.now(), 15u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.RunUntil(20), 1u);
+  EXPECT_EQ(fired, 4);
+}
+
+Task<void> YieldForever() {
+  for (;;) {
+    co_await WakeAt{0};  // in the past: a zero-delay post
+  }
+}
+
+TEST(SimulatorTest, MaxEventsBoundsLaneEvents) {
+  Simulator sim;
+  std::coroutine_handle<> loop = StartAt(sim, 7, YieldForever());
+  EXPECT_EQ(sim.RunUntilIdle(1000), 1000u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.now(), 7u);
+  loop.destroy();  // never finishes; the simulator does not run again
 }
 
 }  // namespace

@@ -131,5 +131,41 @@ TEST(TaskTest, TasksCanSpawnTasks) {
   EXPECT_EQ(counter, 5);
 }
 
+TEST(FramePoolTest, FreedBlockServesOnlyItsOwnSizeClass) {
+  sim_internal::FramePool& pool = sim_internal::frame_pool;
+  void* block = pool.Allocate(100);  // the 65..128-byte class
+  pool.Free(block, 100);
+  void* same = pool.Allocate(70);
+  EXPECT_EQ(same, block);
+  pool.Free(same, 70);
+  void* smaller = pool.Allocate(64);
+  void* larger = pool.Allocate(129);
+  EXPECT_NE(smaller, block);
+  EXPECT_NE(larger, block);
+  void* again = pool.Allocate(128);
+  EXPECT_EQ(again, block);
+  pool.Free(again, 128);
+  pool.Free(larger, 129);
+  pool.Free(smaller, 64);
+}
+
+Task<int> PaddedFrame() {
+  int pad[160] = {};  // lives across the suspension, so it is in the frame
+  co_await Delay(1);
+  co_return pad[0];
+}
+
+TEST(FramePoolTest, TaskFramesRecycleWithinTheirClass) {
+  auto first = Noop().Release();
+  void* small_block = first.address();
+  first.destroy();
+  auto padded = PaddedFrame().Release();
+  EXPECT_NE(padded.address(), small_block);
+  auto second = Noop().Release();
+  EXPECT_EQ(second.address(), small_block);
+  second.destroy();
+  padded.destroy();
+}
+
 }  // namespace
 }  // namespace solros

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,30 @@ TEST(SimRingTest, TryVariantsDoNotBlock) {
   auto got = RunSim(rig.sim, ring.TryReceive());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->size(), 16u);
+}
+
+Task<void> TrySendInto(SimRing* ring, std::span<const uint8_t> payload,
+                        Status* status) {
+  *status = co_await ring->TrySend(payload);
+}
+
+TEST(SimRingTest, LocalPortsChargeNoControlLine) {
+  Rig rig;
+  SimRingConfig config = rig.UpConfig();
+  config.master_device = rig.host;
+  config.producer_device = rig.host;
+  config.producer_cpu = &rig.host_cpu;
+  SimRing ring(&rig.sim, &rig.fabric, rig.params, config);
+  std::vector<uint8_t> payload(64, 1);
+  Status status = InternalError("not run");
+  Spawn(rig.sim, TrySendInto(&ring, payload, &status));
+  // The spawn, the enqueue's CPU charge and the local copy: a send with no
+  // remote transaction waits on no control line and posts no event for it.
+  EXPECT_EQ(rig.sim.RunUntilIdle(), 3u);
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(ring.ring().producer_stats().remote_transactions(), 0u);
+  EXPECT_EQ(rig.sim.now(),
+            rig.params.rb_op_cpu + TransferTime(64, rig.params.host_mem_bw));
 }
 
 TEST(SimRingTest, CloseWakesReceiver) {
