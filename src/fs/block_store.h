@@ -42,8 +42,8 @@ class BlockStore {
   virtual uint32_t block_size() const = 0;
   virtual uint64_t block_count() const = 0;
 
-  // Byte destinations/sources are plain host memory (the file system's
-  // metadata staging); implementations stage through their own buffers.
+  // Byte destinations/sources are plain host memory, which a device-backed
+  // store DMAs straight to or from (see NvmeBlockStore's DMA contract).
   virtual Task<Status> Read(uint64_t lba, uint32_t nblocks,
                             std::span<uint8_t> out) = 0;
   virtual Task<Status> Write(uint64_t lba, uint32_t nblocks,

@@ -220,7 +220,8 @@ BufferCache::WritebackPlan BufferCache::PlanWriteback(
     std::vector<uint64_t> lbas) {
   WritebackPlan plan;
   plan.lbas = std::move(lbas);
-  plan.scratch.resize(plan.lbas.size() * block_size_);
+  plan.scratch = std::make_unique_for_overwrite<uint8_t[]>(plan.lbas.size() *
+                                                          block_size_);
   // Snapshot contents and clear dirty bits before any suspension: a page
   // re-dirtied mid-flight stays dirty (its new bytes get a later
   // write-back) and a concurrently evicted/reused slot cannot corrupt the
@@ -228,7 +229,7 @@ BufferCache::WritebackPlan BufferCache::PlanWriteback(
   for (size_t i = 0; i < plan.lbas.size(); ++i) {
     auto it = map_.find(plan.lbas[i]);
     CHECK(it != map_.end());
-    std::memcpy(plan.scratch.data() + i * block_size_,
+    std::memcpy(plan.scratch.get() + i * block_size_,
                 SlotRef(it->second.slot).span().data(), block_size_);
     SetDirty(it->second, false);
   }
@@ -240,7 +241,7 @@ BufferCache::WritebackPlan BufferCache::PlanWriteback(
     }
     plan.runs.push_back(ConstBlockRun{
         plan.lbas[i], static_cast<uint32_t>(j - i),
-        std::span<const uint8_t>(plan.scratch.data() + i * block_size_,
+        std::span<const uint8_t>(plan.scratch.get() + i * block_size_,
                                  (j - i) * block_size_)});
     i = j;
   }

@@ -165,7 +165,9 @@ class BufferCache {
   // flight.
   struct WritebackPlan {
     std::vector<uint64_t> lbas;           // sorted, one per page
-    std::vector<uint8_t> scratch;         // snapshot, lbas.size() blocks
+    // Snapshot, lbas.size() blocks; every byte is copied in, so it is
+    // allocated uninitialised.
+    std::unique_ptr<uint8_t[]> scratch;
     std::vector<ConstBlockRun> runs;      // contiguous groups over scratch
   };
 

@@ -833,13 +833,12 @@ Task<FsResponse> FsProxy::HandleReaddir(const FsRequest& request,
     ++produced;
   }
   if (!staged.empty()) {
-    DeviceBuffer bounce(host_cpu_->device(), staged.size());
-    std::memcpy(bounce.data(), staged.data(), staged.size());
     if (request.memory.device() == host_cpu_->device()) {
-      std::memcpy(request.memory.span().data(), bounce.data(), staged.size());
+      std::memcpy(request.memory.span().data(), staged.data(), staged.size());
     } else {
       Status status = co_await DmaCopyWithRetry(
-          request.memory.Sub(0, staged.size()), MemRef::Of(bounce), ctx);
+          request.memory.Sub(0, staged.size()),
+          MemRef::On(host_cpu_->device(), staged), ctx);
       if (!status.ok()) {
         co_return ErrorResponse(status);
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "src/base/fault.h"
 #include "src/base/logging.h"
@@ -294,7 +295,6 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
   };
   std::vector<Placement> place;
   place.reserve(reads.size());
-  uint64_t scratch_blocks = 0;
   for (const IoRequest* r : reads) {
     const uint64_t lo = r->lba;
     const uint64_t hi = lo + r->nblocks;
@@ -309,24 +309,29 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
           ++local_dedup_hits_;
         } else {
           m.nblocks += static_cast<uint32_t>(hi - mend);
-          scratch_blocks += hi - mend;
           merges_->Increment();
           ++local_merges_;
         }
+        m.shared = true;
         place.push_back({batch.runs.size() - 1, lo - m.lba});
         continue;
       }
     }
+    // A run serving one request is DMA'd straight into its memory.
     place.push_back({batch.runs.size(), 0});
-    batch.runs.push_back(MergedRun{lo, r->nblocks, scratch_blocks});
-    scratch_blocks += r->nblocks;
+    batch.runs.push_back(MergedRun{lo, r->nblocks, false, r->out, nullptr});
   }
-  // The merged runs fill the scratch back to back, so each is one extent.
-  batch.scratch.emplace(store_->host_device(), scratch_blocks * block_size_);
-  std::vector<FsExtent> extents;
-  extents.reserve(batch.runs.size());
-  for (const MergedRun& m : batch.runs) {
-    extents.push_back(FsExtent{m.lba, m.nblocks});
+  // A shared run lands in its own scratch, which the device overwrites
+  // whole, so it starts uninitialised.
+  std::vector<BlockRun> device_runs;
+  device_runs.reserve(batch.runs.size());
+  for (MergedRun& m : batch.runs) {
+    if (m.shared) {
+      const uint64_t bytes = uint64_t{m.nblocks} * block_size_;
+      m.scratch = std::make_unique_for_overwrite<uint8_t[]>(bytes);
+      m.target = {m.scratch.get(), bytes};
+    }
+    device_runs.push_back(BlockRun{m.lba, m.nblocks, m.target});
   }
   TraceContext batch_ctx;
   for (const IoRequest* r : reads) {
@@ -338,21 +343,12 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
   // Expose the merged coverage while the device works so late-arriving
   // covered reads can attach. Retries happen below, in the block store.
   inflight_reads_.push_back(&batch);
-  Status status = co_await store_->ReadExtents(
-      extents, MemRef::Of(*batch.scratch), options_.coalesce_nvme, batch_ctx);
+  Status status =
+      co_await store_->ReadV(device_runs, options_.coalesce_nvme, batch_ctx);
   inflight_reads_.erase(
       std::find(inflight_reads_.begin(), inflight_reads_.end(), &batch));
-  for (size_t i = 0; i < reads.size(); ++i) {
-    IoRequest* r = reads[i];
-    if (status.ok()) {
-      const MergedRun& m = batch.runs[place[i].run];
-      std::memcpy(r->out.data(),
-                  batch.scratch->data() +
-                      (m.scratch_block + place[i].block_off) * block_size_,
-                  uint64_t{r->nblocks} * block_size_);
-    }
-    FinishRequest(r, status);
-  }
+  // Waiters first: a run's target may be a placed request's memory, which
+  // its caller owns again once that request finishes.
   const SimTime now = sim_->now();
   for (IoRequest* w : batch.waiters) {
     if (status.ok()) {
@@ -366,13 +362,22 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
       }
       CHECK(m != nullptr);
       std::memcpy(w->out.data(),
-                  batch.scratch->data() +
-                      (m->scratch_block + (w->lba - m->lba)) * block_size_,
+                  m->target.data() + (w->lba - m->lba) * block_size_,
                   uint64_t{w->nblocks} * block_size_);
     }
     RecordQueueSpan(*w, now);
     queue_ns_->Record(now - w->enqueued);
     FinishRequest(w, status);
+  }
+  for (size_t i = 0; i < reads.size(); ++i) {
+    IoRequest* r = reads[i];
+    const MergedRun& m = batch.runs[place[i].run];
+    if (status.ok() && m.shared) {
+      std::memcpy(r->out.data(),
+                  m.target.data() + place[i].block_off * block_size_,
+                  uint64_t{r->nblocks} * block_size_);
+    }
+    FinishRequest(r, status);
   }
   --inflight_batches_;
   done_cond_.NotifyAll();
@@ -386,35 +391,42 @@ Task<void> IoScheduler::SubmitWrites(std::vector<IoRequest*> writes) {
     uint64_t seq;
   };
   std::vector<Piece> pieces;
-  uint64_t total_blocks = 0;
   for (const IoRequest* r : writes) {
     for (const ConstBlockRun& run : r->wruns) {
       pieces.push_back({run.lba, run.nblocks, run.data, r->seq});
-      total_blocks += run.nblocks;
     }
   }
   std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
     return a.lba != b.lba ? a.lba < b.lba : a.seq < b.seq;
   });
-  // Copy into one contiguous host scratch, which the device DMAs from, so
-  // adjacent runs become one command. Overlapping writes never merge: the
-  // device gives no ordering within a submission, and the cache's
-  // in-flight range tracking means callers never overlap anyway.
-  DeviceBuffer scratch(store_->host_device(), total_blocks * block_size_);
-  std::vector<FsExtent> extents;
-  uint64_t cursor = 0;  // blocks copied into scratch
-  for (const Piece& p : pieces) {
-    std::memcpy(scratch.data() + cursor * block_size_, p.data.data(),
-                uint64_t{p.nblocks} * block_size_);
-    if (!extents.empty() &&
-        extents.back().start + extents.back().len == p.lba) {
-      extents.back().len += p.nblocks;
+  // Adjacent pieces merge into one command. Overlapping writes never merge:
+  // the device gives no ordering within a submission, and the cache's
+  // in-flight range tracking means callers never overlap anyway. A
+  // one-piece extent DMAs from its caller's span; a multi-piece extent is
+  // gathered into a scratch of its own, which it overwrites whole.
+  std::vector<ConstBlockRun> runs;
+  std::vector<std::unique_ptr<uint8_t[]>> scratch;
+  for (size_t i = 0, j; i < pieces.size(); i = j) {
+    uint32_t nblocks = pieces[i].nblocks;
+    for (j = i + 1;
+         j < pieces.size() && pieces[i].lba + nblocks == pieces[j].lba; ++j) {
+      nblocks += pieces[j].nblocks;
       merges_->Increment();
       ++local_merges_;
-    } else {
-      extents.push_back(FsExtent{p.lba, p.nblocks});
     }
-    cursor += p.nblocks;
+    std::span<const uint8_t> data = pieces[i].data;
+    if (j - i > 1) {
+      const uint64_t bytes = uint64_t{nblocks} * block_size_;
+      uint8_t* cursor =
+          scratch.emplace_back(std::make_unique_for_overwrite<uint8_t[]>(bytes))
+              .get();
+      data = {cursor, bytes};
+      for (size_t k = i; k < j; ++k) {
+        std::memcpy(cursor, pieces[k].data.data(), pieces[k].data.size());
+        cursor += pieces[k].data.size();
+      }
+    }
+    runs.push_back(ConstBlockRun{pieces[i].lba, nblocks, data});
   }
   TraceContext batch_ctx;
   for (const IoRequest* r : writes) {
@@ -423,8 +435,8 @@ Task<void> IoScheduler::SubmitWrites(std::vector<IoRequest*> writes) {
       break;
     }
   }
-  Status status = co_await store_->WriteExtents(
-      extents, MemRef::Of(scratch), options_.coalesce_nvme, batch_ctx);
+  Status status =
+      co_await store_->WriteV(runs, options_.coalesce_nvme, batch_ctx);
   for (IoRequest* r : writes) {
     FinishRequest(r, status);
   }

@@ -44,7 +44,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,7 +86,8 @@ class IoScheduler {
 
   // All entry points suspend the caller until the device round that
   // carries the request completes, and return its Status. Spans/`out`
-  // stay alive across the await because the caller owns them.
+  // stay alive across the await because the caller owns them; the device
+  // may DMA straight to or from them, under NvmeBlockStore's DMA contract.
   Task<Status> Read(uint64_t lba, uint32_t nblocks, std::span<uint8_t> out,
                     IoClass cls = IoClass::kDemand, TraceContext ctx = {});
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
@@ -139,14 +140,17 @@ class IoScheduler {
   struct MergedRun {
     uint64_t lba = 0;
     uint32_t nblocks = 0;
-    uint64_t scratch_block = 0;  // offset into the batch scratch, blocks
+    // Serves several requests (a merge or a dedup), so the device DMAs
+    // into `scratch`; a run serving one request targets its `out`.
+    bool shared = false;
+    std::span<uint8_t> target;
+    std::unique_ptr<uint8_t[]> scratch;
   };
   // An in-flight read submission; late-arriving covered reads attach to
-  // `waiters` and are satisfied from `scratch`, the host buffer the device
-  // DMAs into, when the device completes.
+  // `waiters` and are served from their run's target when the device
+  // completes, before any placed request finishes.
   struct InflightReads {
     std::vector<MergedRun> runs;
-    std::optional<DeviceBuffer> scratch;
     std::vector<IoRequest*> waiters;
   };
 

@@ -1,7 +1,5 @@
 #include "src/fs/nvme_block_store.h"
 
-#include <cstring>
-
 #include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
@@ -20,33 +18,18 @@ uint64_t NvmeBlockStore::block_count() const { return nvme_->block_count(); }
 
 Task<Status> NvmeBlockStore::Read(uint64_t lba, uint32_t nblocks,
                                   std::span<uint8_t> out) {
-  uint64_t bytes = uint64_t{nblocks} * block_size();
-  if (out.size() < bytes) {
-    co_return InvalidArgumentError("read span too short");
-  }
-  // Stage through host memory (the host FS page path).
-  DeviceBuffer staging(cpu_->device(), bytes);
-  NvmeCommand command{NvmeCommand::Op::kRead, lba, nblocks,
-                      MemRef::Of(staging)};
-  std::vector<NvmeCommand> commands(1, command);
-  SOLROS_CO_RETURN_IF_ERROR(co_await SubmitWithRetry(std::move(commands),
-                                                     /*coalesce=*/false));
-  std::memcpy(out.data(), staging.data(), bytes);
-  co_return OkStatus();
+  const BlockRun run{lba, nblocks, out};
+  co_return co_await SubmitRuns(NvmeCommand::Op::kRead,
+                                std::span<const BlockRun>(&run, 1),
+                                /*coalesce=*/false, {});
 }
 
 Task<Status> NvmeBlockStore::Write(uint64_t lba, uint32_t nblocks,
                                    std::span<const uint8_t> in) {
-  uint64_t bytes = uint64_t{nblocks} * block_size();
-  if (in.size() < bytes) {
-    co_return InvalidArgumentError("write span too short");
-  }
-  DeviceBuffer staging(cpu_->device(), bytes);
-  std::memcpy(staging.data(), in.data(), bytes);
-  NvmeCommand command{NvmeCommand::Op::kWrite, lba, nblocks,
-                      MemRef::Of(staging)};
-  std::vector<NvmeCommand> commands(1, command);
-  co_return co_await SubmitWithRetry(std::move(commands), /*coalesce=*/false);
+  const ConstBlockRun run{lba, nblocks, in};
+  co_return co_await SubmitRuns(NvmeCommand::Op::kWrite,
+                                std::span<const ConstBlockRun>(&run, 1),
+                                /*coalesce=*/false, {});
 }
 
 Task<Status> NvmeBlockStore::Flush() {
@@ -63,61 +46,43 @@ Task<Status> NvmeBlockStore::Flush() {
 
 Task<Status> NvmeBlockStore::ReadV(std::span<const BlockRun> runs,
                                    bool coalesce) {
-  if (runs.empty()) co_return OkStatus();
-  uint64_t total = 0;
-  for (const BlockRun& run : runs) {
-    uint64_t bytes = uint64_t{run.nblocks} * block_size();
-    if (run.data.size() < bytes) {
-      co_return InvalidArgumentError("readv span too short");
-    }
-    total += bytes;
-  }
-  DeviceBuffer staging(cpu_->device(), total);
-  std::vector<NvmeCommand> commands;
-  commands.reserve(runs.size());
-  uint64_t offset = 0;
-  for (const BlockRun& run : runs) {
-    uint64_t bytes = uint64_t{run.nblocks} * block_size();
-    commands.push_back(NvmeCommand{NvmeCommand::Op::kRead, run.lba,
-                                   run.nblocks,
-                                   MemRef::Of(staging).Sub(offset, bytes)});
-    offset += bytes;
-  }
-  SOLROS_CO_RETURN_IF_ERROR(
-      co_await SubmitWithRetry(std::move(commands), coalesce));
-  offset = 0;
-  for (const BlockRun& run : runs) {
-    uint64_t bytes = uint64_t{run.nblocks} * block_size();
-    std::memcpy(run.data.data(), staging.data() + offset, bytes);
-    offset += bytes;
-  }
-  co_return OkStatus();
+  return ReadV(runs, coalesce, TraceContext{});
 }
 
 Task<Status> NvmeBlockStore::WriteV(std::span<const ConstBlockRun> runs,
                                     bool coalesce) {
+  return WriteV(runs, coalesce, TraceContext{});
+}
+
+Task<Status> NvmeBlockStore::ReadV(std::span<const BlockRun> runs,
+                                   bool coalesce, TraceContext ctx) {
+  return SubmitRuns(NvmeCommand::Op::kRead, runs, coalesce, ctx);
+}
+
+Task<Status> NvmeBlockStore::WriteV(std::span<const ConstBlockRun> runs,
+                                    bool coalesce, TraceContext ctx) {
+  return SubmitRuns(NvmeCommand::Op::kWrite, runs, coalesce, ctx);
+}
+
+template <typename Run>
+Task<Status> NvmeBlockStore::SubmitRuns(NvmeCommand::Op op,
+                                        std::span<const Run> runs,
+                                        bool coalesce, TraceContext ctx) {
   if (runs.empty()) co_return OkStatus();
-  uint64_t total = 0;
-  for (const ConstBlockRun& run : runs) {
-    uint64_t bytes = uint64_t{run.nblocks} * block_size();
-    if (run.data.size() < bytes) {
-      co_return InvalidArgumentError("writev span too short");
-    }
-    total += bytes;
-  }
-  DeviceBuffer staging(cpu_->device(), total);
   std::vector<NvmeCommand> commands;
   commands.reserve(runs.size());
-  uint64_t offset = 0;
-  for (const ConstBlockRun& run : runs) {
-    uint64_t bytes = uint64_t{run.nblocks} * block_size();
-    std::memcpy(staging.data() + offset, run.data.data(), bytes);
-    commands.push_back(NvmeCommand{NvmeCommand::Op::kWrite, run.lba,
-                                   run.nblocks,
-                                   MemRef::Of(staging).Sub(offset, bytes)});
-    offset += bytes;
+  for (const Run& run : runs) {
+    const uint64_t bytes = uint64_t{run.nblocks} * block_size();
+    if (run.data.size() < bytes) {
+      co_return InvalidArgumentError("block run span too short");
+    }
+    // A write command only reads its memory, so naming a const source is
+    // safe.
+    std::span<uint8_t> data(const_cast<uint8_t*>(run.data.data()), bytes);
+    commands.push_back(NvmeCommand{op, run.lba, run.nblocks,
+                                   MemRef::On(cpu_->device(), data)});
   }
-  co_return co_await SubmitWithRetry(std::move(commands), coalesce);
+  co_return co_await SubmitWithRetry(std::move(commands), coalesce, ctx);
 }
 
 Task<Status> NvmeBlockStore::SubmitWithRetry(

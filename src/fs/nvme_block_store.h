@@ -1,11 +1,18 @@
 // BlockStore backed by the simulated NVMe device.
 //
-// Byte-span reads/writes (metadata, buffered data) stage through a host
-// DeviceBuffer — that is the real data path of a host-side file system. The
-// vectorized MemRef methods are the zero-copy path: the caller supplies the
-// target memory (co-processor or host buffer-cache pages) and the NVMe DMA
-// engine moves data directly, optionally coalescing the whole vector into
-// one doorbell + one interrupt (§5's p2p_read/p2p_write ioctls).
+// Byte-span reads/writes (metadata, buffered data) name the caller's host
+// memory in their commands, and the device DMAs straight to or from it —
+// the data path of a host-side file system, with no staging copy. The
+// extent methods are the zero-copy path for memory the caller names as a
+// MemRef (co-processor or host buffer-cache pages). Either way the NVMe DMA
+// engine moves the data, optionally coalescing the whole vector into one
+// doorbell + one interrupt (§5's p2p_read/p2p_write ioctls).
+//
+// DMA contract, for every method below: the memory a call names belongs to
+// the device until the call returns. A write's source is read when its
+// command completes, as a real DMA would, so the caller must not change it
+// meanwhile. A read's destination may be partly written when the call
+// fails.
 #ifndef SOLROS_SRC_FS_NVME_BLOCK_STORE_H_
 #define SOLROS_SRC_FS_NVME_BLOCK_STORE_H_
 
@@ -57,14 +64,19 @@ class NvmeBlockStore : public BlockStore {
                      std::span<const uint8_t> in) override;
   Task<Status> Flush() override;
 
-  // Vectored byte-span I/O: every run stages through one host DeviceBuffer
-  // and becomes one NVMe command; the batch goes down in a single
-  // SubmitWithRetry (one doorbell + one interrupt when `coalesce`). Used by
-  // SolrosFs and by a buffer cache that runs without the I/O scheduler; the
-  // scheduler DMAs into its own host buffer through the extent methods.
+  // Vectored byte-span I/O: every run becomes one NVMe command on its own
+  // span, named as the submitting CPU's memory; the batch goes down in a
+  // single SubmitWithRetry (one doorbell + one interrupt when `coalesce`).
+  // Used by SolrosFs, by a buffer cache that runs without the I/O
+  // scheduler, and (with the originating request's trace context `ctx`) by
+  // the scheduler.
   Task<Status> ReadV(std::span<const BlockRun> runs, bool coalesce) override;
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       bool coalesce) override;
+  Task<Status> ReadV(std::span<const BlockRun> runs, bool coalesce,
+                     TraceContext ctx);
+  Task<Status> WriteV(std::span<const ConstBlockRun> runs, bool coalesce,
+                      TraceContext ctx);
 
   // Zero-copy vectorized I/O: one (extent -> target sub-range) command per
   // extent; `coalesce` batches them under a single doorbell/interrupt.
@@ -79,11 +91,13 @@ class NvmeBlockStore : public BlockStore {
                             TraceContext ctx = {});
 
   NvmeDevice* device() { return nvme_; }
-  // The host memory this store stages byte spans through (the submitting
-  // CPU's device); callers that build their own DMA buffers place them here.
-  DeviceId host_device() const { return cpu_->device(); }
 
  private:
+  // One command per run, each on its run's span (Run is BlockRun or
+  // ConstBlockRun).
+  template <typename Run>
+  Task<Status> SubmitRuns(NvmeCommand::Op op, std::span<const Run> runs,
+                          bool coalesce, TraceContext ctx);
   Task<Status> SubmitExtents(const std::vector<FsExtent>& extents,
                              MemRef memory, NvmeCommand::Op op, bool coalesce,
                              TraceContext ctx);

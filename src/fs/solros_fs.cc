@@ -248,16 +248,20 @@ Task<Status> SolrosFs::FlushMetadata(bool force) {
       SOLROS_CO_RETURN_IF_ERROR(co_await store_->Write(0, 1, block));
       super_dirty_ = false;
     }
+    // The device reads a write's source at completion, and the bitmaps
+    // may change while the write is in flight: write snapshots of them.
     if (block_bitmap_dirty_) {
+      const std::vector<uint8_t> snapshot = block_bitmap_;
       SOLROS_CO_RETURN_IF_ERROR(co_await store_->Write(
           super_.block_bitmap_start,
-          static_cast<uint32_t>(super_.block_bitmap_blocks), block_bitmap_));
+          static_cast<uint32_t>(super_.block_bitmap_blocks), snapshot));
       block_bitmap_dirty_ = false;
     }
     if (inode_bitmap_dirty_) {
+      const std::vector<uint8_t> snapshot = inode_bitmap_;
       SOLROS_CO_RETURN_IF_ERROR(co_await store_->Write(
           super_.inode_bitmap_start,
-          static_cast<uint32_t>(super_.inode_bitmap_blocks), inode_bitmap_));
+          static_cast<uint32_t>(super_.inode_bitmap_blocks), snapshot));
       inode_bitmap_dirty_ = false;
     }
     // Dirty inodes: read-modify-write their table blocks.

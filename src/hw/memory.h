@@ -3,9 +3,12 @@
 // This is the analogue of the paper's multiple physical address spaces
 // (§4.1): a buffer lives in exactly one device's memory; moving bytes
 // between buffers on different devices costs fabric time (see DmaEngine and
-// WindowCopier). A MemRef is the (buffer, offset, length) triple that RPC
-// messages carry in place of data for zero-copy I/O (§4.3.1) — the moral
-// equivalent of a physical address in a system-mapped PCIe window.
+// WindowCopier). A MemRef is the (device, address, length) triple that RPC
+// messages and NVMe commands carry in place of data for zero-copy I/O
+// (§4.3.1) — the moral equivalent of a physical address in a system-mapped
+// PCIe window. It names either a window of a DeviceBuffer or any plain
+// memory the caller declares to live on a device (MemRef::On), so a host
+// submission can point the device straight at the caller's bytes.
 //
 // Device bytes start zeroed and cost host memory only once written: a
 // buffer comes from calloc, which glibc serves for large blocks from fresh
@@ -20,6 +23,7 @@
 #include <cstdlib>
 #include <memory>
 #include <span>
+#include <type_traits>
 
 #include "src/base/logging.h"
 #include "src/hw/fabric.h"
@@ -64,33 +68,43 @@ class DeviceBuffer {
   std::unique_ptr<uint8_t, Free> bytes_;
 };
 
-// A non-owning window into a DeviceBuffer.
+// A non-owning window of `length` bytes at `addr` in `device()`'s memory.
+// Plain data: FsRequest carries it through the rings byte for byte, so its
+// size is part of the modeled message size.
 struct MemRef {
-  DeviceBuffer* buffer = nullptr;
-  uint64_t offset = 0;
+  uint8_t* addr = nullptr;
   uint64_t length = 0;
+  DeviceId owner;
+  uint32_t reserved = 0;  // explicit, so the ring bytes are all defined
 
   static MemRef Of(DeviceBuffer& buf) {
-    return MemRef{&buf, 0, buf.size()};
+    return On(buf.device(), {buf.data(), buf.size()});
   }
   static MemRef Of(DeviceBuffer& buf, uint64_t offset, uint64_t length) {
-    CHECK_LE(offset + length, buf.size());
-    return MemRef{&buf, offset, length};
+    return On(buf.device(), buf.Span(offset, length));
+  }
+  // Plain memory that lives on `device` (for host submissions, the host's
+  // DRAM); the caller keeps it alive while any DMA names it.
+  static MemRef On(DeviceId device, std::span<uint8_t> bytes) {
+    return MemRef{bytes.data(), bytes.size(), device};
   }
 
-  bool valid() const { return buffer != nullptr; }
+  bool valid() const { return addr != nullptr; }
   DeviceId device() const {
-    DCHECK(buffer != nullptr);
-    return buffer->device();
+    DCHECK(valid());
+    return owner;
   }
-  std::span<uint8_t> span() const { return buffer->Span(offset, length); }
+  std::span<uint8_t> span() const { return {addr, length}; }
 
   // A sub-window relative to this one.
   MemRef Sub(uint64_t rel_offset, uint64_t sub_length) const {
     CHECK_LE(rel_offset + sub_length, length);
-    return MemRef{buffer, offset + rel_offset, sub_length};
+    return MemRef{addr + rel_offset, sub_length, owner};
   }
 };
+static_assert(sizeof(MemRef) == 24 &&
+                  std::has_unique_object_representations_v<MemRef>,
+              "FsRequest's ring size counts a padding-free 24-byte MemRef");
 
 }  // namespace solros
 

@@ -4,7 +4,7 @@
 //  * File system (§4.3, §5): a 9P-flavoured protocol where each file-system
 //    call maps one-to-one onto an RPC. The Tread/Twrite analogues are
 //    zero-copy: instead of carrying file data, they carry the *physical
-//    address of co-processor memory* (here: a MemRef into a DeviceBuffer),
+//    address of co-processor memory* (here: a MemRef, device + address),
 //    and the proxy arranges a P2P or buffered transfer into/out of it.
 //  * Network (§4.4, §5): "10 RPC messages, each of which corresponds to a
 //    network system call, and two messages for event notification of a new

@@ -91,6 +91,14 @@ Task<void> DelayedTaggedRead(Nanos delay, IoScheduler* sched, uint64_t lba,
   wg->Done();
 }
 
+Task<void> DelayedRangeRead(Nanos delay, IoScheduler* sched, uint64_t lba,
+                            uint32_t nblocks, std::span<uint8_t> out,
+                            WaitGroup* wg, Status* status) {
+  co_await Delay(delay);
+  *status = co_await sched->Read(lba, nblocks, out);
+  wg->Done();
+}
+
 TEST(IoSchedulerTest, ConcurrentOverlappingReadsAreSingleFlight) {
   Rig rig;
   IoScheduler sched(&rig.sim, &rig.store);
@@ -207,6 +215,46 @@ TEST(IoSchedulerTest, AdjacentReadsMergeIntoOneCommand) {
   // LBA-sorted and merged: [10,12) is one two-block command.
   EXPECT_EQ(rig.nvme.commands_completed(), 1u);
   EXPECT_EQ(sched.merges(), 1u);
+}
+
+TEST(IoSchedulerTest, SharedRunsUseScratchAndLoneRunsLandDirectly) {
+  Rig rig;
+  IoScheduler sched(&rig.sim, &rig.store);
+  // One plugged batch: [10,13) and [12,15) overlap and merge into one
+  // command on the batch scratch; [40,41) serves one request alone and is
+  // DMA'd straight into its caller's memory. A waiter for [11,14) attaches
+  // mid-flight and is served from the merged run's target.
+  struct Range {
+    uint64_t lba;
+    uint32_t nblocks;
+    Nanos delay;
+  };
+  const std::vector<Range> ranges = {
+      {10, 3, 0}, {12, 3, 0}, {40, 1, 0}, {11, 3, Microseconds(20)}};
+  std::vector<std::vector<uint8_t>> bufs;
+  std::vector<Status> statuses(ranges.size());
+  WaitGroup wg(&rig.sim);
+  for (const Range& r : ranges) {
+    bufs.emplace_back(uint64_t{r.nblocks} * kBs);
+  }
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    wg.Add(1);
+    Spawn(rig.sim, DelayedRangeRead(ranges[i].delay, &sched, ranges[i].lba,
+                                    ranges[i].nblocks, bufs[i], &wg,
+                                    &statuses[i]));
+  }
+  rig.sim.RunUntilIdle();
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_TRUE(statuses[i].ok()) << "read " << i;
+    EXPECT_EQ(std::memcmp(bufs[i].data(), rig.flash(ranges[i].lba),
+                          bufs[i].size()),
+              0)
+        << "read " << i;
+  }
+  EXPECT_EQ(rig.nvme.commands_completed(), 2u);
+  EXPECT_EQ(rig.nvme.doorbells_rung(), 1u);
+  EXPECT_EQ(sched.merges(), 1u);
+  EXPECT_EQ(sched.dedup_hits(), 1u);  // the waiter
 }
 
 TEST(IoSchedulerTest, AdjacentWritesMergeIntoOneCommand) {

@@ -46,6 +46,43 @@ TEST(NvmeBlockStoreTest, SpanReadWriteRoundtrip) {
   EXPECT_GT(rig.sim.now(), 0u);  // time actually passed
 }
 
+TEST(NvmeBlockStoreTest, VectoredRunsDmaOnPlainMemory) {
+  Rig rig;
+  // Three scattered runs over plain host vectors, no DeviceBuffer anywhere:
+  // the commands name the vectors' bytes directly.
+  const std::vector<uint64_t> lbas = {5, 900, 61};
+  const std::vector<uint32_t> counts = {2, 1, 3};
+  std::vector<std::vector<uint8_t>> in(lbas.size());
+  std::vector<std::vector<uint8_t>> out(lbas.size());
+  std::vector<ConstBlockRun> writes;
+  std::vector<BlockRun> reads;
+  Prng prng(6);
+  for (size_t i = 0; i < lbas.size(); ++i) {
+    in[i].resize(uint64_t{counts[i]} * 4096);
+    for (auto& b : in[i]) {
+      b = static_cast<uint8_t>(prng.Next());
+    }
+    out[i].resize(in[i].size());
+    writes.push_back(ConstBlockRun{lbas[i], counts[i], in[i]});
+    reads.push_back(BlockRun{lbas[i], counts[i], out[i]});
+  }
+  CHECK_OK(RunSim(rig.sim, rig.store.WriteV(writes, /*coalesce=*/true)));
+  EXPECT_EQ(rig.nvme.commands_completed(), 3u);
+  EXPECT_EQ(rig.nvme.doorbells_rung(), 1u);
+  EXPECT_EQ(rig.nvme.interrupts_raised(), 1u);
+  for (size_t i = 0; i < lbas.size(); ++i) {
+    EXPECT_EQ(std::memcmp(rig.nvme.RawFlash().data() + lbas[i] * 4096,
+                          in[i].data(), in[i].size()),
+              0)
+        << "run " << i;
+  }
+  CHECK_OK(RunSim(rig.sim, rig.store.ReadV(reads, /*coalesce=*/true)));
+  EXPECT_EQ(rig.nvme.commands_completed(), 6u);
+  EXPECT_EQ(rig.nvme.doorbells_rung(), 2u);
+  EXPECT_EQ(rig.nvme.interrupts_raised(), 2u);
+  EXPECT_EQ(out, in);
+}
+
 TEST(NvmeBlockStoreTest, ReadExtentsIntoPhiMemoryIsP2p) {
   Rig rig;
   // Seed two disjoint disk extents.
