@@ -24,7 +24,7 @@
 //                         violated an SLO budget, hit a fault/error, or
 //                         match a deterministic 1-in-N hash of the trace
 //                         id (benches that call MaybeEnableTraceSampling);
-//                         SOLROS_TRACE_SAMPLE=N is the env equivalent
+//                         N is a positive decimal, else exit status 2
 #ifndef SOLROS_BENCH_BENCH_UTIL_H_
 #define SOLROS_BENCH_BENCH_UTIL_H_
 
@@ -101,29 +101,24 @@ inline Result<JournalMode> BenchJournalMode() {
                               "\" (want off, metadata or data)");
 }
 
-// SOLROS_TRACE_SAMPLE as a keep-1-in-N rate: 0 (full capture) when unset or
-// empty, otherwise a decimal integer. Anything else is an error naming it.
-inline Result<uint64_t> TraceSampleFromEnv() {
-  const char* env = std::getenv("SOLROS_TRACE_SAMPLE");
-  std::string_view value = env != nullptr ? env : "";
+// The value of --trace-sample=N as a keep-1-in-N rate: the whole string
+// must be a positive decimal integer. Anything else is an error naming it.
+inline Result<uint64_t> ParseTraceSample(std::string_view value) {
   uint64_t n = 0;
-  if (value.empty()) {
-    return n;
-  }
   const char* end = value.data() + value.size();
   auto [parsed_end, ec] = std::from_chars(value.data(), end, n);
-  if (ec != std::errc() || parsed_end != end) {
-    return InvalidArgumentError("SOLROS_TRACE_SAMPLE: bad value \"" +
+  if (ec != std::errc() || parsed_end != end || n == 0) {
+    return InvalidArgumentError("--trace-sample: bad value \"" +
                                 std::string(value) +
-                                "\" (want a decimal keep-1-in-N)");
+                                "\" (want a positive decimal keep-1-in-N)");
   }
   return n;
 }
 
 // Parses the common flags; unknown arguments are left for the bench.
 // Returns false (after printing usage) on a malformed common flag, or after
-// naming the bad value of a malformed SOLROS_PROXY_SHARDS, SOLROS_JOURNAL,
-// SOLROS_TRACE_SAMPLE or SOLROS_FAULTS.
+// naming the bad value of a malformed SOLROS_PROXY_SHARDS, SOLROS_JOURNAL
+// or SOLROS_FAULTS.
 inline bool InitBench(int argc, char** argv) {
   BenchFlags& flags = GetBenchFlags();
   for (int i = 1; i < argc; ++i) {
@@ -160,12 +155,13 @@ inline bool InitBench(int argc, char** argv) {
         return false;
       }
     } else if (arg.rfind("--trace-sample=", 0) == 0) {
-      flags.trace_sample = static_cast<uint64_t>(
-          std::strtoull(argv[i] + strlen("--trace-sample="), nullptr, 10));
-      if (flags.trace_sample == 0) {
-        std::cerr << "--trace-sample= requires a positive keep-1-in-N\n";
+      Result<uint64_t> n =
+          ParseTraceSample(arg.substr(strlen("--trace-sample=")));
+      if (!n.ok()) {
+        std::cerr << n.status().ToString() << "\n";
         return false;
       }
+      flags.trace_sample = *n;
     } else if (arg == "--help" || arg == "-h") {
       std::cerr << "common flags: --csv --metrics --trace-out=FILE "
                    "--flight-recorder=N --telemetry-out=FILE --slo-ns=N "
@@ -175,7 +171,7 @@ inline bool InitBench(int argc, char** argv) {
   }
   for (const Status& status :
        {ProxyShardsFromEnv().status(), BenchJournalMode().status(),
-        TraceSampleFromEnv().status(), FaultRegistry().ConfigureFromEnv()}) {
+        FaultRegistry().ConfigureFromEnv()}) {
     if (!status.ok()) {
       std::cerr << status.ToString() << "\n";
       return false;
@@ -230,21 +226,10 @@ inline std::unique_ptr<SloWatchdog> MaybeArmSloWatchdog(Simulator* sim,
   return watchdog;
 }
 
-// Tail-sampling rate: the --trace-sample flag, falling back to the
-// SOLROS_TRACE_SAMPLE environment knob. 0 = full capture.
-inline uint64_t TraceSampleN() {
-  if (GetBenchFlags().trace_sample != 0) {
-    return GetBenchFlags().trace_sample;
-  }
-  Result<uint64_t> n = TraceSampleFromEnv();
-  CHECK_OK(n);
-  return *n;
-}
-
-// Switches `tracer` to tail-based retention under --trace-sample=N /
-// SOLROS_TRACE_SAMPLE=N. Must run before the tracer records any span.
+// Switches `tracer` to tail-based retention under --trace-sample=N. Must
+// run before the tracer records any span.
 inline void MaybeEnableTraceSampling(Tracer& tracer) {
-  if (uint64_t n = TraceSampleN(); n != 0) {
+  if (uint64_t n = GetBenchFlags().trace_sample; n != 0) {
     tracer.EnableSampling(n);
   }
 }

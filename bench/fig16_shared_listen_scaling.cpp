@@ -72,15 +72,14 @@ std::string Distribution(const std::vector<uint64_t>& events) {
   return out;
 }
 
-// Connection storm under tail-based trace sampling (--trace-sample=N /
-// SOLROS_TRACE_SAMPLE=N): 64 clients hammer a 2-co-processor shared
-// listener while the tracer keeps only SLO-violating, faulted, or
-// 1-in-N-hash traces. Proves retention is bounded (every span the tracer
-// still holds is accounted for) and — with budgets armed, fault-free —
-// that exactly the watchdog's violating requests were retained for the
-// SLO reason.
+// Connection storm under tail-based trace sampling (--trace-sample=N): 64
+// clients hammer a 2-co-processor shared listener while the tracer keeps
+// only SLO-violating, faulted, or 1-in-N-hash traces. Proves retention is
+// bounded (every span the tracer still holds is accounted for) and — with
+// budgets armed, fault-free — that exactly the watchdog's violating
+// requests were retained for the SLO reason.
 void RunSamplingStorm() {
-  const uint64_t sample_n = TraceSampleN();
+  const uint64_t sample_n = GetBenchFlags().trace_sample;
   if (sample_n == 0) {
     return;
   }

@@ -448,10 +448,10 @@ TEST(MachineMemoryTest, UnwrittenMediaCostsNoHostMemory) {
 // --- Environment knobs ------------------------------------------------------
 //
 // SOLROS_PROXY_SHARDS must be a decimal shard count in [1, kMaxProxyShards],
-// SOLROS_JOURNAL a journal mode name (or unset / "0"), SOLROS_TRACE_SAMPLE a
-// decimal rate and SOLROS_FAULTS a fault preset naming known points; a
-// malformed value is rejected by name instead of silently running another
-// configuration. These tests assume no knob is set in the ambient
+// SOLROS_JOURNAL a journal mode name (or unset / "0") and SOLROS_FAULTS a
+// fault preset naming known points, and --trace-sample= a positive decimal
+// rate; a malformed value is rejected by name instead of silently running
+// another configuration. These tests assume no knob is set in the ambient
 // environment.
 
 // Sets an environment variable for one scope.
@@ -516,8 +516,9 @@ TEST(BenchEnvTest, InitBenchRefusesMalformedKnobs) {
     EXPECT_FALSE(InitBench(1, argv));
   }
   {
-    ScopedEnv env("SOLROS_TRACE_SAMPLE", "16x");
-    EXPECT_FALSE(InitBench(1, argv));
+    char flag[] = "--trace-sample=16x";
+    char* with_flag[] = {arg0, flag, nullptr};
+    EXPECT_FALSE(InitBench(2, with_flag));
   }
   {
     ScopedEnv env("SOLROS_FAULTS", "bogus=1");
@@ -528,16 +529,11 @@ TEST(BenchEnvTest, InitBenchRefusesMalformedKnobs) {
 }
 
 TEST(BenchEnvTest, TraceSampleKnobRejectsNonDecimal) {
-  EXPECT_EQ(TraceSampleFromEnv().value(), 0u);
-  {
-    ScopedEnv env("SOLROS_TRACE_SAMPLE", "16");
-    EXPECT_EQ(TraceSampleFromEnv().value(), 16u);
-  }
-  for (std::string bad : {"x", "16x", "-1", " 16"}) {
-    ScopedEnv env("SOLROS_TRACE_SAMPLE", bad);
-    Result<uint64_t> n = TraceSampleFromEnv();
+  EXPECT_EQ(ParseTraceSample("16").value(), 16u);
+  for (std::string bad : {"", "0", "x", "16x", "-1", " 16"}) {
+    Result<uint64_t> n = ParseTraceSample(bad);
     ASSERT_FALSE(n.ok()) << bad;
-    EXPECT_NE(n.status().message().find("SOLROS_TRACE_SAMPLE: bad value \"" +
+    EXPECT_NE(n.status().message().find("--trace-sample: bad value \"" +
                                         bad + '"'),
               std::string::npos)
         << n.status().ToString();
