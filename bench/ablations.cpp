@@ -110,8 +110,9 @@ double MeasureTransport(bool lazy) {
       w->Done();
     }(&ring, kMsgs, &wg));
     Spawn(sim, [](SimRing* r, int n, WaitGroup* w) -> Task<void> {
+      std::vector<uint8_t> message;
       for (int i = 0; i < n; ++i) {
-        CHECK_OK(co_await r->Receive());
+        CHECK_OK(co_await r->Receive(&message));
       }
       w->Done();
     }(&ring, kMsgs, &wg));

@@ -33,8 +33,9 @@ Task<void> Sender(SimRing* ring, int n, uint32_t size, WaitGroup* wg) {
 }
 
 Task<void> Receiver(SimRing* ring, int n, WaitGroup* wg) {
+  std::vector<uint8_t> message;
   for (int i = 0; i < n; ++i) {
-    CHECK_OK(co_await ring->Receive());
+    CHECK_OK(co_await ring->Receive(&message));
   }
   wg->Done();
 }

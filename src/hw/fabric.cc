@@ -99,14 +99,14 @@ bool PcieFabric::CrossesNuma(DeviceId a, DeviceId b) const {
   return SocketOf(a) != SocketOf(b);
 }
 
-void PcieFabric::PathLinks(DeviceId src, DeviceId dst,
-                           std::vector<Link*>* out) {
-  out->clear();
-  out->push_back(&devices_[src.index].up);
+PcieFabric::LinkPath PcieFabric::PathLinks(DeviceId src, DeviceId dst) {
+  LinkPath path;
+  path.links[path.size++] = &devices_[src.index].up;
   if (CrossesNuma(src, dst)) {
-    out->push_back(&qpi_);
+    path.links[path.size++] = &qpi_;
   }
-  out->push_back(&devices_[dst.index].down);
+  path.links[path.size++] = &devices_[dst.index].down;
+  return path;
 }
 
 double PcieFabric::PathBandwidth(DeviceId src, DeviceId dst,
@@ -161,8 +161,7 @@ WakeAt PcieFabric::Transfer(DeviceId src, DeviceId dst, uint64_t bytes,
 
   // Cut-through reservation: every link on the path is held for the same
   // interval, starting when the most-contended link frees up.
-  std::vector<Link*> links;
-  PathLinks(src, dst, &links);
+  const LinkPath links = PathLinks(src, dst);
   SimTime start = sim_->now();
   for (Link* link : links) {
     start = std::max(start, link->busy_until);

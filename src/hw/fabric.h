@@ -16,6 +16,7 @@
 #ifndef SOLROS_SRC_HW_FABRIC_H_
 #define SOLROS_SRC_HW_FABRIC_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -100,8 +101,15 @@ class PcieFabric {
     Link down;  // root complex -> device
   };
 
-  // Collects the links on the path src->dst in order.
-  void PathLinks(DeviceId src, DeviceId dst, std::vector<Link*>* out);
+  // The links on the path src->dst in order: the source's up link, the
+  // QPI when the path crosses NUMA, the destination's down link.
+  struct LinkPath {
+    std::array<Link*, 3> links = {};
+    size_t size = 0;
+    Link* const* begin() const { return links.data(); }
+    Link* const* end() const { return links.data() + size; }
+  };
+  LinkPath PathLinks(DeviceId src, DeviceId dst);
 
   Simulator* sim_;
   HwParams params_;

@@ -33,18 +33,18 @@ struct NetFrameView {
 static_assert(!std::is_aggregate_v<NetFrameView>,
               "GCC 12 miscompiles aggregate coroutine by-value parameters");
 
-// Splits a ring record into its events: a kBatch record yields one
-// NetFrameView per sub-record; any other record yields itself. Views alias
-// `record`.
-inline std::vector<NetFrameView> SplitRecord(std::span<const uint8_t> record) {
+// Splits a ring record into `*events` (cleared first; a reused vector keeps
+// its capacity): a kBatch record yields one NetFrameView per sub-record;
+// any other record yields itself. Views alias `record`.
+inline void SplitRecord(std::span<const uint8_t> record,
+                        std::vector<NetFrameView>* events) {
+  events->clear();
   const NetEvent header = DecodePod<NetEvent>(record);
   const std::span<const uint8_t> body = record.subspan(sizeof(NetEvent));
-  std::vector<NetFrameView> events;
   if (header.kind != NetEventKind::kBatch) {
-    events.emplace_back(header, body);
-    return events;
+    events->emplace_back(header, body);
+    return;
   }
-  events.reserve(header.segments);
   size_t off = 0;
   for (uint16_t i = 0; i < header.segments; ++i) {
     CHECK_LE(off + sizeof(uint32_t), body.size());
@@ -54,35 +54,42 @@ inline std::vector<NetFrameView> SplitRecord(std::span<const uint8_t> record) {
     CHECK_LE(off + len, body.size());
     CHECK_GE(len, sizeof(NetEvent));
     const std::span<const uint8_t> sub = body.subspan(off, len);
-    events.emplace_back(DecodePod<NetEvent>(sub),
-                        sub.subspan(sizeof(NetEvent)));
+    events->emplace_back(DecodePod<NetEvent>(sub),
+                         sub.subspan(sizeof(NetEvent)));
     off += len;
   }
-  return events;
 }
 
-// Wraps already-encoded event records into one kBatch record.
-inline std::vector<uint8_t> EncodeBatch(
-    std::span<const std::vector<uint8_t>> records) {
-  size_t body_bytes = 0;
-  for (const auto& r : records) {
-    body_bytes += sizeof(uint32_t) + r.size();
+// Appends one event to `*entries` as a kBatch entry: [u32 length][header]
+// [payload], where length counts the header and the payload.
+inline void AppendBatchEntry(std::vector<uint8_t>* entries,
+                             const NetEvent& header,
+                             std::span<const uint8_t> payload) {
+  const uint32_t len = static_cast<uint32_t>(sizeof(NetEvent) + payload.size());
+  const auto* len_bytes = reinterpret_cast<const uint8_t*>(&len);
+  entries->insert(entries->end(), len_bytes, len_bytes + sizeof(len));
+  const std::span<const uint8_t> head = PodBytes(header);
+  entries->insert(entries->end(), head.begin(), head.end());
+  entries->insert(entries->end(), payload.begin(), payload.end());
+}
+
+// Writes the ring record for `segments` consecutive entries (as
+// AppendBatchEntry lays them out) into `*out`: a lone event is its header
+// and payload, several ride one kBatch record.
+inline void EncodeRecord(std::span<const uint8_t> entries, uint16_t segments,
+                         std::vector<uint8_t>* out) {
+  CHECK_GE(segments, 1);
+  if (segments == 1) {
+    out->assign(entries.begin() + sizeof(uint32_t), entries.end());
+    return;
   }
   NetEvent header;
   header.kind = NetEventKind::kBatch;
-  header.segments = static_cast<uint16_t>(records.size());
-  header.length = static_cast<uint32_t>(body_bytes);
-  std::vector<uint8_t> out(sizeof(NetEvent) + body_bytes);
-  std::memcpy(out.data(), &header, sizeof(header));
-  size_t off = sizeof(NetEvent);
-  for (const auto& r : records) {
-    const uint32_t len = static_cast<uint32_t>(r.size());
-    std::memcpy(out.data() + off, &len, sizeof(len));
-    off += sizeof(len);
-    std::memcpy(out.data() + off, r.data(), r.size());
-    off += r.size();
-  }
-  return out;
+  header.segments = segments;
+  header.length = static_cast<uint32_t>(entries.size());
+  const std::span<const uint8_t> head = PodBytes(header);
+  out->assign(head.begin(), head.end());
+  out->insert(out->end(), entries.begin(), entries.end());
 }
 
 }  // namespace solros

@@ -34,15 +34,17 @@ Task<Status> NetPlug::Send(const NetEvent& header,
   if (window_ == 0) {
     // One event, one push, one doorbell.
     CountPush(1);
-    co_return co_await ring_->Send(EncodePodWithPayload(header, payload));
+    co_return co_await ring_->Send(PodBytes(header), payload);
   }
 
   while (backlog_bytes() >= kStagingCapacity) {
     co_await space_.Wait();
   }
-  std::vector<uint8_t> record = EncodePodWithPayload(header, payload);
-  pending_bytes_ += record.size();
-  pending_.emplace_back(std::move(record),
+  const uint32_t bytes =
+      static_cast<uint32_t>(sizeof(NetEvent) + payload.size());
+  AppendBatchEntry(&staged_, header, payload);
+  pending_bytes_ += bytes;
+  pending_.emplace_back(bytes,
                         TraceContext{header.trace_id, header.parent_span},
                         sim_->now());
 
@@ -102,28 +104,36 @@ Task<Status> NetPlug::Flush() {
   Status result = OkStatus();
   Tracer* tracer = sim_->tracer();
   while (!pending_.empty()) {
-    std::vector<std::vector<uint8_t>> frame_records;
+    uint16_t events = 0;
     size_t frame_bytes = 0;
-    while (!pending_.empty() && frame_records.size() < kMaxEventsPerPush &&
-           (frame_records.empty() ||
-            frame_bytes + pending_.front().bytes.size() <= kMaxPushBytes)) {
+    const size_t first = staged_head_;
+    while (!pending_.empty() && events < kMaxEventsPerPush &&
+           (events == 0 ||
+            frame_bytes + pending_.front().bytes <= kMaxPushBytes)) {
       PendingRecord& next = pending_.front();
       if (tracer != nullptr && next.ctx.traced()) {
         tracer->RecordSpan("plug", "net.plug.wait", next.queued_at,
                            sim_->now(), next.ctx);
       }
-      frame_bytes += next.bytes.size();
-      pending_bytes_ -= next.bytes.size();
-      frame_records.push_back(std::move(next.bytes));
+      frame_bytes += next.bytes;
+      pending_bytes_ -= next.bytes;
+      staged_head_ += sizeof(uint32_t) + next.bytes;
+      ++events;
       pending_.pop_front();
     }
-    std::vector<uint8_t> frame =
-        frame_records.size() == 1 ? std::move(frame_records.front())
-                                  : EncodeBatch(frame_records);
-    CountPush(frame_records.size());
-    Status status = co_await ring_->Send(frame);
+    EncodeRecord(std::span<const uint8_t>(staged_).subspan(
+                     first, staged_head_ - first),
+                 events, &frame_);
+    // Drop the flushed prefix once it is at least half the buffer, so
+    // appends reuse the space without a move per flush.
+    if (2 * staged_head_ >= staged_.size()) {
+      staged_.erase(staged_.begin(), staged_.begin() + staged_head_);
+      staged_head_ = 0;
+    }
+    CountPush(events);
+    Status status = co_await ring_->Send(frame_);
     if (!status.ok()) {
-      c_plug_drops_->Increment(frame_records.size());
+      c_plug_drops_->Increment(events);
       result = status;
     }
     space_.NotifyAll();

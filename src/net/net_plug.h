@@ -64,11 +64,12 @@ class NetPlug {
   uint64_t events_pushed() const { return events_pushed_; }
 
  private:
-  // One encoded event plus what its net.plug.wait span needs at flush.
+  // One queued event's size (header and payload) and what its
+  // net.plug.wait span needs at flush.
   struct PendingRecord {
-    PendingRecord(std::vector<uint8_t> b, TraceContext c, Nanos at)
-        : bytes(std::move(b)), ctx(c), queued_at(at) {}
-    std::vector<uint8_t> bytes;
+    PendingRecord(uint32_t b, TraceContext c, Nanos at)
+        : bytes(b), ctx(c), queued_at(at) {}
+    uint32_t bytes = 0;
     TraceContext ctx;
     Nanos queued_at = 0;
   };
@@ -87,6 +88,13 @@ class NetPlug {
   const Nanos window_;
 
   std::deque<PendingRecord> pending_;
+  // The queued events' bytes as kBatch entries (AppendBatchEntry), in
+  // pending_ order from staged_head_ on.
+  std::vector<uint8_t> staged_;
+  size_t staged_head_ = 0;
+  // The record the flush in flight is pushing: the ring reads it across
+  // awaits, while Sends keep appending to staged_.
+  std::vector<uint8_t> frame_;
   uint64_t pending_bytes_ = 0;
   bool timer_armed_ = false;
   bool flushing_ = false;

@@ -45,15 +45,19 @@ NetStub::SocketState& NetStub::EnsureSocket(int64_t handle) {
 Task<void> NetStub::EventDispatcher(NetStub* self) {
   // §4.4.2: one dispatcher dequeues from the inbound ring and feeds
   // per-socket queues; application threads copy payloads in parallel.
+  // Reused across records: each Receive overwrites `record`, and the
+  // views in `frames` alias it until the next Receive.
+  std::vector<uint8_t> record;
+  std::vector<NetFrameView> frames;
   while (true) {
-    auto record = co_await self->inbound_->Receive();
-    if (!record.ok()) {
+    Status received = co_await self->inbound_->Receive(&record);
+    if (!received.ok()) {
       break;  // ring closed
     }
     const auto stamp = self->inbound_->last_dequeue_stamp();
-    // One event, or a kBatch record's events in push order. `record`
-    // outlives the loop body, so the views stay valid.
-    for (const NetFrameView& frame : SplitRecord(*record)) {
+    // One event, or a kBatch record's events in push order.
+    SplitRecord(record, &frames);
+    for (const NetFrameView& frame : frames) {
       co_await self->DispatchEvent(frame, stamp);
     }
   }

@@ -335,15 +335,19 @@ Task<void> TcpProxy::OnClientClose(uint64_t conn_id) {
 }
 
 Task<void> TcpProxy::OutboundPump(TcpProxy* self, DataPlane* dataplane) {
+  // Reused across records: each Receive overwrites `record`, and the
+  // views in `frames` alias it until the next Receive.
+  std::vector<uint8_t> record;
+  std::vector<NetFrameView> frames;
   while (true) {
-    auto record = co_await dataplane->outbound->Receive();
-    if (!record.ok()) {
+    Status received = co_await dataplane->outbound->Receive(&record);
+    if (!received.ok()) {
       break;  // ring closed
     }
     const auto stamp = dataplane->outbound->last_dequeue_stamp();
-    // One event, or a kBatch record's events in push order. `record`
-    // outlives the loop body, so the views stay valid.
-    for (const NetFrameView& frame : SplitRecord(*record)) {
+    // One event, or a kBatch record's events in push order.
+    SplitRecord(record, &frames);
+    for (const NetFrameView& frame : frames) {
       co_await self->ProcessOutboundEvent(frame, stamp);
     }
   }

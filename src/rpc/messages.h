@@ -21,7 +21,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/base/fault.h"
 #include "src/base/logging.h"
@@ -174,11 +173,12 @@ struct NetEvent {
 // POD (de)serialization helpers
 // ---------------------------------------------------------------------------
 
+// The bytes of a POD message as a ring record carries them; a record is
+// written straight from these (SimRing::Send), never through a staging
+// copy.
 template <typename T>
-std::vector<uint8_t> EncodePod(const T& value) {
-  std::vector<uint8_t> out(sizeof(T));
-  std::memcpy(out.data(), &value, sizeof(T));
-  return out;
+std::span<const uint8_t> PodBytes(const T& value) {
+  return {reinterpret_cast<const uint8_t*>(&value), sizeof(T)};
 }
 
 template <typename T>
@@ -187,19 +187,6 @@ T DecodePod(std::span<const uint8_t> bytes) {
   T value;
   std::memcpy(&value, bytes.data(), sizeof(T));
   return value;
-}
-
-// Encodes a header immediately followed by a payload (used by kSend /
-// kData messages whose data travels inside the ring).
-template <typename T>
-std::vector<uint8_t> EncodePodWithPayload(const T& header,
-                                          std::span<const uint8_t> payload) {
-  std::vector<uint8_t> out(sizeof(T) + payload.size());
-  std::memcpy(out.data(), &header, sizeof(T));
-  if (!payload.empty()) {
-    std::memcpy(out.data() + sizeof(T), payload.data(), payload.size());
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +200,7 @@ std::vector<uint8_t> EncodePodWithPayload(const T& header,
 // frame sizes — and therefore ring copy times and schedules — bit-identical
 // to a build without fault support. DecodeFrame distinguishes the two cases
 // by frame size, which is unambiguous because these frames are fixed-size
-// PODs (payload-carrying messages use EncodePodWithPayload, not this path).
+// PODs (payload-carrying net records are not framed this way).
 
 inline uint64_t FrameChecksum(std::span<const uint8_t> bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -224,15 +211,31 @@ inline uint64_t FrameChecksum(std::span<const uint8_t> bytes) {
   return h;
 }
 
-template <typename T>
-std::vector<uint8_t> EncodeFrame(const T& value) {
-  std::vector<uint8_t> out = EncodePod(value);
-  if (Faults().any_armed()) {
-    uint64_t sum = FrameChecksum(out);
-    const auto* p = reinterpret_cast<const uint8_t*>(&sum);
-    out.insert(out.end(), p, p + sizeof(sum));
+// A frame's trailer: 8 bytes while any fault point is armed, none
+// otherwise. The frame is PodBytes(value) followed by bytes().
+struct FrameTrailer {
+  uint64_t sum = 0;
+  size_t size = 0;
+  std::span<const uint8_t> bytes() const {
+    return {reinterpret_cast<const uint8_t*>(&sum), size};
   }
-  return out;
+};
+
+template <typename T>
+FrameTrailer SealFrame(const T& value) {
+  FrameTrailer trailer;
+  if (Faults().any_armed()) {
+    trailer.sum = FrameChecksum(PodBytes(value));
+    trailer.size = sizeof(trailer.sum);
+  }
+  return trailer;
+}
+
+// Injected corruption of a sealed frame: flips its middle byte, so the
+// receiver's checksum fails. `value` must not be read as a T afterwards.
+template <typename T>
+void CorruptFrame(T* value) {
+  reinterpret_cast<uint8_t*>(value)[sizeof(T) / 2] ^= 0xff;
 }
 
 // Returns nullopt for a malformed or checksum-failing frame.

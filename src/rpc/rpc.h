@@ -15,8 +15,9 @@
 
 #include <concepts>
 #include <functional>
-#include <map>
 #include <memory>
+#include <memory_resource>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/fault.h"
@@ -63,10 +64,7 @@ class RpcClient {
   // Starts the response pump; call once after construction.
   void Start() { Spawn(*sim_, Pump(this)); }
 
-  void Stop() {
-    stopping_ = true;
-    response_ring_->Close();
-  }
+  void Stop() { response_ring_->Close(); }
 
   // With `timeout` > 0 the call resolves kTimedOut once that much sim time
   // passes without a response (the tag stays retired, so a late response is
@@ -78,7 +76,8 @@ class RpcClient {
     request.tag = tag;
     Waiter waiter(sim_);
     waiters_[tag] = &waiter;
-    std::vector<uint8_t> frame = EncodeFrame(request);
+    // The ring copies the frame straight from `request` into its slot.
+    const FrameTrailer trailer = SealFrame(request);
     static FaultPoint* const corrupt =
         Faults().GetPoint("rpc.corrupt.request");
     if (corrupt->ShouldFire()) {
@@ -86,9 +85,10 @@ class RpcClient {
           MetricRegistry::Default().GetCounter("rpc.corrupted_requests");
       corrupted->Increment();
       TRACE_INSTANT(sim_, "rpc", "fault.rpc.corrupt_request");
-      frame[sizeof(Request) / 2] ^= 0xff;
+      CorruptFrame(&request);
     }
-    Status sent = co_await request_ring_->Send(frame);
+    Status sent =
+        co_await request_ring_->Send(PodBytes(request), trailer.bytes());
     if (!sent.ok()) {
       waiters_.erase(tag);
       co_return sent;
@@ -137,12 +137,13 @@ class RpcClient {
   }
 
   static Task<void> Pump(RpcClient* self) {
+    std::vector<uint8_t> message;  // reused: each Receive overwrites it
     while (true) {
-      auto message = co_await self->response_ring_->Receive();
-      if (!message.ok()) {
+      Status received = co_await self->response_ring_->Receive(&message);
+      if (!received.ok()) {
         break;  // ring closed
       }
-      std::optional<Response> response = DecodeFrame<Response>(*message);
+      std::optional<Response> response = DecodeFrame<Response>(message);
       if (!response.has_value()) {
         static Counter* const dropped = MetricRegistry::Default().GetCounter(
             "rpc.corrupt_responses_dropped");
@@ -185,8 +186,10 @@ class RpcClient {
   SimRing* response_ring_;
   uint64_t next_tag_ = 1;
   uint64_t completed_ = 0;
-  bool stopping_ = false;
-  std::map<uint64_t, Waiter*> waiters_;
+  // In-flight calls by tag. Nodes come from a pool that keeps freed ones,
+  // so once warm a call allocates nothing.
+  std::pmr::unsynchronized_pool_resource waiter_pool_;
+  std::pmr::unordered_map<uint64_t, Waiter*> waiters_{&waiter_pool_};
 };
 
 // Server end: Serve() pumps requests and spawns `handler` per request; the
@@ -236,7 +239,7 @@ class RpcServer {
       ++self->served_;
       co_return;  // the client recovers via its call timeout
     }
-    std::vector<uint8_t> frame = EncodeFrame(response);
+    const FrameTrailer trailer = SealFrame(response);
     static FaultPoint* const corrupt =
         Faults().GetPoint("rpc.corrupt.response");
     if (corrupt->ShouldFire()) {
@@ -244,9 +247,10 @@ class RpcServer {
           MetricRegistry::Default().GetCounter("rpc.corrupted_responses");
       corrupted->Increment();
       TRACE_INSTANT(self->sim_, "rpc", "fault.rpc.corrupt_response");
-      frame[sizeof(Response) / 2] ^= 0xff;
+      CorruptFrame(&response);
     }
-    Status sent = co_await self->response_ring_->Send(frame);
+    Status sent = co_await self->response_ring_->Send(PodBytes(response),
+                                                      trailer.bytes());
     if (!sent.ok()) {
       LOG(WARNING) << "rpc response send failed: " << sent.ToString();
     }
@@ -254,9 +258,10 @@ class RpcServer {
   }
 
   static Task<void> Pump(RpcServer* self) {
+    std::vector<uint8_t> message;  // reused: each Receive overwrites it
     while (true) {
-      auto message = co_await self->request_ring_->Receive();
-      if (!message.ok()) {
+      Status received = co_await self->request_ring_->Receive(&message);
+      if (!received.ok()) {
         break;  // ring closed
       }
       static FaultPoint* const drop = Faults().GetPoint("rpc.drop.request");
@@ -267,7 +272,7 @@ class RpcServer {
         TRACE_INSTANT(self->sim_, "rpc", "fault.rpc.drop_request");
         continue;
       }
-      std::optional<Request> request = DecodeFrame<Request>(*message);
+      std::optional<Request> request = DecodeFrame<Request>(message);
       if (!request.has_value()) {
         static Counter* const dropped = MetricRegistry::Default().GetCounter(
             "rpc.corrupt_requests_dropped");

@@ -21,6 +21,9 @@ namespace solros {
 
 // A condition without an attached predicate: tasks Wait(), other tasks
 // NotifyOne()/NotifyAll(). Always re-check your predicate in a loop.
+//
+// Waiters queue in FIFO order through their awaiters, which live in the
+// suspended tasks' frames, so waiting allocates nothing.
 class Condition {
  public:
   explicit Condition(Simulator* sim) : sim_(sim) { DCHECK(sim != nullptr); }
@@ -29,36 +32,55 @@ class Condition {
 
   struct WaitAwaiter {
     Condition* cond;
+    std::coroutine_handle<> handle = {};
+    WaitAwaiter* next = nullptr;
     bool await_ready() const noexcept { return false; }
     template <typename Promise>
-    void await_suspend(std::coroutine_handle<Promise> handle) {
-      cond->waiters_.push_back(handle);
+    void await_suspend(std::coroutine_handle<Promise> waiting) {
+      handle = waiting;
+      cond->Enqueue(this);
     }
     void await_resume() const noexcept {}
   };
   WaitAwaiter Wait() { return WaitAwaiter{this}; }
 
   void NotifyOne() {
-    if (waiters_.empty()) {
+    if (head_ == nullptr) {
       return;
     }
-    std::coroutine_handle<> handle = waiters_.front();
-    waiters_.pop_front();
-    sim_->ResumeAt(sim_->now(), handle);
+    WaitAwaiter* waiter = head_;
+    head_ = waiter->next;
+    if (head_ == nullptr) {
+      tail_ = nullptr;
+    }
+    --waiters_;
+    sim_->ResumeAt(sim_->now(), waiter->handle);
   }
 
   void NotifyAll() {
-    while (!waiters_.empty()) {
+    while (head_ != nullptr) {
       NotifyOne();
     }
   }
 
-  size_t waiter_count() const { return waiters_.size(); }
+  size_t waiter_count() const { return waiters_; }
   Simulator* sim() const { return sim_; }
 
  private:
+  void Enqueue(WaitAwaiter* waiter) {
+    if (tail_ == nullptr) {
+      head_ = waiter;
+    } else {
+      tail_->next = waiter;
+    }
+    tail_ = waiter;
+    ++waiters_;
+  }
+
   Simulator* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitAwaiter* head_ = nullptr;
+  WaitAwaiter* tail_ = nullptr;
+  size_t waiters_ = 0;
 };
 
 // Counting semaphore.

@@ -52,18 +52,16 @@ bool SimRing::PortIsHost(RingSide side) const {
   return fabric_->TypeOf(port_dev) == DeviceType::kHost;
 }
 
-Task<void> SimRing::ChargeCopy(RingSide side, uint64_t bytes) {
+SimRing::CopyWaits SimRing::ChargeCopy(RingSide side, uint64_t bytes) {
   if (bytes == 0) {
-    co_return;
+    return {WakeAt::Ready(), std::nullopt};
   }
   if (!PortRemote(side)) {
     // Local copy within the master device's memory.
-    co_await Delay(TransferTime(bytes, params_.host_mem_bw));
-    co_return;
+    return {WakeAt{sim_->now() + TransferTime(bytes, params_.host_mem_bw)},
+            std::nullopt};
   }
   bool initiator_is_host = PortIsHost(side);
-  Nanos cost = CopyTime(params_, bytes, initiator_is_host,
-                        config_.copy_policy);
   // Charge fabric occupancy for the bulk move so concurrent rings contend
   // realistically; direction: producer pushes toward master, consumer pulls
   // from master.
@@ -78,20 +76,20 @@ Task<void> SimRing::ChargeCopy(RingSide side, uint64_t bytes) {
   if (used_dma) {
     double dma_bw =
         initiator_is_host ? params_.dma_bw_host : params_.dma_bw_phi;
-    co_await fabric_->Transfer(src, dst, bytes, dma_bw,
-                               /*peer_to_peer=*/false);
     // Remaining cost beyond the wire time: DMA setup.
     Nanos setup = initiator_is_host ? params_.dma_init_host
                                     : params_.dma_init_phi;
-    co_await Delay(setup);
-  } else {
-    // load/store copies are PCIe transactions too: occupy the fabric at
-    // the memcpy model's effective rate so concurrent copiers share the
-    // link instead of summing past it.
-    double effective = RateBps(bytes, cost);
-    co_await fabric_->Transfer(src, dst, bytes, effective,
-                               /*peer_to_peer=*/false);
+    return {fabric_->Transfer(src, dst, bytes, dma_bw, /*peer_to_peer=*/false),
+            setup};
   }
+  // load/store copies are PCIe transactions too: occupy the fabric at the
+  // memcpy model's effective rate so concurrent copiers share the link
+  // instead of summing past it.
+  Nanos cost = CopyTime(params_, bytes, initiator_is_host, config_.copy_policy);
+  double effective = RateBps(bytes, cost);
+  return {fabric_->Transfer(src, dst, bytes, effective,
+                            /*peer_to_peer=*/false),
+          std::nullopt};
 }
 
 WakeAt SimRing::ChargeControl(uint64_t transactions) {
@@ -109,71 +107,72 @@ WakeAt SimRing::ChargeControl(uint64_t transactions) {
   return WakeAt{end};
 }
 
-Task<Status> SimRing::TrySend(std::span<const uint8_t> payload) {
-  TRACE_SPAN(sim_, "ring", "ring.enqueue");
-  Processor* cpu = config_.producer_cpu;
-  co_await cpu->Compute(params_.rb_op_cpu);
-
-  // A producer-side stall (preemption mid-enqueue) delays the operation; it
-  // never fakes kWouldBlock, which would strand the Send loop with no
-  // matching space_avail notification.
-  static FaultPoint* const send_stall =
-      Faults().GetPoint("transport.ring.send_stall");
-  if (send_stall->ShouldFire()) {
-    static Counter* const stalls = MetricRegistry::Default().GetCounter(
-        "transport.ring.send_stalls");
-    stalls->Increment();
-    TRACE_INSTANT(sim_, "ring", "fault.ring.send_stall");
-    if (use_ != nullptr) {
-      use_->AddError(sim_->now());
-    }
-    co_await Delay(params_.ring_stall_latency);
-  }
-
-  uint64_t txn_before = ring_.producer_stats().remote_transactions();
-  void* rb_buf = nullptr;
-  int rc = ring_.Enqueue(static_cast<uint32_t>(payload.size()), &rb_buf);
-  uint64_t txn_after = ring_.producer_stats().remote_transactions();
-  co_await ChargeControl(txn_after - txn_before);
-  if (rc == kRbWouldBlock) {
-    TRACE_INSTANT(sim_, "ring", "ring.enqueue.would_block");
-    co_return WouldBlockError();
-  }
-  if (rc != kRbOk) {
-    co_return InvalidArgumentError("ring rejected payload");
-  }
-  co_await ChargeCopy(RingSide::kProducer, payload.size());
-  ring_.CopyToRbBuf(rb_buf, payload.data(),
-                    static_cast<uint32_t>(payload.size()));
-  ring_.SetReady(rb_buf);
-  if (sim_->tracer() != nullptr || use_ != nullptr) {
-    ready_at_[rb_buf] = sim_->now();
-  }
-  if (use_ != nullptr) {
-    use_->QueueDelta(sim_->now(), +1);
-  }
-  ++sent_;
-  bytes_sent_ += payload.size();
-  static Counter* const sends =
-      MetricRegistry::Default().GetCounter("transport.ring.messages_sent");
-  static Counter* const bytes =
-      MetricRegistry::Default().GetCounter("transport.ring.bytes_sent");
-  sends->Increment();
-  bytes->Increment(payload.size());
-  ++data_epoch_;
-  data_avail_.NotifyAll();
-  co_return OkStatus();
-}
-
-Task<Status> SimRing::Send(std::span<const uint8_t> payload) {
+Task<Status> SimRing::Send(std::span<const uint8_t> head,
+                           std::span<const uint8_t> tail) {
+  const uint64_t size = head.size() + tail.size();
   while (true) {
     if (closed_) {
       co_return FailedPreconditionError("ring closed");
     }
     uint64_t epoch = space_epoch_;
-    Status status = co_await TrySend(payload);
-    if (status.code() != ErrorCode::kWouldBlock) {
-      co_return status;
+    {
+      TRACE_SPAN(sim_, "ring", "ring.enqueue");
+      co_await config_.producer_cpu->Compute(params_.rb_op_cpu);
+
+      // A producer-side stall (preemption mid-enqueue) delays the
+      // operation; it never fakes a full ring, which would strand this loop
+      // with no matching space_avail notification.
+      static FaultPoint* const send_stall =
+          Faults().GetPoint("transport.ring.send_stall");
+      if (send_stall->ShouldFire()) {
+        static Counter* const stalls = MetricRegistry::Default().GetCounter(
+            "transport.ring.send_stalls");
+        stalls->Increment();
+        TRACE_INSTANT(sim_, "ring", "fault.ring.send_stall");
+        if (use_ != nullptr) {
+          use_->AddError(sim_->now());
+        }
+        co_await Delay(params_.ring_stall_latency);
+      }
+
+      uint64_t txn_before = ring_.producer_stats().remote_transactions();
+      void* rb_buf = nullptr;
+      int rc = ring_.Enqueue(static_cast<uint32_t>(size), &rb_buf);
+      uint64_t txn_after = ring_.producer_stats().remote_transactions();
+      co_await ChargeControl(txn_after - txn_before);
+      if (rc == kRbOk) {
+        CopyWaits copy = ChargeCopy(RingSide::kProducer, size);
+        co_await copy.transfer;
+        if (copy.setup.has_value()) {
+          co_await Delay(*copy.setup);
+        }
+        ring_.CopyToRbBuf(rb_buf, head.data(),
+                          static_cast<uint32_t>(head.size()));
+        ring_.CopyToRbBuf(static_cast<uint8_t*>(rb_buf) + head.size(),
+                          tail.data(), static_cast<uint32_t>(tail.size()));
+        ring_.SetReady(rb_buf);
+        if (sim_->tracer() != nullptr || use_ != nullptr) {
+          ready_at_[rb_buf] = sim_->now();
+        }
+        if (use_ != nullptr) {
+          use_->QueueDelta(sim_->now(), +1);
+        }
+        ++sent_;
+        bytes_sent_ += size;
+        static Counter* const sends = MetricRegistry::Default().GetCounter(
+            "transport.ring.messages_sent");
+        static Counter* const bytes = MetricRegistry::Default().GetCounter(
+            "transport.ring.bytes_sent");
+        sends->Increment();
+        bytes->Increment(size);
+        ++data_epoch_;
+        data_avail_.NotifyAll();
+        co_return OkStatus();
+      }
+      if (rc != kRbWouldBlock) {
+        co_return InvalidArgumentError("ring rejected payload");
+      }
+      TRACE_INSTANT(sim_, "ring", "ring.enqueue.would_block");
     }
     // Only sleep if no space was released while we were polling.
     while (space_epoch_ == epoch && !closed_) {
@@ -183,73 +182,70 @@ Task<Status> SimRing::Send(std::span<const uint8_t> payload) {
   }
 }
 
-Task<Result<std::vector<uint8_t>>> SimRing::TryReceive() {
-  TRACE_SPAN(sim_, "ring", "ring.dequeue");
-  Processor* cpu = config_.consumer_cpu;
-  co_await cpu->Compute(params_.rb_op_cpu);
-
-  // A consumer-side stall (descheduled consumer) leaves entries queued
-  // longer, which backpressures producers once the ring fills.
-  static FaultPoint* const recv_stall =
-      Faults().GetPoint("transport.ring.recv_stall");
-  if (recv_stall->ShouldFire()) {
-    static Counter* const stalls = MetricRegistry::Default().GetCounter(
-        "transport.ring.recv_stalls");
-    stalls->Increment();
-    TRACE_INSTANT(sim_, "ring", "fault.ring.recv_stall");
-    if (use_ != nullptr) {
-      use_->AddError(sim_->now());
-    }
-    co_await Delay(params_.ring_stall_latency);
-  }
-
-  uint64_t txn_before = ring_.consumer_stats().remote_transactions();
-  uint32_t size = 0;
-  void* rb_buf = nullptr;
-  int rc = ring_.Dequeue(&size, &rb_buf);
-  uint64_t txn_after = ring_.consumer_stats().remote_transactions();
-  co_await ChargeControl(txn_after - txn_before);
-  if (rc == kRbWouldBlock) {
-    co_return WouldBlockError();
-  }
-  CHECK_EQ(rc, kRbOk);
-  if (sim_->tracer() != nullptr || use_ != nullptr) {
-    auto it = ready_at_.find(rb_buf);
-    if (it != ready_at_.end()) {
-      last_dequeue_stamp_ = DequeueStamp{it->second, sim_->now()};
-      ready_at_.erase(it);
-    } else {
-      last_dequeue_stamp_.reset();  // message predates tracer binding
-    }
-  }
-  if (use_ != nullptr) {
-    use_->QueueDelta(sim_->now(), -1);
-    Nanos waited = last_dequeue_stamp_.has_value()
-                       ? last_dequeue_stamp_->dequeue_at -
-                             last_dequeue_stamp_->ready_at
-                       : 0;
-    use_->CompleteOp(sim_->now(), waited);
-  }
-  co_await ChargeCopy(RingSide::kConsumer, size);
-  std::vector<uint8_t> out(size);
-  ring_.CopyFromRbBuf(out.data(), rb_buf, size);
-  ring_.SetDone(rb_buf);
-  ++received_;
-  bytes_received_ += size;
-  static Counter* const recvs =
-      MetricRegistry::Default().GetCounter("transport.ring.messages_received");
-  recvs->Increment();
-  ++space_epoch_;
-  space_avail_.NotifyAll();
-  co_return out;
-}
-
-Task<Result<std::vector<uint8_t>>> SimRing::Receive() {
+Task<Status> SimRing::Receive(std::vector<uint8_t>* out) {
   while (true) {
     uint64_t epoch = data_epoch_;
-    auto result = co_await TryReceive();
-    if (result.code() != ErrorCode::kWouldBlock) {
-      co_return result;
+    {
+      TRACE_SPAN(sim_, "ring", "ring.dequeue");
+      co_await config_.consumer_cpu->Compute(params_.rb_op_cpu);
+
+      // A consumer-side stall (descheduled consumer) leaves entries queued
+      // longer, which backpressures producers once the ring fills.
+      static FaultPoint* const recv_stall =
+          Faults().GetPoint("transport.ring.recv_stall");
+      if (recv_stall->ShouldFire()) {
+        static Counter* const stalls = MetricRegistry::Default().GetCounter(
+            "transport.ring.recv_stalls");
+        stalls->Increment();
+        TRACE_INSTANT(sim_, "ring", "fault.ring.recv_stall");
+        if (use_ != nullptr) {
+          use_->AddError(sim_->now());
+        }
+        co_await Delay(params_.ring_stall_latency);
+      }
+
+      uint64_t txn_before = ring_.consumer_stats().remote_transactions();
+      uint32_t size = 0;
+      void* rb_buf = nullptr;
+      int rc = ring_.Dequeue(&size, &rb_buf);
+      uint64_t txn_after = ring_.consumer_stats().remote_transactions();
+      co_await ChargeControl(txn_after - txn_before);
+      if (rc == kRbOk) {
+        if (sim_->tracer() != nullptr || use_ != nullptr) {
+          auto it = ready_at_.find(rb_buf);
+          if (it != ready_at_.end()) {
+            last_dequeue_stamp_ = DequeueStamp{it->second, sim_->now()};
+            ready_at_.erase(it);
+          } else {
+            last_dequeue_stamp_.reset();  // message predates tracer binding
+          }
+        }
+        if (use_ != nullptr) {
+          use_->QueueDelta(sim_->now(), -1);
+          Nanos waited = last_dequeue_stamp_.has_value()
+                             ? last_dequeue_stamp_->dequeue_at -
+                                   last_dequeue_stamp_->ready_at
+                             : 0;
+          use_->CompleteOp(sim_->now(), waited);
+        }
+        CopyWaits copy = ChargeCopy(RingSide::kConsumer, size);
+        co_await copy.transfer;
+        if (copy.setup.has_value()) {
+          co_await Delay(*copy.setup);
+        }
+        out->resize(size);
+        ring_.CopyFromRbBuf(out->data(), rb_buf, size);
+        ring_.SetDone(rb_buf);
+        ++received_;
+        bytes_received_ += size;
+        static Counter* const recvs = MetricRegistry::Default().GetCounter(
+            "transport.ring.messages_received");
+        recvs->Increment();
+        ++space_epoch_;
+        space_avail_.NotifyAll();
+        co_return OkStatus();
+      }
+      CHECK_EQ(rc, kRbWouldBlock);
     }
     if (closed_) {
       co_return FailedPreconditionError("ring closed and drained");

@@ -15,7 +15,9 @@
 //
 // Send/Receive are blocking in simulated time (they wait on conditions when
 // the ring is full/empty), which is what the OS services want; the RPC
-// layer (src/rpc) builds message channels on top of a SimRing pair.
+// layer (src/rpc) builds message channels on top of a SimRing pair. Each
+// Send or Receive is one coroutine frame: the queue operation, its charges
+// and the copy into or out of the reserved slot all run in its own body.
 #ifndef SOLROS_SRC_TRANSPORT_SIM_RING_H_
 #define SOLROS_SRC_TRANSPORT_SIM_RING_H_
 
@@ -63,15 +65,16 @@ class SimRing {
   SimRing(Simulator* sim, PcieFabric* fabric, const HwParams& params,
           const SimRingConfig& config);
 
-  // Copies `payload` into the ring; waits (in sim time) while full.
-  Task<Status> Send(std::span<const uint8_t> payload);
-  // Non-blocking variant: kWouldBlock when full.
-  Task<Status> TrySend(std::span<const uint8_t> payload);
+  // Copies `head` then `tail` into one ring record, back to back (a header
+  // and its payload need no staging buffer); waits (in sim time) while
+  // full. Both spans must stay valid until the send completes.
+  Task<Status> Send(std::span<const uint8_t> head,
+                    std::span<const uint8_t> tail = {});
 
-  // Takes the oldest message; waits while empty. Returns kFailedPrecondition
+  // Copies the oldest message into `*out`, resized to fit (a reused buffer
+  // keeps its capacity); waits while empty. Returns kFailedPrecondition
   // after Close() once drained.
-  Task<Result<std::vector<uint8_t>>> Receive();
-  Task<Result<std::vector<uint8_t>>> TryReceive();  // kWouldBlock if empty
+  Task<Status> Receive(std::vector<uint8_t>* out);
 
   // Wakes all waiters; subsequent Receives fail once the ring drains.
   void Close();
@@ -90,7 +93,7 @@ class SimRing {
   // stamps each
   // message when SetReady makes it visible; the consumer records
   // [ready_at, dequeue_at] for the message its last successful
-  // TryReceive claimed. nullopt when the message predates tracer binding.
+  // dequeue claimed. nullopt when the message predates tracer binding.
   // Meaningful for single-consumer rings (all RPC rings are).
   struct DequeueStamp {
     SimTime ready_at = 0;
@@ -106,7 +109,15 @@ class SimRing {
   // makes the eager scheme collapse under concurrency (Fig. 9). Reserves
   // the line at call time; ready at once when there are no transactions.
   WakeAt ChargeControl(uint64_t transactions);
-  Task<void> ChargeCopy(RingSide side, uint64_t bytes);
+  // The waits of one payload copy, booked when ChargeCopy is called: the
+  // transfer, then (DMA only) the engine's setup time, which starts when
+  // the transfer lands. The caller awaits `transfer`, then `Delay(*setup)`,
+  // so a DMA copy stays two events.
+  struct CopyWaits {
+    WakeAt transfer;
+    std::optional<Nanos> setup;
+  };
+  CopyWaits ChargeCopy(RingSide side, uint64_t bytes);
   bool PortRemote(RingSide side) const;
   bool PortIsHost(RingSide side) const;
 
@@ -118,11 +129,11 @@ class SimRing {
   Condition data_avail_;
   Condition space_avail_;
   MultiServerResource control_line_;
-  // Signal epochs close the poll-then-sleep race: TryReceive/TrySend have
-  // internal suspension points, so a notification can fire while a poller
-  // is mid-attempt (and not yet waiting). Every SetReady/SetDone bumps the
-  // matching epoch; a waiter only sleeps if the epoch is unchanged since
-  // before its failed poll.
+  // Signal epochs close the poll-then-sleep race: an enqueue or dequeue
+  // attempt has internal suspension points, so a notification can fire
+  // while a poller is mid-attempt (and not yet waiting). Every
+  // SetReady/SetDone bumps the matching epoch; a waiter only sleeps if the
+  // epoch is unchanged since before its failed poll.
   uint64_t data_epoch_ = 0;
   uint64_t space_epoch_ = 0;
   bool closed_ = false;

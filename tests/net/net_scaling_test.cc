@@ -60,12 +60,13 @@ Task<void> SendEvents(NetPlug* plug, int64_t first_sock, int count) {
 // and each record's event count.
 Task<void> DrainEvents(SimRing* ring, std::vector<int64_t>* socks,
                        std::vector<size_t>* per_record) {
+  std::vector<uint8_t> record;
+  std::vector<NetFrameView> events;
   while (true) {
-    auto record = co_await ring->Receive();
-    if (!record.ok()) {
+    if (!(co_await ring->Receive(&record)).ok()) {
       break;
     }
-    const std::vector<NetFrameView> events = SplitRecord(*record);
+    SplitRecord(record, &events);
     per_record->push_back(events.size());
     for (const NetFrameView& event : events) {
       CHECK(event.header.kind == NetEventKind::kData);
