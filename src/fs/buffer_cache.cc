@@ -44,18 +44,26 @@ Task<Status> BufferCache::BackingWriteV(std::span<const ConstBlockRun> runs) {
   co_return co_await backing_->WriteV(runs, /*coalesce=*/true);
 }
 
+template <typename T>
+BufferCache::ZeroedArray<T> BufferCache::AllocateZeroed(size_t count) {
+  ZeroedArray<T> array(static_cast<T*>(std::calloc(count > 0 ? count : 1,
+                                                   sizeof(T))));
+  CHECK(array != nullptr) << "cannot allocate " << count << " cache entries";
+  return array;
+}
+
 BufferCache::BufferCache(BlockStore* backing, DeviceId arena_device,
                          size_t capacity_blocks)
     : backing_(backing),
       capacity_(capacity_blocks),
       block_size_(backing->block_size()),
       protected_cap_(ProtectedCap(capacity_blocks)),
-      arena_(arena_device, capacity_blocks * backing->block_size()) {
+      block_count_(backing->block_count()),
+      arena_(arena_device, capacity_blocks * backing->block_size()),
+      pages_(AllocateZeroed<Page>(capacity_blocks)),
+      slot_of_(AllocateZeroed<uint32_t>(block_count_)) {
   CHECK_GT(capacity_blocks, 0u);
-  free_slots_.reserve(capacity_blocks);
-  for (size_t i = 0; i < capacity_blocks; ++i) {
-    free_slots_.push_back(capacity_blocks - 1 - i);
-  }
+  CHECK_LT(capacity_blocks, size_t{kNoSlot});
   MetricRegistry& registry = MetricRegistry::Default();
   hits_ = registry.GetCounter("cache.hits");
   misses_ = registry.GetCounter("cache.misses");
@@ -169,50 +177,77 @@ void BufferCache::SetDirty(Page& page, bool dirty) {
 }
 
 void BufferCache::UpdateGauges() {
-  probation_gauge_->Set(static_cast<int64_t>(probation_.size()));
-  protected_gauge_->Set(static_cast<int64_t>(protected_.size()));
+  probation_gauge_->Set(static_cast<int64_t>(probation_.size));
+  protected_gauge_->Set(static_cast<int64_t>(protected_.size));
 }
 
-void BufferCache::LinkNew(Page& page) {
-  probation_.push_front(page.lba);
-  page.segment = Segment::kProbation;
-  page.lru_it = probation_.begin();
+void BufferCache::PushFront(LruList& list, uint32_t slot) {
+  Page& page = pages_[slot];
+  page.prev = kNoSlot;
+  page.next = list.head;
+  (list.head != kNoSlot ? pages_[list.head].prev : list.tail) = slot;
+  list.head = slot;
+  ++list.size;
 }
 
-void BufferCache::Unlink(const Page& page) {
-  SegmentList(page.segment).erase(page.lru_it);
+void BufferCache::Remove(LruList& list, uint32_t slot) {
+  const Page& page = pages_[slot];
+  (page.prev != kNoSlot ? pages_[page.prev].next : list.head) = page.next;
+  (page.next != kNoSlot ? pages_[page.next].prev : list.tail) = page.prev;
+  --list.size;
 }
 
-void BufferCache::TouchHit(Page& page, bool promote) {
-  if (page.segment == Segment::kProtected) {
-    protected_.splice(protected_.begin(), protected_, page.lru_it);
-    page.lru_it = protected_.begin();
-    return;
+uint32_t BufferCache::Install(uint64_t lba, bool readahead) {
+  uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = pages_[slot].next;
+  } else {
+    slot = unused_slot_++;
   }
-  if (!promote) {
-    // First real reference to a readahead page: refresh recency only. A
-    // sequential scan consumes each prefetched page exactly once, so
-    // counting that touch as reuse would promote the whole stream and
-    // flush the protected segment.
-    probation_.splice(probation_.begin(), probation_, page.lru_it);
-    page.lru_it = probation_.begin();
+  pages_[slot] = Page{.lba = lba,
+                      .prev = kNoSlot,
+                      .next = kNoSlot,
+                      .dirty = false,
+                      .readahead = readahead,
+                      .segment = Segment::kProbation};
+  PushFront(probation_, slot);
+  slot_of_[lba] = slot + 1;
+  ++size_;
+  return slot;
+}
+
+void BufferCache::Release(uint32_t slot) {
+  Page& page = pages_[slot];
+  Remove(SegmentList(page.segment), slot);
+  slot_of_[page.lba] = 0;
+  page.next = free_head_;
+  free_head_ = slot;
+  --size_;
+}
+
+void BufferCache::TouchHit(uint32_t slot, bool promote) {
+  Page& page = pages_[slot];
+  // A protected page only refreshes its recency. So does the first real
+  // reference to a readahead page: a sequential scan consumes each
+  // prefetched page exactly once, so counting that touch as reuse would
+  // promote the whole stream and flush the protected segment.
+  if (page.segment == Segment::kProtected || !promote) {
+    LruList& list = SegmentList(page.segment);
+    Remove(list, slot);
+    PushFront(list, slot);
     return;
   }
   // Second touch: promote probation -> protected.
-  probation_.erase(page.lru_it);
-  protected_.push_front(page.lba);
+  Remove(probation_, slot);
+  PushFront(protected_, slot);
   page.segment = Segment::kProtected;
-  page.lru_it = protected_.begin();
-  if (protected_.size() > protected_cap_) {
+  if (protected_.size > protected_cap_) {
     // Demote the protected tail back to probation (most-recent end, so it
     // still outlives a concurrent scan's churn).
-    uint64_t demoted = protected_.back();
-    auto it = map_.find(demoted);
-    CHECK(it != map_.end());
-    protected_.pop_back();
-    probation_.push_front(demoted);
-    it->second.segment = Segment::kProbation;
-    it->second.lru_it = probation_.begin();
+    uint32_t demoted = protected_.tail;
+    Remove(protected_, demoted);
+    PushFront(probation_, demoted);
+    pages_[demoted].segment = Segment::kProbation;
   }
 }
 
@@ -227,11 +262,11 @@ BufferCache::WritebackPlan BufferCache::PlanWriteback(
   // write-back) and a concurrently evicted/reused slot cannot corrupt the
   // in-flight write.
   for (size_t i = 0; i < plan.lbas.size(); ++i) {
-    auto it = map_.find(plan.lbas[i]);
-    CHECK(it != map_.end());
+    const uint32_t slot = Lookup(plan.lbas[i]);
+    CHECK_NE(slot, kNoSlot);
     std::memcpy(plan.scratch.get() + i * block_size_,
-                SlotRef(it->second.slot).span().data(), block_size_);
-    SetDirty(it->second, false);
+                SlotRef(slot).span().data(), block_size_);
+    SetDirty(pages_[slot], false);
   }
   size_t i = 0;
   while (i < plan.lbas.size()) {
@@ -263,9 +298,8 @@ Task<Status> BufferCache::WritebackRuns(WritebackPlan plan) {
   if (!status.ok()) {
     // Put the pages back on the dirty list so a later flush retries them.
     for (uint64_t lba : plan.lbas) {
-      auto it = map_.find(lba);
-      if (it != map_.end()) {
-        SetDirty(it->second, true);
+      if (const uint32_t slot = Lookup(lba); slot != kNoSlot) {
+        SetDirty(pages_[slot], true);
       }
     }
   }
@@ -273,12 +307,10 @@ Task<Status> BufferCache::WritebackRuns(WritebackPlan plan) {
 }
 
 Task<Status> BufferCache::EvictOne() {
-  CHECK(!(probation_.empty() && protected_.empty()));
-  std::list<uint64_t>& list = probation_.empty() ? protected_ : probation_;
-  uint64_t victim = list.back();
-  auto it = map_.find(victim);
-  CHECK(it != map_.end());
-  if (it->second.dirty) {
+  CHECK_GT(size_, 0u);
+  uint32_t slot = probation_.size > 0 ? probation_.tail : protected_.tail;
+  const uint64_t victim = pages_[slot].lba;
+  if (pages_[slot].dirty) {
     if (OverlapsInflight(victim, 1)) {
       // An older snapshot of this page is already on its way to the device;
       // submitting the new bytes now would race it (the device gives no
@@ -309,32 +341,31 @@ Task<Status> BufferCache::EvictOne() {
         co_await WritebackRuns(PlanWriteback({first, last})));
     // The write-back suspended; re-resolve the victim, which may have been
     // invalidated (slot already freed), touched, or re-dirtied meanwhile.
-    it = map_.find(victim);
-    if (it == map_.end()) {
+    slot = Lookup(victim);
+    if (slot == kNoSlot) {
       co_return OkStatus();
     }
-    if (it->second.dirty) {
+    if (pages_[slot].dirty) {
       // Re-dirtied mid-flight: the cached bytes are newer than what just
       // reached the device. Keep the page for a later write-back; the
       // caller's eviction loop picks another victim.
       co_return OkStatus();
     }
   }
-  free_slots_.push_back(it->second.slot);
-  Unlink(it->second);
-  map_.erase(it);
+  Release(slot);
   evictions_->Increment();
   ++local_evictions_;
   UpdateGauges();
   co_return OkStatus();
 }
 
-void BufferCache::CopyHit(Page& page, std::span<uint8_t> out) {
+void BufferCache::CopyHit(uint32_t slot, std::span<uint8_t> out) {
   if (use_ != nullptr) {
     use_->CompleteOp(telemetry_sim_->now(), 0);
   }
   hits_->Increment();
   ++local_hits_;
+  Page& page = pages_[slot];
   bool was_readahead = page.readahead;
   if (was_readahead) {
     readahead_hits_->Increment();
@@ -343,9 +374,9 @@ void BufferCache::CopyHit(Page& page, std::span<uint8_t> out) {
   }
   // A readahead page's first demand hit is its first reference, not a
   // reuse — it must not promote (see TouchHit).
-  TouchHit(page, /*promote=*/!was_readahead);
+  TouchHit(slot, /*promote=*/!was_readahead);
   UpdateGauges();
-  std::memcpy(out.data(), SlotRef(page.slot).span().data(), block_size_);
+  std::memcpy(out.data(), SlotRef(slot).span().data(), block_size_);
 }
 
 Task<Result<BufferCache::StageCounts>> BufferCache::Stage(
@@ -362,12 +393,11 @@ Task<Result<BufferCache::StageCounts>> BufferCache::Stage(
       const uint64_t lba = extent.start + i;
       const uint64_t index = cursor + i;
       const bool speculative = index >= demand_blocks;
-      auto it = map_.find(lba);
-      if (it != map_.end()) {
+      if (const uint32_t slot = Lookup(lba); slot != kNoSlot) {
         // No copy and no LRU touch for an already-cached readahead block:
         // the stream has not actually reached it yet.
         if (!speculative) {
-          CopyHit(it->second, out.subspan(index * block_size_, block_size_));
+          CopyHit(slot, out.subspan(index * block_size_, block_size_));
           ++counts.hits;
         }
         ++i;
@@ -428,51 +458,42 @@ Task<Status> BufferCache::InsertLocked(uint64_t lba,
   if (content.size() < block_size_) {
     co_return InvalidArgumentError("short page content");
   }
-  auto it = map_.find(lba);
-  if (it == map_.end() && free_slots_.empty()) {
+  uint32_t slot = Lookup(lba);
+  if (slot == kNoSlot && size_ == capacity_) {
     SOLROS_CO_RETURN_IF_ERROR(co_await EvictOne());
     // EvictOne may suspend (dirty writeback); re-check for a racing insert.
-    it = map_.find(lba);
+    slot = Lookup(lba);
   }
-  if (it != map_.end()) {
+  if (slot != kNoSlot) {
     if (dirty) {
       // Full-block overwrite of the established page.
-      std::memcpy(SlotRef(it->second.slot).span().data(), content.data(),
-                  block_size_);
-      it->second.readahead = false;
-      SetDirty(it->second, true);
-      TouchHit(it->second);
+      std::memcpy(SlotRef(slot).span().data(), content.data(), block_size_);
+      pages_[slot].readahead = false;
+      SetDirty(pages_[slot], true);
+      TouchHit(slot);
       UpdateGauges();
     }
     co_return OkStatus();
   }
-  if (free_slots_.empty()) {
+  if (size_ == capacity_) {
     // A racing insert consumed the slot EvictOne freed; make another.
-    while (free_slots_.empty()) {
+    while (size_ == capacity_) {
       SOLROS_CO_RETURN_IF_ERROR(co_await EvictOne());
     }
-    if (auto raced = map_.find(lba); raced != map_.end()) {
+    if (const uint32_t raced = Lookup(lba); raced != kNoSlot) {
       if (dirty) {
-        std::memcpy(SlotRef(raced->second.slot).span().data(), content.data(),
+        std::memcpy(SlotRef(raced).span().data(), content.data(),
                     block_size_);
-        raced->second.readahead = false;
-        SetDirty(raced->second, true);
+        pages_[raced].readahead = false;
+        SetDirty(pages_[raced], true);
       }
       co_return OkStatus();
     }
   }
-  size_t slot = free_slots_.back();
-  free_slots_.pop_back();
+  slot = Install(lba, readahead);
   std::memcpy(SlotRef(slot).span().data(), content.data(), block_size_);
-  Page page;
-  page.lba = lba;
-  page.slot = slot;
-  page.readahead = readahead;
-  LinkNew(page);
-  auto [inserted, ok] = map_.emplace(lba, page);
-  CHECK(ok);
   if (dirty) {
-    SetDirty(inserted->second, true);
+    SetDirty(pages_[slot], true);
   }
   if (readahead) {
     readahead_blocks_->Increment();
@@ -489,21 +510,19 @@ Task<Status> BufferCache::InsertDirty(uint64_t lba,
 
 void BufferCache::Invalidate(uint64_t lba) {
   TouchFills(lba);
-  auto it = map_.find(lba);
-  if (it == map_.end()) {
+  const uint32_t slot = Lookup(lba);
+  if (slot == kNoSlot) {
     return;
   }
-  SetDirty(it->second, false);
-  free_slots_.push_back(it->second.slot);
-  Unlink(it->second);
-  map_.erase(it);
+  SetDirty(pages_[slot], false);
+  Release(slot);
   UpdateGauges();
 }
 
 void BufferCache::InvalidateCleanRange(uint64_t lba, uint64_t nblocks) {
   for (uint64_t i = 0; i < nblocks; ++i) {
-    auto it = map_.find(lba + i);
-    if (it == map_.end() || !it->second.dirty) {
+    const uint32_t slot = Lookup(lba + i);
+    if (slot == kNoSlot || !pages_[slot].dirty) {
       Invalidate(lba + i);
     }
   }
@@ -518,15 +537,14 @@ Task<void> BufferCache::DiscardRange(uint64_t lba, uint64_t nblocks) {
 
 void BufferCache::ZeroFrom(uint64_t lba, uint32_t offset) {
   TouchFills(lba);
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    std::span<uint8_t> page = SlotRef(it->second.slot).span();
+  if (const uint32_t slot = Lookup(lba); slot != kNoSlot) {
+    std::span<uint8_t> page = SlotRef(slot).span();
     std::memset(page.data() + offset, 0, block_size_ - offset);
   }
 }
 
 bool BufferCache::Contains(uint64_t lba) const {
-  return map_.find(lba) != map_.end();
+  return Lookup(lba) != kNoSlot;
 }
 
 Task<Status> BufferCache::Flush() {

@@ -2,9 +2,9 @@
 //
 // The control-plane proxy keeps a cache of file-system blocks in host DRAM,
 // shared by all data-plane OSes ("Solros is a shared-something
-// architecture"). Pages live in a host DeviceBuffer arena so a hit can be
-// served to a co-processor with a host-initiated DMA directly out of the
-// cache — no disk access and no staging copy.
+// architecture"). Pages live in a host DeviceBuffer arena. A hit costs no
+// disk access: Stage copies the page into the caller's host bounce buffer,
+// from which the proxy moves it with one host-initiated DMA.
 //
 // Device bytes enter the cache one way: Stage(), the staged fill behind
 // both buffered reads and prefetch. It copies hits out, fetches each miss
@@ -18,6 +18,12 @@
 // touch. A streaming scan from one co-processor therefore churns only
 // probation and cannot flush another co-processor's hot (protected) working
 // set.
+//
+// The page table costs no heap node per block: a Page lives at its arena
+// slot's index in one array, the two segments are doubly linked lists of
+// slot indices threaded through the pages, and LBA -> slot is one dense
+// array over the device's blocks. Both arrays are calloc'd, so their memory
+// becomes resident only as pages are touched.
 //
 // Write policy is write-back: dirty pages are flushed on eviction and on
 // Flush(). The cache keeps an LBA-ordered index of its dirty pages, so
@@ -46,14 +52,15 @@
 #define SOLROS_SRC_FS_BUFFER_CACHE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <list>
 #include <memory>
 #include <set>
 #include <string>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/fs/block_store.h"
@@ -138,27 +145,49 @@ class BufferCache {
   uint64_t misses() const { return local_misses_; }
   uint64_t evictions() const { return local_evictions_; }
   uint64_t readahead_hits() const { return local_readahead_hits_; }
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   size_t dirty_pages() const { return dirty_.size(); }
   // True while a write-back submission is outstanding at the device. Pages
   // covered by it are already clean, so "dirty_pages() == 0" alone must
   // not be read as "everything durable".
   bool writeback_in_flight() const { return !inflight_.empty(); }
-  size_t protected_pages() const { return protected_.size(); }
-  size_t probation_pages() const { return probation_.size(); }
+  size_t protected_pages() const { return protected_.size; }
+  size_t probation_pages() const { return probation_.size; }
 
  private:
   enum class Segment : uint8_t { kProbation, kProtected };
 
+  // No slot: an LRU list end, or an LBA that is not cached.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // The page in one arena slot. All-zero bytes are a valid unused entry.
   struct Page {
     uint64_t lba;
-    size_t slot;
-    bool dirty = false;
-    bool readahead = false;  // speculative fill, not yet touched
-    Segment segment = Segment::kProbation;
-    std::list<uint64_t>::iterator lru_it;
+    // Neighbours in the page's segment list (prev is more recent); a free
+    // slot links the free list through `next`.
+    uint32_t prev;
+    uint32_t next;
+    bool dirty;
+    bool readahead;  // speculative fill, not yet touched
+    Segment segment;
   };
+
+  // A segment: an MRU-first list of slots linked through Page::prev/next.
+  struct LruList {
+    uint32_t head = kNoSlot;
+    uint32_t tail = kNoSlot;
+    size_t size = 0;
+  };
+
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  // A calloc'd array: zero-filled, and resident only where touched.
+  template <typename T>
+  using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
+  template <typename T>
+  static ZeroedArray<T> AllocateZeroed(size_t count);
 
   // One dirty page staged for write-back: content is snapshotted so the
   // arena slot may be concurrently evicted/reused while the write is in
@@ -223,14 +252,23 @@ class BufferCache {
   WritebackPlan PlanWriteback(std::vector<uint64_t> lbas);
   Task<Status> InsertLocked(uint64_t lba, std::span<const uint8_t> content,
                             bool dirty, bool readahead);
-  // Copies a cached page out as a demand hit: counts it and touches it.
-  void CopyHit(Page& page, std::span<uint8_t> out);
+  // Copies the page in `slot` out as a demand hit: counts it and touches it.
+  void CopyHit(uint32_t slot, std::span<uint8_t> out);
   // Drops a page without write-back.
   void Invalidate(uint64_t lba);
-  void TouchHit(Page& page, bool promote = true);
-  void LinkNew(Page& page);
-  void Unlink(const Page& page);
-  std::list<uint64_t>& SegmentList(Segment segment) {
+  // The slot caching `lba`, or kNoSlot.
+  uint32_t Lookup(uint64_t lba) const {
+    CHECK(lba < block_count_) << "lba " << lba;
+    return slot_of_[lba] - 1;
+  }
+  // Takes a free slot for `lba`'s new page, at the probation head.
+  uint32_t Install(uint64_t lba, bool readahead);
+  // Unlinks and unmaps the page in `slot` and frees the slot.
+  void Release(uint32_t slot);
+  void TouchHit(uint32_t slot, bool promote = true);
+  void PushFront(LruList& list, uint32_t slot);
+  void Remove(LruList& list, uint32_t slot);
+  LruList& SegmentList(Segment segment) {
     return segment == Segment::kProtected ? protected_ : probation_;
   }
   void SetDirty(Page& page, bool dirty);
@@ -244,12 +282,17 @@ class BufferCache {
   size_t capacity_;
   uint32_t block_size_;
   size_t protected_cap_;
+  uint64_t block_count_;
   DeviceBuffer arena_;
-  std::vector<size_t> free_slots_;
-  std::unordered_map<uint64_t, Page> map_;
-  // front = most recent in both segments.
-  std::list<uint64_t> probation_;
-  std::list<uint64_t> protected_;
+  // Indexed by arena slot; slots [0, unused_slot_) have held a page.
+  ZeroedArray<Page> pages_;
+  // Indexed by LBA: slot + 1, or 0 when the block is not cached.
+  ZeroedArray<uint32_t> slot_of_;
+  size_t size_ = 0;
+  uint32_t free_head_ = kNoSlot;  // freed slots, reused most recent first
+  uint32_t unused_slot_ = 0;
+  LruList probation_;
+  LruList protected_;
   // LBAs of the dirty pages, ascending; SetDirty keeps it in step with
   // Page::dirty.
   std::set<uint64_t> dirty_;

@@ -1,5 +1,7 @@
 #include "src/fs/fs_proxy.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <cstring>
 #include <optional>
@@ -61,7 +63,8 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
                IoSchedulerOptions{
                    .coalesce_nvme = options.coalesce_nvme,
                    .telemetry_suffix =
-                       ShardLabel("", shard.shard_id, shard.shard_count)}) {
+                       ShardLabel("", shard.shard_id, shard.shard_count)}),
+      bounce_pool_(host_cpu->device()) {
   if (sim->telemetry() != nullptr) {
     use_ = sim->telemetry()->GetSeries(
         ShardLabel("fs.proxy", shard_.shard_id, shard_.shard_count));
@@ -171,9 +174,10 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
     SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
                                co_await fs_->Fiemap(ino, offset, end - offset));
     uint64_t blocks = (end - offset + kFsBlockSize - 1) / kFsBlockSize;
-    std::vector<uint8_t> bounce(blocks * kFsBlockSize);
-    auto staged = co_await owner->cache_->Stage(extents, blocks, end - offset,
-                                                bounce, IoClass::kReadahead);
+    BouncePool::Lease bounce = bounce_pool_.Take(blocks * kFsBlockSize);
+    auto staged = co_await owner->cache_->Stage(
+        extents, blocks, end - offset, {bounce.data(), blocks * kFsBlockSize},
+        IoClass::kReadahead);
     SOLROS_CO_RETURN_IF_ERROR(staged.status());
     offset = end;
   }
@@ -666,6 +670,26 @@ Task<Status> FsProxy::DmaCopyWithRetry(MemRef dst, MemRef src,
   }
 }
 
+FsProxy::BouncePool::Lease FsProxy::BouncePool::Take(uint64_t bytes) {
+  std::unique_ptr<DeviceBuffer> buffer;
+  if (!spares_.empty()) {
+    buffer = std::move(spares_.back());
+    spares_.pop_back();
+  }
+  if (buffer == nullptr || buffer->size() < bytes) {
+    buffer = std::make_unique<DeviceBuffer>(device_, bytes);
+  } else {
+    // Past `bytes` stays poisoned, as past the end of a fresh buffer.
+    ASAN_UNPOISON_MEMORY_REGION(buffer->data(), bytes);
+  }
+  return Lease(this, std::move(buffer));
+}
+
+void FsProxy::BouncePool::Return(std::unique_ptr<DeviceBuffer> buffer) {
+  ASAN_POISON_MEMORY_REGION(buffer->data(), buffer->size());
+  spares_.push_back(std::move(buffer));
+}
+
 Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
                                    uint64_t length, MemRef target,
                                    uint32_t ra_blocks, uint64_t file_size,
@@ -692,12 +716,21 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
   if (stage_blocks > nblocks) {
     TRACE_INSTANT(sim_, "proxy", "fs.proxy.readahead");
   }
-  DeviceBuffer bounce(host_cpu_->device(), stage_blocks * kFsBlockSize);
+  BouncePool::Lease bounce = bounce_pool_.Take(stage_blocks * kFsBlockSize);
 
   SOLROS_CO_ASSIGN_OR_RETURN(
       std::vector<FsExtent> extents,
       co_await fs_->Fiemap(ino, first_block * kFsBlockSize,
                            stage_blocks * kFsBlockSize));
+  // A truncate that lands between the caller's stat and this Fiemap leaves
+  // the tail of the staged range unmapped. It reads as zeros, not as the
+  // leased bytes.
+  uint64_t mapped_blocks = 0;
+  for (const FsExtent& e : extents) {
+    mapped_blocks += e.len;
+  }
+  std::memset(bounce.data() + mapped_blocks * kFsBlockSize, 0,
+              (stage_blocks - mapped_blocks) * kFsBlockSize);
 
   if (cache_ == nullptr) {
     // No cache (ablation A3): one demand read per extent.
@@ -734,7 +767,7 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
     co_await Delay(TransferTime(length, params_.host_mem_bw));
   } else {
     SOLROS_CO_RETURN_IF_ERROR(co_await DmaCopyWithRetry(
-        target.Sub(0, length), MemRef::Of(bounce, in_off, length), ctx));
+        target.Sub(0, length), bounce.Ref(in_off, length), ctx));
   }
   co_return OkStatus();
 }
@@ -744,13 +777,13 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
                                     TraceContext ctx) {
   // Pull the data to a host bounce buffer with one DMA, then write through
   // the file system (which handles allocation, gaps, and partial blocks).
-  DeviceBuffer bounce(host_cpu_->device(), length);
+  BouncePool::Lease bounce = bounce_pool_.Take(length);
   if (source.device() == host_cpu_->device()) {
     std::memcpy(bounce.data(), source.span().data(), length);
     co_await Delay(TransferTime(length, params_.host_mem_bw));
   } else {
     SOLROS_CO_RETURN_IF_ERROR(co_await DmaCopyWithRetry(
-        MemRef::Of(bounce), source.Sub(0, length), ctx));
+        bounce.Ref(0, length), source.Sub(0, length), ctx));
   }
   // Write-back absorption: an aligned write becomes dirty cache pages with
   // no device I/O at all — eviction and Flush() push them out later as

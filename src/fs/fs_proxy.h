@@ -35,6 +35,7 @@
 #include "src/fs/solros_fs.h"
 #include "src/hw/dma.h"
 #include "src/hw/fabric.h"
+#include "src/hw/memory.h"
 #include "src/hw/params.h"
 #include "src/hw/processor.h"
 #include "src/rpc/messages.h"
@@ -206,6 +207,44 @@ class FsProxy {
   // then run the one journal commit via the designated barrier shard.
   Task<Status> FsyncBarrier();
 
+  // Host bounce buffers of the buffered paths, leased most recently
+  // returned first. A lease holds its buffer until the coroutine that took
+  // it ends, so the bytes outlive every DMA that names them, as a buffer of
+  // the coroutine's own would. Leased bytes are not zeroed. Under ASan a
+  // spare is poisoned while it sits in the pool, so a DMA that names a
+  // returned bounce is still reported.
+  class BouncePool {
+   public:
+    class Lease {
+     public:
+      Lease(BouncePool* pool, std::unique_ptr<DeviceBuffer> buffer)
+          : pool_(pool), buffer_(std::move(buffer)) {}
+      ~Lease() { pool_->Return(std::move(buffer_)); }
+      Lease(const Lease&) = delete;
+      Lease& operator=(const Lease&) = delete;
+
+      uint8_t* data() { return buffer_->data(); }
+      MemRef Ref(uint64_t offset, uint64_t length) {
+        return MemRef::Of(*buffer_, offset, length);
+      }
+
+     private:
+      BouncePool* pool_;
+      std::unique_ptr<DeviceBuffer> buffer_;
+    };
+
+    explicit BouncePool(DeviceId device) : device_(device) {}
+
+    // At least `bytes` bytes, which a spare grows to when it is too small.
+    Lease Take(uint64_t bytes);
+
+   private:
+    void Return(std::unique_ptr<DeviceBuffer> buffer);
+
+    DeviceId device_;
+    std::vector<std::unique_ptr<DeviceBuffer>> spares_;
+  };
+
   // Host DMA with bounded resubmission while faults are armed (the engine
   // aborts before moving bytes, so a reissue is safe).
   Task<Status> DmaCopyWithRetry(MemRef dst, MemRef src,
@@ -230,6 +269,7 @@ class FsProxy {
   DmaEngine host_dma_;
   std::unique_ptr<BufferCache> cache_;
   IoScheduler iosched_;
+  BouncePool bounce_pool_;
   std::vector<std::unique_ptr<RpcServer<FsRequest, FsResponse>>> servers_;
   FsProxyStats stats_;
   // USE telemetry ("fs.proxy" or "fs.proxy[k]"): depth counts requests in

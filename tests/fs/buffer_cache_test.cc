@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -518,6 +521,148 @@ TEST_F(SegmentedCacheTest, FlushRangeWaitsForInFlightWriteback) {
   sim_.RunUntilIdle();
   EXPECT_TRUE(range_flushed);
   EXPECT_TRUE(durable_at_return);
+}
+
+// Reference 2Q policy for a 16-page cache, kept apart from BufferCache's own
+// structures: MRU-first segment lists and each page's dirty and readahead
+// bits, over a store whose I/O never suspends.
+struct ReferenceCache {
+  static constexpr size_t kCapacity = 16;
+  static constexpr size_t kProtectedCap = 12;  // 0.75 of the capacity
+  struct Page {
+    bool dirty = false;
+    bool readahead = false;
+  };
+  std::list<uint64_t> probation, protect;
+  std::map<uint64_t, Page> pages;
+
+  bool Contains(uint64_t lba) const { return pages.contains(lba); }
+  void Remove(uint64_t lba) {
+    probation.remove(lba);
+    protect.remove(lba);
+    pages.erase(lba);
+  }
+  void Touch(uint64_t lba, bool promote) {
+    const bool hot =
+        std::find(protect.begin(), protect.end(), lba) != protect.end();
+    std::list<uint64_t>& from = hot ? protect : probation;
+    from.remove(lba);
+    (hot || !promote ? from : protect).push_front(lba);
+    if (protect.size() > kProtectedCap) {
+      probation.push_front(protect.back());
+      protect.pop_back();
+    }
+  }
+  void Install(uint64_t lba, bool dirty, bool readahead) {
+    if (pages.size() == kCapacity) {
+      const uint64_t victim =
+          probation.empty() ? protect.back() : probation.back();
+      if (pages[victim].dirty) {
+        // Its write-back cleans the LBA-contiguous dirty run around it.
+        uint64_t l = victim;
+        while (Contains(l - 1) && pages[l - 1].dirty) {
+          --l;
+        }
+        for (; Contains(l) && pages[l].dirty; ++l) {
+          pages[l].dirty = false;
+        }
+      }
+      Remove(victim);
+    }
+    probation.push_front(lba);
+    pages[lba] = Page{dirty, readahead};
+  }
+  void Stage(uint64_t lba, uint64_t n, uint64_t demand) {
+    for (uint64_t i = 0; i < n;) {
+      if (Contains(lba + i) && i < demand) {
+        const bool readahead = std::exchange(pages[lba + i].readahead, false);
+        Touch(lba + i, /*promote=*/!readahead);
+      }
+      if (Contains(lba + i) || i >= demand) {
+        ++i;
+        continue;
+      }
+      uint64_t run = 1;
+      while (i + run < n && !Contains(lba + i + run)) {
+        ++run;
+      }
+      for (uint64_t b = i; b < i + run; ++b) {
+        Install(lba + b, /*dirty=*/false, /*readahead=*/b >= demand);
+      }
+      i += run;
+    }
+  }
+  void InsertDirty(uint64_t lba) {
+    if (!Contains(lba)) {
+      Install(lba, /*dirty=*/true, /*readahead=*/false);
+      return;
+    }
+    pages[lba] = Page{/*dirty=*/true, /*readahead=*/false};
+    Touch(lba, /*promote=*/true);
+  }
+  size_t dirty_pages() const {
+    return static_cast<size_t>(std::count_if(
+        pages.begin(), pages.end(), [](const auto& p) { return p.second.dirty; }));
+  }
+};
+
+TEST_F(SegmentedCacheTest, MatchesReferenceModel) {
+  constexpr uint64_t kLbas = 64;
+  BufferCache cache(&store_, fabric_.HostDevice(0),
+                    ReferenceCache::kCapacity);
+  ReferenceCache model;
+  Prng prng(28);
+  // Half the traffic goes to a hot set of 12 LBAs, so pages see second
+  // touches, promotions and demotions as well as scan churn.
+  auto pick = [&]() {
+    return prng.NextBool(0.5) ? prng.NextBelow(12) : prng.NextBelow(kLbas);
+  };
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t roll = prng.NextBelow(100);
+    const uint64_t lba = pick();
+    const uint64_t n = std::min<uint64_t>(prng.NextInRange(1, 6), kLbas - lba);
+    if (roll < 50) {
+      // A demanded head with a readahead tail.
+      const uint64_t demand = prng.NextInRange(1, n);
+      const FsExtent extent{lba, static_cast<uint32_t>(n)};
+      std::vector<uint8_t> out(n * 4096);
+      ASSERT_TRUE(RunSim(sim_, cache.Stage({&extent, 1}, demand, out.size(),
+                                           out, IoClass::kDemand))
+                      .ok());
+      model.Stage(lba, n, demand);
+    } else if (roll < 75) {
+      CHECK_OK(RunSim(sim_, cache.InsertDirty(lba, Block(0x5a))));
+      model.InsertDirty(lba);
+    } else if (roll < 85) {
+      RunSim(sim_, cache.DiscardRange(lba, n));
+      for (uint64_t b = lba; b < lba + n; ++b) {
+        model.Remove(b);
+      }
+    } else if (roll < 95) {
+      cache.InvalidateCleanRange(lba, n);
+      for (uint64_t b = lba; b < lba + n; ++b) {
+        if (model.Contains(b) && !model.pages[b].dirty) {
+          model.Remove(b);
+        }
+      }
+    } else {
+      CHECK_OK(RunSim(sim_, cache.Flush()));
+      for (auto& [l, page] : model.pages) {
+        page.dirty = false;
+      }
+    }
+    for (uint64_t l = 0; l < kLbas; ++l) {
+      ASSERT_EQ(cache.Contains(l), model.Contains(l))
+          << "lba " << l << " after op " << op;
+    }
+    ASSERT_EQ(cache.protected_pages(), model.protect.size()) << "op " << op;
+    ASSERT_EQ(cache.probation_pages(), model.probation.size()) << "op " << op;
+    ASSERT_EQ(cache.dirty_pages(), model.dirty_pages()) << "op " << op;
+  }
+  // The mix reached every path the model pins.
+  EXPECT_GT(cache.evictions(), 1000u);
+  EXPECT_GT(cache.readahead_hits(), 50u);
+  EXPECT_GT(cache.hits(), 1000u);
 }
 
 TEST_F(SegmentedCacheTest, AccessorsAreInstanceLocal) {

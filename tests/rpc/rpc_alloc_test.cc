@@ -1,13 +1,9 @@
 // Allocation budget of the RPC path: once warm, a round trip between an
 // RpcClient and an RpcServer over a SimRing pair makes no heap allocation.
-// This binary replaces the global operator new to count calls, so it holds
-// no other test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "src/base/units.h"
 #include "src/hw/fabric.h"
@@ -18,32 +14,7 @@
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/transport/sim_ring.h"
-
-namespace {
-
-bool counting = false;
-uint64_t allocations = 0;
-
-}  // namespace
-
-// Out of line, as is operator delete below: inlined, GCC sees malloc()
-// paired with operator delete, or new with free(), and warns of a mismatch.
-[[gnu::noinline]] void* operator new(std::size_t bytes) {
-  if (counting) {
-    ++allocations;
-  }
-  if (void* block = std::malloc(bytes == 0 ? 1 : bytes)) {
-    return block;
-  }
-  throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void operator delete(void* block) noexcept {
-  std::free(block);
-}
-[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
-  std::free(block);
-}
+#include "tests/base/alloc_count.h"
 
 namespace solros {
 namespace {
@@ -120,13 +91,15 @@ TEST(RpcAllocationTest, WarmRoundTripsMakeNoHeapAllocation) {
   constexpr int kCallers = 4;
   constexpr int kCalls = 64;
   uint64_t completed = 0;
+  uint64_t allocations = 0;
   for (int phase = 0; phase < 2; ++phase) {
-    counting = phase == 1;  // the first phase warms every pool and buffer
+    // The first phase warms every pool and buffer.
+    StartCountingAllocations();
     for (int c = 0; c < kCallers; ++c) {
       Spawn(rig.sim, CallLoop(&client, kCalls, &completed));
     }
     rig.sim.RunUntilIdle();
-    counting = false;
+    allocations = StopCountingAllocations();
   }
   EXPECT_EQ(completed, 2u * kCallers * kCalls);
   EXPECT_EQ(allocations, 0u);
