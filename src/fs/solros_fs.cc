@@ -515,29 +515,40 @@ void SolrosFs::FreeBlocks(const FsExtent& extent) {
 
 Task<Result<std::vector<FsExtent>>> SolrosFs::LoadExtents(
     const DiskInode& inode) {
-  std::vector<FsExtent> extents;
-  extents.reserve(inode.extent_count);
-  uint32_t direct = std::min<uint32_t>(inode.extent_count, kDirectExtents);
-  for (uint32_t i = 0; i < direct; ++i) {
-    extents.push_back(inode.direct[i]);
-  }
-  if (inode.extent_count > kDirectExtents) {
-    if (inode.indirect_block == 0) {
-      co_return IoError("inode missing indirect extent block");
+  std::vector<uint8_t> buf;
+  for (;;) {
+    // `inode` is the live cached inode: a truncate or write that lands
+    // while the indirect block is read may change its extents, so take
+    // them as they stand after the read, and read again if the indirect
+    // block the read was for no longer holds them.
+    const uint32_t count = inode.extent_count;
+    const uint64_t indirect = inode.indirect_block;
+    if (count > kDirectExtents) {
+      if (indirect == 0) {
+        co_return IoError("inode missing indirect extent block");
+      }
+      buf.resize(kFsBlockSize);
+      // Through the staging map: within one op the indirect block may have
+      // been rewritten by StoreExtents but not yet committed.
+      SOLROS_CO_RETURN_IF_ERROR(co_await ReadMetaBlock(indirect, buf));
+      if (inode.extent_count != count || inode.indirect_block != indirect) {
+        continue;
+      }
     }
-    std::vector<uint8_t> buf(kFsBlockSize);
-    // Through the staging map: within one op the indirect block may have
-    // been rewritten by StoreExtents but not yet committed.
-    SOLROS_CO_RETURN_IF_ERROR(
-        co_await ReadMetaBlock(inode.indirect_block, buf));
-    uint32_t extra = inode.extent_count - kDirectExtents;
-    for (uint32_t i = 0; i < extra; ++i) {
-      FsExtent e;
-      std::memcpy(&e, buf.data() + i * sizeof(FsExtent), sizeof(FsExtent));
-      extents.push_back(e);
+    std::vector<FsExtent> extents;
+    extents.reserve(std::min(count, kMaxExtentsPerFile));
+    extents.insert(extents.end(), inode.direct,
+                   inode.direct + std::min<uint32_t>(count, kDirectExtents));
+    if (count > kDirectExtents) {
+      // At most one block's worth, whatever the count claims.
+      const uint32_t extra =
+          std::min<uint32_t>(count - kDirectExtents, kIndirectExtents);
+      extents.resize(kDirectExtents + extra);
+      std::memcpy(&extents[kDirectExtents], buf.data(),
+                  extra * sizeof(FsExtent));
     }
+    co_return extents;
   }
-  co_return extents;
 }
 
 Task<Status> SolrosFs::StoreExtents(uint64_t ino,

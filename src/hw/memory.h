@@ -10,17 +10,20 @@
 // memory the caller declares to live on a device (MemRef::On), so a host
 // submission can point the device straight at the caller's bytes.
 //
-// Device bytes start zeroed and cost host memory only once written: a
-// buffer comes from calloc, which glibc serves for large blocks from fresh
-// anonymous mmap without a memset. A page that is only read maps the
-// kernel's shared zero page; a page is allocated on its first write. So a
+// Device bytes start zeroed and cost host memory only once written: it is
+// paid on first write, in 2 MiB grains where the kernel grants huge pages.
+// A buffer of at least 2 MiB is its own anonymous mapping, 2 MiB-aligned,
+// rounded up to whole 2 MiB and advised MADV_HUGEPAGE, so one page fault
+// supplies 2 MiB rather than 4 KiB. A smaller buffer comes from calloc,
+// which glibc serves for large blocks from fresh anonymous mmap without a
+// memset. A page that is only read maps the kernel's shared zero page. So a
 // Machine's 2 GiB flash image and 128 MiB cache arena occupy host RAM in
 // proportion to the bytes the simulation writes, not to their capacity.
 #ifndef SOLROS_SRC_HW_MEMORY_H_
 #define SOLROS_SRC_HW_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -32,15 +35,14 @@ namespace solros {
 
 class DeviceBuffer {
  public:
+  // Buffers of at least this many bytes are mapped in grains of this size,
+  // the x86-64 huge page.
+  static constexpr size_t kHugePageBytes = size_t{2} << 20;
+
   // Zero-filled. A zero-size buffer still owns a valid (1-byte) block, so
   // data() is never null.
   DeviceBuffer(DeviceId device, size_t size)
-      : device_(device),
-        size_(size),
-        bytes_(static_cast<uint8_t*>(std::calloc(size > 0 ? size : 1, 1))) {
-    CHECK(bytes_ != nullptr) << "cannot allocate " << size
-                             << " device bytes";
-  }
+      : device_(device), size_(size), bytes_(Allocate(size)) {}
   DeviceBuffer(const DeviceBuffer&) = delete;
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
@@ -48,6 +50,9 @@ class DeviceBuffer {
   size_t size() const { return size_; }
   uint8_t* data() { return bytes_.get(); }
   const uint8_t* data() const { return bytes_.get(); }
+  // Length of the buffer's own mapping (size() rounded up to
+  // kHugePageBytes), or 0 when the bytes come from calloc.
+  size_t mapped_bytes() const { return bytes_.get_deleter().mapped; }
 
   std::span<uint8_t> Span(uint64_t offset, uint64_t length) {
     CHECK_LE(offset + length, size_);
@@ -59,13 +64,18 @@ class DeviceBuffer {
   }
 
  private:
-  struct Free {
-    void operator()(uint8_t* p) const { std::free(p); }
+  // Unmaps a mapped buffer, frees a calloc'd one.
+  struct Release {
+    size_t mapped = 0;
+    void operator()(uint8_t* bytes) const;
   };
+  using Bytes = std::unique_ptr<uint8_t, Release>;
+
+  static Bytes Allocate(size_t size);
 
   DeviceId device_;
   size_t size_;
-  std::unique_ptr<uint8_t, Free> bytes_;
+  Bytes bytes_;
 };
 
 // A non-owning window of `length` bytes at `addr` in `device()`'s memory.

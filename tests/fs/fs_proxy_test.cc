@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -103,7 +104,11 @@ Task<void> Serve(FsProxy* proxy, FsRequest request, FsResponse* response) {
   *response = co_await proxy->Handle(request);
 }
 
-TEST(FsProxyTest, TruncateBeforeFiemapLeaksNoPooledBounceBytes) {
+// Reads the last 8 of a 20-extent file's blocks with the proxy parked in
+// Fiemap's read of the indirect extent block, and truncates the file to
+// `new_blocks` in that suspension. The read returns the length it stat'ed:
+// the blocks the truncate kept, then zeros.
+void TruncateWhileTailReadMaps(uint64_t new_blocks) {
   Rig rig;
   CHECK_OK(RunSim(rig.sim, rig.fs.Format()));
   auto file = RunSim(rig.sim, rig.fs.Create("/file"));
@@ -145,13 +150,13 @@ TEST(FsProxyTest, TruncateBeforeFiemapLeaksNoPooledBounceBytes) {
   rig.sim.RunUntilIdle();
   ASSERT_EQ(rig.gate.parked(), 1);
 
-  // The truncate to 16 blocks lands before the mapping reads the size, so
-  // the map covers only 4 of the 8 blocks the read goes on to copy out.
-  constexpr uint64_t kNewSize = 16 * kFsBlockSize;
+  // The truncate lands before the mapping reads the size, so the map
+  // covers fewer blocks than the read goes on to copy out.
+  const uint64_t new_size = new_blocks * kFsBlockSize;
   FsRequest truncate;
   truncate.op = FsOp::kTruncate;
   truncate.ino = *file;
-  truncate.length = kNewSize;
+  truncate.length = new_size;
   RunSim(rig.sim, Serve(&rig.proxy, truncate, &response));
   ASSERT_EQ(response.error, ErrorCode::kOk);
   rig.gate.Release();
@@ -160,11 +165,57 @@ TEST(FsProxyTest, TruncateBeforeFiemapLeaksNoPooledBounceBytes) {
   ASSERT_EQ(rig.gate.parked(), 0);
   ASSERT_EQ(tail_response.error, ErrorCode::kOk);
   ASSERT_EQ(tail_response.value, tail.size());
-  const uint64_t kept = kNewSize - kTail;
+  const uint64_t kept = new_size > kTail ? new_size - kTail : 0;
   EXPECT_EQ(std::memcmp(tail.data(), data.data() + kTail, kept), 0);
   for (uint64_t i = kept; i < tail.size(); ++i) {
     ASSERT_EQ(tail.data()[i], 0) << "byte " << kTail + i << " past the end";
   }
+}
+
+TEST(FsProxyTest, TruncateBeforeFiemapLeaksNoPooledBounceBytes) {
+  // The map covers 4 of the 8 blocks.
+  TruncateWhileTailReadMaps(16);
+}
+
+TEST(FsProxyTest, TruncateToDirectExtentsWhileMappingRereadsTheExtents) {
+  // The file drops to 8 extents, all direct, while its indirect block is
+  // read: the mapping must not take 20 extents from that block.
+  TruncateWhileTailReadMaps(8);
+}
+
+TEST(FsProxyTest, LargeBounceLeaseIsReusedAndUnmappedCleanly) {
+  // A bounce of 2 MiB or more is a mapping of its own. The second read
+  // leases the spare the first returned, poisoned under ASan, and the
+  // proxy's teardown unpoisons and unmaps it; memory mapped after it must
+  // be writable.
+  constexpr uint64_t kBytes = MiB(2) + 8 * kFsBlockSize;
+  std::vector<uint8_t> data(kBytes);
+  for (uint64_t i = 0; i < kBytes; ++i) {
+    data[i] = static_cast<uint8_t>(i * 7 + i / kFsBlockSize);
+  }
+  DeviceId phi;
+  {
+    Rig rig;
+    phi = rig.phi;
+    CHECK_OK(RunSim(rig.sim, rig.fs.Format()));
+    auto file = RunSim(rig.sim, rig.fs.Create("/file"));
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(RunSim(rig.sim, rig.fs.WriteAt(*file, 0, data)).ok());
+    DeviceBuffer target(rig.phi, kBytes);
+    for (int round = 0; round < 2; ++round) {
+      std::fill_n(target.data(), kBytes, 0);
+      FsResponse response;
+      RunSim(rig.sim,
+             Serve(&rig.proxy, BufferedRead(*file, 0, target), &response));
+      ASSERT_EQ(response.error, ErrorCode::kOk) << "round " << round;
+      ASSERT_EQ(response.value, kBytes) << "round " << round;
+      ASSERT_EQ(std::memcmp(target.data(), data.data(), kBytes), 0)
+          << "round " << round;
+    }
+  }
+  DeviceBuffer after(phi, kBytes);
+  std::fill_n(after.data(), kBytes, 0xff);
+  EXPECT_EQ(after.data()[kBytes - 1], 0xff);
 }
 
 }  // namespace
