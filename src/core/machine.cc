@@ -115,8 +115,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
     for (int k = 0; k < proxy_shards_; ++k) {
       net_cores.push_back(net_shards_->core(k));
     }
-    tcp_proxy_ = std::make_unique<TcpProxy>(&sim_, params, host_cpu_.get(),
-                                            ethernet_.get(),
+    tcp_proxy_ = std::make_unique<TcpProxy>(&sim_, params, ethernet_.get(),
                                             std::move(policy),
                                             std::move(net_cores),
                                             config_.net_options);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <span>
 
 #include "src/base/fault.h"
@@ -91,12 +90,6 @@ void FsProxy::Serve(SimRing* request_ring, SimRing* response_ring) {
   servers_.back()->Start();
 }
 
-FsResponse FsProxy::ErrorResponse(const Status& status) {
-  FsResponse response;
-  response.error = status.code();
-  return response;
-}
-
 Task<FsResponse> FsProxy::Handle(FsRequest request) {
   ++stats_.requests;
   static Counter* const requests =
@@ -119,20 +112,27 @@ Task<FsResponse> FsProxy::Handle(FsRequest request) {
     co_await host_cpu_->Compute(params_.fs_proxy_cpu +
                                 params_.fs_full_call_cpu);
   }
+  // Each op fills `response` and returns its status; a failure replies
+  // with the error alone.
   FsResponse response;
+  Status status;
   switch (request.op) {
     case FsOp::kRead:
-      response = co_await HandleRead(request, ctx);
+      status = co_await HandleRead(request, ctx, &response);
       break;
     case FsOp::kWrite:
-      response = co_await HandleWrite(request, ctx);
+      status = co_await HandleWrite(request, ctx, &response);
       break;
     case FsOp::kReaddir:
-      response = co_await HandleReaddir(request, ctx);
+      status = co_await HandleReaddir(request, ctx, &response);
       break;
     default:
-      response = co_await HandleMeta(request);
+      status = co_await HandleMeta(request, &response);
       break;
+  }
+  if (!status.ok()) {
+    response = FsResponse{};
+    response.error = status.code();
   }
   service_ns->Record(sim_->now() - t0);
   if (use_ != nullptr) {
@@ -171,37 +171,28 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
                             stat.size);
     FsProxy* owner = shards[static_cast<size_t>(
         ShardOfFileRange(ino, offset, kFsBlockSize, shard_count))];
-    SOLROS_CO_ASSIGN_OR_RETURN(std::vector<FsExtent> extents,
-                               co_await fs_->Fiemap(ino, offset, end - offset));
     uint64_t blocks = (end - offset + kFsBlockSize - 1) / kFsBlockSize;
     BouncePool::Lease bounce = bounce_pool_.Take(blocks * kFsBlockSize);
-    auto staged = co_await owner->cache_->Stage(
-        extents, blocks, end - offset, {bounce.data(), blocks * kFsBlockSize},
-        IoClass::kReadahead);
-    SOLROS_CO_RETURN_IF_ERROR(staged.status());
+    SOLROS_CO_RETURN_IF_ERROR(co_await StageBlocks(
+        owner, ino, offset / kFsBlockSize, blocks, end - offset,
+        {bounce.data(), blocks * kFsBlockSize}, IoClass::kReadahead));
     offset = end;
   }
   co_return OkStatus();
 }
 
-Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
-  FsResponse response;
+Task<Status> FsProxy::HandleMeta(const FsRequest& request,
+                                 FsResponse* response) {
   switch (request.op) {
     case FsOp::kOpen: {
-      auto ino = co_await fs_->Lookup(request.Path());
-      if (!ino.ok()) {
-        co_return ErrorResponse(ino.status());
-      }
-      response.value = *ino;
-      break;
+      SOLROS_CO_ASSIGN_OR_RETURN(response->value,
+                                 co_await fs_->Lookup(request.Path()));
+      co_return OkStatus();
     }
     case FsOp::kCreate: {
-      auto ino = co_await fs_->Create(request.Path());
-      if (!ino.ok()) {
-        co_return ErrorResponse(ino.status());
-      }
-      response.value = *ino;
-      break;
+      SOLROS_CO_ASSIGN_OR_RETURN(response->value,
+                                 co_await fs_->Create(request.Path()));
+      co_return OkStatus();
     }
     case FsOp::kStat: {
       // NOTE: never co_await inside a conditional expression — GCC 12
@@ -212,93 +203,51 @@ Task<FsResponse> FsProxy::HandleMeta(const FsRequest& request) {
       } else {
         stat = co_await fs_->StatInode(request.ino);
       }
-      if (!stat.ok()) {
-        co_return ErrorResponse(stat.status());
-      }
-      response.stat = *stat;
-      response.value = stat->size;
-      break;
+      SOLROS_CO_ASSIGN_OR_RETURN(response->stat, std::move(stat));
+      response->value = response->stat.size;
+      co_return OkStatus();
     }
     case FsOp::kUnlink: {
       const std::string path = request.Path();
-      std::optional<FreedRange> freed;
+      // Only a cache has copies of the file's blocks to drop; inode 0 is
+      // no file, so FreeBlocks drops nothing.
+      Result<uint64_t> ino = ErrorCode::kNotFound;
       if (cache_ != nullptr) {
-        auto ino = co_await fs_->Lookup(path);
-        if (ino.ok()) {
-          auto stat = co_await fs_->StatInode(*ino);
-          if (stat.ok()) {
-            freed = FreedRange{*ino, 0, stat->size};
-          }
-        }
+        ino = co_await fs_->Lookup(path);
       }
-      Status status = co_await FreeBlocks(freed, 0, fs_->Unlink(path));
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
+      co_return co_await FreeBlocks(ino.value_or(0), 0, fs_->Unlink(path));
     }
-    case FsOp::kMkdir: {
-      Status status = co_await fs_->Mkdir(request.Path());
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
-    }
-    case FsOp::kRmdir: {
-      Status status = co_await fs_->Rmdir(request.Path());
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
-    }
-    case FsOp::kRename: {
-      Status status = co_await fs_->Rename(request.Path(), request.Path2());
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
-    }
-    case FsOp::kTruncate: {
+    case FsOp::kMkdir:
+      co_return co_await fs_->Mkdir(request.Path());
+    case FsOp::kRmdir:
+      co_return co_await fs_->Rmdir(request.Path());
+    case FsOp::kRename:
+      co_return co_await fs_->Rename(request.Path(), request.Path2());
+    case FsOp::kTruncate:
       // A partially kept last block stays cached with its freed tail zeroed.
-      std::optional<FreedRange> freed;
-      if (cache_ != nullptr) {
-        auto stat = co_await fs_->StatInode(request.ino);
-        if (stat.ok() && request.length < stat->size) {
-          freed = FreedRange{request.ino, request.length,
-                             stat->size - request.length};
-        }
-      }
-      Status status = co_await FreeBlocks(
-          freed, request.length % kFsBlockSize,
-          fs_->Truncate(request.ino, request.length));
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
-    }
-    case FsOp::kFsync: {
-      Status status = co_await FsyncBarrier();
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-      break;
-    }
+      co_return co_await FreeBlocks(request.ino, request.length,
+                                    fs_->Truncate(request.ino, request.length));
+    case FsOp::kFsync:
+      co_return co_await FsyncBarrier();
     default:
-      co_return ErrorResponse(NotSupportedError("bad fs op"));
+      co_return NotSupportedError("bad fs op");
   }
-  co_return response;
 }
 
-void FsProxy::NoteP2pFault() {
-  if (++p2p_fault_streak_ < kP2pFaultStreakLimit) {
-    return;
+void FsProxy::NoteP2pFault(uint64_t* degraded) {
+  ++*degraded;
+  static Counter* const degraded_total =
+      MetricRegistry::Default().GetCounter("fs.proxy.p2p_degraded");
+  degraded_total->Increment();
+  if (++p2p_fault_streak_ >= kP2pFaultStreakLimit) {
+    p2p_fault_streak_ = 0;
+    p2p_cooldown_until_ = stats_.requests + kP2pCooldownRequests;
+    static Counter* const cooldowns =
+        MetricRegistry::Default().GetCounter("fs.proxy.p2p_cooldowns");
+    cooldowns->Increment();
+    TRACE_INSTANT(sim_, "proxy", "fs.proxy.p2p_cooldown");
   }
-  p2p_fault_streak_ = 0;
-  p2p_cooldown_until_ = stats_.requests + kP2pCooldownRequests;
-  static Counter* const cooldowns =
-      MetricRegistry::Default().GetCounter("fs.proxy.p2p_cooldowns");
-  cooldowns->Increment();
-  TRACE_INSTANT(sim_, "proxy", "fs.proxy.p2p_cooldown");
+  TRACE_INSTANT(sim_, "proxy", "fs.proxy.p2p_degraded");
 }
 
 uint32_t FsProxy::UpdateReadStream(uint32_t client, uint64_t ino,
@@ -358,19 +307,23 @@ Task<void> FsProxy::DropExtents(const std::vector<FsExtent>& extents) {
   }
 }
 
-Task<Status> FsProxy::FreeBlocks(std::optional<FreedRange> range,
-                                 uint32_t keep_bytes, Task<Status> free_op) {
+Task<Status> FsProxy::FreeBlocks(uint64_t ino, uint64_t from,
+                                 Task<Status> free_op) {
+  // The blocks the free returns: those of the file from byte `from` on.
   std::vector<FsExtent> freed;
-  if (range.has_value()) {
-    auto extents =
-        co_await fs_->Fiemap(range->ino, range->offset, range->length);
-    if (extents.ok()) {
-      freed = std::move(*extents);
+  if (cache_ != nullptr) {
+    auto stat = co_await fs_->StatInode(ino);
+    if (stat.ok() && from < stat->size) {
+      auto extents = co_await fs_->Fiemap(ino, from, stat->size - from);
+      if (extents.ok()) {
+        freed = std::move(*extents);
+      }
     }
   }
   // Before the free: drop every shard's copies. No cross-core charge,
   // matching a store to a shared invalidation queue; the only wait is for
   // write-backs already in flight.
+  const uint32_t keep_bytes = static_cast<uint32_t>(from % kFsBlockSize);
   std::vector<FsExtent> dropped = freed;
   const bool keep_head = keep_bytes > 0 && !dropped.empty();
   if (keep_head) {
@@ -399,46 +352,44 @@ Task<Status> FsProxy::FreeBlocks(std::optional<FreedRange> range,
 
 Task<Status> FsProxy::FsyncBarrier() {
   const std::vector<FsProxy*>& shards = shard_.coordinator.shards();
-  if (store_->volatile_write_cache()) {
-    // Durable order, shard-wide: push every shard's dirty pages to the
-    // device first, then fence them behind every shard's in-flight
-    // scheduler batches with ordered barriers, and only then commit
-    // metadata — the journal commit's device flushes make the
-    // already-completed data writes stable, so an acked fsync survives a
-    // power cut no matter which shard's cache held the pages.
-    for (FsProxy* peer : shards) {
-      if (peer->cache_ != nullptr) {
-        SOLROS_CO_RETURN_IF_ERROR(co_await peer->cache_->Flush());
-      }
-    }
-    for (FsProxy* peer : shards) {
-      SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_.Flush());
-    }
-    // The journal commit runs via the designated barrier shard so
-    // ordered-class flushes serialize at one place and the journal keeps
-    // one global commit order. A caller on another shard pays the
-    // cross-shard handoff on the barrier shard's core.
-    FsProxy* barrier = shard_.coordinator.barrier_shard();
-    if (barrier != this) {
-      co_await barrier->host_cpu_->Compute(params_.fs_proxy_cpu);
-    }
-    co_return co_await fs_->Sync();
-  }
   // Write-through store: acked writes are already stable, so the
   // historical order (metadata first, then cache write-back) is kept
   // bit-for-bit for the seed configurations.
-  SOLROS_CO_RETURN_IF_ERROR(co_await fs_->Sync());
+  const bool write_through = !store_->volatile_write_cache();
+  if (write_through) {
+    SOLROS_CO_RETURN_IF_ERROR(co_await fs_->Sync());
+  }
+  // Every shard's dirty pages go to the device. Under a volatile write
+  // cache this comes first (the durable order, shard-wide): then they are
+  // fenced behind every shard's in-flight scheduler batches with ordered
+  // barriers, and only then does metadata commit — the journal commit's
+  // device flushes make the already-completed data writes stable, so an
+  // acked fsync survives a power cut no matter which shard's cache held
+  // the pages.
   for (FsProxy* peer : shards) {
     if (peer->cache_ != nullptr) {
       SOLROS_CO_RETURN_IF_ERROR(co_await peer->cache_->Flush());
     }
   }
-  co_return OkStatus();
+  if (write_through) {
+    co_return OkStatus();
+  }
+  for (FsProxy* peer : shards) {
+    SOLROS_CO_RETURN_IF_ERROR(co_await peer->iosched_.Flush());
+  }
+  // The journal commit runs via the designated barrier shard so
+  // ordered-class flushes serialize at one place and the journal keeps
+  // one global commit order. A caller on another shard pays the
+  // cross-shard handoff on the barrier shard's core.
+  FsProxy* barrier = shard_.coordinator.barrier_shard();
+  if (barrier != this) {
+    co_await barrier->host_cpu_->Compute(params_.fs_proxy_cpu);
+  }
+  co_return co_await fs_->Sync();
 }
 
-Task<Result<bool>> FsProxy::ShouldUseP2p(const FsRequest& request,
-                                         uint64_t length,
-                                         uint32_t readahead_window) {
+Task<bool> FsProxy::ShouldUseP2p(const FsRequest& request, uint64_t length,
+                                 uint32_t readahead_window) {
   if (!options_.allow_p2p) {
     co_return false;
   }
@@ -493,26 +444,22 @@ Task<Result<bool>> FsProxy::ShouldUseP2p(const FsRequest& request,
   co_return true;
 }
 
-Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
-                                     TraceContext ctx) {
+Task<Status> FsProxy::HandleRead(const FsRequest& request, TraceContext ctx,
+                                 FsResponse* response) {
   if (!OwnsRange(request.ino, request.offset,
                  std::min(request.length, request.memory.length))) {
-    co_return ErrorResponse(InvalidArgumentError("read outside shard range"));
+    co_return InvalidArgumentError("read outside shard range");
   }
-  FsResponse response;
-  auto stat = co_await fs_->StatInode(request.ino);
-  if (!stat.ok()) {
-    co_return ErrorResponse(stat.status());
-  }
-  if (request.offset >= stat->size) {
-    response.value = 0;
-    co_return response;
-  }
-  uint64_t length = std::min({request.length, request.memory.length,
-                              stat->size - request.offset});
+  SOLROS_CO_ASSIGN_OR_RETURN(FileStat stat,
+                             co_await fs_->StatInode(request.ino));
+  const uint64_t length =
+      request.offset >= stat.size
+          ? 0
+          : std::min({request.length, request.memory.length,
+                      stat.size - request.offset});
+  response->value = length;
   if (length == 0) {
-    response.value = 0;
-    co_return response;
+    co_return OkStatus();
   }
 
   // Track the sequential stream regardless of the path taken: the window
@@ -523,81 +470,87 @@ Task<FsResponse> FsProxy::HandleRead(const FsRequest& request,
         UpdateReadStream(request.client, request.ino, request.offset, length);
   }
 
-  auto p2p = co_await ShouldUseP2p(request, length, ra_blocks);
-  if (!p2p.ok()) {
-    co_return ErrorResponse(p2p.status());
-  }
-  bool use_buffered = !*p2p;
-  if (*p2p) {
+  const bool p2p = co_await ShouldUseP2p(request, length, ra_blocks);
+  if (p2p) {
     ++stats_.p2p_reads;
     static Counter* const p2p_reads =
         MetricRegistry::Default().GetCounter("fs.proxy.p2p_reads");
     p2p_reads->Increment();
     ScopedSpan data(sim_, "proxy", "fs.data.p2p", ctx);
-    auto extents = co_await fs_->Fiemap(request.ino, request.offset, length);
-    if (!extents.ok()) {
-      co_return ErrorResponse(extents.status());
-    }
+    SOLROS_CO_ASSIGN_OR_RETURN(
+        std::vector<FsExtent> extents,
+        co_await fs_->Fiemap(request.ino, request.offset, length));
     // P2P bypasses the cache; push this shard's dirty pages of the range
     // (the only cached copies) first so the device read returns the newest
     // bytes.
-    Status coherent = co_await FlushExtents(*extents);
-    if (!coherent.ok()) {
-      co_return ErrorResponse(coherent);
-    }
+    SOLROS_CO_RETURN_IF_ERROR(co_await FlushExtents(extents));
     Status status = co_await store_->ReadExtents(
-        *extents, request.memory.Sub(0, length), options_.coalesce_nvme,
+        extents, request.memory.Sub(0, length), options_.coalesce_nvme,
         data.context());
     if (status.ok()) {
       NoteP2pSuccess();
-    } else if (DegradableFault(status)) {
-      // Degrade: re-serve the whole range host-staged. The buffered path
-      // rewrites every target byte, so a partially-landed P2P vector can
-      // never leak through as silent corruption.
-      NoteP2pFault();
-      ++stats_.degraded_reads;
-      static Counter* const degraded =
-          MetricRegistry::Default().GetCounter("fs.proxy.p2p_degraded");
-      degraded->Increment();
-      TRACE_INSTANT(sim_, "proxy", "fs.proxy.p2p_degraded");
-      use_buffered = true;
-    } else {
-      co_return ErrorResponse(status);
+      co_return status;
     }
-  }
-  if (use_buffered) {
-    ++stats_.buffered_reads;
-    static Counter* const buffered_reads =
-        MetricRegistry::Default().GetCounter("fs.proxy.buffered_reads");
-    buffered_reads->Increment();
-    ScopedSpan data(sim_, "proxy", "fs.data.buffered", ctx);
-    Status status = co_await BufferedRead(request.ino, request.offset, length,
-                                          request.memory, ra_blocks,
-                                          stat->size, data.context());
-    if (!status.ok()) {
-      co_return ErrorResponse(status);
+    if (!DegradableFault(status)) {
+      co_return status;
     }
+    // Degrade: re-serve the whole range host-staged. The buffered path
+    // rewrites every target byte, so a partially-landed P2P vector can
+    // never leak through as silent corruption.
+    NoteP2pFault(&stats_.degraded_reads);
   }
-  response.value = length;
-  co_return response;
+  ++stats_.buffered_reads;
+  static Counter* const buffered_reads =
+      MetricRegistry::Default().GetCounter("fs.proxy.buffered_reads");
+  buffered_reads->Increment();
+  ScopedSpan data(sim_, "proxy", "fs.data.buffered", ctx);
+  // Stage the byte range in a host bounce buffer through the cache, then
+  // move the requested bytes to the target. A readahead window extends the
+  // staged range past the request so a miss run spanning the boundary
+  // fetches the next `ra_blocks` speculatively in the same device read.
+  const uint64_t first_block = request.offset / kFsBlockSize;
+  const uint64_t last_block =
+      (request.offset + length + kFsBlockSize - 1) / kFsBlockSize;
+  const uint64_t nblocks = last_block - first_block;
+  uint64_t stage_blocks = nblocks;
+  if (ra_blocks > 0) {
+    uint64_t file_blocks = (stat.size + kFsBlockSize - 1) / kFsBlockSize;
+    uint64_t headroom =
+        file_blocks > last_block ? file_blocks - last_block : 0;
+    stage_blocks += std::min<uint64_t>(ra_blocks, headroom);
+  }
+  // Clip speculation at the end of this shard's stripe: blocks past it
+  // belong to another shard, whose own stream detector readaheads them
+  // into ITS cache.
+  uint64_t owned_end =
+      OwnedRangeEnd(request.offset, kFsBlockSize, shard_.shard_count);
+  stage_blocks = std::min(stage_blocks, owned_end / kFsBlockSize - first_block);
+  if (stage_blocks > nblocks) {
+    TRACE_INSTANT(sim_, "proxy", "fs.proxy.readahead");
+  }
+  BouncePool::Lease bounce = bounce_pool_.Take(stage_blocks * kFsBlockSize);
+  SOLROS_CO_RETURN_IF_ERROR(co_await StageBlocks(
+      this, request.ino, first_block, nblocks,
+      stat.size - first_block * kFsBlockSize,
+      {bounce.data(), stage_blocks * kFsBlockSize}, IoClass::kDemand,
+      data.context()));
+  co_return co_await MoveBytes(
+      request.memory.Sub(0, length),
+      bounce.Ref(request.offset % kFsBlockSize, length), data.context());
 }
 
-Task<FsResponse> FsProxy::HandleWrite(const FsRequest& request,
-                                      TraceContext ctx) {
-  FsResponse response;
-  uint64_t length = std::min(request.length, request.memory.length);
+Task<Status> FsProxy::HandleWrite(const FsRequest& request, TraceContext ctx,
+                                  FsResponse* response) {
+  const uint64_t length = std::min(request.length, request.memory.length);
   if (!OwnsRange(request.ino, request.offset, length)) {
-    co_return ErrorResponse(InvalidArgumentError("write outside shard range"));
+    co_return InvalidArgumentError("write outside shard range");
   }
+  response->value = length;
   if (length == 0) {
-    response.value = 0;
-    co_return response;
+    co_return OkStatus();
   }
-  auto p2p = co_await ShouldUseP2p(request, length);
-  if (!p2p.ok()) {
-    co_return ErrorResponse(p2p.status());
-  }
-  if (*p2p) {
+  const bool p2p = co_await ShouldUseP2p(request, length);
+  if (p2p) {
     auto extents = co_await fs_->PrepareWrite(request.ino, request.offset,
                                               length);
     if (extents.ok()) {
@@ -617,23 +570,17 @@ Task<FsResponse> FsProxy::HandleWrite(const FsRequest& request,
       co_await DropExtents(*extents);
       if (status.ok()) {
         NoteP2pSuccess();
-        response.value = length;
-        co_return response;
+        co_return status;
       }
       if (!DegradableFault(status)) {
-        co_return ErrorResponse(status);
+        co_return status;
       }
       // Degrade: rewrite the whole range through the buffered path. The
       // same bytes go to the same already-allocated blocks, so a partially
       // landed P2P vector is simply overwritten.
-      NoteP2pFault();
-      ++stats_.degraded_writes;
-      static Counter* const degraded =
-          MetricRegistry::Default().GetCounter("fs.proxy.p2p_degraded");
-      degraded->Increment();
-      TRACE_INSTANT(sim_, "proxy", "fs.proxy.p2p_degraded");
+      NoteP2pFault(&stats_.degraded_writes);
     } else if (extents.code() != ErrorCode::kFailedPrecondition) {
-      co_return ErrorResponse(extents.status());
+      co_return extents.status();
     }
     // Gap past EOF (or a faulted P2P write): fall through to buffered.
   }
@@ -642,17 +589,16 @@ Task<FsResponse> FsProxy::HandleWrite(const FsRequest& request,
       MetricRegistry::Default().GetCounter("fs.proxy.buffered_writes");
   buffered_writes->Increment();
   ScopedSpan data(sim_, "proxy", "fs.data.buffered", ctx);
-  Status status = co_await BufferedWrite(request.ino, request.offset, length,
-                                         request.memory, data.context());
-  if (!status.ok()) {
-    co_return ErrorResponse(status);
-  }
-  response.value = length;
-  co_return response;
+  co_return co_await BufferedWrite(request.ino, request.offset, length,
+                                   request.memory, data.context());
 }
 
-Task<Status> FsProxy::DmaCopyWithRetry(MemRef dst, MemRef src,
-                                       TraceContext ctx) {
+Task<Status> FsProxy::MoveBytes(MemRef dst, MemRef src, TraceContext ctx) {
+  if (dst.device() == src.device()) {
+    std::memcpy(dst.span().data(), src.span().data(), src.length);
+    co_await Delay(TransferTime(src.length, params_.host_mem_bw));
+    co_return OkStatus();
+  }
   const int attempts = Faults().any_armed() ? kDmaMaxAttempts : 1;
   Nanos backoff = params_.dma_init_host;
   Status status;
@@ -690,85 +636,48 @@ void FsProxy::BouncePool::Return(std::unique_ptr<DeviceBuffer> buffer) {
   spares_.push_back(std::move(buffer));
 }
 
-Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
-                                   uint64_t length, MemRef target,
-                                   uint32_t ra_blocks, uint64_t file_size,
-                                   TraceContext ctx) {
-  // Stage the byte range in a host bounce buffer through the cache
-  // (BufferCache::Stage). A readahead window extends the staged range past
-  // the request so a miss run spanning the boundary fetches the next
-  // `ra_blocks` speculatively in the same device read.
-  uint64_t first_block = offset / kFsBlockSize;
-  uint64_t last_block = (offset + length + kFsBlockSize - 1) / kFsBlockSize;
-  uint64_t nblocks = last_block - first_block;
-  uint64_t stage_blocks = nblocks;
-  if (ra_blocks > 0) {
-    uint64_t file_blocks = (file_size + kFsBlockSize - 1) / kFsBlockSize;
-    uint64_t headroom =
-        file_blocks > last_block ? file_blocks - last_block : 0;
-    stage_blocks += std::min<uint64_t>(ra_blocks, headroom);
-  }
-  // Clip speculation at the end of this shard's stripe: blocks past it
-  // belong to another shard, whose own stream detector readaheads them
-  // into ITS cache.
-  uint64_t owned_end = OwnedRangeEnd(offset, kFsBlockSize, shard_.shard_count);
-  stage_blocks = std::min(stage_blocks, owned_end / kFsBlockSize - first_block);
-  if (stage_blocks > nblocks) {
-    TRACE_INSTANT(sim_, "proxy", "fs.proxy.readahead");
-  }
-  BouncePool::Lease bounce = bounce_pool_.Take(stage_blocks * kFsBlockSize);
-
+Task<Status> FsProxy::StageBlocks(FsProxy* owner, uint64_t ino,
+                                  uint64_t first_block, uint64_t demand_blocks,
+                                  uint64_t valid_bytes, std::span<uint8_t> out,
+                                  IoClass cls, TraceContext ctx) {
   SOLROS_CO_ASSIGN_OR_RETURN(
       std::vector<FsExtent> extents,
-      co_await fs_->Fiemap(ino, first_block * kFsBlockSize,
-                           stage_blocks * kFsBlockSize));
+      co_await fs_->Fiemap(ino, first_block * kFsBlockSize, out.size()));
   // A truncate that lands between the caller's stat and this Fiemap leaves
   // the tail of the staged range unmapped. It reads as zeros, not as the
   // leased bytes.
-  uint64_t mapped_blocks = 0;
+  uint64_t mapped_bytes = 0;
   for (const FsExtent& e : extents) {
-    mapped_blocks += e.len;
+    mapped_bytes += e.len * kFsBlockSize;
   }
-  std::memset(bounce.data() + mapped_blocks * kFsBlockSize, 0,
-              (stage_blocks - mapped_blocks) * kFsBlockSize);
+  std::memset(out.data() + mapped_bytes, 0, out.size() - mapped_bytes);
 
-  if (cache_ == nullptr) {
-    // No cache (ablation A3): one demand read per extent.
+  if (owner->cache_ == nullptr) {
+    // No cache (ablation A3): one read per extent.
     uint64_t cursor = 0;
     for (const FsExtent& e : extents) {
-      SOLROS_CO_RETURN_IF_ERROR(co_await iosched_.Read(
-          e.start, e.len,
-          {bounce.data() + cursor * kFsBlockSize, e.len * kFsBlockSize},
-          IoClass::kDemand, ctx));
-      cursor += e.len;
+      SOLROS_CO_RETURN_IF_ERROR(co_await owner->iosched_.Read(
+          e.start, e.len, out.subspan(cursor, e.len * kFsBlockSize), cls,
+          ctx));
+      cursor += e.len * kFsBlockSize;
     }
-  } else {
-    // The staging walk runs under a cache span (child of the buffered data
-    // span) whose args record the per-request outcome: demand blocks served
-    // from cache, demand blocks fetched from the device, and speculative
-    // readahead blocks piggybacked onto those fetches. The span closes
-    // before the DMA: the move is not cache time.
-    ScopedSpan cache_span(sim_, "cache", "cache.read", ctx);
-    SOLROS_CO_ASSIGN_OR_RETURN(
-        BufferCache::StageCounts staged,
-        co_await cache_->Stage(extents, nblocks,
-                               file_size - first_block * kFsBlockSize,
-                               {bounce.data(), stage_blocks * kFsBlockSize},
-                               IoClass::kDemand, cache_span.context()));
-    cache_span.AddArg("hits", staged.hits);
-    cache_span.AddArg("misses", staged.misses);
-    cache_span.AddArg("readahead", staged.readahead);
+    co_return OkStatus();
   }
-
-  // One host-initiated DMA moves the requested bytes to the target.
-  uint64_t in_off = offset % kFsBlockSize;
-  if (target.device() == host_cpu_->device()) {
-    std::memcpy(target.span().data(), bounce.data() + in_off, length);
-    co_await Delay(TransferTime(length, params_.host_mem_bw));
-  } else {
-    SOLROS_CO_RETURN_IF_ERROR(co_await DmaCopyWithRetry(
-        target.Sub(0, length), bounce.Ref(in_off, length), ctx));
-  }
+  // A demand stage runs under a cache span (child of the buffered data
+  // span) whose args record the per-request outcome: demand blocks served
+  // from cache, demand blocks fetched from the device, and speculative
+  // readahead blocks piggybacked onto those fetches. The span closes
+  // before the byte move: the move is not cache time. Prefetch records
+  // none.
+  ScopedSpan cache_span(cls == IoClass::kDemand ? sim_ : nullptr, "cache",
+                        "cache.read", ctx);
+  SOLROS_CO_ASSIGN_OR_RETURN(
+      BufferCache::StageCounts staged,
+      co_await owner->cache_->Stage(extents, demand_blocks, valid_bytes, out,
+                                    cls, cache_span.context()));
+  cache_span.AddArg("hits", staged.hits);
+  cache_span.AddArg("misses", staged.misses);
+  cache_span.AddArg("readahead", staged.readahead);
   co_return OkStatus();
 }
 
@@ -778,13 +687,8 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   // Pull the data to a host bounce buffer with one DMA, then write through
   // the file system (which handles allocation, gaps, and partial blocks).
   BouncePool::Lease bounce = bounce_pool_.Take(length);
-  if (source.device() == host_cpu_->device()) {
-    std::memcpy(bounce.data(), source.span().data(), length);
-    co_await Delay(TransferTime(length, params_.host_mem_bw));
-  } else {
-    SOLROS_CO_RETURN_IF_ERROR(co_await DmaCopyWithRetry(
-        bounce.Ref(0, length), source.Sub(0, length), ctx));
-  }
+  SOLROS_CO_RETURN_IF_ERROR(
+      co_await MoveBytes(bounce.Ref(0, length), source.Sub(0, length), ctx));
   // Write-back absorption: an aligned write becomes dirty cache pages with
   // no device I/O at all — eviction and Flush() push them out later as
   // coalesced vectors. PrepareWrite allocates blocks and updates metadata
@@ -842,20 +746,17 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   co_return OkStatus();
 }
 
-Task<FsResponse> FsProxy::HandleReaddir(const FsRequest& request,
-                                        TraceContext ctx) {
-  FsResponse response;
-  auto entries = co_await fs_->Readdir(request.Path());
-  if (!entries.ok()) {
-    co_return ErrorResponse(entries.status());
-  }
+Task<Status> FsProxy::HandleReaddir(const FsRequest& request,
+                                    TraceContext ctx, FsResponse* response) {
+  SOLROS_CO_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
+                             co_await fs_->Readdir(request.Path()));
   // Zero-copy: serialize Dirent rows into the caller's memory window.
   uint64_t max_rows = request.memory.length / sizeof(Dirent);
   uint64_t skip = request.offset;  // row offset for chunked listings
   uint64_t produced = 0;
   std::vector<uint8_t> staged;
-  for (uint64_t i = skip; i < entries->size() && produced < max_rows; ++i) {
-    const DirEntry& row = (*entries)[i];
+  for (uint64_t i = skip; i < entries.size() && produced < max_rows; ++i) {
+    const DirEntry& row = entries[i];
     Dirent ent;
     ent.ino = row.ino;
     ent.type = row.is_dir ? (kModeDir >> 12) : (kModeFile >> 12);
@@ -865,20 +766,12 @@ Task<FsResponse> FsProxy::HandleReaddir(const FsRequest& request,
                 sizeof(Dirent));
     ++produced;
   }
-  if (!staged.empty()) {
-    if (request.memory.device() == host_cpu_->device()) {
-      std::memcpy(request.memory.span().data(), staged.data(), staged.size());
-    } else {
-      Status status = co_await DmaCopyWithRetry(
-          request.memory.Sub(0, staged.size()),
-          MemRef::On(host_cpu_->device(), staged), ctx);
-      if (!status.ok()) {
-        co_return ErrorResponse(status);
-      }
-    }
+  response->value = produced;
+  if (staged.empty()) {
+    co_return OkStatus();
   }
-  response.value = produced;
-  co_return response;
+  co_return co_await MoveBytes(request.memory.Sub(0, staged.size()),
+                               MemRef::On(host_cpu_->device(), staged), ctx);
 }
 
 }  // namespace solros

@@ -22,7 +22,7 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,7 +124,6 @@ class FsProxy {
   BufferCache* cache() { return cache_.get(); }
   // The I/O scheduler all staged-path device traffic goes through.
   IoScheduler* io_scheduler() { return &iosched_; }
-  SolrosFs* fs() { return fs_; }
 
   // -- shard introspection ----------------------------------------------------
   int shard_id() const { return shard_.shard_id; }
@@ -132,19 +131,24 @@ class FsProxy {
   size_t read_streams() const { return streams_.size(); }
 
  private:
-  // `ctx` is the request's trace context rooted at the service span; data
-  // ops thread it down to the cache/NVMe/DMA spans they cause (metadata I/O
-  // stays untagged and is attributed to proxy time).
-  Task<FsResponse> HandleRead(const FsRequest& request, TraceContext ctx);
-  Task<FsResponse> HandleWrite(const FsRequest& request, TraceContext ctx);
-  Task<FsResponse> HandleReaddir(const FsRequest& request, TraceContext ctx);
-  Task<FsResponse> HandleMeta(const FsRequest& request);
+  // Each fills `response` for a success and returns the op's status;
+  // Handle replies to a failure with the error alone. `ctx` is the
+  // request's trace context rooted at the service span; data ops thread it
+  // down to the cache/NVMe/DMA spans they cause (metadata I/O stays
+  // untagged and is attributed to proxy time).
+  Task<Status> HandleRead(const FsRequest& request, TraceContext ctx,
+                          FsResponse* response);
+  Task<Status> HandleWrite(const FsRequest& request, TraceContext ctx,
+                           FsResponse* response);
+  Task<Status> HandleReaddir(const FsRequest& request, TraceContext ctx,
+                             FsResponse* response);
+  Task<Status> HandleMeta(const FsRequest& request, FsResponse* response);
 
   // §4.3.2's four buffered-mode triggers, plus the readahead steer: a
   // sequential stream with an open window (`readahead_window > 0`) at or
   // below the P2P cutover goes buffered so its device reads batch.
-  Task<Result<bool>> ShouldUseP2p(const FsRequest& request, uint64_t length,
-                                  uint32_t readahead_window = 0);
+  Task<bool> ShouldUseP2p(const FsRequest& request, uint64_t length,
+                          uint32_t readahead_window = 0);
 
   // True when [offset, offset + length) of `ino` lies wholly inside the
   // stripe this shard owns (always, unsharded).
@@ -164,12 +168,18 @@ class FsProxy {
   uint32_t UpdateReadStream(uint32_t client, uint64_t ino, uint64_t offset,
                             uint64_t length);
 
-  // Buffered helpers (cache-aware staging + one host DMA). `ra_blocks`
-  // extends the staged range past the request (clipped to `file_size` and
-  // to this shard's stripe) with readahead-tagged clean pages.
-  Task<Status> BufferedRead(uint64_t ino, uint64_t offset, uint64_t length,
-                            MemRef target, uint32_t ra_blocks,
-                            uint64_t file_size, TraceContext ctx);
+  // The staging step of a buffered read and of Prefetch: maps the
+  // out.size() / kFsBlockSize blocks of `ino` from `first_block` on, zeroes
+  // the part of `out` the map does not cover, and stages the mapped blocks
+  // into `owner`'s cache in class `cls`, the first `demand_blocks` of them
+  // demanded (BufferCache::Stage; `valid_bytes` counts from `first_block`).
+  // Without a cache it reads them through `owner`'s scheduler instead.
+  Task<Status> StageBlocks(FsProxy* owner, uint64_t ino, uint64_t first_block,
+                           uint64_t demand_blocks, uint64_t valid_bytes,
+                           std::span<uint8_t> out, IoClass cls,
+                           TraceContext ctx = {});
+  // Buffered write: one byte move into a host bounce, then write-back
+  // absorption or a write-through.
   Task<Status> BufferedWrite(uint64_t ino, uint64_t offset, uint64_t length,
                              MemRef source, TraceContext ctx);
   // Write-back coherence before a path that reads the device directly (P2P
@@ -185,26 +195,21 @@ class FsProxy {
   // the read and write paths are shard-local, and every shard maps file
   // ranges with Fiemap on the one SolrosFs. Two things stay shared.
   //
-  // A byte range of a file whose blocks a free returns to the allocator.
-  struct FreedRange {
-    uint64_t ino;
-    uint64_t offset;
-    uint64_t length;
-  };
-  // The free path of unlink and truncate: runs `free_op` between two
-  // broadcasts over the blocks of `range`. The allocator may hand freed
-  // blocks to any file, so first every shard drops its cached copies — no
-  // dirty copy may be written back over the blocks' next owner. With
-  // `keep_bytes` > 0 the first block is kept: only its bytes from
-  // `keep_bytes` on are zeroed in place. After the free, every shard drops
-  // the clean copies a fill that read the blocks meanwhile may have left; a
-  // dirty copy is already the next owner's. No range, nothing to drop.
-  // Returns `free_op`'s status.
-  Task<Status> FreeBlocks(std::optional<FreedRange> range,
-                          uint32_t keep_bytes, Task<Status> free_op);
-  // The fsync path under a volatile write cache, shard-wide: flush every
-  // shard's cache, fence every shard's scheduler with an ordered barrier,
-  // then run the one journal commit via the designated barrier shard.
+  // The free path of unlink and truncate: runs `free_op`, which frees the
+  // blocks of `ino` from byte `from` to its end, between two broadcasts
+  // over those blocks (mapped before the free; none without a cache). The
+  // allocator may hand freed blocks to any file, so first every shard
+  // drops its cached copies — no dirty copy may be written back over the
+  // blocks' next owner. A `from` inside a block keeps that block: only its
+  // bytes from `from` on are zeroed in place. After the free, every shard
+  // drops the clean copies a fill that read the blocks meanwhile may have
+  // left; a dirty copy is already the next owner's. Returns `free_op`'s
+  // status.
+  Task<Status> FreeBlocks(uint64_t ino, uint64_t from, Task<Status> free_op);
+  // The fsync path, shard-wide: flush every shard's cache. Under a
+  // volatile write cache, that comes first, then every shard's scheduler
+  // is fenced with an ordered barrier and the one journal commit runs via
+  // the designated barrier shard; a write-through store commits first.
   Task<Status> FsyncBarrier();
 
   // Host bounce buffers of the buffered paths, leased most recently
@@ -245,18 +250,19 @@ class FsProxy {
     std::vector<std::unique_ptr<DeviceBuffer>> spares_;
   };
 
-  // Host DMA with bounded resubmission while faults are armed (the engine
-  // aborts before moving bytes, so a reissue is safe).
-  Task<Status> DmaCopyWithRetry(MemRef dst, MemRef src,
-                                TraceContext ctx = {});
+  // The one byte move between a host bounce and a caller's memory: a
+  // memcpy charged at host-memory bandwidth when both ends are on one
+  // device, else the host DMA, resubmitted while faults are armed (the
+  // engine aborts before moving bytes, so a reissue is safe).
+  Task<Status> MoveBytes(MemRef dst, MemRef src, TraceContext ctx);
 
-  // P2P health tracking: a run of faulted P2P transfers puts the P2P path
-  // on cooldown so requests stop paying the fault-and-degrade latency and
-  // go straight to the (working) buffered path for a while.
-  void NoteP2pFault();
+  // The P2P fallback's bookkeeping: counts the degraded transfer in
+  // `degraded` (stats_.degraded_reads or _writes) and fs.proxy.p2p_degraded.
+  // A run of faulted P2P transfers puts the P2P path on cooldown so
+  // requests stop paying the fault-and-degrade latency and go straight to
+  // the (working) buffered path for a while.
+  void NoteP2pFault(uint64_t* degraded);
   void NoteP2pSuccess() { p2p_fault_streak_ = 0; }
-
-  static FsResponse ErrorResponse(const Status& status);
 
   Simulator* sim_;
   PcieFabric* fabric_;

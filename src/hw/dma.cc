@@ -15,12 +15,10 @@ DmaEngine::DmaEngine(Simulator* sim, PcieFabric* fabric,
       fabric_(fabric),
       params_(params),
       owner_(owner),
-      bandwidth_(fabric->TypeOf(owner) == DeviceType::kHost
-                     ? params.dma_bw_host
-                     : params.dma_bw_phi),
-      init_latency_(fabric->TypeOf(owner) == DeviceType::kHost
-                        ? params.dma_init_host
-                        : params.dma_init_phi),
+      initiator_is_host_(fabric->TypeOf(owner) == DeviceType::kHost),
+      bandwidth_(initiator_is_host_ ? params.dma_bw_host : params.dma_bw_phi),
+      init_latency_(initiator_is_host_ ? params.dma_init_host
+                                       : params.dma_init_phi),
       channels_(sim, static_cast<size_t>(params.dma_channels)) {
   if (sim->telemetry() != nullptr) {
     use_ = sim->telemetry()->GetSeries("dma." + fabric->NameOf(owner),
@@ -68,10 +66,6 @@ Task<Status> DmaEngine::Copy(MemRef dst, MemRef src, TraceContext ctx) {
   }
   std::memcpy(dst.span().data(), src.span().data(), src.length);
   co_return OkStatus();
-}
-
-Nanos DmaEngine::TimeFor(uint64_t bytes) const {
-  return init_latency_ + TransferTime(bytes, bandwidth_);
 }
 
 Task<void> WindowCopier::Copy(MemRef dst, MemRef src,

@@ -25,6 +25,37 @@
 
 namespace solros {
 
+// The copy cost model (Fig. 4), ignoring queueing on channels and links.
+// Time for a DMA copy of `bytes` initiated by the given side: channel
+// setup plus line rate.
+inline Nanos DmaCopyTime(const HwParams& params, uint64_t bytes,
+                         bool initiator_is_host) {
+  Nanos init = initiator_is_host ? params.dma_init_host : params.dma_init_phi;
+  double bw = initiator_is_host ? params.dma_bw_host : params.dma_bw_phi;
+  return init + TransferTime(bytes, bw);
+}
+
+// Time for a load/store (memcpy) copy of `bytes` through a system-mapped
+// window.
+inline Nanos MemcpyCopyTime(const HwParams& params, uint64_t bytes,
+                            bool initiator_is_host) {
+  Nanos lat = initiator_is_host ? params.memcpy_small_latency_host
+                                : params.memcpy_small_latency_phi;
+  if (bytes <= 64) {
+    return lat;  // a single posted cache-line transaction
+  }
+  // Write-combining covers the first memcpy_fast_region bytes; beyond
+  // that the stream throttles to the per-transaction rate.
+  uint64_t fast = std::min(bytes, params.memcpy_fast_region) - 64;
+  uint64_t slow = bytes > params.memcpy_fast_region
+                      ? bytes - params.memcpy_fast_region
+                      : 0;
+  double stream_bw = initiator_is_host ? params.memcpy_stream_bw_host
+                                       : params.memcpy_stream_bw_phi;
+  return lat + TransferTime(fast, params.memcpy_fast_bw) +
+         TransferTime(slow, stream_bw);
+}
+
 class DmaEngine {
  public:
   // `owner` is the processor whose DMA block this is; initiator asymmetry
@@ -40,7 +71,9 @@ class DmaEngine {
   Task<Status> Copy(MemRef dst, MemRef src, TraceContext ctx = {});
 
   // Estimated duration for a copy of `bytes`, ignoring queueing.
-  Nanos TimeFor(uint64_t bytes) const;
+  Nanos TimeFor(uint64_t bytes) const {
+    return DmaCopyTime(params_, bytes, initiator_is_host_);
+  }
 
   double bandwidth() const { return bandwidth_; }
   Nanos init_latency() const { return init_latency_; }
@@ -51,6 +84,7 @@ class DmaEngine {
   PcieFabric* fabric_;
   HwParams params_;
   DeviceId owner_;
+  bool initiator_is_host_;
   double bandwidth_;
   Nanos init_latency_;
   MultiServerResource channels_;
@@ -68,22 +102,7 @@ class WindowCopier {
   Task<void> Copy(MemRef dst, MemRef src, bool initiator_is_host);
 
   Nanos TimeFor(uint64_t bytes, bool initiator_is_host) const {
-    Nanos lat = initiator_is_host ? params_.memcpy_small_latency_host
-                                  : params_.memcpy_small_latency_phi;
-    if (bytes <= 64) {
-      return lat;  // a single posted cache-line transaction
-    }
-    // Write-combining covers the first memcpy_fast_region bytes; beyond
-    // that the stream throttles to the per-transaction rate.
-    uint64_t fast = std::min(bytes, params_.memcpy_fast_region) - 64;
-    uint64_t slow =
-        bytes > params_.memcpy_fast_region
-            ? bytes - params_.memcpy_fast_region
-            : 0;
-    double stream_bw = initiator_is_host ? params_.memcpy_stream_bw_host
-                                         : params_.memcpy_stream_bw_phi;
-    return lat + TransferTime(fast, params_.memcpy_fast_bw) +
-           TransferTime(slow, stream_bw);
+    return MemcpyCopyTime(params_, bytes, initiator_is_host);
   }
 
  private:

@@ -12,13 +12,12 @@
 namespace solros {
 
 TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
-                   Processor* host_cpu, EthernetFabric* ethernet,
+                   EthernetFabric* ethernet,
                    std::unique_ptr<ForwardingPolicy> policy,
                    std::vector<Processor*> shard_cores,
                    const NetPathOptions& net_options)
     : sim_(sim),
       params_(params),
-      host_cpu_(host_cpu),
       ethernet_(ethernet),
       plug_window_(net_options.net_plug_window_ns),
       policy_(std::move(policy)),
@@ -38,9 +37,7 @@ TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
       c_events_dropped_(
           MetricRegistry::Default().GetCounter("net.proxy.events_dropped")) {
   CHECK(policy_ != nullptr);
-  if (shard_cores.empty()) {
-    shard_cores.push_back(host_cpu);
-  }
+  CHECK(!shard_cores.empty());
   const int count = static_cast<int>(shard_cores.size());
   shards_.reserve(shard_cores.size());
   for (int k = 0; k < count; ++k) {
@@ -140,16 +137,10 @@ Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
         conntrack_->OnClose(it->second.conn_id);
         if (it->second.open) {
           ethernet_->CloseFromServer(it->second.conn_id);
-          // Balance bookkeeping.
-          for (auto& [port, group] : listeners_) {
-            for (BalanceTarget& t : group.targets) {
-              if (t.dataplane == it->second.dataplane && t.active_conns > 0) {
-                --t.active_conns;
-                break;
-              }
-            }
-          }
         }
+        // Balance bookkeeping: the connection leaves the target it was
+        // forwarded to, whichever side closed first.
+        --listeners_[it->second.port].targets[it->second.target].active_conns;
         // Always retire the conn mapping — also after a client-initiated
         // close (open == false), where leaving it behind would point later
         // fabric events at a socket that no longer exists.
@@ -230,6 +221,8 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
   socket.conn_id = conn_id;
   socket.dataplane = dataplane_id;
   socket.shard = shard_id;
+  socket.port = port;
+  socket.target = pick;
   sockets_.emplace(handle, socket);
   conn_to_socket_[conn_id] = handle;
   conntrack_->OnConnect(conn_id, shard_id, dataplane_id, port);

@@ -52,17 +52,16 @@ struct TcpProxyStats {
 
 class TcpProxy : public ServerPort {
  public:
-  // `shard_cores` (optional) shards the proxy's event-loop work: each
+  // `shard_cores` (at least one) shards the proxy's event-loop work: each
   // connection is pinned to one core by connection hash and all of its TCP
-  // processing charges go to that core, reported under "net.proxy[k]".
-  // Empty => the historical single loop on `host_cpu` reported as
-  // "net.proxy". The listener table and forwarding policy stay
+  // processing charges go to that core, reported under "net.proxy[k]" (one
+  // core: "net.proxy"). The listener table and forwarding policy stay
   // shared — the shared listening socket (§4.4.3) is one accept queue no
   // matter how many shards drain it.
-  TcpProxy(Simulator* sim, const HwParams& params, Processor* host_cpu,
-           EthernetFabric* ethernet, std::unique_ptr<ForwardingPolicy> policy,
-           std::vector<Processor*> shard_cores = {},
-           const NetPathOptions& net_options = {});
+  TcpProxy(Simulator* sim, const HwParams& params, EthernetFabric* ethernet,
+           std::unique_ptr<ForwardingPolicy> policy,
+           std::vector<Processor*> shard_cores,
+           const NetPathOptions& net_options);
 
   // Wires one data-plane OS: its RPC rings (stub -> proxy socket calls) and
   // the inbound/outbound data rings. Starts the serving pumps.
@@ -112,6 +111,10 @@ class TcpProxy : public ServerPort {
     uint64_t conn_id = 0;
     uint32_t dataplane = 0;
     uint32_t shard = 0;  // event-loop shard all this socket's work runs on
+    // A forwarded connection's listening port and its index into that
+    // port's balance targets.
+    uint16_t port = 0;
+    size_t target = 0;
     bool open = true;
   };
 
@@ -134,7 +137,6 @@ class TcpProxy : public ServerPort {
 
   Simulator* sim_;
   HwParams params_;
-  Processor* host_cpu_;
   EthernetFabric* ethernet_;
   const Nanos plug_window_;
   std::unique_ptr<ForwardingPolicy> policy_;
@@ -148,7 +150,7 @@ class TcpProxy : public ServerPort {
   TcpProxyStats stats_;
   std::unique_ptr<ConnTracker> conntrack_;
   // Process counters, resolved once at construction instead of a registry
-  // map lookup per message on the hot paths (FsProxy does the same).
+  // map lookup per message on the hot paths.
   Counter* const c_rpcs_;
   Counter* const c_bad_policy_picks_;
   Counter* const c_connections_forwarded_;

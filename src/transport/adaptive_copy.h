@@ -4,50 +4,20 @@
 // copy for large data to get the best latency and throughput", with a
 // per-initiator threshold: 1 KB from the host, 16 KB from the Xeon Phi
 // (the Phi's DMA channel takes longer to set up). These helpers compute the
-// simulated cost of a cross-PCIe copy under each policy; Fig. 10's bench
-// compares kMemcpy / kDma / kAdaptive directly.
+// simulated cost of a cross-PCIe copy under each policy from the cost model
+// in src/hw/dma.h; Fig. 10's bench compares kMemcpy / kDma / kAdaptive
+// directly.
 #ifndef SOLROS_SRC_TRANSPORT_ADAPTIVE_COPY_H_
 #define SOLROS_SRC_TRANSPORT_ADAPTIVE_COPY_H_
 
 #include <cstdint>
 
-#include "src/base/units.h"
+#include "src/hw/dma.h"
 #include "src/hw/params.h"
 
 namespace solros {
 
 enum class CopyPolicy { kMemcpy, kDma, kAdaptive };
-
-// Time for a DMA copy of `bytes` initiated by the given side (setup + line
-// rate), ignoring queueing on channels/links.
-inline Nanos DmaCopyTime(const HwParams& params, uint64_t bytes,
-                         bool initiator_is_host) {
-  Nanos init =
-      initiator_is_host ? params.dma_init_host : params.dma_init_phi;
-  double bw = initiator_is_host ? params.dma_bw_host : params.dma_bw_phi;
-  return init + TransferTime(bytes, bw);
-}
-
-// Time for a load/store (memcpy) copy through the system-mapped window;
-// mirrors WindowCopier::TimeFor.
-inline Nanos MemcpyCopyTime(const HwParams& params, uint64_t bytes,
-                            bool initiator_is_host) {
-  Nanos lat = initiator_is_host ? params.memcpy_small_latency_host
-                                : params.memcpy_small_latency_phi;
-  if (bytes <= 64) {
-    return lat;
-  }
-  uint64_t fast =
-      (bytes < params.memcpy_fast_region ? bytes : params.memcpy_fast_region) -
-      64;
-  uint64_t slow =
-      bytes > params.memcpy_fast_region ? bytes - params.memcpy_fast_region
-                                        : 0;
-  double stream_bw = initiator_is_host ? params.memcpy_stream_bw_host
-                                       : params.memcpy_stream_bw_phi;
-  return lat + TransferTime(fast, params.memcpy_fast_bw) +
-         TransferTime(slow, stream_bw);
-}
 
 // True when the adaptive policy picks DMA for this copy.
 inline bool AdaptivePicksDma(const HwParams& params, uint64_t bytes,

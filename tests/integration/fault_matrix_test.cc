@@ -323,6 +323,53 @@ TEST_F(FaultMatrixTest, P2pDegradesToBufferedOnNvmeTimeout) {
       0u);
 }
 
+// The write side of the same degradation: the first NVMe timeout inside a
+// P2P write surfaces to the proxy, which rewrites the range through the
+// buffered path. It counts as a degraded write, not a degraded read.
+TEST_F(FaultMatrixTest, P2pWriteDegradesToBufferedOnNvmeTimeout) {
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.nvme_retry.max_attempts = 1;  // store passes faults straight up
+  // The journal defers a pure-mtime update, so the overwrite below issues
+  // no metadata command ahead of its data.
+  config.journal_mode = JournalMode::kMetadata;
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  auto ino = RunSim(machine.sim(), stub.Create("/degrade_write"));
+  ASSERT_TRUE(ino.ok());
+  std::vector<uint8_t> expected(KiB(256));
+  DeviceBuffer src(machine.phi_device(0), expected.size());
+  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))));
+
+  // Overwrite the allocated range; the fault fires exactly once, on the
+  // P2P write's first NVMe command.
+  FillBlock(expected, 11);
+  std::memcpy(src.data(), expected.data(), expected.size());
+  const FsProxyStats& stats = machine.fs_proxy().stats();
+  const uint64_t p2p_writes = stats.p2p_writes;
+  Counter* degraded =
+      MetricRegistry::Default().GetCounter("fs.proxy.p2p_degraded");
+  const uint64_t degraded_before = degraded->value();
+  ASSERT_TRUE(Faults().Arm("nvme.cmd.timeout", FaultSpec::OneShot()).ok());
+  auto written = RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src)));
+  Faults().DisarmAll();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_EQ(*written, expected.size());
+  EXPECT_EQ(stats.p2p_writes, p2p_writes + 1);
+  EXPECT_EQ(stats.degraded_writes, 1u);
+  EXPECT_EQ(stats.degraded_reads, 0u);
+  EXPECT_EQ(degraded->value(), degraded_before + 1);
+
+  DeviceBuffer dst(machine.phi_device(0), expected.size());
+  auto n = RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst)));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, expected.size());
+  EXPECT_EQ(std::memcmp(dst.data(), expected.data(), expected.size()), 0);
+}
+
 // Flight recorder, fault trigger: the same deterministic degradation
 // scenario with a recorder armed must produce a dump named after the
 // firing point, carrying the trace events leading up to it.

@@ -3,6 +3,10 @@
 // between configurations.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
+#include <vector>
+
 #include "src/base/histogram.h"
 #include "src/core/machine.h"
 #include "src/net/direct_server.h"
@@ -177,6 +181,88 @@ TEST(ForwardingPolicyTest, LiveLeastLoadedPicksShallowestQueue) {
   targets[2].active_conns = 0;
   EXPECT_EQ(policy.Pick(0x0a000001, 80, targets), 2u);
   EXPECT_EQ(policy.name(), "live-least-loaded");
+}
+
+// Closes `sock` as soon as its client sends anything or closes it.
+Task<void> CloseOnFirstRecv(ServerSocketApi* api, int64_t sock) {
+  auto message = co_await api->Recv(sock);  // data, or the client's close
+  CHECK_OK(co_await api->Close(sock));
+}
+
+Task<void> AcceptAndCloseOnFirstRecv(ServerSocketApi* api, uint16_t port,
+                                     int connections) {
+  Simulator* sim = co_await CurrentSimulator();
+  auto listener = co_await api->Listen(port, 8);
+  CHECK_OK(listener);
+  for (int c = 0; c < connections; ++c) {
+    auto sock = co_await api->Accept(*listener);
+    CHECK_OK(sock);
+    Spawn(*sim, CloseOnFirstRecv(api, *sock));
+  }
+}
+
+// Two phis behind a least-loaded shared listener on each of `ports`, and
+// a client whose connections report the phi they were forwarded to.
+struct LeastLoadedRig {
+  explicit LeastLoadedRig(std::initializer_list<uint16_t> ports)
+      : machine([] {
+          MachineConfig config;
+          config.num_phis = 2;
+          config.nvme_capacity = MiB(64);
+          config.policy = std::make_unique<LeastLoadedPolicy>();
+          return config;
+        }()) {
+    for (int phi = 0; phi < 2; ++phi) {
+      for (uint16_t port : ports) {
+        Spawn(machine.sim(),
+              AcceptAndCloseOnFirstRecv(&machine.net_stub(phi), port, 4));
+      }
+    }
+    machine.sim().RunUntilIdle();
+  }
+  uint64_t Connect(uint16_t port) {
+    auto conn = RunSim(machine.sim(),
+                       machine.ethernet().ClientConnect(1, port, &client));
+    CHECK_OK(conn);
+    machine.sim().RunUntilIdle();
+    return *conn;
+  }
+  uint32_t PhiOf(uint64_t conn) {
+    const ConnEntry* entry = machine.tcp_proxy().conntrack().Find(conn);
+    CHECK(entry != nullptr);
+    return entry->dataplane;
+  }
+
+  Machine machine;
+  Processor client{&machine.sim(), machine.host_device(), 32, 1.0, "cl"};
+};
+
+TEST(ForwardingPolicyTest, LeastLoadedForgetsClientClosedConnections) {
+  LeastLoadedRig rig({5000});
+  uint64_t a = rig.Connect(5000);
+  ASSERT_EQ(rig.PhiOf(a), 0u);
+  RunSim(rig.machine.sim(), rig.machine.ethernet().ClientClose(a, &rig.client));
+  rig.machine.sim().RunUntilIdle();  // the server closes A in turn
+  // Phi 0's only connection is gone, so B takes it and C the other phi.
+  uint64_t b = rig.Connect(5000);
+  uint64_t c = rig.Connect(5000);
+  EXPECT_EQ(rig.PhiOf(b), 0u);
+  EXPECT_EQ(rig.PhiOf(c), 1u);
+}
+
+TEST(ForwardingPolicyTest, LeastLoadedServerCloseLeavesOtherPortsCounts) {
+  LeastLoadedRig rig({5000, 6000});
+  uint64_t x = rig.Connect(5000);
+  uint64_t y = rig.Connect(6000);
+  ASSERT_EQ(rig.PhiOf(x), 0u);
+  ASSERT_EQ(rig.PhiOf(y), 0u);
+  // The server closes X; Y still holds phi 0 on port 6000.
+  std::vector<uint8_t> byte = {1};
+  CHECK_OK(RunSim(rig.machine.sim(),
+                  rig.machine.ethernet().ClientSend(x, byte, &rig.client)));
+  rig.machine.sim().RunUntilIdle();
+  uint64_t z = rig.Connect(6000);
+  EXPECT_EQ(rig.PhiOf(z), 1u);
 }
 
 TEST(MachineNetTest, EchoWorksWithShardedTcpProxy) {
