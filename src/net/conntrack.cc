@@ -28,7 +28,7 @@ UseSeries* ConnTracker::ShardSeries(uint32_t shard) {
 
 void ConnTracker::OnConnect(uint64_t conn_id, uint32_t shard,
                             uint32_t dataplane, uint16_t port) {
-  ConnEntry& entry = conns_[conn_id];
+  ConnEntry& entry = conns_.Emplace(conn_id);
   entry.conn_id = conn_id;
   entry.shard = shard;
   entry.dataplane = dataplane;
@@ -38,40 +38,38 @@ void ConnTracker::OnConnect(uint64_t conn_id, uint32_t shard,
 }
 
 void ConnTracker::OnInbound(uint64_t conn_id, uint64_t bytes) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  ConnEntry* entry = conns_.Find(conn_id);
+  if (entry == nullptr) {
     return;
   }
-  ConnEntry& entry = it->second;
-  entry.bytes_in += bytes;
-  ++entry.msgs_in;
-  if (entry.backlog == 0) {
-    entry.pending_since = sim_->now();
+  entry->bytes_in += bytes;
+  ++entry->msgs_in;
+  if (entry->backlog == 0) {
+    entry->pending_since = sim_->now();
   }
-  ++entry.backlog;
-  if (UseSeries* series = ShardSeries(entry.shard)) {
+  ++entry->backlog;
+  if (UseSeries* series = ShardSeries(entry->shard)) {
     series->QueueDelta(sim_->now(), 1);
   }
 }
 
 void ConnTracker::OnOutbound(uint64_t conn_id, uint64_t bytes) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  ConnEntry* entry = conns_.Find(conn_id);
+  if (entry == nullptr) {
     return;
   }
-  ConnEntry& entry = it->second;
-  entry.bytes_out += bytes;
-  ++entry.msgs_out;
-  if (entry.backlog > 0) {
-    Nanos rtt = sim_->now() - entry.pending_since;
-    entry.rtt_last = rtt;
-    entry.rtt_sum += rtt;
-    ++entry.rtt_count;
-    --entry.backlog;
+  entry->bytes_out += bytes;
+  ++entry->msgs_out;
+  if (entry->backlog > 0) {
+    Nanos rtt = sim_->now() - entry->pending_since;
+    entry->rtt_last = rtt;
+    entry->rtt_sum += rtt;
+    ++entry->rtt_count;
+    --entry->backlog;
     // Pipelined requests: restart the clock for the ones still in flight
     // (an approximation — per-message stamps would cost a queue per conn).
-    entry.pending_since = sim_->now();
-    if (UseSeries* series = ShardSeries(entry.shard)) {
+    entry->pending_since = sim_->now();
+    if (UseSeries* series = ShardSeries(entry->shard)) {
       series->QueueDelta(sim_->now(), -1);
       series->CompleteOp(sim_->now(), rtt);
     }
@@ -79,47 +77,43 @@ void ConnTracker::OnOutbound(uint64_t conn_id, uint64_t bytes) {
 }
 
 void ConnTracker::OnDrop(uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  ConnEntry* entry = conns_.Find(conn_id);
+  if (entry == nullptr) {
     return;
   }
-  ++it->second.drops;
-  if (UseSeries* series = ShardSeries(it->second.shard)) {
+  ++entry->drops;
+  if (UseSeries* series = ShardSeries(entry->shard)) {
     series->AddError(sim_->now());
   }
 }
 
 void ConnTracker::OnClose(uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || !it->second.open) {
+  ConnEntry* entry = conns_.Find(conn_id);
+  if (entry == nullptr || !entry->open) {
     return;
   }
-  ConnEntry& entry = it->second;
-  entry.open = false;
-  entry.closed_at = sim_->now();
+  entry->open = false;
+  entry->closed_at = sim_->now();
   ++closed_;
   // Retire any still-unanswered backlog from the shard depth series so the
   // live depth does not leak after the connection is gone.
-  if (entry.backlog > 0) {
-    if (UseSeries* series = ShardSeries(entry.shard)) {
+  if (entry->backlog > 0) {
+    if (UseSeries* series = ShardSeries(entry->shard)) {
       series->QueueDelta(sim_->now(),
-                         -static_cast<int64_t>(entry.backlog));
+                         -static_cast<int64_t>(entry->backlog));
     }
-    entry.backlog = 0;
+    entry->backlog = 0;
   }
 }
 
 const ConnEntry* ConnTracker::Find(uint64_t conn_id) const {
-  auto it = conns_.find(conn_id);
-  return it == conns_.end() ? nullptr : &it->second;
+  return conns_.Find(conn_id);
 }
 
 void ConnTracker::WriteTopJson(std::ostream& os, size_t top_k) const {
   std::vector<const ConnEntry*> ranked;
   ranked.reserve(conns_.size());
-  for (const auto& [id, entry] : conns_) {
-    ranked.push_back(&entry);
-  }
+  conns_.ForEach([&](const ConnEntry& entry) { ranked.push_back(&entry); });
   std::sort(ranked.begin(), ranked.end(),
             [](const ConnEntry* a, const ConnEntry* b) {
               uint64_t ta = a->bytes_in + a->bytes_out;

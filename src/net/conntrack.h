@@ -14,7 +14,7 @@
 //
 // The table is pure bookkeeping: it never awaits, so binding it changes no
 // simulated timing — runs are byte-identical with tracking on or off (it is
-// always on; it costs a hash update per message).
+// always on; it costs a table update per message).
 //
 // When a TelemetryHub is bound, each proxy shard additionally gets a
 // depth-mode UseSeries ("net.conn" / "net.conn[k]") aggregating its
@@ -31,9 +31,9 @@
 
 #include <cstdint>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/base/metrics.h"
 #include "src/sim/simulator.h"
 
@@ -94,7 +94,7 @@ class ConnTracker {
   int shard_count_;
   TelemetryHub* hub_ = nullptr;
   std::vector<UseSeries*> series_;  // per shard, null until first event
-  std::unordered_map<uint64_t, ConnEntry> conns_;
+  IdTable<uint64_t, ConnEntry> conns_;  // by conn id
   uint64_t closed_ = 0;
 };
 

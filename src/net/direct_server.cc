@@ -88,7 +88,7 @@ Task<Result<int64_t>> DirectServer::Accept(int64_t listener) {
 
 Task<Result<std::vector<uint8_t>>> DirectServer::Recv(int64_t sock) {
   auto it = sockets_.find(sock);
-  if (it == sockets_.end()) {
+  if (it == sockets_.end() || it->second.closed) {
     co_return InvalidArgumentError("bad socket handle");
   }
   co_await config_.stack_cpu->Compute(params_.tcp_segment_cpu / 2);
@@ -124,14 +124,14 @@ Task<Status> DirectServer::Send(int64_t sock, std::span<const uint8_t> data) {
 
 Task<Status> DirectServer::Close(int64_t sock) {
   auto it = sockets_.find(sock);
-  if (it == sockets_.end()) {
+  if (it == sockets_.end() || it->second.closed) {
     co_return InvalidArgumentError("bad socket handle");
   }
   it->second.open = false;
+  it->second.closed = true;
   it->second.recv_queue->Close();
   ethernet_->CloseFromServer(it->second.conn_id);
   conn_to_sock_.erase(it->second.conn_id);
-  sockets_.erase(it);
   co_return OkStatus();
 }
 

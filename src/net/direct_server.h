@@ -85,6 +85,9 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     uint64_t conn_id = 0;
     std::unique_ptr<Channel<RecvItem>> recv_queue;
     bool open = true;
+    // Closed by the application. Close keeps the socket: a task parked in
+    // Recv still runs on its queue after the close wakes it.
+    bool closed = false;
     // Context of the last message Recv returned; the next Send replies to it.
     uint64_t reply_trace_id = 0;
     uint64_t reply_parent = 0;

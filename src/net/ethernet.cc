@@ -70,16 +70,10 @@ Task<Result<uint64_t>> EthernetFabric::ClientConnect(uint32_t client_addr,
   co_await client_cpu->Compute(params_.tcp_segment_cpu);
   co_await WireToServer(64);
   uint64_t conn_id = next_conn_++;
-  Conn conn;
-  conn.port = port;
-  conn.client_addr = client_addr;
-  conn.handler = handler;
-  conn.to_client =
-      std::make_unique<Channel<std::vector<uint8_t>>>(sim_, /*capacity=*/0);
-  conns_.emplace(conn_id, std::move(conn));
+  conns_.Emplace(conn_id, sim_, handler);
   Status accepted = co_await handler->OnConnect(conn_id, port, client_addr);
   if (!accepted.ok()) {
-    conns_.erase(conn_id);
+    conns_.Erase(conn_id);
     co_return accepted;
   }
   co_await WireToClient(64);  // SYN-ACK
@@ -90,11 +84,11 @@ Task<Status> EthernetFabric::ClientSend(uint64_t conn_id,
                                         std::span<const uint8_t> data,
                                         Processor* client_cpu,
                                         TraceContext ctx) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || !it->second.open) {
+  Conn* conn = conns_.Find(conn_id);
+  if (conn == nullptr || !conn->open) {
     co_return Status(ErrorCode::kNotConnected);
   }
-  ServerPort* handler = it->second.handler;
+  ServerPort* handler = conn->handler;
   // Client stack cost per segment, then the wire.
   co_await client_cpu->Compute(TcpSegments(data.size()) *
                                params_.tcp_segment_cpu);
@@ -112,12 +106,12 @@ Task<Status> EthernetFabric::ClientSend(uint64_t conn_id,
 
 Task<Result<std::vector<uint8_t>>> EthernetFabric::ClientRecv(
     uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* conn = conns_.Find(conn_id);
+  if (conn == nullptr) {
     co_return Status(ErrorCode::kNotConnected);
   }
   std::optional<std::vector<uint8_t>> message =
-      co_await it->second.to_client->Receive();
+      co_await conn->to_client.Receive();
   if (!message.has_value()) {
     co_return Status(ErrorCode::kConnectionReset, "peer closed");
   }
@@ -126,42 +120,40 @@ Task<Result<std::vector<uint8_t>>> EthernetFabric::ClientRecv(
 
 Task<void> EthernetFabric::ClientClose(uint64_t conn_id,
                                        Processor* client_cpu) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* conn = conns_.Find(conn_id);
+  if (conn == nullptr) {
     co_return;
   }
-  Conn& conn = it->second;
   co_await client_cpu->Compute(params_.tcp_segment_cpu);
   co_await WireToServer(64);
-  conn.open = false;
-  co_await conn.handler->OnClientClose(conn_id);
-  conn.to_client->Close();
+  conn->open = false;
+  co_await conn->handler->OnClientClose(conn_id);
+  conn->to_client.Close();
 }
 
 Task<Status> EthernetFabric::DeliverToClient(uint64_t conn_id,
                                              std::vector<uint8_t> data,
                                              TraceContext ctx) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || !it->second.open) {
+  Conn* conn = conns_.Find(conn_id);
+  if (conn == nullptr || !conn->open) {
     co_return Status(ErrorCode::kNotConnected);
   }
-  Conn& conn = it->second;
   {
     ScopedSpan wire(ctx.traced() ? sim_->tracer() : nullptr, "wire",
                     "net.wire.transit", ctx);
     co_await WireToClient(data.size() + 64);
   }
-  co_await conn.to_client->Send(std::move(data));
+  co_await conn->to_client.Send(std::move(data));
   co_return OkStatus();
 }
 
 void EthernetFabric::CloseFromServer(uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* conn = conns_.Find(conn_id);
+  if (conn == nullptr) {
     return;
   }
-  it->second.open = false;
-  it->second.to_client->Close();
+  conn->open = false;
+  conn->to_client.Close();
 }
 
 }  // namespace solros

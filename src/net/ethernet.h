@@ -18,11 +18,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/hw/fabric.h"
@@ -103,10 +102,10 @@ class EthernetFabric {
 
  private:
   struct Conn {
-    uint16_t port;
-    uint32_t client_addr;
+    Conn(Simulator* sim, ServerPort* handler)
+        : handler(handler), to_client(sim, /*capacity=*/0) {}
     ServerPort* handler;
-    std::unique_ptr<Channel<std::vector<uint8_t>>> to_client;
+    Channel<std::vector<uint8_t>> to_client;
     bool open = true;
   };
 
@@ -118,7 +117,7 @@ class EthernetFabric {
   BandwidthResource wire_up_;    // client -> server
   BandwidthResource wire_down_;  // server -> client
   std::map<uint16_t, ServerPort*> ports_;
-  std::unordered_map<uint64_t, Conn> conns_;  // Conn& survives rehash
+  IdTable<uint64_t, Conn> conns_;  // by conn id; Conn& survives growth
   uint64_t next_conn_ = 1;
   // Retired payload buffers, capacity intact (bounded; see AcquirePayload).
   static constexpr size_t kPayloadPoolCap = 64;

@@ -31,15 +31,14 @@ NetStub::NetStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
   Spawn(*sim_, EventDispatcher(this));
 }
 
-NetStub::SocketState& NetStub::EnsureSocket(int64_t handle) {
-  SocketState& state = sockets_[handle];
-  if (state.accept_queue == nullptr) {
-    state.accept_queue = std::make_unique<Channel<int64_t>>(sim_, 0);
-  }
-  if (state.recv_queue == nullptr) {
-    state.recv_queue = std::make_unique<Channel<RecvItem>>(sim_, 0);
-  }
-  return state;
+NetStub::ConnSocket* NetStub::FindSocket(int64_t handle) {
+  ConnSocket* socket = sockets_.Find(handle);
+  return socket == nullptr || socket->closed ? nullptr : socket;
+}
+
+NetStub::ListenSocket* NetStub::FindListener(int64_t handle) {
+  ListenSocket* listener = listeners_.Find(handle);
+  return listener == nullptr || listener->closed ? nullptr : listener;
 }
 
 Task<void> NetStub::EventDispatcher(NetStub* self) {
@@ -79,24 +78,32 @@ Task<void> NetStub::DispatchEvent(
   }
   switch (event.kind) {
     case NetEventKind::kAccepted: {
-      // Make the connected socket's queues exist before any data event.
-      EnsureSocket(event.new_sock);
-      SocketState& listener = EnsureSocket(event.sock);
-      co_await listener.accept_queue->Send(event.new_sock);
+      ListenSocket* listener = FindListener(event.sock);
+      if (listener == nullptr) {
+        // The listener closed while this connection was on its way: reset
+        // it, as a kernel resets what a closed listener's queue held.
+        Spawn(*sim_, Close(event.new_sock));
+        break;
+      }
+      // The connected socket exists before any of its data events.
+      sockets_.Emplace(event.new_sock, sim_);
+      co_await listener->accept_queue.Send(event.new_sock);
       break;
     }
     case NetEventKind::kData: {
-      SocketState& socket = EnsureSocket(event.sock);
+      ConnSocket* socket = FindSocket(event.sock);
+      if (socket == nullptr) {
+        break;  // closed here while the data was on its way
+      }
       ++messages_delivered_;
-      co_await socket.recv_queue->Send(
+      co_await socket->recv_queue.Send(
           {std::vector<uint8_t>(frame.body.begin(), frame.body.end()),
            event.trace_id, event.parent_span});
       break;
     }
     case NetEventKind::kPeerClosed: {
-      auto it = sockets_.find(event.sock);
-      if (it != sockets_.end() && it->second.recv_queue != nullptr) {
-        it->second.recv_queue->Close();
+      if (ConnSocket* socket = FindSocket(event.sock)) {
+        socket->recv_queue.Close();
       }
       break;
     }
@@ -155,7 +162,8 @@ Task<Result<int64_t>> NetStub::Listen(uint16_t port, int backlog) {
     co_return Status(created.error);
   }
   int64_t handle = created.value;
-  EnsureSocket(handle);
+  // Before kListen: a connection may arrive ahead of its reply.
+  listeners_.Emplace(handle, sim_);
 
   NetRequest listen_req;
   listen_req.op = NetOp::kListen;
@@ -165,6 +173,7 @@ Task<Result<int64_t>> NetStub::Listen(uint16_t port, int backlog) {
   SOLROS_CO_ASSIGN_OR_RETURN(NetResponse listened,
                              co_await Call(listen_req));
   if (listened.error != ErrorCode::kOk) {
+    listeners_.Erase(handle);
     co_return Status(listened.error);
   }
   co_return handle;
@@ -172,8 +181,11 @@ Task<Result<int64_t>> NetStub::Listen(uint16_t port, int backlog) {
 
 Task<Result<int64_t>> NetStub::Accept(int64_t listener) {
   co_await phi_cpu_->Compute(params_.net_stub_cpu);
-  SocketState& state = EnsureSocket(listener);
-  std::optional<int64_t> sock = co_await state.accept_queue->Receive();
+  ListenSocket* state = FindListener(listener);
+  if (state == nullptr) {
+    co_return InvalidArgumentError("bad listener handle");
+  }
+  std::optional<int64_t> sock = co_await state->accept_queue.Receive();
   if (!sock.has_value()) {
     co_return Status(ErrorCode::kConnectionReset, "listener closed");
   }
@@ -184,15 +196,18 @@ Task<Result<std::vector<uint8_t>>> NetStub::Recv(int64_t sock) {
   c_recvs_->Increment();
   TRACE_SPAN(sim_, "netstub", "net.stub.recv");
   co_await phi_cpu_->Compute(params_.net_stub_cpu);
-  SocketState& state = EnsureSocket(sock);
-  std::optional<RecvItem> item = co_await state.recv_queue->Receive();
+  ConnSocket* state = FindSocket(sock);
+  if (state == nullptr) {
+    co_return InvalidArgumentError("bad socket handle");
+  }
+  std::optional<RecvItem> item = co_await state->recv_queue.Receive();
   if (!item.has_value()) {
     co_return Status(ErrorCode::kConnectionReset, "peer closed");
   }
   // Remember the request's context so the next Send on this socket (the
   // reply, in request/response protocols) joins the same trace.
-  state.reply_trace_id = item->trace_id;
-  state.reply_parent = item->parent_span;
+  state->reply_trace_id = item->trace_id;
+  state->reply_parent = item->parent_span;
   co_return std::move(item->data);
 }
 
@@ -203,11 +218,10 @@ Task<Status> NetStub::Send(int64_t sock, std::span<const uint8_t> data) {
   // the outbound NetEvent carries it so the proxy's outbound-queue wait,
   // shard service, and downlink wire spans attribute to the right trace.
   TraceContext reply_ctx;
-  auto sit = sockets_.find(sock);
-  if (sit != sockets_.end()) {
-    reply_ctx = {sit->second.reply_trace_id, sit->second.reply_parent};
-    sit->second.reply_trace_id = 0;
-    sit->second.reply_parent = 0;
+  if (ConnSocket* state = FindSocket(sock)) {
+    reply_ctx = {state->reply_trace_id, state->reply_parent};
+    state->reply_trace_id = 0;
+    state->reply_parent = 0;
   }
   ScopedSpan span(sim_, "netstub", "net.stub.send", reply_ctx);
   co_await phi_cpu_->Compute(params_.net_stub_cpu);
@@ -229,15 +243,17 @@ Task<Status> NetStub::Close(int64_t sock) {
   // the proxy could tear the connection down ahead of them. No-op (and no
   // simulated time) when nothing is queued.
   (void)co_await plug_->Flush();
-  auto it = sockets_.find(sock);
-  if (it != sockets_.end()) {
-    if (it->second.recv_queue != nullptr) {
-      it->second.recv_queue->Close();
+  if (ConnSocket* state = FindSocket(sock)) {
+    state->closed = true;
+    state->recv_queue.Close();
+  } else if (ListenSocket* listener = FindListener(sock)) {
+    listener->closed = true;
+    // Reset the connections nobody accepted yet, as a kernel does.
+    while (std::optional<int64_t> queued =
+               listener->accept_queue.TryReceive()) {
+      Spawn(*sim_, Close(*queued));
     }
-    if (it->second.accept_queue != nullptr) {
-      it->second.accept_queue->Close();
-    }
-    sockets_.erase(it);
+    listener->accept_queue.Close();
   }
   NetRequest request;
   request.op = NetOp::kClose;

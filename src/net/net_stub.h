@@ -13,10 +13,10 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/base/metrics.h"
 #include "src/hw/params.h"
 #include "src/hw/processor.h"
@@ -74,23 +74,37 @@ class NetStub : public ServerSocketApi {
   };
   static_assert(!std::is_aggregate_v<RecvItem>,
                 "GCC 12 miscompiles aggregate coroutine by-value parameters");
-  struct SocketState {
-    std::unique_ptr<Channel<int64_t>> accept_queue;   // listeners
-    std::unique_ptr<Channel<RecvItem>> recv_queue;    // conns
+  // A connected socket, created when its kAccepted event arrives. Close
+  // marks it closed but keeps it: a task parked in Recv on its queue
+  // still runs on the queue after the close wakes it.
+  struct ConnSocket {
+    explicit ConnSocket(Simulator* sim) : recv_queue(sim, 0) {}
+    Channel<RecvItem> recv_queue;
     // Context of the last message Recv returned; the next Send on this
     // socket attributes its reply to it (request/response protocols).
     uint64_t reply_trace_id = 0;
     uint64_t reply_parent = 0;
+    bool closed = false;
+  };
+  // A listening socket, created by Listen; kept after Close likewise.
+  struct ListenSocket {
+    explicit ListenSocket(Simulator* sim) : accept_queue(sim, 0) {}
+    Channel<int64_t> accept_queue;
+    bool closed = false;
   };
 
   static Task<void> EventDispatcher(NetStub* self);
   // Delivers one inbound event: data to its socket's recv queue, a new
   // connection to its listener's accept queue, a peer close as end of
-  // stream. `frame` aliases the record the dispatcher holds; every event
-  // of a kBatch record shares the record's dequeue `stamp`.
+  // stream. An event for a socket this stub has closed is dropped.
+  // `frame` aliases the record the dispatcher holds; every event of a
+  // kBatch record shares the record's dequeue `stamp`.
   Task<void> DispatchEvent(NetFrameView frame,
                            std::optional<SimRing::DequeueStamp> stamp);
-  SocketState& EnsureSocket(int64_t handle);
+  // The open socket or listener for `handle`; null when this stub never
+  // created it or it was closed.
+  ConnSocket* FindSocket(int64_t handle);
+  ListenSocket* FindListener(int64_t handle);
 
   // rpc_.Call with the stub's timeout/retry policy (see set_retry_options).
   Task<Result<NetResponse>> Call(NetRequest request);
@@ -105,7 +119,10 @@ class NetStub : public ServerSocketApi {
   // Send side of the outbound ring (DESIGN.md §5.5); one ring push per
   // send when the plug window is zero.
   std::unique_ptr<NetPlug> plug_;
-  std::unordered_map<int64_t, SocketState> sockets_;
+  // Both keyed by the proxy's handles. Only handles the proxy issued are
+  // inserted; a handle from the application is only looked up.
+  IdTable<int64_t, ConnSocket> sockets_;
+  IdTable<int64_t, ListenSocket> listeners_;
   uint64_t events_ = 0;
   uint64_t messages_delivered_ = 0;
   // Process counters, resolved once instead of per event/call (see

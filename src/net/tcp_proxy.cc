@@ -103,11 +103,10 @@ Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
   switch (request.op) {
     case NetOp::kSocket: {
       int64_t handle = next_handle_++;
-      ProxySocket socket;
+      ProxySocket& socket = sockets_.Emplace(handle);
       socket.handle = handle;
       socket.dataplane = dataplane_id;
       socket.shard = shard_id;
-      sockets_.emplace(handle, socket);
       response.value = handle;
       break;
     }
@@ -115,38 +114,42 @@ Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
       // Port assignment is recorded at listen time in this model.
       break;
     case NetOp::kListen: {
-      // Shared listening socket: several data planes may listen on the
-      // same port (§4.4.3).
-      PortListeners& group = listeners_[request.port];
-      if (group.members.empty()) {
-        ethernet_->RegisterPort(request.port, this);
-      }
-      group.members.emplace_back(dataplane_id, request.sock);
-      BalanceTarget target;
-      target.dataplane = dataplane_id;
-      group.targets.push_back(target);
+      ProxySocket* socket = sockets_.Find(request.sock);
+      if (socket == nullptr || socket->dataplane != dataplane_id ||
+          socket->conn_id != 0) {
+        response.error = ErrorCode::kInvalidArgument;
+      } else if (!socket->listening) {
+        StartListening(*socket, request.port);
+      } else if (socket->port != request.port) {
+        response.error = ErrorCode::kInvalidArgument;
+      }  // else a replayed kListen: already listening there
       break;
     }
     case NetOp::kClose: {
-      auto it = sockets_.find(request.sock);
-      if (it == sockets_.end()) {
+      ProxySocket* socket = sockets_.Find(request.sock);
+      if (socket == nullptr) {
         response.error = ErrorCode::kInvalidArgument;
         break;
       }
-      if (it->second.conn_id != 0) {
-        conntrack_->OnClose(it->second.conn_id);
-        if (it->second.open) {
-          ethernet_->CloseFromServer(it->second.conn_id);
+      if (socket->listening) {
+        StopListening(*socket);
+      }
+      if (socket->conn_id != 0) {
+        conntrack_->OnClose(socket->conn_id);
+        if (socket->open) {
+          ethernet_->CloseFromServer(socket->conn_id);
         }
         // Balance bookkeeping: the connection leaves the target it was
         // forwarded to, whichever side closed first.
-        --listeners_[it->second.port].targets[it->second.target].active_conns;
+        if (BalanceTarget* target = TargetOf(socket->port, socket->listener)) {
+          --target->active_conns;
+        }
         // Always retire the conn mapping — also after a client-initiated
         // close (open == false), where leaving it behind would point later
         // fabric events at a socket that no longer exists.
-        conn_to_socket_.erase(it->second.conn_id);
+        conn_to_socket_.Erase(socket->conn_id);
       }
-      sockets_.erase(it);
+      sockets_.Erase(request.sock);
       break;
     }
     case NetOp::kShutdown:
@@ -175,10 +178,55 @@ Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
   co_return response;
 }
 
+void TcpProxy::StartListening(ProxySocket& socket, uint16_t port) {
+  // Shared listening socket: several data planes may listen on the same
+  // port (§4.4.3).
+  PortListeners& group = listeners_[port];
+  if (group.members.empty()) {
+    ethernet_->RegisterPort(port, this);
+  }
+  group.members.emplace_back(socket.dataplane, socket.handle);
+  BalanceTarget target;
+  target.dataplane = socket.dataplane;
+  group.targets.push_back(target);
+  socket.port = port;
+  socket.listening = true;
+}
+
+void TcpProxy::StopListening(const ProxySocket& socket) {
+  auto it = listeners_.find(socket.port);
+  CHECK(it != listeners_.end());
+  PortListeners& group = it->second;
+  for (size_t i = 0; i < group.members.size(); ++i) {
+    if (group.members[i].second == socket.handle) {
+      group.members.erase(group.members.begin() + static_cast<ptrdiff_t>(i));
+      group.targets.erase(group.targets.begin() + static_cast<ptrdiff_t>(i));
+      break;
+    }
+  }
+  if (group.members.empty()) {
+    ethernet_->UnregisterPort(socket.port);
+    listeners_.erase(it);
+  }
+}
+
+BalanceTarget* TcpProxy::TargetOf(uint16_t port, int64_t listener) {
+  auto it = listeners_.find(port);
+  if (it == listeners_.end()) {
+    return nullptr;
+  }
+  PortListeners& group = it->second;
+  for (size_t i = 0; i < group.members.size(); ++i) {
+    if (group.members[i].second == listener) {
+      return &group.targets[i];
+    }
+  }
+  return nullptr;
+}
+
 Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
                                  uint32_t client_addr) {
-  auto it = listeners_.find(port);
-  if (it == listeners_.end() || it->second.members.empty()) {
+  if (!listeners_.contains(port)) {
     co_return Status(ErrorCode::kConnectionReset, "no listeners");
   }
   // The accept queue is shared: any shard may drain it, and the connection
@@ -189,6 +237,11 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
   // Host-side SYN handling on the owning shard's core.
   co_await shard.core->Compute(params_.tcp_segment_cpu);
 
+  // Looked up again: the last listener may have closed meanwhile.
+  auto it = listeners_.find(port);
+  if (it == listeners_.end()) {
+    co_return Status(ErrorCode::kConnectionReset, "no listeners");
+  }
   PortListeners& group = it->second;
   // Refresh the live per-target depth signal: the bytes the data plane has
   // not drained from its inbound ring plus whatever its plug still holds.
@@ -216,15 +269,14 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
   c_connections_forwarded_->Increment();
 
   int64_t handle = next_handle_++;
-  ProxySocket socket;
+  ProxySocket& socket = sockets_.Emplace(handle);
   socket.handle = handle;
   socket.conn_id = conn_id;
   socket.dataplane = dataplane_id;
   socket.shard = shard_id;
   socket.port = port;
-  socket.target = pick;
-  sockets_.emplace(handle, socket);
-  conn_to_socket_[conn_id] = handle;
+  socket.listener = stub_listener;
+  conn_to_socket_.Emplace(conn_id, handle);
   conntrack_->OnConnect(conn_id, shard_id, dataplane_id, port);
 
   NetEvent event;
@@ -238,19 +290,19 @@ Task<Status> TcpProxy::OnConnect(uint64_t conn_id, uint16_t port,
 
 Task<void> TcpProxy::OnClientData(uint64_t conn_id, std::vector<uint8_t> data,
                                   TraceContext ctx) {
-  auto it = conn_to_socket_.find(conn_id);
-  if (it == conn_to_socket_.end()) {
+  const int64_t* handle = conn_to_socket_.Find(conn_id);
+  if (handle == nullptr) {
     co_return;
   }
-  auto sock_it = sockets_.find(it->second);
-  if (sock_it == sockets_.end()) {
+  const ProxySocket* found = sockets_.Find(*handle);
+  if (found == nullptr) {
     // Data raced with the socket's close; drop it like a real stack would.
     c_events_dropped_->Increment();
     conntrack_->OnDrop(conn_id);
-    conn_to_socket_.erase(it);
+    conn_to_socket_.Erase(conn_id);
     co_return;
   }
-  const ProxySocket socket = sock_it->second;  // may be erased mid-await
+  const ProxySocket socket = *found;  // may be erased mid-await
   Shard& shard = shards_[socket.shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
@@ -305,16 +357,16 @@ Task<void> TcpProxy::OnClientData(uint64_t conn_id, std::vector<uint8_t> data,
 }
 
 Task<void> TcpProxy::OnClientClose(uint64_t conn_id) {
-  auto it = conn_to_socket_.find(conn_id);
-  if (it == conn_to_socket_.end()) {
+  const int64_t* handle = conn_to_socket_.Find(conn_id);
+  if (handle == nullptr) {
     co_return;
   }
-  auto sock_it = sockets_.find(it->second);
-  if (sock_it == sockets_.end()) {
-    conn_to_socket_.erase(it);
+  ProxySocket* found = sockets_.Find(*handle);
+  if (found == nullptr) {
+    conn_to_socket_.Erase(conn_id);
     co_return;
   }
-  ProxySocket& socket = sock_it->second;
+  ProxySocket& socket = *found;
   socket.open = false;
   conntrack_->OnClose(conn_id);
   NetEvent event;
@@ -368,14 +420,14 @@ Task<void> TcpProxy::ProcessOutboundEvent(
     tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
                        stamp->dequeue_at, ctx);
   }
-  auto it = sockets_.find(header.sock);
-  if (it == sockets_.end() || !it->second.open) {
+  const ProxySocket* socket = sockets_.Find(header.sock);
+  if (socket == nullptr || !socket->open) {
     co_return;  // stale send after close
   }
-  const uint64_t conn_id = it->second.conn_id;  // `it` dies at an await
+  const uint64_t conn_id = socket->conn_id;  // `socket` dies at an await
   // The reply reached the proxy: backend-RTT endpoint for conntrack.
   conntrack_->OnOutbound(conn_id, bytes);
-  Shard& shard = shards_[it->second.shard];
+  Shard& shard = shards_[socket->shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
   }

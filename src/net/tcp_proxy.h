@@ -18,10 +18,10 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/base/metrics.h"
 #include "src/base/sharding.h"
 #include "src/hw/params.h"
@@ -108,13 +108,15 @@ class TcpProxy : public ServerPort {
   };
   struct ProxySocket {
     int64_t handle = 0;
-    uint64_t conn_id = 0;
+    uint64_t conn_id = 0;  // zero unless a forwarded connection
     uint32_t dataplane = 0;
     uint32_t shard = 0;  // event-loop shard all this socket's work runs on
-    // A forwarded connection's listening port and its index into that
-    // port's balance targets.
+    // A listener's port, or a forwarded connection's listening port.
     uint16_t port = 0;
-    size_t target = 0;
+    bool listening = false;
+    // A forwarded connection's stub-side listener, whose balance target
+    // the connection counts against while that listener stays open.
+    int64_t listener = 0;
     bool open = true;
   };
 
@@ -134,6 +136,13 @@ class TcpProxy : public ServerPort {
                                   std::optional<SimRing::DequeueStamp> stamp);
   Task<Status> SendEvent(uint32_t dataplane_id, const NetEvent& event,
                          std::span<const uint8_t> payload);
+  // kListen / kClose of a listener: join or leave `port`'s shared group.
+  // The last listener to leave unregisters the port, so later connects
+  // are refused.
+  void StartListening(ProxySocket& socket, uint16_t port);
+  void StopListening(const ProxySocket& socket);
+  // The balance target of `port`'s member `listener`; null once it closed.
+  BalanceTarget* TargetOf(uint16_t port, int64_t listener);
 
   Simulator* sim_;
   HwParams params_;
@@ -144,8 +153,8 @@ class TcpProxy : public ServerPort {
   std::vector<Shard> shards_;
   std::map<uint32_t, DataPlane> dataplanes_;
   std::map<uint16_t, PortListeners> listeners_;
-  std::unordered_map<int64_t, ProxySocket> sockets_;      // by proxy handle
-  std::unordered_map<uint64_t, int64_t> conn_to_socket_;  // conn -> handle
+  IdTable<int64_t, ProxySocket> sockets_;        // by proxy handle
+  IdTable<uint64_t, int64_t> conn_to_socket_;    // conn id -> handle
   int64_t next_handle_ = 1;
   TcpProxyStats stats_;
   std::unique_ptr<ConnTracker> conntrack_;

@@ -9,8 +9,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -169,6 +169,11 @@ void SpawnJoined(Simulator& sim, WaitGroup& group, Task<T> task) {
 // Bounded (or unbounded when capacity == 0) FIFO channel between tasks.
 // Closing wakes all receivers; Receive on a closed, drained channel returns
 // kWouldBlock-like failure via the bool-result protocol below.
+//
+// Items live in a power-of-two ring that is allocated on the first push
+// and doubles when full, so an empty channel (one per connection on the
+// net path, most of them idle) owns no heap memory. `T` must be default
+// constructible: free ring slots hold moved-from or default values.
 template <typename T>
 class Channel {
  public:
@@ -177,20 +182,20 @@ class Channel {
 
   // Suspends while the channel is full (bounded case).
   Task<void> Send(T item) {
-    while (capacity_ != 0 && items_.size() >= capacity_ && !closed_) {
+    while (capacity_ != 0 && size_ >= capacity_ && !closed_) {
       co_await writable_.Wait();
     }
     CHECK(!closed_) << "send on closed channel";
-    items_.push_back(std::move(item));
+    Push(std::move(item));
     readable_.NotifyOne();
   }
 
   // Non-suspending send; fails when bounded-full or closed.
   bool TrySend(T item) {
-    if (closed_ || (capacity_ != 0 && items_.size() >= capacity_)) {
+    if (closed_ || (capacity_ != 0 && size_ >= capacity_)) {
       return false;
     }
-    items_.push_back(std::move(item));
+    Push(std::move(item));
     readable_.NotifyOne();
     return true;
   }
@@ -198,24 +203,22 @@ class Channel {
   // Suspends until an item arrives or the channel is closed+drained.
   // Returns nullopt only on closed+drained.
   Task<std::optional<T>> Receive() {
-    while (items_.empty() && !closed_) {
+    while (size_ == 0 && !closed_) {
       co_await readable_.Wait();
     }
-    if (items_.empty()) {
+    if (size_ == 0) {
       co_return std::optional<T>();
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
+    T item = Pop();
     writable_.NotifyOne();
     co_return std::optional<T>(std::move(item));
   }
 
   std::optional<T> TryReceive() {
-    if (items_.empty()) {
+    if (size_ == 0) {
       return std::nullopt;
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
+    T item = Pop();
     writable_.NotifyOne();
     return item;
   }
@@ -227,13 +230,46 @@ class Channel {
   }
 
   bool closed() const { return closed_; }
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
  private:
+  static constexpr size_t kFirstRingSlots = 4;
+
+  void Push(T item) {
+    if (size_ == ring_slots_) {
+      Grow();
+    }
+    ring_[(head_ + size_) & (ring_slots_ - 1)] = std::move(item);
+    ++size_;
+  }
+
+  T Pop() {
+    T item = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (ring_slots_ - 1);
+    --size_;
+    return item;
+  }
+
+  // Doubles the ring (or allocates the first one), unwrapping the items so
+  // the oldest lands in slot 0.
+  void Grow() {
+    const size_t slots = ring_slots_ == 0 ? kFirstRingSlots : 2 * ring_slots_;
+    auto ring = std::make_unique<T[]>(slots);
+    for (size_t i = 0; i < size_; ++i) {
+      ring[i] = std::move(ring_[(head_ + i) & (ring_slots_ - 1)]);
+    }
+    ring_ = std::move(ring);
+    ring_slots_ = slots;
+    head_ = 0;
+  }
+
   size_t capacity_;
   bool closed_ = false;
-  std::deque<T> items_;
+  std::unique_ptr<T[]> ring_;
+  size_t ring_slots_ = 0;  // zero or a power of two
+  size_t head_ = 0;        // index of the oldest item
+  size_t size_ = 0;
   Condition readable_;
   Condition writable_;
 };

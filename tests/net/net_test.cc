@@ -5,6 +5,7 @@
 
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -263,6 +264,186 @@ TEST(ForwardingPolicyTest, LeastLoadedServerCloseLeavesOtherPortsCounts) {
   rig.machine.sim().RunUntilIdle();
   uint64_t z = rig.Connect(6000);
   EXPECT_EQ(rig.PhiOf(z), 1u);
+}
+
+template <typename T>
+Task<void> StoreResult(Task<T> task, std::optional<T>* out) {
+  *out = co_await std::move(task);
+}
+
+Task<void> ListenThenClose(ServerSocketApi* api, uint16_t port) {
+  auto listener = co_await api->Listen(port, 8);
+  CHECK_OK(listener);
+  CHECK_OK(co_await api->Close(*listener));
+}
+
+MachineConfig NetMachineConfig(int phis) {
+  MachineConfig config;
+  config.num_phis = phis;
+  config.nvme_capacity = MiB(64);
+  return config;
+}
+
+TEST(TcpProxyListenerTest, ClosedListenerRefusesConnects) {
+  Machine machine(NetMachineConfig(1));
+  RunSim(machine.sim(), ListenThenClose(&machine.net_stub(0), 5000));
+  Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+  auto conn = RunSim(machine.sim(),
+                     machine.ethernet().ClientConnect(1, 5000, &client));
+  EXPECT_EQ(conn.code(), ErrorCode::kConnectionReset);
+}
+
+TEST(TcpProxyListenerTest, ClosedListenerLeavesItsSharedPort) {
+  Machine machine(NetMachineConfig(2));
+  RunSim(machine.sim(), ListenThenClose(&machine.net_stub(0), 5000));
+  Spawn(machine.sim(),
+        AcceptAndCloseOnFirstRecv(&machine.net_stub(1), 5000, 4));
+  machine.sim().RunUntilIdle();
+  Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+  for (int c = 0; c < 4; ++c) {
+    auto conn = RunSim(machine.sim(),
+                       machine.ethernet().ClientConnect(1, 5000, &client));
+    ASSERT_TRUE(conn.ok());
+    const ConnEntry* entry = machine.tcp_proxy().conntrack().Find(*conn);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->dataplane, 1u) << "connection " << c;
+  }
+}
+
+// Runs `task` until the simulation idles: its result, or nullopt when it
+// parked for good.
+template <typename T>
+std::optional<T> RunUnlessParked(Simulator& sim, Task<T> task) {
+  std::optional<T> out;
+  Spawn(sim, StoreResult(std::move(task), &out));
+  sim.RunUntilIdle();
+  return out;
+}
+
+Task<Status> CloseAfter(Nanos delay, NetStub* stub, int64_t sock) {
+  co_await Delay(delay);
+  co_return co_await stub->Close(sock);
+}
+
+// The stub closes its listener `delay` after a client starts to connect.
+// 1 us: the kAccepted reaches the stub after the close. 20 us: the
+// connection waits in the accept queue. Either way the stub resets it
+// instead of leaving it parked.
+TEST(TcpProxyListenerTest, ClosingListenerResetsConnectionsNotAccepted) {
+  for (Nanos delay : {Microseconds(1), Microseconds(20)}) {
+    SCOPED_TRACE(delay);
+    Machine machine(NetMachineConfig(1));
+    NetStub& stub = machine.net_stub(0);
+    auto listener = RunSim(machine.sim(), stub.Listen(5000, 8));
+    ASSERT_TRUE(listener.ok());
+    Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+    std::optional<Result<uint64_t>> conn;
+    Spawn(machine.sim(),
+          StoreResult(machine.ethernet().ClientConnect(1, 5000, &client),
+                      &conn));
+    Spawn(machine.sim(), CloseAfter(delay, &stub, *listener));
+    machine.sim().RunUntilIdle();
+    ASSERT_TRUE(conn.has_value());
+    ASSERT_TRUE(conn->ok());
+    auto recv = RunUnlessParked(machine.sim(),
+                                machine.ethernet().ClientRecv(**conn));
+    ASSERT_TRUE(recv.has_value()) << "the connection was left parked";
+    EXPECT_EQ(recv->code(), ErrorCode::kConnectionReset);
+    const ConnEntry* entry = machine.tcp_proxy().conntrack().Find(**conn);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_FALSE(entry->open);
+  }
+}
+
+// A handle `api` never issued, or one it has closed, fails at once with
+// kInvalidArgument instead of parking the caller for good. The close races
+// a client message, which must not bring the socket back.
+void ExpectBadHandlesRejected(Simulator& sim, EthernetFabric& ethernet,
+                              Processor* client, ServerSocketApi* api) {
+  auto listener = RunSim(sim, api->Listen(5000, 8));
+  ASSERT_TRUE(listener.ok());
+  for (int64_t bad : {int64_t{999}, int64_t{-1}}) {
+    auto recv = RunUnlessParked(sim, api->Recv(bad));
+    ASSERT_TRUE(recv.has_value()) << "Recv(" << bad << ") parked";
+    EXPECT_EQ(recv->code(), ErrorCode::kInvalidArgument);
+    auto accept = RunUnlessParked(sim, api->Accept(bad));
+    ASSERT_TRUE(accept.has_value()) << "Accept(" << bad << ") parked";
+    EXPECT_EQ(accept->code(), ErrorCode::kInvalidArgument);
+  }
+  auto conn = RunSim(sim, ethernet.ClientConnect(1, 5000, client));
+  ASSERT_TRUE(conn.ok());
+  auto sock = RunSim(sim, api->Accept(*listener));
+  ASSERT_TRUE(sock.ok());
+  std::vector<uint8_t> byte = {1};
+  Spawn(sim, ethernet.ClientSend(*conn, byte, client));
+  Spawn(sim, api->Close(*sock));
+  sim.RunUntilIdle();
+  auto recv = RunUnlessParked(sim, api->Recv(*sock));
+  ASSERT_TRUE(recv.has_value()) << "Recv on a closed socket parked";
+  EXPECT_EQ(recv->code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ServerSocketApiTest, BadHandlesAreRejectedOnEveryStack) {
+  {
+    SCOPED_TRACE("DirectServer");
+    Rig rig;
+    DirectServer server(&rig.sim, &rig.fabric, rig.params, &rig.ethernet,
+                        rig.HostConfig());
+    ExpectBadHandlesRejected(rig.sim, rig.ethernet, &rig.client_cpu,
+                             &server);
+  }
+  {
+    SCOPED_TRACE("NetStub");
+    Machine machine(NetMachineConfig(1));
+    Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+    ExpectBadHandlesRejected(machine.sim(), machine.ethernet(), &client,
+                             &machine.net_stub(0));
+    // The stub saw the kAccepted and, after the close, the client's
+    // message, which it dropped.
+    EXPECT_EQ(machine.net_stub(0).events_dispatched(), 2u);
+    EXPECT_EQ(machine.net_stub(0).messages_delivered(), 0u);
+  }
+}
+
+Task<void> RecvInto(ServerSocketApi* api, int64_t sock,
+                    std::optional<Result<std::vector<uint8_t>>>* out) {
+  *out = co_await api->Recv(sock);
+}
+
+// A task parked in Recv while another task closes the socket wakes with
+// kConnectionReset; the socket's queue outlives the close that wakes it.
+void ExpectCloseWakesParkedRecv(Simulator& sim, EthernetFabric& ethernet,
+                                Processor* client, ServerSocketApi* api) {
+  auto listener = RunSim(sim, api->Listen(5000, 8));
+  ASSERT_TRUE(listener.ok());
+  ASSERT_TRUE(RunSim(sim, ethernet.ClientConnect(1, 5000, client)).ok());
+  auto sock = RunSim(sim, api->Accept(*listener));
+  ASSERT_TRUE(sock.ok());
+  std::optional<Result<std::vector<uint8_t>>> recv;
+  Spawn(sim, RecvInto(api, *sock, &recv));
+  sim.RunUntilIdle();
+  ASSERT_FALSE(recv.has_value());
+  ASSERT_TRUE(RunSim(sim, api->Close(*sock)).ok());
+  ASSERT_TRUE(recv.has_value());
+  EXPECT_EQ(recv->code(), ErrorCode::kConnectionReset);
+}
+
+TEST(ServerSocketApiTest, CloseWakesARecvParkedOnTheSocket) {
+  {
+    SCOPED_TRACE("DirectServer");
+    Rig rig;
+    DirectServer server(&rig.sim, &rig.fabric, rig.params, &rig.ethernet,
+                        rig.HostConfig());
+    ExpectCloseWakesParkedRecv(rig.sim, rig.ethernet, &rig.client_cpu,
+                               &server);
+  }
+  {
+    SCOPED_TRACE("NetStub");
+    Machine machine(NetMachineConfig(1));
+    Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
+    ExpectCloseWakesParkedRecv(machine.sim(), machine.ethernet(), &client,
+                               &machine.net_stub(0));
+  }
 }
 
 TEST(MachineNetTest, EchoWorksWithShardedTcpProxy) {

@@ -188,6 +188,25 @@ TEST(ChannelTest, TrySendFailsWhenFull) {
   EXPECT_FALSE(ch.TryReceive().has_value());
 }
 
+TEST(ChannelTest, KeepsFifoOrderWhenGrowingAWrappedRing) {
+  Simulator sim;
+  Channel<int> ch(&sim, 0);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(ch.TrySend(i));
+  }
+  EXPECT_EQ(ch.TryReceive().value(), 0);
+  EXPECT_EQ(ch.TryReceive().value(), 1);
+  // The ring now wraps, and these pushes grow it twice.
+  for (int i = 3; i < 13; ++i) {
+    EXPECT_TRUE(ch.TrySend(i));
+  }
+  EXPECT_EQ(ch.size(), 11u);
+  for (int i = 2; i < 13; ++i) {
+    EXPECT_EQ(ch.TryReceive().value(), i);
+  }
+  EXPECT_TRUE(ch.empty());
+}
+
 TEST(ChannelTest, ReceiveOnClosedDrainedChannelReturnsNullopt) {
   Simulator sim;
   Channel<int> ch(&sim, 0);
