@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,9 +40,13 @@ struct Rig {
 
   Rig() {
     Faults().DisarmAll();
+    // Eight random bytes per Prng call: 64 MiB of flash is 8 M calls.
     Prng prng(7);
-    for (auto& b : nvme.RawFlash()) {
-      b = static_cast<uint8_t>(prng.Next());
+    const std::span<uint8_t> raw = nvme.RawFlash();
+    for (size_t i = 0; i < raw.size(); i += sizeof(uint64_t)) {
+      const uint64_t word = prng.Next();
+      std::memcpy(raw.data() + i, &word,
+                  std::min(sizeof(word), raw.size() - i));
     }
   }
   ~Rig() { Faults().DisarmAll(); }

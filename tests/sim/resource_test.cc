@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "src/base/prng.h"
 #include "src/base/units.h"
+#include "src/hw/processor.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -118,6 +123,99 @@ TEST(MultiServerResourceTest, StaggeredMixedReservationsTakeEarliestServer) {
   }
   EXPECT_EQ(res.use_count(), uses.size());
   EXPECT_EQ(res.total_busy_time(), Microseconds(155));
+}
+
+// Reference model: the pool as a min-heap of every server's reservation
+// end, idle servers included. Each pick takes the earliest end and starts
+// at max(now, that end).
+class AllServersPool {
+ public:
+  explicit AllServersPool(size_t servers) : ends_(servers, 0) {}
+
+  SimTime Reserve(SimTime now, Nanos duration) {
+    std::pop_heap(ends_.begin(), ends_.end(), std::greater<>());
+    const SimTime end = std::max(now, ends_.back()) + duration;
+    ends_.back() = end;
+    std::push_heap(ends_.begin(), ends_.end(), std::greater<>());
+    busy_time_ += duration;
+    ++uses_;
+    return end;
+  }
+
+  Nanos total_busy_time() const { return busy_time_; }
+  uint64_t use_count() const { return uses_; }
+
+ private:
+  std::vector<SimTime> ends_;
+  Nanos busy_time_ = 0;
+  uint64_t uses_ = 0;
+};
+
+// Seeded random arrivals against the reference model: bursts at one
+// instant, short and long idle gaps, and durations that include 0. Every
+// returned end and both counters must match.
+TEST(MultiServerResourceTest, MatchesAllServersReferenceModel) {
+  for (size_t servers : {1u, 2u, 8u, 96u, 244u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "servers=" << servers
+                                      << " seed=" << seed);
+      Simulator sim;
+      MultiServerResource pool(&sim, servers);
+      AllServersPool reference(servers);
+      Prng prng(seed * 1000 + servers);
+      SimTime now = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const uint64_t gap_kind = prng.NextBelow(8);
+        if (gap_kind == 0) {
+          // A long idle gap, in which the queued reservations may all end.
+          now += prng.NextInRange(1, 2000 * servers);
+        } else if (gap_kind <= 3) {
+          now += prng.NextInRange(1, 400);
+        }  // else: another arrival at the same instant
+        const Nanos duration =
+            prng.NextBelow(6) == 0 ? 0 : prng.NextInRange(1, 2000);
+        sim.RunUntil(now);
+        ASSERT_EQ(sim.now(), now);
+        ASSERT_EQ(pool.Reserve(duration), reference.Reserve(now, duration))
+            << "reservation " << i;
+      }
+      EXPECT_EQ(pool.total_busy_time(), reference.total_busy_time());
+      EXPECT_EQ(pool.use_count(), reference.use_count());
+      EXPECT_EQ(pool.server_count(), servers);
+    }
+  }
+}
+
+Task<void> ComputeFor(Processor* cpu, Nanos reference_ns) {
+  co_await cpu->Compute(reference_ns);
+}
+
+Task<void> ComputeAt(Processor* cpu, Nanos at, Nanos reference_ns) {
+  co_await Delay(at);
+  co_await cpu->Compute(reference_ns);
+}
+
+// The reported thread count is the pool size whether no thread, every
+// thread or one thread is busy.
+TEST(MultiServerResourceTest, ProcessorReportsPoolSizeAfterBurst) {
+  Simulator sim;
+  Processor cpu(&sim, DeviceId{0}, 244, 0.125, "phi");
+  EXPECT_EQ(cpu.hw_threads(), 244);
+  for (int i = 0; i < 300; ++i) {
+    Spawn(sim, ComputeFor(&cpu, Microseconds(1)));
+  }
+  sim.RunUntil(Microseconds(4));
+  EXPECT_EQ(cpu.hw_threads(), 244);
+  sim.RunUntilIdle();
+  // 244 run at once for 8 us each; the other 56 wait for a free thread.
+  EXPECT_EQ(sim.now(), Microseconds(16));
+  EXPECT_EQ(cpu.hw_threads(), 244);
+  // A lone charge after an idle gap finds every thread free.
+  Spawn(sim, ComputeAt(&cpu, Microseconds(100), Microseconds(1)));
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.now(), Microseconds(124));
+  EXPECT_EQ(cpu.total_busy_time(), Microseconds(8) * 301);
+  EXPECT_EQ(cpu.hw_threads(), 244);
 }
 
 TEST(BandwidthResourceTest, TransferTimeMatchesRate) {
