@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
                 TablePrinter::Num(eager, 0), TablePrinter::Num(lazy, 0),
                 TablePrinter::Num(lazy / eager, 2) + "x"});
 
-  EmitTable(table);
+  EmitTable("per-mechanism contribution", table);
   std::cout << "\nNotes: A1's gain shows up in doorbell/interrupt counts "
                "(see NvmeDeviceTest.Coalescing*), not in bandwidth — at "
                "2.4 GB/s the host absorbs the extra interrupts. A2 compares "

@@ -1,13 +1,14 @@
 // Shared helpers for the benchmark binaries.
 //
-// Every bench prints paper-style tables via solros::TablePrinter and labels
+// Every bench prints paper-style tables via EmitTable and labels
 // rows exactly as the corresponding figure does, so EXPERIMENTS.md can
 // paste outputs directly. Simulated-time benches compute rates from
 // Simulator::now() deltas; the only wall-clock bench is Fig. 8 (real
 // threads).
 //
 // Common flags (parse with InitBench(argc, argv)):
-//   --csv                 tables additionally printed as CSV rows
+//   --json                each table row also printed as one JSON object
+//                         (EmitTable), the rows tools/trajectory.py records
 //   --metrics             dump the process-wide metric registry at exit
 //   --trace-out=FILE      write a Chrome trace (open in ui.perfetto.dev);
 //                         only benches that bind a Tracer honor this
@@ -55,7 +56,8 @@
 namespace solros {
 
 struct BenchFlags {
-  bool csv = false;
+  std::string bench;  // argv[0]'s file name: the "bench" of a JSON row
+  bool json = false;
   bool metrics = false;
   std::string trace_out;        // empty => no trace export
   uint64_t flight_recorder = 0;  // entries to keep; 0 => no recorder
@@ -69,7 +71,7 @@ inline BenchFlags& GetBenchFlags() {
   return flags;
 }
 
-// Environment knobs (read by the bench configs, set by tools/ scripts):
+// Environment knobs (read by the bench configs, set by tools/trajectory.py):
 //   SOLROS_BENCH_QUICK=1   shrink the measurement matrix (CI smoke runs)
 //   SOLROS_JOURNAL=metadata|data  format the bench FS with a write-ahead
 //                          journal in that mode (and the volatile-write-
@@ -121,10 +123,12 @@ inline Result<uint64_t> ParseTraceSample(std::string_view value) {
 // or SOLROS_FAULTS.
 inline bool InitBench(int argc, char** argv) {
   BenchFlags& flags = GetBenchFlags();
+  std::string_view self = argv[0];
+  flags.bench = std::string(self.substr(self.rfind('/') + 1));
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (arg == "--csv") {
-      flags.csv = true;
+    if (arg == "--json") {
+      flags.json = true;
     } else if (arg == "--metrics") {
       flags.metrics = true;
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -163,7 +167,7 @@ inline bool InitBench(int argc, char** argv) {
       }
       flags.trace_sample = *n;
     } else if (arg == "--help" || arg == "-h") {
-      std::cerr << "common flags: --csv --metrics --trace-out=FILE "
+      std::cerr << "common flags: --json --metrics --trace-out=FILE "
                    "--flight-recorder=N --telemetry-out=FILE --slo-ns=N "
                    "--trace-sample=N\n";
       return false;
@@ -311,12 +315,34 @@ inline void AppendTelemetryReport(const std::string& label,
             << (report.overall.empty() ? "none" : report.overall) << "\n";
 }
 
-// Prints `table` aligned, plus CSV when --csv was given.
-inline void EmitTable(const TablePrinter& table) {
+// The only way a bench prints a table: a "--- title ---" banner, then
+// `table` aligned. Under --json each data row follows as one JSON object on
+// its own line, {"bench": ..., "table": title, "<column>": "<cell>", ...},
+// with every cell as printed.
+inline void EmitTable(const std::string& title, const TablePrinter& table) {
+  std::cout << "\n--- " << title << " ---\n";
   table.Print(std::cout);
-  if (GetBenchFlags().csv) {
-    std::cout << "csv:\n";
-    table.PrintCsv(std::cout);
+  if (!GetBenchFlags().json) {
+    return;
+  }
+  auto quote = [](std::string_view text) {
+    std::string out = "\"";
+    for (char c : text) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+      }
+      out += c;
+    }
+    return out + "\"";
+  };
+  const std::vector<std::vector<std::string>>& rows = table.rows();
+  for (size_t r = 1; r < rows.size(); ++r) {
+    std::cout << "{\"bench\": " << quote(GetBenchFlags().bench)
+              << ", \"table\": " << quote(title);
+    for (size_t i = 0; i < rows[r].size(); ++i) {
+      std::cout << ", " << quote(rows[0][i]) << ": " << quote(rows[r][i]);
+    }
+    std::cout << "}\n";
   }
 }
 

@@ -186,27 +186,24 @@ int main(int argc, char** argv) {
               "EuroSys'18 Solros §4.3.2 buffered path; 2Q/readahead/"
               "write-back classics");
 
-  std::cout << "--- sequential O_BUFFER reads (64 KiB) ---\n";
   SeqNumbers seq_numbers = MeasureSeqRead();
   TablePrinter seq({"GB/s", "nvme cmds", "doorbells"});
   seq.AddRow({TablePrinter::Num(seq_numbers.gbps, 3),
               std::to_string(seq_numbers.commands),
               std::to_string(seq_numbers.doorbells)});
-  EmitTable(seq);
+  EmitTable("sequential O_BUFFER reads (64 KiB)", seq);
 
-  std::cout << "\n--- hot-set re-read after a 2x-cache streaming scan ---\n";
   MixNumbers mix_numbers = MeasureScanMix();
   TablePrinter mix({"hot GB/s", "nvme cmds"});
   mix.AddRow({TablePrinter::Num(mix_numbers.hot_gbps, 3),
               std::to_string(mix_numbers.commands)});
-  EmitTable(mix);
+  EmitTable("hot-set re-read after a 2x-cache streaming scan", mix);
 
-  std::cout << "\n--- random O_BUFFER writes (64 KiB) + fsync ---\n";
   WriteNumbers wr_numbers = MeasureRandomWrite();
   TablePrinter wr({"GB/s", "nvme cmds"});
   wr.AddRow({TablePrinter::Num(wr_numbers.gbps, 3),
              std::to_string(wr_numbers.commands)});
-  EmitTable(wr);
+  EmitTable("random O_BUFFER writes (64 KiB) + fsync", wr);
 
   FinishBench();
   return 0;

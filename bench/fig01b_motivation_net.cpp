@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                   Usec1(solros.ValueAtQuantile(q)),
                   Usec1(phi_linux.ValueAtQuantile(q))});
   }
-  EmitTable(table);
+  EmitTable("64B round-trip latency percentiles", table);
 
   double p99_ratio = static_cast<double>(phi_linux.ValueAtQuantile(0.99)) /
                      static_cast<double>(solros.ValueAtQuantile(0.99));

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(MeasureMemcpy(size, true) / 1e6, 1),
                   TablePrinter::Num(MeasureMemcpy(size, false) / 1e6, 1)});
   }
-  EmitTable(table);
+  EmitTable("bandwidth by transfer size", table);
 
   double dma_h = MeasureDma(MiB(8), true);
   double dma_p = MeasureDma(MiB(8), false);

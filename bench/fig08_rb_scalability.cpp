@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(RunTicket(threads) / 1e3, 0),
                   TablePrinter::Num(RunMcs(threads) / 1e3, 0)});
   }
-  EmitTable(table);
+  EmitTable("enqueue/dequeue pairs per second", table);
   std::cout << "\npaper shape: combining stays flat-to-rising with core "
                "count; ticket collapses; MCS plateaus (4.1x and 1.5x below "
                "Solros at 61 cores).\n";

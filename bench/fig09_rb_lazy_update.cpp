@@ -106,7 +106,6 @@ Sample Run(bool phi_to_host, bool lazy, int tasks) {
 }
 
 void Panel(bool phi_to_host, const char* title) {
-  std::cout << "\n--- " << title << " ---\n";
   TablePrinter table({"tasks", "lazy kops/s", "eager kops/s", "speedup",
                       "lazy PCIe txns", "eager PCIe txns"});
   for (int tasks : {1, 2, 4, 8, 16, 32, 61}) {
@@ -118,7 +117,7 @@ void Panel(bool phi_to_host, const char* title) {
                   std::to_string(lazy.pcie_txns),
                   std::to_string(eager.pcie_txns)});
   }
-  EmitTable(table);
+  EmitTable(title, table);
 }
 
 }  // namespace

@@ -82,7 +82,6 @@ double Run(bool phi_to_host, CopyPolicy policy, uint64_t element) {
 }
 
 void Panel(bool phi_to_host, const char* title) {
-  std::cout << "\n--- " << title << " ---\n";
   TablePrinter table({"element", "memcpy GB/s", "dma GB/s", "adaptive GB/s",
                       "adaptive picks"});
   HwParams params;
@@ -97,7 +96,7 @@ void Panel(bool phi_to_host, const char* title) {
     table.AddRow({HumanSize(element), GBps3(memcpy_bw), GBps3(dma_bw),
                   GBps3(adaptive_bw), picks_dma ? "dma" : "memcpy"});
   }
-  EmitTable(table);
+  EmitTable(title, table);
 }
 
 }  // namespace
@@ -110,8 +109,11 @@ int main(int argc, char** argv) {
               "EuroSys'18 Solros, Figure 10 (thresholds: 1KB host, 16KB Phi)");
   Panel(true, "(a) Xeon Phi -> Host (host pulls; host-side threshold 1KB)");
   Panel(false, "(b) Host -> Xeon Phi (Phi pulls; Phi-side threshold 16KB)");
-  std::cout << "\nshape: memcpy wins left of the threshold, DMA wins right "
-               "of it, adaptive tracks the max everywhere.\n";
+  std::cout << "\nshape: DMA beats memcpy at every element but 512B in "
+               "(b). Adaptive switches at the paper's fixed thresholds, so "
+               "it keeps memcpy where DMA is already faster (3.3x at 512B "
+               "and 4.9x at 1KB in (a), 2.5x at 4KB and 2.3x at 16KB in "
+               "(b)) and matches DMA above them.\n";
   FinishBench();
   return 0;
 }

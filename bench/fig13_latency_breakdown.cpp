@@ -143,7 +143,6 @@ FsBreakdown MeasureVirtioRead() {
 }
 
 void PrintFsPanel() {
-  std::cout << "\n--- (a) 512KB random read breakdown (per op) ---\n";
   // Solros first: its stack retries through injected faults, so a
   // one-shot SOLROS_FAULTS probe lands here (and in the armed flight
   // recorder) instead of aborting the retry-less virtio baseline.
@@ -158,7 +157,7 @@ void PrintFsPanel() {
                 Usec1(solros_transport)});
   table.AddRow({"Storage", Usec1(virtio.storage), Usec1(solros.device)});
   table.AddRow({"TOTAL", Usec1(virtio.total), Usec1(solros.total)});
-  EmitTable(table);
+  EmitTable("(a) 512KB random read breakdown (per op)", table);
   // The Solros column measured per request via causal trace attribution;
   // the finer six-stage split behind its three rows:
   TablePrinter stages({"solros stage (per-request)", "us"});
@@ -168,7 +167,7 @@ void PrintFsPanel() {
   stages.AddRow({"proxy (CPU + cache + metadata)", Usec1(solros.proxy)});
   stages.AddRow({"host DMA copy", Usec1(solros.copy_dma)});
   stages.AddRow({"NVMe device", Usec1(solros.device)});
-  EmitTable(stages);
+  EmitTable("(a) Phi-Solros per-request stages", stages);
   std::cout << "fs-time ratio (virtio/solros): "
             << TablePrinter::Num(
                    static_cast<double>(virtio.fs) / solros_fs, 1)
@@ -180,7 +179,6 @@ void PrintFsPanel() {
 }
 
 void PrintNetPanel() {
-  std::cout << "\n--- (b) 64B TCP latency breakdown (per round trip) ---\n";
   // Wire+client baseline: subtract a loopback-style floor measured on the
   // host configuration (its stack cost is known).
   Histogram host = MeasureNetLatency(NetConfigKind::kHost, 64, 1, 300);
@@ -202,7 +200,7 @@ void PrintNetPanel() {
                 Usec1(solros_stack)});
   table.AddRow({"TOTAL p50", Usec1(phi_linux.ValueAtQuantile(0.5)),
                 Usec1(solros.ValueAtQuantile(0.5))});
-  EmitTable(table);
+  EmitTable("(b) 64B TCP latency breakdown (per round trip)", table);
   std::cout << "host p50 (reference): "
             << Usec1(host.ValueAtQuantile(0.5)) << " us\n";
 }

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   PrintHeader("E15 — TCP streaming throughput (reconstructed)",
               "EuroSys'18 Solros §4.4/§6");
   for (int connections : {1, 4, 16}) {
-    std::cout << "\n--- " << connections << " connection(s) ---\n";
     TablePrinter table({"msg size", "Host GB/s", "Phi-Solros GB/s",
                         "Phi-Linux GB/s"});
     for (uint32_t size : {512u, 4096u, 16384u, 65536u, 262144u}) {
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
            GBps3(MeasureNetThroughput(NetConfigKind::kPhiLinux, size,
                                       connections, messages))});
     }
-    EmitTable(table);
+    EmitTable(std::to_string(connections) + " connection(s)", table);
   }
   std::cout << "\nshape: Host and Solros scale with size/connections toward "
                "the wire; Phi-Linux is CPU-bound on the co-processor's "

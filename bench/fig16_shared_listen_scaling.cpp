@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(ch.kmsgs_per_sec, 1),
                   Distribution(ch.per_phi_events)});
   }
-  EmitTable(table);
+  EmitTable("echo throughput by forwarding policy", table);
   std::cout << "\nshape: round-robin and least-loaded spread evenly; "
                "content-hash keeps client affinity (possibly uneven); "
                "throughput scales with co-processor count until the host "

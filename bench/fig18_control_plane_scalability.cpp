@@ -12,10 +12,10 @@
 // RPC concurrency grows. Two extra sections isolate it:
 //   storm    4 phis x 8 workers of concurrent buffered reads over one
 //            shared file region. Dedup + plugging must keep doorbells +
-//            interrupts <= 100 at >= 182.95 kRPC/s (CI gates the CSV row).
+//            interrupts <= 100 at >= 182.95 kRPC/s (tools/trajectory.py).
 //   shards   the same storm with the control plane sharded across 1, 2,
 //            and 4 pinned host cores (proxy_shards); RPC/s must scale
-//            >= 1.6x at 2 shards and >= 2.5x at 4 (CI gates the CSV).
+//            >= 1.6x at 2 shards and >= 2.5x at 4 (tools/trajectory.py).
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -105,7 +105,6 @@ RunStats RunMatrix(int phis, int workers_per_phi) {
 }
 
 void PrintMatrix() {
-  std::cout << "--- RPC scalability (stat + 4KB random reads) ---\n";
   TablePrinter table({"phis", "workers/phi", "kRPC/s", "nvme cmds",
                       "doorbells", "interrupts"});
   std::vector<int> worker_counts =
@@ -132,7 +131,7 @@ void PrintMatrix() {
                     std::to_string(s.cost.interrupts)});
     }
   }
-  EmitTable(table);
+  EmitTable("RPC scalability (stat + 4KB random reads)", table);
 }
 
 // --- section 2: shared-region read storm through the I/O scheduler ---
@@ -191,8 +190,6 @@ RunStats RunSharedStorm() {
 }
 
 void PrintStorm() {
-  std::cout << "\n--- buffered read storm: 4 phis x 8 workers over one "
-               "shared 160KB region ---\n";
   RunStats on = RunSharedStorm();
   TablePrinter table({"config", "kRPC/s", "nvme cmds", "doorbells",
                       "interrupts"});
@@ -200,7 +197,9 @@ void PrintStorm() {
                 std::to_string(on.cost.commands),
                 std::to_string(on.cost.doorbells),
                 std::to_string(on.cost.interrupts)});
-  EmitTable(table);
+  EmitTable("buffered read storm: 4 phis x 8 workers over one shared "
+            "160KB region",
+            table);
 }
 
 // --- section 3: proxy-shard scaling storm ---
@@ -277,8 +276,6 @@ ShardRun RunShardStorm(int shards) {
 }
 
 void PrintShardScaling() {
-  std::cout << "\n--- proxy-shard scaling: same storm, control plane "
-               "sharded across pinned cores ---\n";
   TablePrinter table({"config", "kRPC/s", "speedup", "shard max/mean",
                       "nvme cmds"});
   double base = 0;
@@ -301,7 +298,9 @@ void PrintShardScaling() {
                   TablePrinter::Num(mean > 0 ? hi / mean : 0, 2),
                   std::to_string(run.stats.cost.commands)});
   }
-  EmitTable(table);
+  EmitTable("proxy-shard scaling: same storm, control plane sharded "
+            "across pinned cores",
+            table);
   std::cout << "shape: RPC/s scales near-linearly with shards because each "
                "shard's full FS stack is serialized on its own pinned core; "
                "max/mean per-shard requests near 1.0 shows the inode-range "

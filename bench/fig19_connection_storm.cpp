@@ -19,8 +19,8 @@
 //   fair min/mean  per-phi delivered-message share: min over mean (1.0 =
 //                  perfectly fair across the 4 data planes)
 //
-// CI gates (ci.yml): batch-on must beat batch-off on ops/s, ring at most
-// half the doorbells, hold p99 inside a budget, and keep fairness high.
+// tools/trajectory.py gates: batch-on must beat batch-off on ops/s, ring at
+// most half the doorbells, hold p99 inside a budget, and keep fairness high.
 // Every client sends the same number of pings and each phi serves the same
 // number of clients, so fairness reads 1.0 on both rows by construction.
 // SOLROS_BENCH_QUICK shrinks the storm to ~8k connections.
@@ -177,12 +177,8 @@ int main(int argc, char** argv) {
   PrintHeader("E19 — connection storm at 100k-connection scale (extension)",
               "EuroSys'18 Solros §4.4 + DESIGN.md §5.5");
   const int conns = BenchQuickMode() ? 8192 : 102400;
-  std::cout << "\n--- " << conns << " connections, " << kPhis << " phis, "
-            << kProxyShards << " proxy shards, " << kMessageBytes
-            << "B echo ---\n";
   TablePrinter table({"config", "conns", "ops/s", "doorbells", "ev/push",
                       "p99 us", "fair min/mean"});
-  std::cout << "csv:\nconfig,conns,ops,doorbells,ev_per_push,p99_us,fairness\n";
   for (bool batch : {false, true}) {
     StormResult r = RunStorm(batch, conns);
     const char* name = batch ? "batch-on" : "batch-off";
@@ -192,13 +188,12 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(r.events_per_push, 2),
                   TablePrinter::Num(ToMicros(r.p99_ns), 1),
                   TablePrinter::Num(r.fairness, 3)});
-    std::cout << name << "," << r.conns << ","
-              << static_cast<uint64_t>(r.ops_per_sec) << "," << r.doorbells
-              << "," << r.events_per_push << "," << ToMicros(r.p99_ns) << ","
-              << r.fairness << "\n";
   }
-  std::cout << "\n";
-  EmitTable(table);
+  EmitTable(std::to_string(conns) + " connections, " +
+                std::to_string(kPhis) + " phis, " +
+                std::to_string(kProxyShards) + " proxy shards, " +
+                std::to_string(kMessageBytes) + "B echo",
+            table);
   std::cout << "\nshape: the 40us plug window rings about 4x fewer "
                "doorbells by batching small events across connections, for "
                "about 2% more ops/s.\n";

@@ -150,7 +150,6 @@ void RunFsFigure(bool is_write) {
           : std::vector<uint64_t>{KiB(32), KiB(64), KiB(128), KiB(256),
                                   KiB(512), MiB(1), MiB(2), MiB(4)};
   for (int threads : thread_list) {
-    std::cout << "\n--- " << threads << " thread(s) ---\n";
     TablePrinter table({"block", "Host GB/s", "Phi-Solros GB/s",
                         "Phi-Solros O_BUFFER GB/s", "Phi-virtio GB/s",
                         "Phi-NFS GB/s"});
@@ -162,7 +161,7 @@ void RunFsFigure(bool is_write) {
                     GBps3(MeasureVirtio(block, threads, is_write)),
                     GBps3(MeasureNfs(block, threads, is_write))});
     }
-    EmitTable(table);
+    EmitTable(std::to_string(threads) + " thread(s)", table);
   }
 }
 

@@ -43,30 +43,6 @@ void TablePrinter::Print(std::ostream& os) const {
   }
 }
 
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) {
-        os << ",";
-      }
-      const std::string& cell = row[i];
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char c : cell) {
-          if (c == '"') {
-            os << '"';
-          }
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-    }
-    os << "\n";
-  }
-}
-
 std::string TablePrinter::Num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

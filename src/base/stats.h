@@ -55,9 +55,8 @@ class TablePrinter {
   void AddRow(std::vector<std::string> row);
   void Print(std::ostream& os) const;
 
-  // Same rows as Print, in RFC-4180-style CSV (quotes cells containing
-  // commas or quotes). Benchmarks emit this under --csv.
-  void PrintCsv(std::ostream& os) const;
+  // The header row, then the data rows, as added.
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
   // Formats a double with `precision` digits after the point.
   static std::string Num(double v, int precision = 2);
