@@ -12,9 +12,6 @@
 //   --metrics             dump the process-wide metric registry at exit
 //   --trace-out=FILE      write a Chrome trace (open in ui.perfetto.dev);
 //                         only benches that bind a Tracer honor this
-//   --flight-recorder=N   keep a bounded ring of the last N trace events
-//                         and dump it on any fault-point fire (benches that
-//                         bind a Tracer attach it via ArmFlightRecorder)
 //   --telemetry-out=FILE  enable USE telemetry (benches that call
 //                         MaybeEnableTelemetry) and write the collected
 //                         per-run snapshots as JSON; each labeled run also
@@ -49,7 +46,6 @@
 #include "src/base/units.h"
 #include "src/fs/journal.h"
 #include "src/sim/bottleneck.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/slo_watchdog.h"
 #include "src/sim/trace.h"
 
@@ -59,11 +55,10 @@ struct BenchFlags {
   std::string bench;  // argv[0]'s file name: the "bench" of a JSON row
   bool json = false;
   bool metrics = false;
-  std::string trace_out;        // empty => no trace export
-  uint64_t flight_recorder = 0;  // entries to keep; 0 => no recorder
-  std::string telemetry_out;     // empty => telemetry off
-  uint64_t slo_ns = 0;           // 0 => no SLO watchdog
-  uint64_t trace_sample = 0;     // keep 1-in-N by hash; 0 => full capture
+  std::string trace_out;      // empty => no trace export
+  std::string telemetry_out;  // empty => telemetry off
+  uint64_t slo_ns = 0;        // 0 => no SLO watchdog
+  uint64_t trace_sample = 0;  // keep 1-in-N by hash; 0 => full capture
 };
 
 inline BenchFlags& GetBenchFlags() {
@@ -137,13 +132,6 @@ inline bool InitBench(int argc, char** argv) {
         std::cerr << "--trace-out= requires a file name\n";
         return false;
       }
-    } else if (arg.rfind("--flight-recorder=", 0) == 0) {
-      flags.flight_recorder = static_cast<uint64_t>(
-          std::strtoull(argv[i] + strlen("--flight-recorder="), nullptr, 10));
-      if (flags.flight_recorder == 0) {
-        std::cerr << "--flight-recorder= requires a positive entry count\n";
-        return false;
-      }
     } else if (arg.rfind("--telemetry-out=", 0) == 0) {
       flags.telemetry_out =
           std::string(arg.substr(strlen("--telemetry-out=")));
@@ -168,8 +156,7 @@ inline bool InitBench(int argc, char** argv) {
       flags.trace_sample = *n;
     } else if (arg == "--help" || arg == "-h") {
       std::cerr << "common flags: --json --metrics --trace-out=FILE "
-                   "--flight-recorder=N --telemetry-out=FILE --slo-ns=N "
-                   "--trace-sample=N\n";
+                   "--telemetry-out=FILE --slo-ns=N --trace-sample=N\n";
       return false;
     }
   }
@@ -184,36 +171,10 @@ inline bool InitBench(int argc, char** argv) {
   return true;
 }
 
-// The process-wide flight recorder created by --flight-recorder=N (null
-// without the flag). Lives until exit so FinishBench can print its dumps.
-inline FlightRecorder*& BenchFlightRecorder() {
-  static FlightRecorder* recorder = nullptr;
-  return recorder;
-}
-
-// Under --flight-recorder=N, attaches a bounded recorder of N entries to
-// `tracer` and arms the fault-fire trigger. Call after binding the tracer
-// in benches that want crash-forensics output; no-op without the flag.
-inline void ArmFlightRecorder(Tracer& tracer) {
-  if (GetBenchFlags().flight_recorder == 0) {
-    return;
-  }
-  if (BenchFlightRecorder() == nullptr) {
-    BenchFlightRecorder() =
-        new FlightRecorder(GetBenchFlags().flight_recorder);
-    BenchFlightRecorder()->ArmFaultTrigger();
-    // Echo at dump time: a fault may abort the bench (CHECK_OK on an
-    // exhausted retry) before FinishBench prints retained dumps.
-    BenchFlightRecorder()->set_echo_to_stderr(true);
-  }
-  tracer.set_flight_recorder(BenchFlightRecorder());
-}
-
 // Arms an SloWatchdog on `tracer` when SOLROS_SLO_STAGES or --slo-ns (the
 // total budget) sets any budget; null otherwise. A malformed
 // SOLROS_SLO_STAGES ends the bench with exit status 2, naming the bad item.
-inline std::unique_ptr<SloWatchdog> MaybeArmSloWatchdog(Simulator* sim,
-                                                        Tracer* tracer) {
+inline std::unique_ptr<SloWatchdog> MaybeArmSloWatchdog(Tracer* tracer) {
   Result<SloBudgets> budgets = SloBudgetsFromEnv();
   if (!budgets.ok()) {
     std::cerr << budgets.status().ToString() << "\n";
@@ -225,7 +186,7 @@ inline std::unique_ptr<SloWatchdog> MaybeArmSloWatchdog(Simulator* sim,
   if (!budgets->any()) {
     return nullptr;
   }
-  auto watchdog = std::make_unique<SloWatchdog>(sim, *budgets);
+  auto watchdog = std::make_unique<SloWatchdog>(*budgets);
   watchdog->Bind(tracer);
   return watchdog;
 }
@@ -347,7 +308,7 @@ inline void EmitTable(const std::string& title, const TablePrinter& table) {
 }
 
 // Call at the end of main: dumps the metric registry under --metrics and
-// any retained flight-recorder dumps under --flight-recorder.
+// writes the telemetry reports under --telemetry-out.
 inline void FinishBench() {
   if (GetBenchFlags().metrics) {
     std::cout << "\n--- metrics (--metrics) ---\n";
@@ -376,11 +337,6 @@ inline void FinishBench() {
       }
       out << "\n]}\n";
     }
-  }
-  FlightRecorder* recorder = BenchFlightRecorder();
-  if (recorder != nullptr && recorder->total_dumps() > 0) {
-    std::cout << "\n--- flight recorder (--flight-recorder) ---\n";
-    recorder->WriteText(std::cout);
   }
 }
 

@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   PrintHeader("Fig. 12 — random WRITE throughput (SSD ceiling 1.2 GB/s)",
               "EuroSys'18 Solros, Figure 12; file scaled 4GB -> 512MB");
   RunFsFigure(/*is_write=*/true);
-  std::cout << "\nshape: Host and Phi-Solros reach the SSD write ceiling; "
-               "virtio/NFS stay under ~0.1 GB/s.\n";
+  std::cout << "\nshape: Host and Phi-Solros reach the SSD write ceiling "
+               "at 8 threads x 1MB; virtio/NFS stay at or under a tenth of "
+               "it (0.12 GB/s).\n";
   FinishBench();
   return 0;
 }

@@ -62,12 +62,10 @@ StageBreakdown MeasureSolrosRead() {
   // Bind after setup so spans cover only the measured loop; reset the stage
   // histograms so --metrics reports exactly this window.
   tracer.Bind(&machine.sim());
-  ArmFlightRecorder(tracer);
   // Per-stage SLO budgets from SOLROS_SLO_STAGES, plus --slo-ns as the
   // total-latency budget. The watchdog evaluates every root span as it
-  // closes and fires the flight recorder on a sustained violation streak.
-  std::unique_ptr<SloWatchdog> watchdog =
-      MaybeArmSloWatchdog(&machine.sim(), &tracer);
+  // closes and counts the requests over budget.
+  std::unique_ptr<SloWatchdog> watchdog = MaybeArmSloWatchdog(&tracer);
   MetricRegistry::Default().ResetHistograms();
   const int kOps = 16;
   for (int i = 0; i < kOps; ++i) {
@@ -144,8 +142,8 @@ FsBreakdown MeasureVirtioRead() {
 
 void PrintFsPanel() {
   // Solros first: its stack retries through injected faults, so a
-  // one-shot SOLROS_FAULTS probe lands here (and in the armed flight
-  // recorder) instead of aborting the retry-less virtio baseline.
+  // one-shot SOLROS_FAULTS probe lands here instead of aborting the
+  // retry-less virtio baseline.
   StageBreakdown solros = MeasureSolrosRead();
   FsBreakdown virtio = MeasureVirtioRead();
   const Nanos solros_fs = solros.stub + solros.proxy;

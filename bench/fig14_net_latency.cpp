@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
             "sum to total exactly)",
             panel);
   std::cout << "\nshape: the Solros proxy column carries the host-side TCP "
-               "work the Phi-Linux stack column pays on slow cores; wire "
-               "time is identical across configs.\n";
+               "work the Phi-Linux stack column pays on slow cores (9x "
+               "more); wire time is identical across configs.\n";
   FinishBench();
   return 0;
 }

@@ -32,9 +32,10 @@ int main(int argc, char** argv) {
     }
     EmitTable(std::to_string(connections) + " connection(s)", table);
   }
-  std::cout << "\nshape: Host and Solros scale with size/connections toward "
-               "the wire; Phi-Linux is CPU-bound on the co-processor's "
-               "slow cores.\n";
+  std::cout << "\nshape: Host scales with size/connections toward the "
+               "wire; Solros tracks Host at 1 connection and caps near "
+               "0.7 GB/s with more; Phi-Linux is CPU-bound on the "
+               "co-processor's slow cores, under 0.1 GB/s.\n";
   FinishBench();
   return 0;
 }

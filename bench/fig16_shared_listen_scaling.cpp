@@ -96,8 +96,7 @@ void RunSamplingStorm() {
   MaybeEnableTelemetry(config);
   Machine machine(std::move(config));
   tracer.Bind(&machine.sim());
-  std::unique_ptr<SloWatchdog> watchdog =
-      MaybeArmSloWatchdog(&machine.sim(), &tracer);
+  std::unique_ptr<SloWatchdog> watchdog = MaybeArmSloWatchdog(&tracer);
 
   const int kConns = 64;
   const int kPings = 40;
@@ -170,8 +169,8 @@ int main(int argc, char** argv) {
   EmitTable("echo throughput by forwarding policy", table);
   std::cout << "\nshape: round-robin and least-loaded spread evenly; "
                "content-hash keeps client affinity (possibly uneven); "
-               "throughput scales with co-processor count until the host "
-               "proxy saturates.\n";
+               "throughput is flat in the co-processor count, within 3% "
+               "of one phi's.\n";
   RunSamplingStorm();
   FinishBench();
   return 0;

@@ -25,11 +25,8 @@ uint64_t HashName(std::string_view name) {
 
 }  // namespace
 
-FaultPoint::FaultPoint(std::string name, uint64_t registry_seed,
-                       FaultRegistry* registry)
-    : name_(std::move(name)),
-      registry_(registry),
-      prng_(registry_seed ^ HashName(name_)) {}
+FaultPoint::FaultPoint(std::string name, uint64_t registry_seed)
+    : name_(std::move(name)), prng_(registry_seed ^ HashName(name_)) {}
 
 void FaultPoint::Arm(const FaultSpec& spec, uint64_t registry_seed) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -50,28 +47,22 @@ bool FaultPoint::ShouldFire() {
   if (!armed()) {
     return false;
   }
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!armed_.load(std::memory_order_relaxed)) {
-      return false;  // lost a race with Disarm
-    }
-    uint64_t hit = hits_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (spec_.one_shot) {
-      fire = true;
-      armed_.store(false, std::memory_order_relaxed);
-    } else if (spec_.every_nth > 0) {
-      fire = hit % spec_.every_nth == 0;
-    } else if (spec_.probability > 0.0) {
-      fire = prng_.NextBool(spec_.probability);
-    }
-    if (fire) {
-      fires_.fetch_add(1, std::memory_order_relaxed);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!armed_.load(std::memory_order_relaxed)) {
+    return false;  // lost a race with Disarm
   }
-  // Notify outside mu_ so a listener may probe the registry freely.
+  uint64_t hit = hits_.fetch_add(1, std::memory_order_relaxed) + 1;
+  bool fire = false;
+  if (spec_.one_shot) {
+    fire = true;
+    armed_.store(false, std::memory_order_relaxed);
+  } else if (spec_.every_nth > 0) {
+    fire = hit % spec_.every_nth == 0;
+  } else if (spec_.probability > 0.0) {
+    fire = prng_.NextBool(spec_.probability);
+  }
   if (fire) {
-    registry_->NotifyFire(name_);
+    fires_.fetch_add(1, std::memory_order_relaxed);
   }
   return fire;
 }
@@ -91,7 +82,7 @@ FaultPoint* FaultRegistry::GetPoint(const std::string& name) {
   if (it == points_.end()) {
     it = points_
              .emplace(name, std::unique_ptr<FaultPoint>(
-                                new FaultPoint(name, seed_, this)))
+                                new FaultPoint(name, seed_)))
              .first;
   }
   return it->second.get();
@@ -129,22 +120,6 @@ void FaultRegistry::DisarmAll() {
       point->Disarm();
       armed_count_.fetch_sub(1, std::memory_order_relaxed);
     }
-  }
-}
-
-void FaultRegistry::SetFireListener(FireListener listener) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fire_listener_ = std::move(listener);
-}
-
-void FaultRegistry::NotifyFire(const std::string& name) {
-  FireListener listener;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    listener = fire_listener_;
-  }
-  if (listener) {
-    listener(name);
   }
 }
 

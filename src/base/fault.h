@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -73,8 +72,6 @@ struct FaultSpec {
   static FaultSpec OneShot() { return {.one_shot = true}; }
 };
 
-class FaultRegistry;
-
 // One named injection point. Obtain via FaultRegistry::GetPoint; pointers
 // are stable for the registry's lifetime, so call sites cache them in
 // function-local statics. Thread-safe (the transport fault tests probe from
@@ -95,8 +92,7 @@ class FaultPoint {
 
  private:
   friend class FaultRegistry;
-  FaultPoint(std::string name, uint64_t registry_seed,
-             FaultRegistry* registry);
+  FaultPoint(std::string name, uint64_t registry_seed);
 
   // Reseeds the PRNG and zeroes counters (called under the registry lock).
   void Arm(const FaultSpec& spec, uint64_t registry_seed);
@@ -104,7 +100,6 @@ class FaultPoint {
 
   std::mutex mu_;
   const std::string name_;
-  FaultRegistry* const registry_;
   std::atomic<bool> armed_{false};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> fires_{0};
@@ -157,22 +152,11 @@ class FaultRegistry {
   // or not (deterministic, name-sorted). Appended to Machine::DumpStats.
   void DumpText(std::ostream& os) const;
 
-  // Invoked every time any point fires (never on the disarmed fast path,
-  // so fault-free runs pay nothing). At most one listener; the flight
-  // recorder installs one to dump on fault and clears it on destruction.
-  // Called outside both the registry and point locks.
-  using FireListener = std::function<void(const std::string& point_name)>;
-  void SetFireListener(FireListener listener);
-
  private:
-  friend class FaultPoint;
-  void NotifyFire(const std::string& name);
-
   mutable std::mutex mu_;
   uint64_t seed_ = 0x50171005ull;
   std::atomic<uint64_t> armed_count_{0};
   std::map<std::string, std::unique_ptr<FaultPoint>> points_;
-  FireListener fire_listener_;  // guarded by mu_
 };
 
 // Shorthand used at injection sites.

@@ -137,30 +137,6 @@ void MetricRegistry::DumpText(std::ostream& os) const {
   }
 }
 
-void MetricRegistry::DumpJson(std::ostream& os) const {
-  MetricsSnapshot snap = Snapshot();
-  os << "{\"counters\":{";
-  for (size_t i = 0; i < snap.counters.size(); ++i) {
-    os << (i ? "," : "") << "\"" << snap.counters[i].name
-       << "\":" << snap.counters[i].value;
-  }
-  os << "},\"gauges\":{";
-  for (size_t i = 0; i < snap.gauges.size(); ++i) {
-    os << (i ? "," : "") << "\"" << snap.gauges[i].name
-       << "\":{\"value\":" << snap.gauges[i].value
-       << ",\"max\":" << snap.gauges[i].max_value << "}";
-  }
-  os << "},\"histograms\":{";
-  for (size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i ? "," : "") << "\"" << h.name << "\":{\"count\":" << h.count
-       << ",\"mean\":" << TablePrinter::Num(h.mean, 1)
-       << ",\"p50\":" << h.p50 << ",\"p99\":" << h.p99
-       << ",\"max\":" << h.max << "}";
-  }
-  os << "}}";
-}
-
 void MetricRegistry::ResetHistograms() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, entry] : entries_) {

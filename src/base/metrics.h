@@ -18,8 +18,8 @@
 // updates counters from real threads in the Fig. 8 harness); everything is
 // deterministic under the single-threaded simulator.
 //
-// Snapshot() materializes a name-sorted view; DumpText/DumpJson emit it for
-// the benches' --metrics flag and for machine-readable trajectory files.
+// Snapshot() materializes a name-sorted view; DumpText prints it for the
+// benches' --metrics flag.
 #ifndef SOLROS_SRC_BASE_METRICS_H_
 #define SOLROS_SRC_BASE_METRICS_H_
 
@@ -143,8 +143,6 @@ class MetricRegistry {
 
   // Aligned `name  value` table (benches' --metrics output).
   void DumpText(std::ostream& os) const;
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  void DumpJson(std::ostream& os) const;
 
   // Zeroes every metric; handles stay valid. (Benches isolate phases.)
   void ResetAll();

@@ -39,8 +39,7 @@ std::string_view ErrorCodeName(ErrorCode code);
 // True when `code` means the system (device, DMA, transport) failed, as
 // opposed to benign outcomes that correct programs produce all the time
 // (kNotFound, kAlreadyExists, bad handles, unsupported ops). A system error
-// that escapes a proxy dumps the flight recorder and keeps its trace under
-// tail-based sampling.
+// that escapes a proxy keeps its trace under tail-based sampling.
 bool IsSystemError(ErrorCode code);
 
 // A cheap, value-type status. Ok statuses carry no allocation.

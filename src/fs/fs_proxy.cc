@@ -9,7 +9,6 @@
 #include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -143,13 +142,8 @@ Task<FsResponse> FsProxy::Handle(FsRequest request) {
     if (use_ != nullptr) {
       use_->AddError(sim_->now());
     }
-    if (Tracer* tracer = sim_->tracer();
-        tracer != nullptr && request.trace_id != 0) {
-      // Under tail-based sampling, errored traces are always retained.
-      tracer->FlagTrace(request.trace_id, Tracer::TraceFlag::kError);
-    }
-    MaybeDumpFlightRecorder(
-        sim_, "fs.proxy error: " + std::string(ErrorCodeName(response.error)));
+    // Under tail-based sampling, errored traces are always retained.
+    FlagTraceError(sim_, request.trace_id);
   }
   co_return response;
 }
@@ -234,8 +228,9 @@ Task<Status> FsProxy::HandleMeta(const FsRequest& request,
   }
 }
 
-void FsProxy::NoteP2pFault(uint64_t* degraded) {
+void FsProxy::NoteP2pFault(uint64_t* degraded, TraceContext ctx) {
   ++*degraded;
+  FlagTraceError(sim_, ctx.trace_id);
   static Counter* const degraded_total =
       MetricRegistry::Default().GetCounter("fs.proxy.p2p_degraded");
   degraded_total->Increment();
@@ -497,7 +492,7 @@ Task<Status> FsProxy::HandleRead(const FsRequest& request, TraceContext ctx,
     // Degrade: re-serve the whole range host-staged. The buffered path
     // rewrites every target byte, so a partially-landed P2P vector can
     // never leak through as silent corruption.
-    NoteP2pFault(&stats_.degraded_reads);
+    NoteP2pFault(&stats_.degraded_reads, ctx);
   }
   ++stats_.buffered_reads;
   static Counter* const buffered_reads =
@@ -578,7 +573,7 @@ Task<Status> FsProxy::HandleWrite(const FsRequest& request, TraceContext ctx,
       // Degrade: rewrite the whole range through the buffered path. The
       // same bytes go to the same already-allocated blocks, so a partially
       // landed P2P vector is simply overwritten.
-      NoteP2pFault(&stats_.degraded_writes);
+      NoteP2pFault(&stats_.degraded_writes, ctx);
     } else if (extents.code() != ErrorCode::kFailedPrecondition) {
       co_return extents.status();
     }
@@ -611,6 +606,7 @@ Task<Status> FsProxy::MoveBytes(MemRef dst, MemRef src, TraceContext ctx) {
         MetricRegistry::Default().GetCounter("fs.proxy.dma_retries");
     retries->Increment();
     TRACE_INSTANT(sim_, "proxy", "fs.proxy.dma_retry");
+    FlagTraceError(sim_, ctx.trace_id);
     co_await Delay(backoff);
     backoff *= 2;
   }

@@ -253,15 +253,17 @@ class FsProxy {
   // The one byte move between a host bounce and a caller's memory: a
   // memcpy charged at host-memory bandwidth when both ends are on one
   // device, else the host DMA, resubmitted while faults are armed (the
-  // engine aborts before moving bytes, so a reissue is safe).
+  // engine aborts before moving bytes, so a reissue is safe). A reissue
+  // flags the request's trace `ctx` for tail sampling.
   Task<Status> MoveBytes(MemRef dst, MemRef src, TraceContext ctx);
 
   // The P2P fallback's bookkeeping: counts the degraded transfer in
   // `degraded` (stats_.degraded_reads or _writes) and fs.proxy.p2p_degraded.
   // A run of faulted P2P transfers puts the P2P path on cooldown so
   // requests stop paying the fault-and-degrade latency and go straight to
-  // the (working) buffered path for a while.
-  void NoteP2pFault(uint64_t* degraded);
+  // the (working) buffered path for a while. Flags the request's trace
+  // `ctx` for tail sampling.
+  void NoteP2pFault(uint64_t* degraded, TraceContext ctx);
   void NoteP2pSuccess() { p2p_fault_streak_ = 0; }
 
   Simulator* sim_;

@@ -139,14 +139,15 @@ Task<Result<FsResponse>> FsStub::Call(FsRequest request) {
         MetricRegistry::Default().GetCounter("fs.stub.retries");
     retries->Increment();
     TRACE_INSTANT(sim_, "stub", "fs.stub.retry");
+    FlagTraceError(sim_, root_ctx.trace_id);
     co_await Delay(backoff);
     backoff *= 2;
   }
   const ErrorCode final_code = rpc.ok() ? rpc.value().error : rpc.code();
-  if (IsSystemError(final_code) && tracer != nullptr && root_ctx.traced()) {
+  if (IsSystemError(final_code)) {
     // A failed call marks the whole trace for retention under tail-based
     // sampling (no-op in full-capture mode), as NetStub::Call does.
-    tracer->FlagTrace(root_ctx.trace_id, Tracer::TraceFlag::kError);
+    FlagTraceError(sim_, root_ctx.trace_id);
   }
   if (!rpc.ok()) {
     co_return rpc.status();

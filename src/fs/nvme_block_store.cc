@@ -103,6 +103,7 @@ Task<Status> NvmeBlockStore::SubmitWithRetry(
     retries->Increment();
     Simulator* sim = co_await CurrentSimulator();
     TRACE_INSTANT(sim, "nvme", "nvme.store.retry");
+    FlagTraceError(sim, ctx.trace_id);
     co_await Delay(backoff);
     backoff *= 2;
   }

@@ -102,7 +102,8 @@ class NvmeBlockStore : public BlockStore {
                              MemRef memory, NvmeCommand::Op op, bool coalesce,
                              TraceContext ctx);
   // Submits `commands`, resubmitting the whole batch per RetryPolicy on
-  // timeout or I/O error while faults are armed.
+  // timeout or I/O error while faults are armed. A resubmission flags the
+  // request's trace `ctx` for tail sampling.
   Task<Status> SubmitWithRetry(std::vector<NvmeCommand> commands,
                                bool coalesce, TraceContext ctx = {});
 

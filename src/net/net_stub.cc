@@ -137,16 +137,14 @@ Task<Result<NetResponse>> NetStub::Call(NetRequest request) {
         attempt >= retry_.max_attempts) {
       // A failed RPC marks the whole trace for retention under tail-based
       // sampling (no-op in full-capture mode).
-      if (!rpc.ok() && tracer != nullptr && root_ctx.traced()) {
-        tracer->FlagTrace(root_ctx.trace_id, Tracer::TraceFlag::kError);
+      if (!rpc.ok()) {
+        FlagTraceError(sim_, root_ctx.trace_id);
       }
       co_return rpc;
     }
     c_retries_->Increment();
     TRACE_INSTANT(sim_, "netstub", "net.stub.retry");
-    if (tracer != nullptr && root_ctx.traced()) {
-      tracer->FlagTrace(root_ctx.trace_id, Tracer::TraceFlag::kError);
-    }
+    FlagTraceError(sim_, root_ctx.trace_id);
     co_await Delay(backoff);
     backoff *= 2;
   }

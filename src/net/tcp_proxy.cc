@@ -6,7 +6,6 @@
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/status.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -167,13 +166,8 @@ Task<NetResponse> TcpProxy::HandleRpc(uint32_t dataplane_id,
     if (shard.use != nullptr) {
       shard.use->AddError(sim_->now());
     }
-    if (Tracer* tracer = sim_->tracer();
-        tracer != nullptr && request.trace_id != 0) {
-      // Under tail-based sampling, errored traces are always retained.
-      tracer->FlagTrace(request.trace_id, Tracer::TraceFlag::kError);
-    }
-    MaybeDumpFlightRecorder(
-        sim_, "net.proxy error: " + std::string(ErrorCodeName(response.error)));
+    // Under tail-based sampling, errored traces are always retained.
+    FlagTraceError(sim_, request.trace_id);
   }
   co_return response;
 }

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "src/base/logging.h"
-#include "src/sim/flight_recorder.h"
 
 namespace solros {
 
@@ -57,11 +56,6 @@ std::string_view OverBudgetStage(const SloBudgets& budgets,
   return {};
 }
 
-SloWatchdog::SloWatchdog(Simulator* sim, SloBudgets budgets, int sustain)
-    : sim_(sim), budgets_(budgets), sustain_(sustain < 1 ? 1 : sustain) {
-  CHECK(sim != nullptr);
-}
-
 void SloWatchdog::Bind(Tracer* tracer) {
   CHECK(tracer != nullptr);
   tracer_ = tracer;
@@ -85,29 +79,18 @@ void SloWatchdog::OnSpanClosed(const SpanRecord& record) {
   open_.erase(it);
   std::string_view stage = OverBudgetStage(budgets_, breakdown);
   if (stage.empty()) {
-    streak_ = 0;
     return;
   }
   ++violations_;
   worst_stage_ = std::string(stage);
-  if (tracer_ != nullptr) {
-    // Under tail-based sampling this pins the trace before the root's
-    // keep/drop decision (the tracer notifies listeners first).
-    tracer_->FlagTrace(record.trace_id, Tracer::TraceFlag::kSloViolation);
-  }
-  if (++streak_ >= sustain_) {
-    streak_ = 0;  // re-arm: one dump per sustained burst
-    ++dumps_fired_;
-    MaybeDumpFlightRecorder(sim_, "slo watchdog: " + worst_stage_ +
-                                      " over budget on trace " +
-                                      std::to_string(record.trace_id));
-  }
+  // Under tail-based sampling this pins the trace before the root's
+  // keep/drop decision (the tracer notifies listeners first).
+  tracer_->FlagTrace(record.trace_id, Tracer::TraceFlag::kSloViolation);
 }
 
 std::string SloWatchdog::Summary() const {
   std::string out = "slo_watchdog: roots=" + std::to_string(roots_seen_) +
-                    " violations=" + std::to_string(violations_) +
-                    " dumps=" + std::to_string(dumps_fired_);
+                    " violations=" + std::to_string(violations_);
   if (!worst_stage_.empty()) {
     out += " worst=" + worst_stage_;
   }

@@ -1,5 +1,4 @@
-// SLO watchdog: per-stage latency budgets evaluated live, with flight
-// recorder forensics on sustained violation.
+// SLO watchdog: per-stage latency budgets evaluated live.
 //
 // The watchdog hangs off the Tracer's span-close listener and feeds each
 // traced span into a per-trace StageAccumulator (src/sim/attribution.h), so
@@ -9,10 +8,9 @@
 //
 //   * any stage over budget counts one violation (the first offending
 //     stage, in blame order, is recorded as the reason);
-//   * `sustain` consecutive violating requests trigger one flight-recorder
-//     dump ("slo watchdog: <stage> ...") — so overload forensics fire
-//     without any fault injected; the streak then re-arms. A `total`
-//     budget with sustain 1 dumps on every slow request.
+//   * under tail-based sampling the violating trace is flagged, so its
+//     whole span tree is kept — overload forensics without any fault
+//     injected.
 //
 // Root spans are evaluated as they close; the RPC pumps record queue spans
 // before waking the caller, so every child stage of a request is already
@@ -30,7 +28,6 @@
 
 #include "src/base/status.h"
 #include "src/sim/attribution.h"
-#include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -56,10 +53,9 @@ std::string_view OverBudgetStage(const SloBudgets& budgets,
 
 class SloWatchdog {
  public:
-  // `sustain` = consecutive violating requests before the flight recorder
-  // fires. The watchdog must outlive the tracer binding (or the tracer must
-  // not close spans after the watchdog dies); benches scope both together.
-  SloWatchdog(Simulator* sim, SloBudgets budgets, int sustain = 3);
+  // The watchdog must outlive the tracer binding (or the tracer must not
+  // close spans after the watchdog dies); benches scope both together.
+  explicit SloWatchdog(SloBudgets budgets) : budgets_(budgets) {}
 
   // Installs this watchdog as `tracer`'s span-close listener. When the
   // tracer samples (Tracer::EnableSampling), every violating root is also
@@ -68,25 +64,20 @@ class SloWatchdog {
 
   uint64_t roots_seen() const { return roots_seen_; }
   uint64_t violations() const { return violations_; }
-  uint64_t dumps_fired() const { return dumps_fired_; }
   const std::string& worst_stage() const { return worst_stage_; }
 
-  // "slo_watchdog: roots=N violations=M dumps=K worst=<stage>" — one
+  // "slo_watchdog: roots=N violations=M worst=<stage>" — one
   // deterministic line for bench output and CI gating.
   std::string Summary() const;
 
  private:
   void OnSpanClosed(const SpanRecord& record);
 
-  Simulator* sim_;
   SloBudgets budgets_;
-  int sustain_;
-  Tracer* tracer_ = nullptr;  // for FlagTrace under sampling
+  Tracer* tracer_ = nullptr;  // set by Bind; for FlagTrace under sampling
   std::map<uint64_t, StageAccumulator> open_;  // trace id -> spans so far
   uint64_t roots_seen_ = 0;
   uint64_t violations_ = 0;
-  uint64_t dumps_fired_ = 0;
-  int streak_ = 0;
   std::string worst_stage_;  // stage of the latest violation
 };
 

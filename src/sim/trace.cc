@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/base/logging.h"
-#include "src/sim/flight_recorder.h"
 
 namespace solros {
 namespace {
@@ -52,21 +51,43 @@ TrackId Tracer::Track(std::string_view name) {
   return id;
 }
 
-uint64_t Tracer::BeginSpan(TrackId track, std::string_view name,
-                           TraceContext ctx) {
-  DCHECK(sim_ != nullptr) << "tracer not bound to a simulator";
+SpanRecord Tracer::NewRecord(TrackId track, std::string_view name,
+                             SimTime begin, TraceContext ctx) {
   uint64_t id = sampling_ ? next_span_id_++ : spans_.size();
   SpanRecord record;
   record.track = track;
   record.name = std::string(name);
-  record.begin = sim_->now();
+  record.begin = begin;
   record.uid = id + 1;
   record.trace_id = ctx.trace_id;
   record.parent = ctx.trace_id != 0 ? ctx.parent_span : 0;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Note('B', track_names_[track], record.name,
-                           ctx.trace_id, record.begin);
+  return record;
+}
+
+SpanRecord* Tracer::Find(uint64_t span_id) {
+  if (sampling_) {
+    auto it = open_spans_.find(span_id);
+    return it != open_spans_.end() ? &it->second : nullptr;
   }
+  DCHECK_LT(span_id, spans_.size());
+  return &spans_[span_id];
+}
+
+void Tracer::Close(SpanRecord& record) {
+  record.open = false;
+  if (on_span_close_) {
+    on_span_close_(record);
+  }
+  if (sampling_) {
+    RouteClosedSpan(std::move(record));
+  }
+}
+
+uint64_t Tracer::BeginSpan(TrackId track, std::string_view name,
+                           TraceContext ctx) {
+  DCHECK(sim_ != nullptr) << "tracer not bound to a simulator";
+  SpanRecord record = NewRecord(track, name, sim_->now(), ctx);
+  const uint64_t id = record.uid - 1;
   if (sampling_) {
     open_spans_.emplace(id, std::move(record));
   } else {
@@ -76,92 +97,39 @@ uint64_t Tracer::BeginSpan(TrackId track, std::string_view name,
 }
 
 void Tracer::EndSpan(uint64_t span_id) {
+  SpanRecord* record = Find(span_id);
+  DCHECK(record != nullptr && record->open)
+      << "span " << span_id << " closed twice";
+  record->end = sim_->now();
+  Close(*record);
   if (sampling_) {
-    auto it = open_spans_.find(span_id);
-    DCHECK(it != open_spans_.end()) << "span " << span_id << " closed twice";
-    SpanRecord record = std::move(it->second);
-    open_spans_.erase(it);
-    record.end = sim_->now();
-    record.open = false;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->Note('E', track_names_[record.track], record.name,
-                             record.trace_id, record.end);
-    }
-    // Notify before routing so the SLO watchdog's FlagTrace on a violating
-    // root lands before the keep/drop decision consumes the trace.
-    NotifySpanClosed(record);
-    RouteClosedSpan(std::move(record));
-    return;
-  }
-  DCHECK_LT(span_id, spans_.size());
-  SpanRecord& record = spans_[span_id];
-  DCHECK(record.open) << "span " << record.name << " closed twice";
-  record.end = sim_->now();
-  record.open = false;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Note('E', track_names_[record.track], record.name,
-                           record.trace_id, record.end);
-  }
-  NotifySpanClosed(record);
-}
-
-void Tracer::NotifySpanClosed(const SpanRecord& record) {
-  if (on_span_close_) {
-    on_span_close_(record);
+    open_spans_.erase(span_id);
   }
 }
 
 uint64_t Tracer::RecordSpan(TrackId track, std::string_view name,
                             SimTime begin, SimTime end, TraceContext ctx) {
   DCHECK_LE(begin, end);
-  uint64_t id = sampling_ ? next_span_id_++ : spans_.size();
-  SpanRecord record;
-  record.track = track;
-  record.name = std::string(name);
-  record.begin = begin;
+  SpanRecord record = NewRecord(track, name, begin, ctx);
   record.end = end;
-  record.open = false;
-  record.uid = id + 1;
-  record.trace_id = ctx.trace_id;
-  record.parent = ctx.trace_id != 0 ? ctx.parent_span : 0;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Note('R', track_names_[track], record.name,
-                           ctx.trace_id, end);
-  }
-  NotifySpanClosed(record);
-  if (sampling_) {
-    RouteClosedSpan(std::move(record));
-  } else {
-    spans_.push_back(std::move(record));
-  }
+  const uint64_t id = record.uid - 1;
+  Close(sampling_ ? record : spans_.emplace_back(std::move(record)));
   return id;
 }
 
 void Tracer::AddSpanArg(uint64_t span_id, std::string_view key,
                         std::string_view value) {
-  if (sampling_) {
-    // Only open spans accept annotations in sampling mode; a closed span is
-    // already staged (or discarded) and no longer addressable by id.
-    auto it = open_spans_.find(span_id);
-    if (it != open_spans_.end()) {
-      it->second.args.emplace_back(std::string(key), std::string(value));
-    }
-    return;
+  // Under sampling only open spans accept annotations: a closed span is
+  // already staged (or discarded) and no longer addressable by id.
+  if (SpanRecord* record = Find(span_id)) {
+    record->args.emplace_back(std::string(key), std::string(value));
   }
-  DCHECK_LT(span_id, spans_.size());
-  spans_[span_id].args.emplace_back(std::string(key), std::string(value));
 }
 
-TraceContext Tracer::ContextOf(uint64_t span_id) const {
-  if (sampling_) {
-    auto it = open_spans_.find(span_id);
-    if (it == open_spans_.end()) {
-      return TraceContext{};
-    }
-    return TraceContext{it->second.trace_id, it->second.uid};
-  }
-  const SpanRecord& span = spans_[span_id];
-  return TraceContext{span.trace_id, span.uid};
+TraceContext Tracer::ContextOf(uint64_t span_id) {
+  const SpanRecord* record = Find(span_id);
+  return record != nullptr ? TraceContext{record->trace_id, record->uid}
+                           : TraceContext{};
 }
 
 void Tracer::Instant(TrackId track, std::string_view name) {
@@ -171,10 +139,6 @@ void Tracer::Instant(TrackId track, std::string_view name) {
   record.name = std::string(name);
   record.at = sim_->now();
   instants_.push_back(std::move(record));
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Note('I', track_names_[track], instants_.back().name,
-                           0, instants_.back().at);
-  }
 }
 
 Nanos Tracer::TotalDuration(std::string_view name) const {
@@ -205,6 +169,7 @@ void Tracer::Clear() {
   open_spans_.clear();
   pending_.clear();
   decided_.clear();
+  decided_floor_ = 0;
   sampler_stats_ = SamplerStats{};
 }
 
@@ -219,7 +184,9 @@ void Tracer::EnableSampling(uint64_t keep_one_in,
 }
 
 void Tracer::FlagTrace(uint64_t trace_id, TraceFlag flag) {
-  if (!sampling_ || trace_id == 0) {
+  // A flag after the root decided would open a pending entry that nothing
+  // ever decides.
+  if (!sampling_ || trace_id == 0 || Decided(trace_id)) {
     return;
   }
   PendingTrace& pending = pending_[trace_id];
@@ -250,7 +217,7 @@ void Tracer::RouteClosedSpan(SpanRecord record) {
     return;
   }
   if (record.parent != 0) {
-    if (decided_.count(record.trace_id) != 0) {
+    if (Decided(record.trace_id)) {
       // Straggler: its root already decided. The span taxonomy closes every
       // child before its root, so this only catches instrumentation bugs —
       // counted, never buffered, so memory stays bounded.
@@ -288,6 +255,7 @@ void Tracer::RouteClosedSpan(SpanRecord record) {
       }
     }
     decided_.erase(decided_.begin(), decided_.lower_bound(min_live));
+    decided_floor_ = min_live;
   }
   bool keep = pending.flagged_slo || pending.flagged_error ||
               (sample_keep_one_in_ != 0 &&

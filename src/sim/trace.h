@@ -51,8 +51,6 @@
 
 namespace solros {
 
-class FlightRecorder;
-
 // Index into the tracer's track table.
 using TrackId = uint32_t;
 
@@ -159,7 +157,7 @@ class Tracer {
   }
 
   // Context that makes new spans children of `span_id`.
-  TraceContext ContextOf(uint64_t span_id) const;
+  TraceContext ContextOf(uint64_t span_id);
 
   void Instant(TrackId track, std::string_view name);
   void Instant(std::string_view track, std::string_view name) {
@@ -206,17 +204,13 @@ class Tracer {
   size_t pending_traces() const { return pending_.size(); }
 
   // Marks a trace for retention before its root closes. The SLO watchdog
-  // calls this on every budget violation; stubs call it on retries and
-  // failed RPCs. No-op when sampling is off (full capture keeps all).
+  // flags kSloViolation on every budget violation. kError (through
+  // FlagTraceError) marks a request that a fault touched: a stub's retry or
+  // failed call, a proxy's system error, a block-store resubmission, a P2P
+  // degradation and a staging-DMA retry. No-op when sampling is off (full
+  // capture keeps all) and on a trace whose root already decided.
   enum class TraceFlag { kSloViolation, kError };
   void FlagTrace(uint64_t trace_id, TraceFlag flag);
-
-  // Optional always-on flight recorder fed a copy of every begin/end/
-  // instant event; see src/sim/flight_recorder.h. Not owned.
-  void set_flight_recorder(FlightRecorder* recorder) {
-    flight_recorder_ = recorder;
-  }
-  FlightRecorder* flight_recorder() const { return flight_recorder_; }
 
   // Optional listener invoked with every span as it closes (EndSpan and
   // RecordSpan). The SLO watchdog buckets per-request stages incrementally
@@ -233,11 +227,23 @@ class Tracer {
   Status ExportChromeTraceToFile(const std::string& path) const;
 
  private:
-  // Span-close listener dispatch, shared by EndSpan and RecordSpan.
-  void NotifySpanClosed(const SpanRecord& record);
+  // A new record with the next span id (uid == id + 1), not yet stored.
+  SpanRecord NewRecord(TrackId track, std::string_view name, SimTime begin,
+                       TraceContext ctx);
+  // The stored record of open span `span_id` (full capture: any recorded
+  // span); null when sampling has no open span under that id.
+  SpanRecord* Find(uint64_t span_id);
+  // Close step shared by EndSpan and RecordSpan: the listener sees the span
+  // first, so the SLO watchdog's flag on a violating root lands before the
+  // keep/drop decision; then sampling mode routes it (and may move it out).
+  void Close(SpanRecord& record);
   // Sampling mode: stages a closed span in its trace buffer, or decides the
   // trace if `record` is a root.
   void RouteClosedSpan(SpanRecord record);
+  // Sampling mode: true once `trace_id`'s root closed.
+  bool Decided(uint64_t trace_id) const {
+    return trace_id < decided_floor_ || decided_.contains(trace_id);
+  }
 
   struct PendingTrace {
     std::vector<SpanRecord> spans;
@@ -252,7 +258,6 @@ class Tracer {
   std::vector<SpanRecord> spans_;
   std::vector<InstantRecord> instants_;
   uint64_t next_trace_id_ = 0;
-  FlightRecorder* flight_recorder_ = nullptr;
   SpanCloseFn on_span_close_;
   // Sampling-mode state. span ids keep the uid == id + 1 invariant via a
   // monotonic allocator; open spans live in open_spans_ until EndSpan.
@@ -263,8 +268,18 @@ class Tracer {
   std::map<uint64_t, SpanRecord> open_spans_;   // span_id -> open record
   std::map<uint64_t, PendingTrace> pending_;    // trace_id -> staged spans
   std::set<uint64_t> decided_;                  // straggler guard (pruned)
+  uint64_t decided_floor_ = 0;  // every id below it is decided (pruned)
   SamplerStats sampler_stats_;
 };
+
+// Flags `trace_id` kError on `sim`'s tracer: the one call a site makes when
+// a fault touched its request. Null-safe: no simulator, no tracer or an
+// untraced id is a no-op, and so is full capture.
+inline void FlagTraceError(Simulator* sim, uint64_t trace_id) {
+  if (sim != nullptr && sim->tracer() != nullptr) {
+    sim->tracer()->FlagTrace(trace_id, Tracer::TraceFlag::kError);
+  }
+}
 
 // RAII span: opens on construction, closes when the scope (including a
 // coroutine frame scope, across suspensions) exits. Null-safe: a null

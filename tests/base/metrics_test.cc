@@ -111,53 +111,16 @@ TEST(MetricRegistryTest, DumpTextContainsEveryMetric) {
   EXPECT_NE(text.find("ns"), std::string::npos);
 }
 
-TEST(MetricRegistryTest, DumpJsonIsWellFormedEnoughToBalance) {
-  MetricRegistry registry;
-  registry.GetCounter("a.b")->Increment();
-  registry.GetGauge("c")->Set(1);
-  registry.GetHistogram("d")->Record(10);
-  std::ostringstream os;
-  registry.DumpJson(os);
-  std::string json = os.str();
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    char c = json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      EXPECT_GE(depth, 0);
-    }
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_FALSE(in_string);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-}
-
-TEST(MetricRegistryTest, DumpJsonEmitsGaugeValueAndWatermark) {
+TEST(MetricRegistryTest, SnapshotCarriesGaugeValueAndWatermark) {
   MetricRegistry registry;
   Gauge* g = registry.GetGauge("q.depth");
   g->Set(9);
   g->Set(2);
-  std::ostringstream os;
-  registry.DumpJson(os);
-  std::string json = os.str();
-  EXPECT_NE(json.find("\"q.depth\":{\"value\":2,\"max\":9}"),
-            std::string::npos)
-      << json;
+  MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.gauges.size(), 1u);
+  EXPECT_EQ(snapshot.gauges[0].name, "q.depth");
+  EXPECT_EQ(snapshot.gauges[0].value, 2);
+  EXPECT_EQ(snapshot.gauges[0].max_value, 9);
 }
 
 TEST(MetricRegistryTest, ResetAllZeroesButKeepsHandles) {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "src/base/prng.h"
 #include "src/core/machine.h"
 #include "src/fs/io_scheduler.h"
-#include "src/sim/flight_recorder.h"
 #include "src/sim/sync.h"
 #include "src/sim/trace.h"
 
@@ -370,106 +370,122 @@ TEST_F(FaultMatrixTest, P2pWriteDegradesToBufferedOnNvmeTimeout) {
   EXPECT_EQ(std::memcmp(dst.data(), expected.data(), expected.size()), 0);
 }
 
-// Flight recorder, fault trigger: the same deterministic degradation
-// scenario with a recorder armed must produce a dump named after the
-// firing point, carrying the trace events leading up to it.
-TEST_F(FaultMatrixTest, FaultFireDumpsFlightRecorderWithPrecedingEvents) {
+// A machine with one file of kBytes written through P2P, so nothing of it
+// is cached and a read goes to the device.
+struct SampledRig {
+  static constexpr uint64_t kBytes = KiB(256);
   Tracer tracer;  // outlives the machine (frames hold ScopedSpans)
-  MachineConfig config;
-  config.num_phis = 1;
-  config.nvme_capacity = MiB(64);
-  config.enable_network = false;
-  config.nvme_retry.max_attempts = 1;
-  Machine machine(std::move(config));
-  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
-  FsStub& stub = machine.fs_stub(0);
-  auto ino = RunSim(machine.sim(), stub.Create("/recorder"));
-  ASSERT_TRUE(ino.ok());
-  DeviceBuffer src(machine.phi_device(0), KiB(256));
-  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))));
+  std::unique_ptr<Machine> machine;
+  uint64_t ino = 0;
 
-  tracer.Bind(&machine.sim());
-  FlightRecorder recorder(64);
-  tracer.set_flight_recorder(&recorder);
-  recorder.ArmFaultTrigger();
-
-  ASSERT_TRUE(Faults().Arm("nvme.cmd.timeout", FaultSpec::OneShot()).ok());
-  DeviceBuffer dst(machine.phi_device(0), KiB(256));
-  auto n = RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst)));
-  Faults().DisarmAll();
-  ASSERT_TRUE(n.ok()) << n.status().ToString();  // degradation recovered
-
-  ASSERT_GE(recorder.total_dumps(), 1u);
-  const FlightRecorder::DumpRecord& dump = recorder.dumps()[0];
-  EXPECT_EQ(dump.trigger, "fault: nvme.cmd.timeout");
-  // The moments before the fault are in the dump: the request had entered
-  // the proxy and reached the device by the time the point fired.
-  bool saw_service = false;
-  bool saw_nvme = false;
-  for (const FlightRecorder::Entry& e : dump.entries) {
-    if (e.name == "fs.proxy.service" && e.kind == 'B') {
-      saw_service = true;
-    }
-    if (e.name == "nvme.cmd" && e.kind == 'B') {
-      saw_nvme = true;
-    }
+  explicit SampledRig(MachineConfig config) {
+    config.num_phis = 1;
+    config.nvme_capacity = MiB(64);
+    config.enable_network = false;
+    machine = std::make_unique<Machine>(std::move(config));
+    CHECK_OK(RunSim(machine->sim(), machine->FormatFs()));
+    auto created = RunSim(machine->sim(), stub().Create("/sampled"));
+    CHECK_OK(created);
+    ino = *created;
+    DeviceBuffer src(machine->phi_device(0), kBytes);
+    CHECK_OK(RunSim(machine->sim(), stub().Write(ino, 0, MemRef::Of(src))));
+    // Sample from here on, keeping no trace by hash: only a flag keeps one.
+    tracer.Bind(&machine->sim());
+    tracer.EnableSampling(/*keep_one_in=*/0);
+    MetricRegistry::Default().ResetAll();
   }
-  EXPECT_TRUE(saw_service);
-  EXPECT_TRUE(saw_nvme);
+
+  FsStub& stub() { return machine->fs_stub(0); }
+
+  // Reads the file with `point` armed once; the read must succeed.
+  void ReadWithOneFault(const char* point) {
+    ASSERT_TRUE(Faults().Arm(point, FaultSpec::OneShot()).ok());
+    DeviceBuffer dst(machine->phi_device(0), kBytes);
+    auto n = RunSim(machine->sim(), stub().Read(ino, 0, MemRef::Of(dst)));
+    Faults().DisarmAll();
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    EXPECT_EQ(*n, kBytes);
+  }
+
+  uint64_t Count(const char* counter) {
+    return MetricRegistry::Default().GetCounter(counter)->value();
+  }
+
+  // Exactly one trace, the read's, was kept, flagged as an error.
+  void ExpectOnlyTheReadKept() {
+    const SamplerStats& stats = tracer.sampler_stats();
+    EXPECT_EQ(stats.traces_kept, 1u);
+    EXPECT_EQ(stats.kept_error, 1u);
+    EXPECT_EQ(stats.kept_hash, 0u);
+    EXPECT_EQ(tracer.pending_traces(), 0u);
+  }
+
+  bool KeptSpan(const std::string& name) {
+    for (const SpanRecord& span : tracer.spans()) {
+      if (span.name == name) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+// A fault that the block store absorbs by resubmitting the NVMe batch
+// keeps the request's trace, though the read succeeds at every layer above.
+TEST_F(FaultMatrixTest, BlockStoreResubmissionKeepsItsTraceUnderSampling) {
+  SampledRig rig{MachineConfig{}};
+  rig.ReadWithOneFault("nvme.cmd.timeout");
+  EXPECT_EQ(rig.Count("nvme.store.retries"), 1u);
+  EXPECT_EQ(rig.Count("fs.proxy.p2p_degraded"), 0u);
+  EXPECT_EQ(rig.Count("fs.stub.retries"), 0u);
+  rig.ExpectOnlyTheReadKept();
 }
 
-// Flight recorder, proxy-error trigger: when every attempt times out and a
-// system error escapes the proxy to the data plane, the proxy itself dumps
-// the recorder ("fs.proxy error: ..."), independent of the fault trigger.
-TEST_F(FaultMatrixTest, ProxySystemErrorDumpsFlightRecorder) {
-  Tracer tracer;
+// A P2P read that times out and is re-served host-staged keeps its whole
+// trace: the proxy's service span and the device command that failed.
+TEST_F(FaultMatrixTest, P2pDegradationKeepsItsTraceUnderSampling) {
   MachineConfig config;
-  config.num_phis = 1;
-  config.nvme_capacity = MiB(64);
-  config.enable_network = false;
-  config.nvme_retry.max_attempts = 1;
-  Machine machine(std::move(config));
-  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
-  FsStub& stub = machine.fs_stub(0);
-  auto ino = RunSim(machine.sim(), stub.Create("/proxyerr"));
-  ASSERT_TRUE(ino.ok());
-  DeviceBuffer src(machine.phi_device(0), KiB(64));
-  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))));
-
-  tracer.Bind(&machine.sim());
-  FlightRecorder recorder(64);
-  tracer.set_flight_recorder(&recorder);
-  // No ArmFaultTrigger: only the proxy-error path may dump.
-
-  // Every NVMe command times out, so P2P, its buffered fallback, and every
-  // stub retry fail; a kTimedOut escapes the proxy on each attempt.
-  ASSERT_TRUE(Faults().Arm("nvme.cmd.timeout", FaultSpec::EveryNth(1)).ok());
-  DeviceBuffer dst(machine.phi_device(0), KiB(64));
-  auto n = RunSim(machine.sim(), stub.Read(*ino, 0, MemRef::Of(dst)));
-  Faults().DisarmAll();
-  EXPECT_FALSE(n.ok());
-
-  ASSERT_GE(recorder.total_dumps(), 1u);
-  EXPECT_EQ(recorder.dumps()[0].trigger, "fs.proxy error: TIMED_OUT");
+  config.nvme_retry.max_attempts = 1;  // store passes faults straight up
+  SampledRig rig(std::move(config));
+  rig.ReadWithOneFault("nvme.cmd.timeout");
+  EXPECT_EQ(rig.Count("fs.proxy.p2p_degraded"), 1u);
+  EXPECT_EQ(rig.Count("fs.stub.retries"), 0u);
+  rig.ExpectOnlyTheReadKept();
+  EXPECT_TRUE(rig.KeptSpan("fs.proxy.service"));
+  EXPECT_TRUE(rig.KeptSpan("nvme.cmd"));
 }
 
-// Benign errors (kNotFound on a bad path) must NOT dump: the recorder is
-// for system failures, not expected outcomes.
-TEST_F(FaultMatrixTest, BenignErrorsDoNotDumpFlightRecorder) {
-  Tracer tracer;
-  MachineConfig config;
-  config.num_phis = 1;
-  config.nvme_capacity = MiB(64);
-  config.enable_network = false;
-  Machine machine(std::move(config));
-  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
-  tracer.Bind(&machine.sim());
-  FlightRecorder recorder(64);
-  tracer.set_flight_recorder(&recorder);
-  recorder.ArmFaultTrigger();
-  EXPECT_EQ(RunSim(machine.sim(), machine.fs_stub(0).Open("/missing")).code(),
+// A buffered read whose host DMA to the co-processor fails once and is
+// reissued keeps its trace.
+TEST_F(FaultMatrixTest, StagingDmaRetryKeepsItsTraceUnderSampling) {
+  SampledRig rig{MachineConfig{}};
+  rig.stub().set_buffered(true);
+  rig.ReadWithOneFault("hw.dma.error");
+  EXPECT_EQ(rig.Count("fs.proxy.dma_retries"), 1u);
+  EXPECT_EQ(rig.Count("nvme.store.retries"), 0u);
+  EXPECT_EQ(rig.Count("fs.stub.retries"), 0u);
+  rig.ExpectOnlyTheReadKept();
+}
+
+// A request frame lost on the ring times out the stub's first attempt; the
+// retry succeeds and the trace is kept.
+TEST_F(FaultMatrixTest, FsStubRetryKeepsItsTraceUnderSampling) {
+  SampledRig rig{MachineConfig{}};
+  rig.ReadWithOneFault("rpc.drop.request");
+  EXPECT_EQ(rig.Count("fs.stub.retries"), 1u);
+  EXPECT_EQ(rig.Count("nvme.store.retries"), 0u);
+  rig.ExpectOnlyTheReadKept();
+}
+
+// Benign errors (kNotFound on a bad path) keep no trace: the sampler keeps
+// system failures, not expected outcomes.
+TEST_F(FaultMatrixTest, BenignErrorsKeepNoTraceUnderSampling) {
+  SampledRig rig{MachineConfig{}};
+  EXPECT_EQ(RunSim(rig.machine->sim(), rig.stub().Open("/missing")).code(),
             ErrorCode::kNotFound);
-  EXPECT_EQ(recorder.total_dumps(), 0u);
+  EXPECT_EQ(rig.tracer.sampler_stats().traces_kept, 0u);
+  EXPECT_EQ(rig.tracer.sampler_stats().traces_dropped, 1u);
+  EXPECT_TRUE(rig.tracer.spans().empty());
 }
 
 // Tail-based sampling keeps a failed FS request's trace, as it keeps a

@@ -303,10 +303,10 @@ std::string_view FirstStageOverOneNs(const StageBreakdown& b,
 
 // The SLO watchdog accumulates each trace as its spans close; the batch
 // pass reads the finished trace. Over traced FS reads and net echoes (plus
-// the Listen/Accept control RPCs), with every stage budget at 1 ns and
-// sustain 1, both must see the same requests and the watchdog must blame
-// the stage the batch breakdown puts first over budget. The second pass
-// leaves total unarmed so the blame falls to the inner stages.
+// the Listen/Accept control RPCs), with every stage budget at 1 ns, both
+// must see the same requests and the watchdog must blame the stage the
+// batch breakdown puts first over budget. The second pass leaves total
+// unarmed so the blame falls to the inner stages.
 TEST(NetAttributionTest, StreamingWatchdogMatchesBatchBreakdowns) {
   ASSERT_FALSE(Faults().any_armed());
   for (bool total_armed : {true, false}) {
@@ -329,7 +329,7 @@ TEST(NetAttributionTest, StreamingWatchdogMatchesBatchBreakdowns) {
     if (!total_armed) {
       budgets[Stage::kTotal] = 0;
     }
-    SloWatchdog watchdog(&machine.sim(), budgets, /*sustain=*/1);
+    SloWatchdog watchdog(budgets);
     watchdog.Bind(&tracer);
     for (int i = 0; i < 4; ++i) {
       DeviceBuffer target(machine.phi_device(0), KiB(16));

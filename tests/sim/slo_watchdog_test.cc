@@ -1,5 +1,6 @@
-// SLO watchdog: per-stage budget evaluation on root-span close, sustained
-// violation streaks, and the SOLROS_SLO_STAGES budget parser.
+// SLO watchdog: per-stage budget evaluation on root-span close, flagging
+// of violating traces for tail sampling, and the SOLROS_SLO_STAGES budget
+// parser.
 #include "src/sim/slo_watchdog.h"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/sim/flight_recorder.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -35,61 +35,18 @@ TEST_F(SloWatchdogTest, WithinBudgetCountsRootsWithoutViolations) {
   Tracer tracer(&sim);
   SloBudgets budgets;
   budgets[Stage::kTotal] = 1000;
-  SloWatchdog watchdog(&sim, budgets);
-  watchdog.Bind(&tracer);
-  for (uint64_t tid = 1; tid <= 4; ++tid) {
-    CloseRequest(&tracer, tid, 500, 100, 200);
-  }
-  EXPECT_EQ(watchdog.roots_seen(), 4u);
-  EXPECT_EQ(watchdog.violations(), 0u);
-  EXPECT_EQ(watchdog.dumps_fired(), 0u);
-  EXPECT_EQ(watchdog.Summary(),
-            "slo_watchdog: roots=4 violations=0 dumps=0");
-}
-
-TEST_F(SloWatchdogTest, SustainedViolationsFireTheFlightRecorderOnce) {
-  Simulator sim;
-  Tracer tracer(&sim);
-  FlightRecorder recorder(16);
-  tracer.set_flight_recorder(&recorder);
-  SloBudgets budgets;
-  budgets[Stage::kDevice] = 100;
-  SloWatchdog watchdog(&sim, budgets, /*sustain=*/3);
+  SloWatchdog watchdog(budgets);
   watchdog.Bind(&tracer);
   for (uint64_t tid = 1; tid <= 3; ++tid) {
-    CloseRequest(&tracer, tid, 500, 50, 200);  // device 200 > 100
+    CloseRequest(&tracer, tid, 500, 100, 200);
   }
-  EXPECT_EQ(watchdog.violations(), 3u);
-  EXPECT_EQ(watchdog.dumps_fired(), 1u);
-  ASSERT_EQ(recorder.total_dumps(), 1u);
-  EXPECT_EQ(recorder.dumps()[0].trigger,
-            "slo watchdog: device over budget on trace 3");
-  // The streak re-arms after a dump: two more violations stay short of a
-  // second one, the third fires again.
-  CloseRequest(&tracer, 4, 500, 50, 200);
-  CloseRequest(&tracer, 5, 500, 50, 200);
-  EXPECT_EQ(watchdog.dumps_fired(), 1u);
-  CloseRequest(&tracer, 6, 500, 50, 200);
-  EXPECT_EQ(watchdog.dumps_fired(), 2u);
+  CloseRequest(&tracer, 4, 1000, 100, 200);  // exactly at budget: within
+  EXPECT_EQ(watchdog.roots_seen(), 4u);
+  EXPECT_EQ(watchdog.violations(), 0u);
+  EXPECT_EQ(watchdog.Summary(), "slo_watchdog: roots=4 violations=0");
+  CloseRequest(&tracer, 5, 1001, 100, 200);
   EXPECT_EQ(watchdog.Summary(),
-            "slo_watchdog: roots=6 violations=6 dumps=2 worst=device");
-}
-
-TEST_F(SloWatchdogTest, AHealthyRequestResetsTheStreak) {
-  Simulator sim;
-  Tracer tracer(&sim);
-  SloBudgets budgets;
-  budgets[Stage::kTotal] = 300;
-  SloWatchdog watchdog(&sim, budgets, /*sustain=*/3);
-  watchdog.Bind(&tracer);
-  CloseRequest(&tracer, 1, 500, 0, 0);
-  CloseRequest(&tracer, 2, 500, 0, 0);
-  CloseRequest(&tracer, 3, 100, 0, 0);  // healthy: streak back to zero
-  CloseRequest(&tracer, 4, 500, 0, 0);
-  CloseRequest(&tracer, 5, 500, 0, 0);
-  EXPECT_EQ(watchdog.violations(), 4u);
-  EXPECT_EQ(watchdog.dumps_fired(), 0u);
-  EXPECT_EQ(watchdog.worst_stage(), "total");
+            "slo_watchdog: roots=5 violations=1 worst=total");
 }
 
 TEST_F(SloWatchdogTest, FirstOffendingStageInFixedOrderIsBlamed) {
@@ -98,7 +55,7 @@ TEST_F(SloWatchdogTest, FirstOffendingStageInFixedOrderIsBlamed) {
   SloBudgets budgets;
   budgets[Stage::kQueue] = 50;
   budgets[Stage::kDevice] = 50;
-  SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
+  SloWatchdog watchdog(budgets);
   watchdog.Bind(&tracer);
   // Both queue (100) and device (200) are over; queue comes first in the
   // fixed stage order so it is the recorded reason.
@@ -112,7 +69,7 @@ TEST_F(SloWatchdogTest, UntracedSpansAndChildrenAreNotRoots) {
   Tracer tracer(&sim);
   SloBudgets budgets;
   budgets[Stage::kTotal] = 1;
-  SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
+  SloWatchdog watchdog(budgets);
   watchdog.Bind(&tracer);
   // Untraced pump span and a traced child: neither closes a request.
   tracer.RecordSpan("pump", "net.proxy.inbound", 0, 1000);
@@ -121,30 +78,27 @@ TEST_F(SloWatchdogTest, UntracedSpansAndChildrenAreNotRoots) {
   EXPECT_EQ(watchdog.violations(), 0u);
 }
 
-// A total budget with sustain 1 dumps the flight recorder on every slow
-// request, naming the stage and the trace.
-TEST_F(SloWatchdogTest, TotalBudgetWithSustainOneDumpsEachSlowRoot) {
+// Under tail-based sampling a violating root flags its trace before the
+// keep/drop decision, so the whole request is kept; a request within
+// budget is not.
+TEST_F(SloWatchdogTest, ViolatingTracesAreKeptUnderSampling) {
   Simulator sim;
   Tracer tracer(&sim);
-  FlightRecorder recorder(16);
-  tracer.set_flight_recorder(&recorder);
+  tracer.EnableSampling(/*keep_one_in=*/0);
   SloBudgets budgets;
-  budgets[Stage::kTotal] = 100;
-  SloWatchdog watchdog(&sim, budgets, /*sustain=*/1);
+  budgets[Stage::kDevice] = 100;
+  SloWatchdog watchdog(budgets);
   watchdog.Bind(&tracer);
-  // A slow child and a slow untraced span are not end-to-end views: no dump.
-  tracer.RecordSpan("nvme", "nvme.batch", 0, 500, TraceContext{7, 3});
-  tracer.RecordSpan("pump", "net.proxy.inbound", 0, 500);
-  // A root exactly at the budget is within SLO.
-  tracer.RecordSpan("stub", "fs.op", 0, 100, TraceContext{6, 0});
-  EXPECT_EQ(recorder.total_dumps(), 0u);
-  // A root over the budget dumps.
-  tracer.RecordSpan("stub", "fs.op", 0, 250, TraceContext{8, 0});
-  ASSERT_EQ(recorder.total_dumps(), 1u);
-  EXPECT_EQ(recorder.dumps()[0].trigger,
-            "slo watchdog: total over budget on trace 8");
-  // The preceding events are the forensics payload.
-  EXPECT_GE(recorder.dumps()[0].entries.size(), 3u);
+  CloseRequest(&tracer, 1, 500, 50, 100);  // device exactly at budget
+  CloseRequest(&tracer, 2, 500, 50, 200);  // device 200 > 100
+  EXPECT_EQ(watchdog.violations(), 1u);
+  const SamplerStats& stats = tracer.sampler_stats();
+  EXPECT_EQ(stats.kept_slo, 1u);
+  EXPECT_EQ(stats.traces_dropped, 1u);
+  ASSERT_EQ(tracer.spans().size(), 3u);
+  for (const SpanRecord& span : tracer.spans()) {
+    EXPECT_EQ(span.trace_id, 2u);
+  }
 }
 
 TEST_F(SloWatchdogTest, BudgetsParseFromTheEnvironment) {

@@ -116,6 +116,24 @@ TEST(TraceSamplingTest, SpanClosingAfterRootDecisionIsCountedLate) {
   EXPECT_EQ(tracer.spans().size(), 1u);
 }
 
+// A flag that lands after its root decided (a proxy handler still running
+// when the stub's last attempt timed out) opens no pending trace, also for
+// a trace whose decided id was already pruned from the straggler guard.
+TEST(TraceSamplingTest, FlagAfterRootDecisionLeavesNothingPending) {
+  Simulator sim;
+  Tracer tracer(&sim);
+  tracer.EnableSampling(0);
+  uint64_t first = EmitTrace(tracer, sim, 1, false, false);
+  tracer.FlagTrace(first, Tracer::TraceFlag::kError);
+  EXPECT_EQ(tracer.pending_traces(), 0u);
+  for (int i = 0; i < 4200; ++i) {  // past the 4096-id pruning threshold
+    EmitTrace(tracer, sim, 0, false, false);
+  }
+  tracer.FlagTrace(first, Tracer::TraceFlag::kSloViolation);
+  EXPECT_EQ(tracer.pending_traces(), 0u);
+  EXPECT_EQ(tracer.sampler_stats().traces_kept, 0u);
+}
+
 TEST(TraceSamplingTest, SampledExportIsByteIdenticalAcrossIdenticalRuns) {
   auto run = [] {
     Simulator sim;

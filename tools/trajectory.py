@@ -180,6 +180,11 @@ STORM = "buffered read storm: 4 phis x 8 workers over one shared 160KB region"
 SHARDS = ("proxy-shard scaling: same storm, control plane sharded across "
           "pinned cores")
 FIG14 = "ping-pong latency by message size"
+PANEL = ("measured per-request net-stage breakdown (4KB, avg us; stages sum "
+         "to total exactly)")
+NET_CONFIGS = ("Host", "Phi-Solros", "Phi-Linux")
+FIG15 = "fig15_net_throughput"
+FIG16 = ("fig16_shared_listen_scaling", "echo throughput by forwarding policy")
 FIG19 = "fig19_connection_storm"
 FIG12 = "fig12_fs_random_write"
 META = "SOLROS_JOURNAL=metadata"
@@ -224,6 +229,35 @@ def fig10(r):
 
 def fig11_top(r, column):
     return at(r, "fig11_fs_random_read", "8 thread(s)", "1MB", column)
+
+
+def fig12_top(r, column):
+    return at(r, FIG12, "8 thread(s)", "1MB", column)
+
+
+def panel(r, config, column):
+    return at(r, "fig14_net_latency", PANEL, config, column)
+
+
+def fig15(r, table=None):
+    return find(r, FIG15, table)
+
+
+def fig16_rate(r, policy, phis):
+    found = [row for row in find(r, *FIG16, policy)
+             if row.get("#phis") == phis]
+    if len(found) != 1:
+        raise Missing(f"{len(found)} fig16 {policy} rows at {phis} phis")
+    return num(found[0], "kmsgs/s")
+
+
+def spread(row):
+    """Most over fewest events per phi: "186/248/310/248" reads 1.667."""
+    try:
+        events = [int(n) for n in row["events per phi"].split("/")]
+    except (KeyError, ValueError) as err:
+        raise Missing(f"fig16 {cells(row)[0]}: no events per phi") from err
+    return max(events) / min(events)
 
 
 def fig17(r, table):
@@ -287,6 +321,38 @@ GATES = (
      "threads", ">=", 25,
      lambda r: fig11_top(r, "Phi-Solros GB/s") /
      max(fig11_top(r, "Phi-virtio GB/s"), fig11_top(r, "Phi-NFS GB/s"))),
+    ("fig12 lower of Host and Phi-Solros at 1MB x 8 threads", ">=", 1.15,
+     lambda r: min(fig12_top(r, "Host GB/s"),
+                   fig12_top(r, "Phi-Solros GB/s"))),
+    ("fig12 highest Phi-virtio or Phi-NFS GB/s", "<=", 0.12,
+     lambda r: max(num(row, column)
+                   for row in find(r, FIG12)
+                   for column in ("Phi-virtio GB/s", "Phi-NFS GB/s"))),
+    ("fig14 panel wire us, highest minus lowest config", "<=", 0,
+     lambda r: max(panel(r, c, "wire") for c in NET_CONFIGS) -
+     min(panel(r, c, "wire") for c in NET_CONFIGS)),
+    ("fig14 panel Phi-Linux/Phi-Solros proxy us", ">=", 9,
+     lambda r: panel(r, "Phi-Linux", "proxy") /
+     panel(r, "Phi-Solros", "proxy")),
+    ("fig15 lowest Phi-Solros/Host at 1 connection", ">=", 0.95,
+     lambda r: min(num(row, "Phi-Solros GB/s") / num(row, "Host GB/s")
+                   for row in fig15(r, "1 connection(s)"))),
+    ("fig15 highest Phi-Solros GB/s", "<=", 0.75,
+     lambda r: max(num(row, "Phi-Solros GB/s") for row in fig15(r))),
+    ("fig15 Host 256KB GB/s, 16 connections over 1", ">=", 10,
+     lambda r: at(r, FIG15, "16 connection(s)", "256KB", "Host GB/s") /
+     at(r, FIG15, "1 connection(s)", "256KB", "Host GB/s")),
+    ("fig15 highest Phi-Linux GB/s", "<", 0.1,
+     lambda r: max(num(row, "Phi-Linux GB/s") for row in fig15(r))),
+    ("fig16 round-robin highest/lowest kmsgs/s at 1, 2 and 4 phis", "<=",
+     1.03,
+     lambda r: max(fig16_rate(r, "round-robin", n) for n in "124") /
+     min(fig16_rate(r, "round-robin", n) for n in "124")),
+    ("fig16 highest round-robin or least-loaded events per phi max/min",
+     "<=", 1,
+     lambda r: max(spread(row)
+                   for policy in ("round-robin", "least-loaded")
+                   for row in find(r, *FIG16, policy))),
     ("fig17 text indexing Phi-Solros speedup vs virtio", ">=", 12,
      lambda r: fig17(r, FIG17[0])),
     ("fig17 image search Phi-Solros speedup vs virtio", ">=", 1.3,

@@ -21,11 +21,14 @@ FIG01A = "fig01a_motivation_fs"
 FIG10 = "fig10_rb_adaptive_copy"
 FIG11 = "fig11_fs_random_read"
 FIG14 = "fig14_net_latency"
+FIG16 = T.FIG16[0]
 FIG17 = "fig17_applications"
 
 
-def sel(bench, table=None, key=None, env=None):
-    return (bench, table, key, env)
+def sel(bench, table=None, key=None, env=None, where=None):
+    """Rows of `bench` (in `table`, first cell `key`, under `env`) whose
+    cells also hold every column: value of `where`."""
+    return (bench, table, key, env, where or {})
 
 
 # gate -> (rows to break, column, a value that breaks the bound, rows to
@@ -76,6 +79,34 @@ CASES = {
     "fig11 Phi-Solros over the faster of virtio and NFS at 1MB x 8 threads "
     ">= 25":
         (sel(FIG11, "8 thread(s)", "1MB"), "Phi-NFS GB/s", "0.094", None),
+    "fig12 lower of Host and Phi-Solros at 1MB x 8 threads >= 1.15":
+        (sel(T.FIG12, "8 thread(s)", "1MB"), "Host GB/s", "1.149", None),
+    "fig12 highest Phi-virtio or Phi-NFS GB/s <= 0.12":
+        (sel(T.FIG12, "1 thread(s)", "32KB"), "Phi-NFS GB/s", "0.121",
+         sel(T.FIG12)),
+    "fig14 panel wire us, highest minus lowest config <= 0":
+        (sel(FIG14, T.PANEL, "Host"), "wire", "10.8", None),
+    "fig14 panel Phi-Linux/Phi-Solros proxy us >= 9":
+        (sel(FIG14, T.PANEL, "Phi-Linux"), "proxy", "302.3", None),
+    "fig15 lowest Phi-Solros/Host at 1 connection >= 0.95":
+        (sel(T.FIG15, "1 connection(s)", "512B"), "Phi-Solros GB/s", "0.034",
+         sel(T.FIG15, "1 connection(s)")),
+    "fig15 highest Phi-Solros GB/s <= 0.75":
+        (sel(T.FIG15, "16 connection(s)", "256KB"), "Phi-Solros GB/s",
+         "0.751", sel(T.FIG15)),
+    "fig15 Host 256KB GB/s, 16 connections over 1 >= 10":
+        (sel(T.FIG15, "16 connection(s)", "256KB"), "Host GB/s", "3.449",
+         None),
+    "fig15 highest Phi-Linux GB/s < 0.1":
+        (sel(T.FIG15, "16 connection(s)", "256KB"), "Phi-Linux GB/s",
+         "0.100", sel(T.FIG15)),
+    "fig16 round-robin highest/lowest kmsgs/s at 1, 2 and 4 phis <= 1.03":
+        (sel(FIG16, T.FIG16[1], "round-robin", where={"#phis": "4"}),
+         "kmsgs/s", "71.4", None),
+    "fig16 highest round-robin or least-loaded events per phi max/min <= 1":
+        (sel(FIG16, T.FIG16[1], "least-loaded", where={"#phis": "4"}),
+         "events per phi", "247/249/248/248",
+         sel(FIG16, T.FIG16[1])),
     "fig17 text indexing Phi-Solros speedup vs virtio >= 12":
         (sel(FIG17, T.FIG17[0], "Phi-Solros"), "speedup vs virtio", "11.9x",
          None),
@@ -87,10 +118,12 @@ GATES = {T.evaluate(gate, [])[0]: gate for gate in T.GATES}
 
 
 def matches(row, selector):
-    bench, table, key, env = selector
+    bench, table, key, env, where = selector
     return (row["bench"] == bench and row.get("env") == env
             and table in (None, row["table"])
-            and key in (None, T.cells(row)[0]))
+            and key in (None, T.cells(row)[0])
+            and all(row.get(column) == value
+                    for column, value in where.items()))
 
 
 def passes(name, rows):
