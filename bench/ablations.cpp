@@ -4,7 +4,7 @@
 //  A1  NVMe I/O-vector coalescing (one doorbell/interrupt per vector, §5)
 //  A2  Peer-to-peer data path vs forced host staging (§4.3.2)
 //  A3  Host-side shared buffer cache for re-read working sets (§4.3.2)
-//  A4  Ring-buffer combining vs plain lock serialization (§4.2.3, sim side)
+//  A4  Lazy replicated ring head/tail vs eager shared originals (§4.2.4)
 #include <iostream>
 
 #include "bench/bench_util.h"

@@ -61,11 +61,8 @@ inline Task<void> PingPongClient(EthernetFabric* eth, Processor* cpu,
       // Root of this round trip's causal trace: every wire hop, ring wait,
       // proxy/stack span, and dispatch handoff hangs off it (untraced when
       // no tracer is bound).
-      TraceContext root_ctx;
-      if (tracer != nullptr) {
-        root_ctx.trace_id = tracer->NewTraceId();
-      }
-      ScopedSpan op(tracer, "client", "net.client.op", root_ctx);
+      ScopedSpan op(tracer, "client", "net.client.op",
+                    NewRootContext(tracer));
       CHECK_OK(co_await eth->ClientSend(*conn, payload, cpu, op.context()));
       auto echoed = co_await eth->ClientRecv(*conn);
       CHECK_OK(echoed);

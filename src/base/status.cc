@@ -51,6 +51,10 @@ bool IsSystemError(ErrorCode code) {
   }
 }
 
+bool IsTransientError(ErrorCode code) {
+  return code == ErrorCode::kTimedOut || code == ErrorCode::kIoError;
+}
+
 std::string Status::ToString() const {
   if (ok()) {
     return "OK";

@@ -42,6 +42,11 @@ std::string_view ErrorCodeName(ErrorCode code);
 // that escapes a proxy keeps its trace under tail-based sampling.
 bool IsSystemError(ErrorCode code);
 
+// True when `code` is a fault that may clear if the operation is reissued:
+// a timeout or an I/O error. The recovery layers retry on these, and the
+// FS proxy degrades a P2P transfer to the buffered path on them.
+bool IsTransientError(ErrorCode code);
+
 // A cheap, value-type status. Ok statuses carry no allocation.
 class Status {
  public:
@@ -83,12 +88,8 @@ inline Status OutOfRangeError(std::string msg) {
 inline Status ResourceExhaustedError(std::string msg) {
   return Status(ErrorCode::kResourceExhausted, std::move(msg));
 }
-inline Status WouldBlockError() { return Status(ErrorCode::kWouldBlock); }
 inline Status NotSupportedError(std::string msg) {
   return Status(ErrorCode::kNotSupported, std::move(msg));
-}
-inline Status PermissionDeniedError(std::string msg) {
-  return Status(ErrorCode::kPermissionDenied, std::move(msg));
 }
 inline Status FailedPreconditionError(std::string msg) {
   return Status(ErrorCode::kFailedPrecondition, std::move(msg));

@@ -59,9 +59,9 @@ struct MachineConfig {
   // kOff also switches the NVMe store to the volatile-write-cache
   // durability model (real Flush commands, ordered barriers on fsync).
   JournalMode journal_mode = JournalMode::kOff;
-  // Block-store resubmission, consulted only while fault injection is
-  // armed. (Stub retries are set per stub with set_retry_options.)
-  NvmeBlockStore::RetryPolicy nvme_retry;
+  // Block-store resubmission, engaged only while fault injection is armed.
+  // (NetStub's retries are set per stub with set_retry_options.)
+  RetryPolicy nvme_retry = NvmeBlockStore::kDefaultRetry;
 
   bool enable_network = true;
   // Forwarding policy for shared listening sockets.

@@ -6,9 +6,9 @@
 #include <cstring>
 #include <span>
 
-#include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
+#include "src/sim/retry.h"
 #include "src/sim/trace.h"
 
 namespace solros {
@@ -22,9 +22,6 @@ constexpr uint64_t kCacheProbeBlocks = 8;
 constexpr uint32_t kP2pFaultStreakLimit = 3;
 constexpr uint64_t kP2pCooldownRequests = 16;
 
-// DMA copy attempts while faults are armed.
-constexpr int kDmaMaxAttempts = 3;
-
 // Max per-(coprocessor, file) sequential-stream entries the proxy tracks.
 constexpr size_t kMaxReadStreams = 1024;
 
@@ -37,11 +34,6 @@ constexpr uint32_t kReadaheadMaxBlocks = 64;
 // so the readahead window batches their device I/O; larger sequential reads
 // keep P2P's zero-copy advantage.
 constexpr uint64_t kReadaheadP2pCutover = 128 * 1024;
-
-bool DegradableFault(const Status& status) {
-  return status.code() == ErrorCode::kTimedOut ||
-         status.code() == ErrorCode::kIoError;
-}
 
 }  // namespace
 
@@ -486,7 +478,7 @@ Task<Status> FsProxy::HandleRead(const FsRequest& request, TraceContext ctx,
       NoteP2pSuccess();
       co_return status;
     }
-    if (!DegradableFault(status)) {
+    if (!IsTransientError(status.code())) {
       co_return status;
     }
     // Degrade: re-serve the whole range host-staged. The buffered path
@@ -567,7 +559,7 @@ Task<Status> FsProxy::HandleWrite(const FsRequest& request, TraceContext ctx,
         NoteP2pSuccess();
         co_return status;
       }
-      if (!DegradableFault(status)) {
+      if (!IsTransientError(status.code())) {
         co_return status;
       }
       // Degrade: rewrite the whole range through the buffered path. The
@@ -594,22 +586,13 @@ Task<Status> FsProxy::MoveBytes(MemRef dst, MemRef src, TraceContext ctx) {
     co_await Delay(TransferTime(src.length, params_.host_mem_bw));
     co_return OkStatus();
   }
-  const int attempts = Faults().any_armed() ? kDmaMaxAttempts : 1;
-  Nanos backoff = params_.dma_init_host;
-  Status status;
-  for (int attempt = 1;; ++attempt) {
-    status = co_await host_dma_.Copy(dst, src, ctx);
-    if (status.ok() || attempt >= attempts) {
-      co_return status;
-    }
-    static Counter* const retries =
-        MetricRegistry::Default().GetCounter("fs.proxy.dma_retries");
-    retries->Increment();
-    TRACE_INSTANT(sim_, "proxy", "fs.proxy.dma_retry");
-    FlagTraceError(sim_, ctx.trace_id);
-    co_await Delay(backoff);
-    backoff *= 2;
-  }
+  // Any failed copy is reissued; the first backoff is the engine's set-up
+  // time.
+  co_return co_await Retry(
+      RetryPolicy{.max_attempts = 3, .backoff = params_.dma_init_host},
+      /*timeout=*/0, {"fs.proxy.dma_retries", "proxy", "fs.proxy.dma_retry"},
+      ctx.trace_id, [&](Nanos) { return host_dma_.Copy(dst, src, ctx); },
+      [](const Status& status) { return !status.ok(); });
 }
 
 FsProxy::BouncePool::Lease FsProxy::BouncePool::Take(uint64_t bytes) {

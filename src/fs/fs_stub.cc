@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/base/fault.h"
 #include "src/base/metrics.h"
 #include "src/sim/trace.h"
 
@@ -85,11 +84,7 @@ Task<Result<FsResponse>> FsStub::Call(FsRequest request) {
   // Root of this request's causal trace: a fresh trace id, carried by the
   // wire message so every downstream span hangs off this one. With no
   // tracer bound the context stays zero and nothing downstream records.
-  Tracer* tracer = sim_->tracer();
-  TraceContext root_ctx;
-  if (tracer != nullptr) {
-    root_ctx.trace_id = tracer->NewTraceId();
-  }
+  const TraceContext root_ctx = NewRootContext(sim_->tracer());
   ScopedSpan span(sim_, "stub", "fs.stub.call", root_ctx);
   TraceContext ctx = span.context();
   request.trace_id = ctx.trace_id;
@@ -103,46 +98,29 @@ Task<Result<FsResponse>> FsStub::Call(FsRequest request) {
     ScopedSpan cpu(sim_, "stub", "fs.stage.stub_cpu", ctx);
     co_await phi_cpu_->Compute(params_.fs_stub_cpu);
   }
-  // Per-attempt timeouts exist only while faults are armed; a fault-free
-  // run makes a single untimed attempt with an unchanged schedule. The
-  // window scales with the payload: a multi-MiB transfer legitimately runs
-  // for tens of milliseconds (the 4 ns/byte allowance is ~4x the slowest
-  // data path), and a fixed window would misread it as a lost frame.
+  // The per-attempt window scales with the payload: a multi-MiB transfer
+  // legitimately runs for tens of milliseconds (the 4 ns/byte allowance is
+  // ~4x the slowest data path), and a fixed window would misread it as a
+  // lost frame.
   const bool idempotent = IsIdempotent(request.op);
-  const Nanos timeout =
-      Faults().any_armed() ? retry_.timeout + request.length * 4 : 0;
-  Nanos backoff = retry_.backoff;
   RpcClient<FsRequest, FsResponse>& client = *clients_[RouteShard(request)];
-  Result<FsResponse> rpc = Status(ErrorCode::kInternal);
-  for (int attempt = 1;; ++attempt) {
-    {
-      ScopedSpan wait(sim_, "stub", "fs.stage.rpc_wait", ctx);
-      rpc = co_await client.Call(request, timeout);
-    }
-    const bool transport_error = !rpc.ok();
-    ErrorCode code = transport_error ? rpc.code() : rpc.value().error;
-    if (code == ErrorCode::kOk) {
-      break;
-    }
-    // A transport timeout leaves the outcome unknown, so it is safe to
-    // reissue anything (at-least-once for namespace ops). Server-reported
-    // timeouts / I/O errors mean the op did not apply; reissue only ops
-    // that are idempotent anyway.
-    const bool retryable =
-        idempotent ? (code == ErrorCode::kTimedOut ||
-                      code == ErrorCode::kIoError)
-                   : (transport_error && code == ErrorCode::kTimedOut);
-    if (!retryable || attempt >= retry_.max_attempts) {
-      break;
-    }
-    static Counter* const retries =
-        MetricRegistry::Default().GetCounter("fs.stub.retries");
-    retries->Increment();
-    TRACE_INSTANT(sim_, "stub", "fs.stub.retry");
-    FlagTraceError(sim_, root_ctx.trace_id);
-    co_await Delay(backoff);
-    backoff *= 2;
-  }
+  Result<FsResponse> rpc = co_await Retry(
+      kRpcRetry, kRpcCallTimeout + request.length * 4,
+      {"fs.stub.retries", "stub", "fs.stub.retry"}, root_ctx.trace_id,
+      [&](Nanos timeout) -> Task<Result<FsResponse>> {
+        ScopedSpan wait(sim_, "stub", "fs.stage.rpc_wait", ctx);
+        co_return co_await client.Call(request, timeout);
+      },
+      [idempotent](const Result<FsResponse>& result) {
+        // A transport timeout leaves the outcome unknown, so it is safe to
+        // reissue anything (at-least-once for namespace ops). A
+        // server-reported transient error means the op did not apply;
+        // reissue only ops that are idempotent anyway.
+        const ErrorCode code =
+            result.ok() ? result.value().error : result.code();
+        return idempotent ? IsTransientError(code)
+                          : (!result.ok() && code == ErrorCode::kTimedOut);
+      });
   const ErrorCode final_code = rpc.ok() ? rpc.value().error : rpc.code();
   if (IsSystemError(final_code)) {
     // A failed call marks the whole trace for retention under tail-based

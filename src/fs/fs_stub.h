@@ -47,17 +47,6 @@ class FsStub : public FileService {
   // buffered path, independent of set_buffered().
   Task<Result<uint64_t>> OpenBuffered(const std::string& path);
 
-  // Retry/timeout policy applied while fault injection is armed. Data ops
-  // (read/write/stat/open/readdir/truncate/fsync) are idempotent and retry
-  // on timeout or I/O error; namespace ops (create/unlink/mkdir/rmdir/
-  // rename) retry only on a transport timeout, which gives them
-  // at-least-once semantics under response loss (a retried create may see
-  // kAlreadyExists).
-  void set_retry_options(const RpcRetryOptions& options) {
-    retry_ = options;
-  }
-  const RpcRetryOptions& retry_options() const { return retry_; }
-
   Task<Result<uint64_t>> Open(const std::string& path) override;
   Task<Result<uint64_t>> Create(const std::string& path) override;
   Task<Result<uint64_t>> Read(uint64_t ino, uint64_t offset,
@@ -76,6 +65,12 @@ class FsStub : public FileService {
   uint64_t calls_issued() const { return calls_; }
 
  private:
+  // One RPC, retried per kRpcRetry while fault injection is armed. Data
+  // ops (read/write/stat/open/readdir/truncate/fsync) are idempotent and
+  // retry on a transient error; namespace ops (create/unlink/mkdir/rmdir/
+  // rename) retry only on a transport timeout, which gives them
+  // at-least-once semantics under response loss (a retried create may see
+  // kAlreadyExists).
   Task<Result<FsResponse>> Call(FsRequest request);
   // A read or write of `memory` at `offset`, one RPC per owned run. Returns
   // the bytes up to the first short piece; any failed piece fails the call.
@@ -89,7 +84,6 @@ class FsStub : public FileService {
   Processor* phi_cpu_;
   // One RPC client per proxy shard; exactly one for an unsharded proxy.
   std::vector<std::unique_ptr<RpcClient<FsRequest, FsResponse>>> clients_;
-  RpcRetryOptions retry_;
   uint32_t client_id_;
   bool buffered_ = false;
   std::set<uint64_t> buffered_inos_;  // opened with O_BUFFER

@@ -1,9 +1,6 @@
 #include "src/fs/nvme_block_store.h"
 
-#include "src/base/fault.h"
 #include "src/base/logging.h"
-#include "src/base/metrics.h"
-#include "src/sim/trace.h"
 
 namespace solros {
 
@@ -87,26 +84,11 @@ Task<Status> NvmeBlockStore::SubmitRuns(NvmeCommand::Op op,
 
 Task<Status> NvmeBlockStore::SubmitWithRetry(
     std::vector<NvmeCommand> commands, bool coalesce, TraceContext ctx) {
-  // One attempt, no timers, when no faults are armed.
-  const int attempts = Faults().any_armed() ? retry_.max_attempts : 1;
-  Nanos backoff = retry_.backoff;
-  Status status;
-  for (int attempt = 1;; ++attempt) {
-    status = co_await nvme_->Submit(commands, coalesce, cpu_, ctx);
-    const bool retryable = status.code() == ErrorCode::kTimedOut ||
-                           status.code() == ErrorCode::kIoError;
-    if (status.ok() || !retryable || attempt >= attempts) {
-      co_return status;
-    }
-    static Counter* const retries =
-        MetricRegistry::Default().GetCounter("nvme.store.retries");
-    retries->Increment();
-    Simulator* sim = co_await CurrentSimulator();
-    TRACE_INSTANT(sim, "nvme", "nvme.store.retry");
-    FlagTraceError(sim, ctx.trace_id);
-    co_await Delay(backoff);
-    backoff *= 2;
-  }
+  co_return co_await Retry(
+      retry_, /*timeout=*/0, {"nvme.store.retries", "nvme", "nvme.store.retry"},
+      ctx.trace_id,
+      [&](Nanos) { return nvme_->Submit(commands, coalesce, cpu_, ctx); },
+      [](const Status& status) { return IsTransientError(status.code()); });
 }
 
 Task<Status> NvmeBlockStore::SubmitExtents(

@@ -23,27 +23,24 @@
 #include "src/hw/memory.h"
 #include "src/hw/processor.h"
 #include "src/nvme/nvme_device.h"
+#include "src/sim/retry.h"
 #include "src/sim/trace.h"
 
 namespace solros {
 
 class NvmeBlockStore : public BlockStore {
  public:
-  // Bounded resubmission of failed/timed-out command batches. NVMe reads
-  // and writes are idempotent (same bytes to the same LBAs), so the whole
-  // batch is simply reissued. Only consulted while fault injection is
-  // armed; fault-free runs submit exactly once.
-  struct RetryPolicy {
-    int max_attempts = 3;              // total attempts including the first
-    Nanos backoff = Microseconds(50);  // first retry delay; doubles per retry
-  };
+  // Bounded resubmission of command batches that time out or fail with an
+  // I/O error. NVMe reads and writes are idempotent (same bytes to the same
+  // LBAs), so the whole batch is simply reissued (src/sim/retry.h).
+  static constexpr RetryPolicy kDefaultRetry{.max_attempts = 3,
+                                             .backoff = Microseconds(50)};
 
   // `cpu` is the processor that submits commands (the control-plane host
   // CPU in Solros; only it may touch the device, §4).
   NvmeBlockStore(NvmeDevice* nvme, Processor* cpu);
 
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // Durability model. Off (default): the device is treated as
   // write-through — every acknowledged write is already stable, Flush() is
@@ -101,15 +98,15 @@ class NvmeBlockStore : public BlockStore {
   Task<Status> SubmitExtents(const std::vector<FsExtent>& extents,
                              MemRef memory, NvmeCommand::Op op, bool coalesce,
                              TraceContext ctx);
-  // Submits `commands`, resubmitting the whole batch per RetryPolicy on
-  // timeout or I/O error while faults are armed. A resubmission flags the
-  // request's trace `ctx` for tail sampling.
+  // Submits `commands`, resubmitting the whole batch per `retry_` on a
+  // transient error. A resubmission flags the request's trace `ctx` for
+  // tail sampling.
   Task<Status> SubmitWithRetry(std::vector<NvmeCommand> commands,
                                bool coalesce, TraceContext ctx = {});
 
   NvmeDevice* nvme_;
   Processor* cpu_;
-  RetryPolicy retry_;
+  RetryPolicy retry_ = kDefaultRetry;
   bool volatile_write_cache_ = false;
 };
 

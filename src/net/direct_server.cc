@@ -1,5 +1,6 @@
 #include "src/net/direct_server.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -64,7 +65,6 @@ Task<Result<int64_t>> DirectServer::Listen(uint16_t port, int backlog) {
   int64_t handle = next_handle_++;
   Listener listener;
   listener.port = port;
-  listener.backlog = backlog;
   listener.accept_queue = std::make_unique<Channel<int64_t>>(
       sim_, static_cast<size_t>(backlog));
   listeners_.emplace(handle, std::move(listener));
@@ -75,7 +75,7 @@ Task<Result<int64_t>> DirectServer::Listen(uint16_t port, int backlog) {
 
 Task<Result<int64_t>> DirectServer::Accept(int64_t listener) {
   auto it = listeners_.find(listener);
-  if (it == listeners_.end()) {
+  if (it == listeners_.end() || it->second.closed) {
     co_return InvalidArgumentError("bad listener handle");
   }
   co_await config_.stack_cpu->Compute(params_.tcp_segment_cpu);
@@ -123,16 +123,35 @@ Task<Status> DirectServer::Send(int64_t sock, std::span<const uint8_t> data) {
 }
 
 Task<Status> DirectServer::Close(int64_t sock) {
+  if (auto lit = listeners_.find(sock);
+      lit != listeners_.end() && !lit->second.closed) {
+    Listener& listener = lit->second;
+    listener.closed = true;
+    port_to_listener_.erase(listener.port);
+    ethernet_->UnregisterPort(listener.port);
+    // Reset the connections nobody accepted yet, as a kernel does; a task
+    // parked in Accept wakes with kConnectionReset.
+    while (std::optional<int64_t> queued =
+               listener.accept_queue->TryReceive()) {
+      CloseSocket(sockets_.at(*queued));
+    }
+    listener.accept_queue->Close();
+    co_return OkStatus();
+  }
   auto it = sockets_.find(sock);
   if (it == sockets_.end() || it->second.closed) {
     co_return InvalidArgumentError("bad socket handle");
   }
-  it->second.open = false;
-  it->second.closed = true;
-  it->second.recv_queue->Close();
-  ethernet_->CloseFromServer(it->second.conn_id);
-  conn_to_sock_.erase(it->second.conn_id);
+  CloseSocket(it->second);
   co_return OkStatus();
+}
+
+void DirectServer::CloseSocket(Socket& socket) {
+  socket.open = false;
+  socket.closed = true;
+  socket.recv_queue->Close();
+  ethernet_->CloseFromServer(socket.conn_id);
+  conn_to_sock_.erase(socket.conn_id);
 }
 
 Task<Status> DirectServer::OnConnect(uint64_t conn_id, uint16_t port,

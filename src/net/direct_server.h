@@ -1,22 +1,21 @@
-// Direct (non-Solros) server stacks: host-resident and bridged Phi-Linux.
+// DirectServer: the direct (non-Solros) server stacks. Both terminate TCP
+// on a single processor; its Config says which one runs the stack and
+// whether frames take an extra bridged hop over PCIe:
 //
-// Both terminate TCP on a single processor; they differ in which processor
-// runs the stack and whether frames take an extra bridged hop over PCIe:
-//
-//  * HostServerConfig()     — the stack runs on fast host cores (the paper's
-//    "Host" line, the latency/throughput upper bound);
-//  * PhiLinuxServerConfig() — "we configured a bridge in our server so our
-//    client machine can directly access a Xeon Phi with a designated IP
-//    address" (§6): the host forwards every frame over the PCIe link and
-//    the full TCP stack then runs on slow co-processor cores — the
-//    co-processor-centric baseline of Fig. 1(b).
+//  * Host — `stack_cpu` is a host processor, no bridge (the paper's "Host"
+//    line, the latency/throughput upper bound);
+//  * Phi-Linux — `stack_cpu` is the co-processor, bridged by a host
+//    `bridge_cpu`: "we configured a bridge in our server so our client
+//    machine can directly access a Xeon Phi with a designated IP address"
+//    (§6). The host forwards every frame over PCIe and the full TCP stack
+//    runs on slow co-processor cores — the co-processor-centric baseline of
+//    Fig. 1(b), with one softirq queue (`single_rx_queue`).
 #ifndef SOLROS_SRC_NET_DIRECT_SERVER_H_
 #define SOLROS_SRC_NET_DIRECT_SERVER_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,24 +62,13 @@ class DirectServer : public ServerPort, public ServerSocketApi {
   Task<void> OnClientClose(uint64_t conn_id) override;
 
  private:
+  // Close keeps a listener, as it keeps a socket: a task parked in Accept
+  // still runs on its queue after the close wakes it.
   struct Listener {
     uint16_t port;
-    int backlog;
     std::unique_ptr<Channel<int64_t>> accept_queue;
+    bool closed = false;
   };
-  // One received message plus its trace context. Deliberately not an
-  // aggregate — see NetStub::RecvItem for the GCC 12 coroutine-parameter
-  // pitfall.
-  struct RecvItem {
-    RecvItem() = default;
-    RecvItem(std::vector<uint8_t> d, uint64_t trace, uint64_t parent)
-        : data(std::move(d)), trace_id(trace), parent_span(parent) {}
-    std::vector<uint8_t> data;
-    uint64_t trace_id = 0;
-    uint64_t parent_span = 0;
-  };
-  static_assert(!std::is_aggregate_v<RecvItem>,
-                "GCC 12 miscompiles aggregate coroutine by-value parameters");
   struct Socket {
     uint64_t conn_id = 0;
     std::unique_ptr<Channel<RecvItem>> recv_queue;
@@ -93,6 +81,8 @@ class DirectServer : public ServerPort, public ServerSocketApi {
     uint64_t reply_parent = 0;
   };
 
+  // Closes a connected socket from the server side and resets its peer.
+  void CloseSocket(Socket& socket);
   // Inbound/outbound hop costs for this configuration.
   Task<void> InboundStack(uint64_t bytes);
   Task<void> OutboundStack(uint64_t bytes);

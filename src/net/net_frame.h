@@ -22,8 +22,8 @@
 namespace solros {
 
 // One event of a ring record: its header and the bytes that follow it.
-// Deliberately not an aggregate — see NetStub::RecvItem for the GCC 12
-// coroutine-parameter pitfall.
+// Deliberately not an aggregate — see RecvItem (server_api.h) for the GCC
+// 12 coroutine-parameter pitfall.
 struct NetFrameView {
   NetFrameView() = default;
   NetFrameView(NetEvent h, std::span<const uint8_t> p) : header(h), body(p) {}

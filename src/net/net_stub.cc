@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/base/fault.h"
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/sim/trace.h"
@@ -22,7 +21,6 @@ NetStub::NetStub(Simulator* sim, const HwParams& params, Processor* phi_cpu,
       plug_(std::make_unique<NetPlug>(
           sim, outbound, net_options.net_plug_window_ns, "net.stub")),
       c_events_(MetricRegistry::Default().GetCounter("net.stub.events")),
-      c_retries_(MetricRegistry::Default().GetCounter("net.stub.retries")),
       c_recvs_(MetricRegistry::Default().GetCounter("net.stub.recvs")),
       c_sends_(MetricRegistry::Default().GetCounter("net.stub.sends")),
       c_send_bytes_(
@@ -116,38 +114,26 @@ Task<Result<NetResponse>> NetStub::Call(NetRequest request) {
   // Root of this RPC's causal trace (see FsStub::Call): a fresh trace id
   // carried on the wire so the proxy's spans hang off this one. Untraced
   // (all-zero) when no tracer is bound.
-  Tracer* tracer = sim_->tracer();
-  TraceContext root_ctx;
-  if (tracer != nullptr) {
-    root_ctx.trace_id = tracer->NewTraceId();
-  }
+  const TraceContext root_ctx = NewRootContext(sim_->tracer());
   ScopedSpan span(sim_, "netstub", "net.stub.call", root_ctx);
   TraceContext ctx = span.context();
   request.trace_id = ctx.trace_id;
   request.parent_span = ctx.parent_span;
   // Only a transport timeout is retried: the outcome is unknown, so the
-  // reissue gives at-least-once semantics (see set_retry_options). Timers
-  // exist only while faults are armed.
-  const Nanos timeout = Faults().any_armed() ? retry_.timeout : 0;
-  Nanos backoff = retry_.backoff;
-  Result<NetResponse> rpc = Status(ErrorCode::kInternal);
-  for (int attempt = 1;; ++attempt) {
-    rpc = co_await rpc_.Call(request, timeout);
-    if (rpc.ok() || rpc.code() != ErrorCode::kTimedOut ||
-        attempt >= retry_.max_attempts) {
-      // A failed RPC marks the whole trace for retention under tail-based
-      // sampling (no-op in full-capture mode).
-      if (!rpc.ok()) {
-        FlagTraceError(sim_, root_ctx.trace_id);
-      }
-      co_return rpc;
-    }
-    c_retries_->Increment();
-    TRACE_INSTANT(sim_, "netstub", "net.stub.retry");
+  // reissue gives at-least-once semantics (see set_retry_options).
+  Result<NetResponse> rpc = co_await Retry(
+      retry_, call_timeout_, {"net.stub.retries", "netstub", "net.stub.retry"},
+      root_ctx.trace_id,
+      [&](Nanos timeout) { return rpc_.Call(request, timeout); },
+      [](const Result<NetResponse>& result) {
+        return result.code() == ErrorCode::kTimedOut;
+      });
+  // A failed RPC marks the whole trace for retention under tail-based
+  // sampling (no-op in full-capture mode).
+  if (!rpc.ok()) {
     FlagTraceError(sim_, root_ctx.trace_id);
-    co_await Delay(backoff);
-    backoff *= 2;
   }
+  co_return rpc;
 }
 
 Task<Result<int64_t>> NetStub::Listen(uint16_t port, int backlog) {

@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,31 +48,17 @@ class NetStub : public ServerSocketApi {
   // the per-phi fairness signal fig19 reports.
   uint64_t messages_delivered() const { return messages_delivered_; }
 
-  // Retry/timeout policy applied while fault injection is armed. Net RPCs
+  // Retry policy and per-attempt call timeout, engaged only while fault
+  // injection is armed (defaults kRpcRetry, kRpcCallTimeout). Net RPCs
   // mutate connection state, so only a transport timeout (outcome unknown,
   // at-least-once) is retried; a replayed kSocket that did reach the proxy
   // may leave an orphaned proxy-side handle, which Close() later reaps.
-  void set_retry_options(const RpcRetryOptions& options) {
-    retry_ = options;
+  void set_retry_options(const RetryPolicy& policy, Nanos timeout) {
+    retry_ = policy;
+    call_timeout_ = timeout;
   }
-  const RpcRetryOptions& retry_options() const { return retry_; }
 
  private:
-  // One received message plus the trace context it rode in with, so the
-  // application-side Recv knows which trace its eventual reply belongs to.
-  // Deliberately NOT an aggregate: GCC 12 miscompiles aggregate coroutine
-  // by-value parameters (the Channel::Send frame copy aliases the caller's
-  // temporary, whose destruction then frees the received payload).
-  struct RecvItem {
-    RecvItem() = default;
-    RecvItem(std::vector<uint8_t> d, uint64_t trace, uint64_t parent)
-        : data(std::move(d)), trace_id(trace), parent_span(parent) {}
-    std::vector<uint8_t> data;
-    uint64_t trace_id = 0;
-    uint64_t parent_span = 0;
-  };
-  static_assert(!std::is_aggregate_v<RecvItem>,
-                "GCC 12 miscompiles aggregate coroutine by-value parameters");
   // A connected socket, created when its kAccepted event arrives. Close
   // marks it closed but keeps it: a task parked in Recv on its queue
   // still runs on the queue after the close wakes it.
@@ -113,7 +98,8 @@ class NetStub : public ServerSocketApi {
   HwParams params_;
   Processor* phi_cpu_;
   RpcClient<NetRequest, NetResponse> rpc_;
-  RpcRetryOptions retry_;
+  RetryPolicy retry_ = kRpcRetry;
+  Nanos call_timeout_ = kRpcCallTimeout;
   SimRing* inbound_;
   SimRing* outbound_;
   // Send side of the outbound ring (DESIGN.md §5.5); one ring push per
@@ -128,7 +114,6 @@ class NetStub : public ServerSocketApi {
   // Process counters, resolved once instead of per event/call (see
   // TcpProxy; same hoisting).
   Counter* const c_events_;
-  Counter* const c_retries_;
   Counter* const c_recvs_;
   Counter* const c_sends_;
   Counter* const c_send_bytes_;

@@ -26,6 +26,7 @@
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/rpc/messages.h"
+#include "src/sim/retry.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/trace.h"
@@ -42,14 +43,11 @@ concept HasTraceContext = requires(T t) {
   { t.parent_span } -> std::convertible_to<uint64_t>;
 };
 
-// Bounded-retry policy for the data-plane stubs. Timeouts and backoff are
-// engaged only while fault injection is armed; fault-free runs make exactly
-// one attempt with no timer, preserving bit-identical schedules.
-struct RpcRetryOptions {
-  int max_attempts = 4;              // total attempts including the first
-  Nanos timeout = Milliseconds(2);   // per-attempt call timeout
-  Nanos backoff = Microseconds(20);  // first retry delay; doubles per retry
-};
+// The data-plane stubs' bounded retry (src/sim/retry.h) and per-attempt
+// call timeout, both engaged only while fault injection is armed.
+inline constexpr RetryPolicy kRpcRetry{.max_attempts = 4,
+                                       .backoff = Microseconds(20)};
+inline constexpr Nanos kRpcCallTimeout = Milliseconds(2);
 
 // Client end: Call() serializes the request, sends it on `request_ring`,
 // and suspends until the matching response arrives on `response_ring`.
@@ -105,8 +103,6 @@ class RpcClient {
     }
     co_return waiter.response;
   }
-
-  uint64_t calls_completed() const { return completed_; }
 
  private:
   struct Waiter {
@@ -177,7 +173,6 @@ class RpcClient {
       it->second->response = *response;
       it->second->ready = true;
       it->second->cond.NotifyAll();
-      ++self->completed_;
     }
   }
 
@@ -185,7 +180,6 @@ class RpcClient {
   SimRing* request_ring_;
   SimRing* response_ring_;
   uint64_t next_tag_ = 1;
-  uint64_t completed_ = 0;
   // In-flight calls by tag. Nodes come from a pool that keeps freed ones,
   // so once warm a call allocates nothing.
   std::pmr::unsynchronized_pool_resource waiter_pool_;

@@ -281,6 +281,12 @@ inline void FlagTraceError(Simulator* sim, uint64_t trace_id) {
   }
 }
 
+// The context of a new request's root span: a fresh trace id, or untraced
+// (all zero) when there is no tracer.
+inline TraceContext NewRootContext(Tracer* tracer) {
+  return {tracer != nullptr ? tracer->NewTraceId() : 0, 0};
+}
+
 // RAII span: opens on construction, closes when the scope (including a
 // coroutine frame scope, across suspensions) exits. Null-safe: a null
 // tracer records nothing, and context() returns an untraced context.

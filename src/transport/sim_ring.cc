@@ -15,7 +15,6 @@ RingBufferConfig MakeRingConfig(const SimRingConfig& config) {
                        ? RingSide::kProducer
                        : RingSide::kConsumer;
   rb.lazy_update = config.lazy_update;
-  rb.combining = config.combining;
   return rb;
 }
 

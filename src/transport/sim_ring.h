@@ -53,9 +53,9 @@ struct SimRingConfig {
   DeviceId consumer_device;
   Processor* producer_cpu = nullptr;
   Processor* consumer_cpu = nullptr;
-  // Ring-buffer behaviour (lazy replication, combining) — see RingBuffer.
+  // Lazy replicated control variables vs eager shared originals (Fig. 9).
+  // The ring always uses flat combining — see RingBufferConfig.
   bool lazy_update = true;
-  bool combining = true;
   // Payload copy policy for the remote port.
   CopyPolicy copy_policy = CopyPolicy::kAdaptive;
 };

@@ -595,6 +595,92 @@ TEST_F(FaultMatrixTest, NetworkWorkloadSurvivesRpcFaults) {
   EXPECT_GT(machine.tcp_proxy().stats().inbound_messages, 0u);
 }
 
+// Puts and reads back `keys` verified values through a one-shard KV server.
+Task<void> KvWorkload(KvClient* client, int keys, bool* ok, WaitGroup* wg) {
+  *ok = (co_await client->Connect(7400, 1)).ok();
+  for (int i = 0; i < keys && *ok; ++i) {
+    const std::string key = "golden" + std::to_string(i);
+    std::vector<uint8_t> value(96);
+    FillBlock(value, 5000 + i);
+    *ok = (co_await client->Put(key, value)).ok();
+    if (*ok) {
+      auto got = co_await client->Get(key);
+      *ok = got.ok() && *got == value;
+    }
+  }
+  co_await client->Close();
+  wg->Done();
+}
+
+// Opens and closes `rounds` listeners: three control-plane RPCs each.
+// Counts the closes that report an error: a close whose response was lost
+// is reissued, and the proxy answers the replay with kInvalidArgument.
+Task<void> ListenerChurn(ServerSocketApi* api, int rounds, bool* ok,
+                         int* failed_closes, WaitGroup* wg) {
+  for (int i = 0; i < rounds && *ok; ++i) {
+    auto listener = co_await api->Listen(static_cast<uint16_t>(7500 + i), 4);
+    *ok = listener.ok();
+    if (*ok && !(co_await api->Close(*listener)).ok()) {
+      ++*failed_closes;
+    }
+  }
+  wg->Done();
+}
+
+// The armed schedule, pinned: the FS workload, a KV workload and a task
+// that opens and closes listeners run side by side while NVMe commands time
+// out, host DMAs fail and RPC responses are lost, each every Nth time, so
+// all four retry layers engage. The final simulated time, the retry
+// counters and the failed closes are constants recorded from this
+// workload: a change to any layer's attempt count, backoff, timeout or
+// retry rule moves one of them.
+TEST_F(FaultMatrixTest, ArmedRetryScheduleIsPinned) {
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  ASSERT_TRUE(Faults().Arm("nvme.cmd.timeout", FaultSpec::EveryNth(7)).ok());
+  ASSERT_TRUE(Faults().Arm("hw.dma.error", FaultSpec::EveryNth(5)).ok());
+  ASSERT_TRUE(Faults().Arm("rpc.drop.response", FaultSpec::EveryNth(7)).ok());
+
+  KvServer server(&machine.sim(), &machine.net_stub(0), 0);
+  server.Start(7400, 1);
+  machine.sim().RunUntilIdle();
+  Processor client_cpu(&machine.sim(), machine.host_device(), 32, 1.0,
+                       "client");
+  KvClient client(&machine.sim(), &machine.ethernet(), &client_cpu,
+                  0x0a000001);
+  WorkloadOutcome fs;
+  bool kv_ok = false;
+  bool churn_ok = true;
+  int failed_closes = 0;
+  WaitGroup wg(&machine.sim());
+  wg.Add(3);
+  Spawn(machine.sim(), FsWorkload(&machine, &fs, &wg));
+  Spawn(machine.sim(), KvWorkload(&client, 16, &kv_ok, &wg));
+  Spawn(machine.sim(),
+        ListenerChurn(&machine.net_stub(0), 8, &churn_ok, &failed_closes,
+                      &wg));
+  machine.sim().RunUntilIdle();
+  Faults().DisarmAll();
+
+  ASSERT_EQ(wg.outstanding(), 0u);
+  EXPECT_TRUE(fs.completed) << fs.detail;
+  EXPECT_FALSE(fs.corrupted) << fs.detail;
+  EXPECT_TRUE(kv_ok);
+  EXPECT_TRUE(churn_ok);
+  auto count = [](const char* counter) {
+    return MetricRegistry::Default().GetCounter(counter)->value();
+  };
+  EXPECT_EQ(failed_closes, 3);
+  EXPECT_EQ(machine.sim().now(), 99097929);
+  EXPECT_EQ(count("nvme.store.retries"), 55u);
+  EXPECT_EQ(count("fs.proxy.dma_retries"), 12u);
+  EXPECT_EQ(count("fs.stub.retries"), 21u);
+  EXPECT_EQ(count("net.stub.retries"), 5u);
+}
+
 // Zero-overhead contract: with nothing armed, a faulted-build workload must
 // take exactly the same simulated time as it always has — i.e. two plain
 // runs agree, and every fault counter stays at zero.

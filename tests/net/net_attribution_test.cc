@@ -222,11 +222,8 @@ TEST(NetAttributionTest, BatchSplitPreservesBytesUnderFaults) {
   config.nvme_capacity = MiB(64);
   config.net_options.net_plug_window_ns = Microseconds(50);
   Machine machine(std::move(config));
-  RpcRetryOptions retry;
-  retry.max_attempts = 8;
-  retry.timeout = Milliseconds(5);
-  retry.backoff = Microseconds(10);
-  machine.net_stub(0).set_retry_options(retry);
+  machine.net_stub(0).set_retry_options(
+      {.max_attempts = 8, .backoff = Microseconds(10)}, Milliseconds(5));
   Spawn(machine.sim(), EchoServer(&machine.net_stub(0), 6200));
   machine.sim().RunUntilIdle();
 
@@ -261,11 +258,8 @@ TEST(NetAttributionTest, DroppedResponsesClampAndClearExact) {
   // the stub gives up while the proxy-side spans are still in flight, so
   // they close outside the root span and the residual subtraction clamps.
   CHECK_OK(Faults().Arm("rpc.drop.response", FaultSpec::EveryNth(1)));
-  RpcRetryOptions retry;
-  retry.max_attempts = 2;
-  retry.timeout = Nanoseconds(200);
-  retry.backoff = Nanoseconds(100);
-  machine.net_stub(0).set_retry_options(retry);
+  machine.net_stub(0).set_retry_options(
+      {.max_attempts = 2, .backoff = Nanoseconds(100)}, Nanoseconds(200));
 
   auto listener = RunSim(machine.sim(), machine.net_stub(0).Listen(7000, 8));
   EXPECT_FALSE(listener.ok());

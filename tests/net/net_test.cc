@@ -284,13 +284,39 @@ MachineConfig NetMachineConfig(int phis) {
   return config;
 }
 
+// Closing a listener unregisters its port: a later connect is refused.
+void ExpectClosedListenerRefusesConnects(Simulator& sim,
+                                         EthernetFabric& ethernet,
+                                         Processor* client,
+                                         ServerSocketApi* api) {
+  auto listener = RunSim(sim, api->Listen(5000, 8));
+  ASSERT_TRUE(listener.ok());
+  ASSERT_TRUE(RunSim(sim, api->Close(*listener)).ok());
+  auto conn = RunSim(sim, ethernet.ClientConnect(1, 5000, client));
+  EXPECT_EQ(conn.code(), ErrorCode::kConnectionReset);
+}
+
 TEST(TcpProxyListenerTest, ClosedListenerRefusesConnects) {
   Machine machine(NetMachineConfig(1));
-  RunSim(machine.sim(), ListenThenClose(&machine.net_stub(0), 5000));
   Processor client(&machine.sim(), machine.host_device(), 32, 1.0, "cl");
-  auto conn = RunSim(machine.sim(),
-                     machine.ethernet().ClientConnect(1, 5000, &client));
-  EXPECT_EQ(conn.code(), ErrorCode::kConnectionReset);
+  ExpectClosedListenerRefusesConnects(machine.sim(), machine.ethernet(),
+                                      &client, &machine.net_stub(0));
+}
+
+TEST(DirectServerTest, HostClosedListenerRefusesConnects) {
+  Rig rig;
+  DirectServer server(&rig.sim, &rig.fabric, rig.params, &rig.ethernet,
+                      rig.HostConfig());
+  ExpectClosedListenerRefusesConnects(rig.sim, rig.ethernet, &rig.client_cpu,
+                                      &server);
+}
+
+TEST(DirectServerTest, PhiLinuxClosedListenerRefusesConnects) {
+  Rig rig;
+  DirectServer server(&rig.sim, &rig.fabric, rig.params, &rig.ethernet,
+                      rig.PhiLinuxConfig());
+  ExpectClosedListenerRefusesConnects(rig.sim, rig.ethernet, &rig.client_cpu,
+                                      &server);
 }
 
 TEST(TcpProxyListenerTest, ClosedListenerLeavesItsSharedPort) {
@@ -353,6 +379,37 @@ TEST(TcpProxyListenerTest, ClosingListenerResetsConnectionsNotAccepted) {
     ASSERT_NE(entry, nullptr);
     EXPECT_FALSE(entry->open);
   }
+}
+
+// Closing a DirectServer listener resets the connection waiting in its
+// accept queue and wakes an Accept parked on it with kConnectionReset.
+TEST(DirectServerTest, ClosingListenerResetsQueuedAndWakesParkedAccept) {
+  Rig rig;
+  DirectServer server(&rig.sim, &rig.fabric, rig.params, &rig.ethernet,
+                      rig.HostConfig());
+  auto queued = RunSim(rig.sim, server.Listen(5000, 8));
+  ASSERT_TRUE(queued.ok());
+  auto conn =
+      RunSim(rig.sim, rig.ethernet.ClientConnect(1, 5000, &rig.client_cpu));
+  ASSERT_TRUE(conn.ok());
+  auto parked = RunSim(rig.sim, server.Listen(5001, 8));
+  ASSERT_TRUE(parked.ok());
+  std::optional<Result<int64_t>> accept;
+  Spawn(rig.sim, StoreResult(server.Accept(*parked), &accept));
+  rig.sim.RunUntilIdle();
+  ASSERT_FALSE(accept.has_value());
+
+  ASSERT_TRUE(RunSim(rig.sim, server.Close(*queued)).ok());
+  ASSERT_TRUE(RunSim(rig.sim, server.Close(*parked)).ok());
+  ASSERT_TRUE(accept.has_value());
+  EXPECT_EQ(accept->code(), ErrorCode::kConnectionReset);
+  auto recv = RunUnlessParked(rig.sim, rig.ethernet.ClientRecv(*conn));
+  ASSERT_TRUE(recv.has_value()) << "the connection was left parked";
+  EXPECT_EQ(recv->code(), ErrorCode::kConnectionReset);
+  // Both listeners are gone for good; their ports are free again.
+  EXPECT_EQ(RunSim(rig.sim, server.Close(*queued)).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(RunSim(rig.sim, server.Listen(5000, 8)).ok());
 }
 
 // A handle `api` never issued, or one it has closed, fails at once with

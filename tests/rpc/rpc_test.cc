@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/fault.h"
+#include "src/base/metrics.h"
 #include "src/base/units.h"
+#include "src/fs/fs_stub.h"
 #include "src/hw/fabric.h"
 #include "src/hw/params.h"
 #include "src/hw/processor.h"
@@ -151,6 +154,35 @@ TEST(RpcTest, OutOfOrderCompletionsRouteCorrectly) {
   rig.sim.RunUntilIdle();
   EXPECT_TRUE(ok);
   EXPECT_EQ(wg.outstanding(), 0u);
+}
+
+// A proxy that fails every request with a server-reported I/O error.
+Task<FsResponse> FailingFsHandler(FsRequest) {
+  FsResponse response;
+  response.error = ErrorCode::kIoError;
+  co_return response;
+}
+
+// With nothing armed the stub makes one attempt: a server-reported
+// transient error reaches the caller after one served request, with no
+// retry and no backoff.
+TEST(FsStubRetryTest, UnarmedServerIoErrorIsReturnedAfterOneRequest) {
+  ASSERT_FALSE(Faults().any_armed());
+  Rig rig;
+  RpcServer<FsRequest, FsResponse> server(&rig.sim, rig.request_ring.get(),
+                                          rig.response_ring.get(),
+                                          FailingFsHandler);
+  server.Start();
+  FsStub stub(&rig.sim, rig.params, &rig.phi_cpu,
+              {{rig.request_ring.get(), rig.response_ring.get()}},
+              /*client_id=*/0);
+  Counter* retries = MetricRegistry::Default().GetCounter("fs.stub.retries");
+  const uint64_t retries_before = retries->value();
+
+  auto stat = RunSim(rig.sim, stub.Stat("/file"));
+  EXPECT_EQ(stat.code(), ErrorCode::kIoError);
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(retries->value(), retries_before);
 }
 
 }  // namespace
